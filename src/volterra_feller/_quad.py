@@ -25,11 +25,11 @@ def outward_edges(anchor: float, target: float, n_panels: int, rel_first: float 
         raise ValueError("anchor and target coincide")
     frac = rel_first ** (np.arange(n_panels) / n_panels)
     dist = np.concatenate([frac, [0.0]])  # distance from target, in units of span
-    return target - span * dist
-
-
-def linear_edges(anchor: float, target: float, n_panels: int):
-    return np.linspace(anchor, target, n_panels + 1)
+    edges = target - span * dist
+    # target - span can round past the anchor, leaving a sliver panel across
+    # it once the two sides of a leg are merged
+    edges[0] = anchor
+    return edges
 
 
 def panel_nodes(edges: np.ndarray, order: int):
@@ -45,24 +45,6 @@ def panel_nodes(edges: np.ndarray, order: int):
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * x[None, :]
     return pts, np.log(np.abs(half)), np.log(w)
-
-
-def log_panel_integrals(logf, edges: np.ndarray, order: int = 12):
-    """log of int exp(logf) over each panel, via Gauss-Legendre per panel."""
-    pts, log_half, log_w = panel_nodes(edges, order)
-    vals = logf(pts.ravel()).reshape(pts.shape)
-    from scipy.special import logsumexp
-
-    return logsumexp(vals + log_w[None, :], axis=1) + log_half
-
-
-def cumulative_log_integrals(logf, edges: np.ndarray, order: int = 12):
-    """Cumulative log integral from edges[0] to every edge (first entry -inf)."""
-    panel = log_panel_integrals(logf, edges, order)
-    out = np.empty(len(edges))
-    out[0] = -np.inf
-    np.logaddexp.accumulate(panel, out=out[1:])
-    return out
 
 
 def cumulative_simpson(y: np.ndarray, x: np.ndarray):

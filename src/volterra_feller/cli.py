@@ -35,6 +35,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .errors import NumericError, PreconditionError
 from .feller import (
@@ -54,7 +55,7 @@ from .fracapprox import (
     geometric_nodes,
     truncation_kernel,
 )
-from .kernels import ConstantKernel, SumOfExponentialsKernel, TruncatedFractionalKernel
+from .kernels import KERNEL_KINDS, kernel_from_dict
 from .resolvent import check_hypotheses, solve_resolvent
 from .scale import CIRModel, JacobiModel, PowerModel, ScaleContext
 from .simulate import SimConfig, simulate, verdict_crosscheck
@@ -122,23 +123,21 @@ def _float_list_echo(values):
 # -- model / kernel builders -------------------------------------------------
 
 
+_MODELS = {cls.family: cls for cls in (CIRModel, JacobiModel, PowerModel)}
+# dataclass field annotation -> parser for its INI value
+_FIELD_CASTS = {"float": float, "tuple": _floats}
+
+
 def _build_model(cfg):
     sec = dict(cfg.get("model") or {})
     if not sec:
         raise CliError("config needs a [model] section")
     family = _take(sec, "model", "family")
-    if family == "cir":
-        kw = {k: _take(sec, "model", k, float) for k in ("kappa", "theta", "sigma", "x0")}
-        model = CIRModel(**kw)
-    elif family == "jacobi":
-        kw = {k: _take(sec, "model", k, float)
-              for k in ("a", "b", "kappa", "theta", "sigma", "x0")}
-        model = JacobiModel(**kw)
-    elif family == "power":
-        kw = {k: _take(sec, "model", k, float) for k in ("alpha", "delta", "sigma", "x0")}
-        model = PowerModel(**kw)
-    else:
+    cls = _MODELS.get(family)
+    if cls is None:
         raise CliError(f"unknown model family {family!r}")
+    kw = {f.name: _take(sec, "model", f.name, float) for f in fields(cls)}
+    model = cls(**kw)
     _no_leftovers(sec, "model")
     echo = {"family": family}
     echo.update(kw)
@@ -150,23 +149,17 @@ def _build_kernel(cfg):
     if not sec:
         raise CliError("config needs a [kernel] section")
     kind = _take(sec, "kernel", "kind")
-    if kind == "constant":
-        level = _take(sec, "kernel", "level", float)
-        kernel = ConstantKernel(level)
-        echo = {"kind": kind, "level": level}
-    elif kind == "sumexp":
-        weights = _take(sec, "kernel", "weights", _floats)
-        rates = _take(sec, "kernel", "rates", _floats)
-        kernel = SumOfExponentialsKernel(weights=tuple(weights), rates=tuple(rates))
-        echo = {"kind": kind, "weights": _float_list_echo(weights),
-                "rates": _float_list_echo(rates)}
-    elif kind == "truncfrac":
-        alpha = _take(sec, "kernel", "alpha", float)
-        cap = _take(sec, "kernel", "t", float)
-        kernel = TruncatedFractionalKernel(alpha, cap)
-        echo = {"kind": kind, "alpha": alpha, "t": cap}
-    else:
+    cls = KERNEL_KINDS.get(kind)
+    if cls is None:
         raise CliError(f"unknown kernel kind {kind!r}")
+    record = {"kind": kind}
+    echo = {"kind": kind}
+    for f in fields(cls):
+        key = f.name.lower()  # configparser lowercases keys: T is read as t
+        value = _take(sec, "kernel", key, _FIELD_CASTS[f.type])
+        record[f.name] = value
+        echo[key] = _float_list_echo(value) if f.type == "tuple" else value
+    kernel = kernel_from_dict(record)
     _no_leftovers(sec, "kernel")
     return kernel, echo
 
@@ -569,10 +562,11 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except NumericError as exc:
+        details = ", ".join(f"{key}={value}" for key, value in exc.details.items())
+        print(f"error: {exc} ({details})" if details else f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, PreconditionError, NumericError, OSError) as exc:
+    except (CliError, ValueError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -393,90 +393,6 @@ def sup_inf_test(ctx, hypotheses=None):
                            "scale-function-bounds", tuple(evidence), flags)
 
 
-# -- closed-form family arithmetic -------------------------------------------
-
-
-def _cir_verdicts(model, k0, kp0, emit):
-    kappa, theta, sigma, x0 = model.kappa, model.theta, model.sigma, model.x0
-    suff = 2.0 * kappa * theta - k0 * sigma**2
-    if suff >= 0.0:
-        emit(Boundary.LEFT, Verdict.NO_EXIT_AS, "cir-sufficient",
-             [("2*kappa*theta - K0*sigma^2", suff, 0.0)])
-    if kp0 < 0.0:
-        thr = k0**2 / (2.0 * abs(kp0)) * (k0 * sigma**2 - 2.0 * kappa * theta)
-        tag = "cir-necessary"
-        if x0 >= thr:
-            emit(Boundary.LEFT, Verdict.NECESSARY_HOLDS, tag, [("x0", x0, thr)])
-        else:
-            emit(Boundary.LEFT, Verdict.EXITS_WITH_POSITIVE_PROB, tag, [("x0", x0, thr)])
-    elif suff < 0.0:
-        # constant-slope kernel: the sufficient condition is an equivalence,
-        # and its failure also pins the supremum below any level
-        emit(Boundary.LEFT, Verdict.EXITS_WITH_POSITIVE_PROB, "cir-classical-iff",
-             [("2*kappa*theta - K0*sigma^2", suff, 0.0)])
-        emit(Boundary.RIGHT, Verdict.SUP_BOUNDED_AS, "cir-classical-sup-bound",
-             [("2*kappa*theta - K0*sigma^2", suff, 0.0)])
-
-
-def _jacobi_verdicts(model, k0, kp0, emit):
-    a, b = model.a, model.b
-    kappa, theta, sigma, x0 = model.kappa, model.theta, model.sigma, model.x0
-    width = b - a
-    suff_l = 2.0 * kappa * (theta - a) - k0 * sigma**2 * width
-    suff_r = 2.0 * kappa * (b - theta) - k0 * sigma**2 * width
-    if suff_l >= 0.0:
-        emit(Boundary.LEFT, Verdict.NO_EXIT_AS, "jacobi-sufficient",
-             [("2*kappa*(theta-a) - K0*sigma^2*(b-a)", suff_l, 0.0)])
-    if suff_r >= 0.0:
-        emit(Boundary.RIGHT, Verdict.NO_EXIT_AS, "jacobi-sufficient",
-             [("2*kappa*(b-theta) - K0*sigma^2*(b-a)", suff_r, 0.0)])
-    if kp0 < 0.0:
-        scale = k0**2 / (2.0 * abs(kp0))
-        thr_l = a + scale * (k0 * sigma**2 * width - 2.0 * kappa * (theta - a))
-        thr_r = b - scale * (k0 * sigma**2 * width - 2.0 * kappa * (b - theta))
-        if x0 >= thr_l:
-            emit(Boundary.LEFT, Verdict.NECESSARY_HOLDS, "jacobi-necessary",
-                 [("x0", x0, thr_l)])
-        else:
-            emit(Boundary.LEFT, Verdict.EXITS_WITH_POSITIVE_PROB, "jacobi-necessary",
-                 [("x0", x0, thr_l)])
-        if x0 <= thr_r:
-            emit(Boundary.RIGHT, Verdict.NECESSARY_HOLDS, "jacobi-necessary",
-                 [("x0", x0, thr_r)])
-        else:
-            emit(Boundary.RIGHT, Verdict.EXITS_WITH_POSITIVE_PROB, "jacobi-necessary",
-                 [("x0", x0, thr_r)])
-    else:
-        if suff_l < 0.0:
-            emit(Boundary.LEFT, Verdict.EXITS_WITH_POSITIVE_PROB, "jacobi-classical-iff",
-                 [("2*kappa*(theta-a) - K0*sigma^2*(b-a)", suff_l, 0.0)])
-        if suff_r < 0.0:
-            emit(Boundary.RIGHT, Verdict.EXITS_WITH_POSITIVE_PROB, "jacobi-classical-iff",
-                 [("2*kappa*(b-theta) - K0*sigma^2*(b-a)", suff_r, 0.0)])
-    # localized bounds: one endpoint repelling strongly enough while the
-    # other attracts keeps the extreme of the path short of the far endpoint
-    drift_cap = (k0 * sigma**2 - 2.0 * abs(kp0) / k0**2) * width
-    if suff_r >= 0.0 and 2.0 * kappa * (theta - a) < drift_cap:
-        emit(Boundary.RIGHT, Verdict.SUP_BOUNDED_AS, "jacobi-sup-bound",
-             [("2*kappa*(theta-a)", 2.0 * kappa * (theta - a), drift_cap)])
-    if suff_l >= 0.0 and 2.0 * kappa * (b - theta) < drift_cap:
-        emit(Boundary.LEFT, Verdict.INF_BOUNDED_AS, "jacobi-inf-bound",
-             [("2*kappa*(b-theta)", 2.0 * kappa * (b - theta), drift_cap)])
-
-
-def _power_verdicts(model, k0, kp0, emit):
-    alpha, delta = model.alpha, model.delta
-    emit(Boundary.LEFT, Verdict.NO_EXIT_AS, "power-no-left-blowup",
-         [("alpha", alpha, 1.0)])
-    margin = alpha - (1.0 + delta)
-    if margin > 0.0:
-        emit(Boundary.RIGHT, Verdict.EXITS_WITH_POSITIVE_PROB, "power-right-blowup",
-             [("alpha - (1 + delta)", margin, 0.0)])
-    else:
-        emit(Boundary.RIGHT, Verdict.INCONCLUSIVE, "power-right-blowup",
-             [("alpha - (1 + delta)", margin, 0.0)])
-
-
 def family_test(model, kernel, hypotheses=None):
     """Closed-form verdict list for the built-in model families.
 
@@ -485,10 +401,11 @@ def family_test(model, kernel, hypotheses=None):
     and returns every conclusion they support.  Equality counts as satisfied
     for the square-root families; the power blow-up needs a strict margin.
     """
-    family = getattr(model, "family", None)
-    if family not in ("cir", "jacobi", "power"):
+    family_verdicts = getattr(model, "family_verdicts", None)
+    if family_verdicts is None:
         raise PreconditionError(
-            f"family_test covers the cir/jacobi/power families, got {family!r}"
+            "family_test covers the cir/jacobi/power families, "
+            f"got {getattr(model, 'family', None)!r}"
         )
     k0, kp0 = kernel.k0_kprime0()
     if not k0 > 0.0:
@@ -501,12 +418,7 @@ def family_test(model, kernel, hypotheses=None):
     def emit(boundary, verdict, theorem, evidence):
         out.append(_finish(boundary, verdict, theorem, evidence, flags))
 
-    if family == "cir":
-        _cir_verdicts(model, k0, kp0, emit)
-    elif family == "jacobi":
-        _jacobi_verdicts(model, k0, kp0, emit)
-    else:
-        _power_verdicts(model, k0, kp0, emit)
+    family_verdicts(k0, kp0, emit)
     return out
 
 

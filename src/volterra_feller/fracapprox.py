@@ -1,16 +1,18 @@
 """Nonsingular stand-ins for the fractional kernel t**(alpha-1)/Gamma(alpha).
 
 The singular fractional kernel sits outside the scope of the boundary tests,
-which need K(0) finite.  Two approximation routes bring it back in:
+which need K(0) finite.  Two approximation routes bring it back in; both
+start from K_frac as the Laplace transform of the rate measure
+mu(dx) = x**(-alpha)/(Gamma(alpha)Gamma(1-alpha)) dx.
 
-* truncation: freeze the kernel left of a cap T, i.e. K(t) = K_frac(max(t, T))
-  rescaled so the cap point is T**(alpha-1)/Gamma(alpha).  Handled by
-  ``TruncatedFractionalKernel`` in :mod:`.kernels`; ``TruncationScheme`` is the
-  declarative wrapper used by the study driver and the CLI.
+* truncation: cut mu off at the rate T, so K(t) = int_0^T exp(-x t) mu(dx).
+  K(0) is then finite and K increases pointwise to K_frac as T grows.
+  Handled by ``TruncatedFractionalKernel`` in :mod:`.kernels`;
+  ``TruncationScheme`` is the declarative wrapper used by
+  ``fractional_condition_study`` and the CLI.
 
-* quadrature: write K_frac as a Laplace transform of the measure
-  x**(-alpha)/(Gamma(alpha)Gamma(1-alpha)) dx and apply interval-wise Gauss
-  rules on a geometric ladder xi_0 = 0 < xi_1 < xi_1*r < ... < xi_1*r**(N-1).
+* quadrature: apply interval-wise Gauss rules to mu on a geometric ladder
+  xi_0 = 0 < xi_1 < xi_1*r < ... < xi_1*r**(N-1).
   Each interval contributes q nodes/masses, and the result is a
   ``SumOfExponentialsKernel``.  The ``geometric_bb2`` weight variant keeps the
   fractional weight only on the first interval and uses the flat weight dx on
@@ -46,7 +48,7 @@ _MAX_NODES_PER_INTERVAL = 12
 
 @dataclass(frozen=True)
 class TruncationScheme:
-    """Truncate the fractional kernel at lag T; see ``TruncatedFractionalKernel``."""
+    """Cut the fractional kernel's rate measure at T; see ``TruncatedFractionalKernel``."""
 
     alpha: float
     T: float
@@ -55,7 +57,7 @@ class TruncationScheme:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError("truncation lag T must be positive and finite")
+            raise ValueError("truncation cap T must be positive and finite")
 
 
 @dataclass(frozen=True)

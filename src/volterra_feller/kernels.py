@@ -15,23 +15,26 @@ Built-in variants
 ``TruncatedFractionalKernel``
     K(t) = int_0^T exp(-x t) x^(-alpha) dx / (Gamma(alpha) Gamma(1-alpha)),
     the fractional kernel t^(alpha-1)/Gamma(alpha) with its Laplace measure
-    cut off at T.  Pointwise values come from adaptive quadrature after the
-    substitution u = x^(1-alpha), which removes the endpoint singularity.
+    cut off at T.  Pointwise values come from the closed form
+    K(t) = t^(alpha-1) P(1-alpha, T t) / Gamma(alpha) in the regularized
+    lower incomplete gamma function P (DLMF 8.2).
 
 User-supplied kernels do not get a spec variant: they enter through
 ``UserKernel`` as plain callables with asserted K(0), K'(0) and an asserted
 complete-monotonicity flag, and the caller owns those assertions.
+
+Callers dispatch on what a kernel can do, not on its type: ``exp_form()``
+returns the (weights, rates) of a sum-of-exponentials form, rate 0 for the
+constant kernel, or None when the kernel has none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
-
-from .errors import NumericError
+from scipy.special import gammainc
 
 __all__ = [
     "lanczos_gamma",
@@ -39,6 +42,7 @@ __all__ = [
     "SumOfExponentialsKernel",
     "TruncatedFractionalKernel",
     "UserKernel",
+    "KERNEL_KINDS",
     "kernel_from_dict",
     "kernel_to_dict",
 ]
@@ -113,6 +117,9 @@ class ConstantKernel:
     def k0_kprime0(self):
         return self.level, 0.0
 
+    def exp_form(self):
+        return np.array([self.level]), np.zeros(1)
+
 
 @dataclass(frozen=True)
 class SumOfExponentialsKernel:
@@ -162,6 +169,9 @@ class SumOfExponentialsKernel:
         r = np.asarray(self.rates)
         return float(w.sum()), float(-(w * r).sum())
 
+    def exp_form(self):
+        return np.asarray(self.weights), np.asarray(self.rates)
+
 
 @dataclass(frozen=True)
 class TruncatedFractionalKernel:
@@ -171,7 +181,13 @@ class TruncatedFractionalKernel:
     Gamma(1-alpha)), for alpha in (0, 1) and T > 0.  As T grows, K increases
     pointwise toward the fractional kernel t^(alpha-1)/Gamma(alpha).
 
-    Closed forms used by the tests:
+    Substituting u = x t turns both integrals into incomplete gamma
+    functions, so for t > 0 (DLMF 8.2, P the regularized lower one)
+
+        K(t)  = t^(alpha-1) P(1-alpha, T t) / Gamma(alpha)
+        K'(t) = -(1-alpha) t^(alpha-2) P(2-alpha, T t) / Gamma(alpha)
+
+    and at t = 0 the closed forms used by the tests:
 
         K(0)  = T^(1-alpha) / (Gamma(alpha) Gamma(2-alpha))
         K'(0) = -T^(2-alpha) / ((2-alpha) Gamma(alpha) Gamma(1-alpha))
@@ -180,69 +196,48 @@ class TruncatedFractionalKernel:
     alpha: float
     T: float
 
-    # relative accuracy target for pointwise quadrature
-    _QUAD_RTOL = 1e-10
-
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError(f"T must be a positive finite real, got {self.T}")
+        try:
+            self.k0_kprime0()
+        except OverflowError:
+            raise ValueError(f"T = {self.T} is too large: K'(0) overflows") from None
 
     @property
     def completely_monotone(self) -> bool:
         return True
 
-    def _norm(self) -> float:
-        return lanczos_gamma(self.alpha) * lanczos_gamma(1.0 - self.alpha)
-
-    def _quad_scalar(self, t: float, moment: int) -> float:
-        # int_0^T x^moment exp(-x t) x^(-alpha) dx after u = x^(1-alpha):
-        # 1/(1-alpha) int_0^(T^(1-alpha)) u^(moment/(1-alpha)) exp(-t u^(1/(1-alpha))) du
-        a = self.alpha
-        upper = self.T ** (1.0 - a)
-        inv = 1.0 / (1.0 - a)
-
-        def f(u):
-            x = u ** inv
-            val = math.exp(-t * x)
-            if moment:
-                val *= x ** moment
-            return val
-
-        val, err = integrate.quad(f, 0.0, upper, epsabs=1e-14, epsrel=1e-12, limit=200)
-        val *= inv
-        err *= inv
-        if err > self._QUAD_RTOL * max(abs(val), 1.0):
-            raise NumericError(
-                "truncated-fractional quadrature did not reach target accuracy",
-                achieved=err,
-                target=self._QUAD_RTOL * max(abs(val), 1.0),
-                t=t,
-            )
-        return val / self._norm()
+    def _closed_form(self, t, power, factor, at_zero):
+        # factor t^power P(-power, T t) / Gamma(alpha), with t^power split as
+        # T^-power (T t)^power: x^power P(-power, x) <= 1, so nothing
+        # overflows while K'(0) is finite.  K and K' move from their t = 0
+        # values by a relative amount below T t, so at_zero is exact to
+        # rounding for T t < 1e-16, where x^power alone may overflow.
+        arr = _as_time_array(t)
+        x = self.T * arr
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = factor * self.T**-power * (x**power * gammainc(-power, x))
+        out = np.where(x < 1e-16, at_zero, out / lanczos_gamma(self.alpha))
+        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def eval(self, t):
-        arr = _as_time_array(t)
-        flat = np.atleast_1d(arr).ravel()
-        vals = np.array([self._quad_scalar(float(ti), 0) for ti in flat])
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(vals[0])
-        return vals.reshape(arr.shape)
+        return self._closed_form(t, self.alpha - 1.0, 1.0, self.k0_kprime0()[0])
 
     def eval_deriv(self, t):
-        arr = _as_time_array(t)
-        flat = np.atleast_1d(arr).ravel()
-        vals = np.array([-self._quad_scalar(float(ti), 1) for ti in flat])
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(vals[0])
-        return vals.reshape(arr.shape)
+        a = self.alpha
+        return self._closed_form(t, a - 2.0, -(1.0 - a), self.k0_kprime0()[1])
 
     def k0_kprime0(self):
         a, T = self.alpha, self.T
         k0 = T ** (1.0 - a) / (lanczos_gamma(a) * lanczos_gamma(2.0 - a))
         kp0 = -(T ** (2.0 - a)) / ((2.0 - a) * lanczos_gamma(a) * lanczos_gamma(1.0 - a))
         return k0, kp0
+
+    def exp_form(self):
+        return None
 
 
 class UserKernel:
@@ -289,23 +284,28 @@ class UserKernel:
     def k0_kprime0(self):
         return self._k0, self._kprime0
 
+    def exp_form(self):
+        return None
 
-_TAGS = {
+
+KERNEL_KINDS = {
     "constant": ConstantKernel,
     "sumexp": SumOfExponentialsKernel,
     "truncfrac": TruncatedFractionalKernel,
 }
+_KIND_OF = {cls: kind for kind, cls in KERNEL_KINDS.items()}
 
 
 def kernel_to_dict(kernel) -> dict:
     """Tagged plain-data record for configs and reports."""
-    if isinstance(kernel, ConstantKernel):
-        return {"kind": "constant", "level": kernel.level}
-    if isinstance(kernel, SumOfExponentialsKernel):
-        return {"kind": "sumexp", "weights": list(kernel.weights), "rates": list(kernel.rates)}
-    if isinstance(kernel, TruncatedFractionalKernel):
-        return {"kind": "truncfrac", "alpha": kernel.alpha, "T": kernel.T}
-    raise ValueError(f"kernel of type {type(kernel).__name__} has no serialized form")
+    kind = _KIND_OF.get(type(kernel))
+    if kind is None:
+        raise ValueError(f"kernel of type {type(kernel).__name__} has no serialized form")
+    record = {"kind": kind}
+    for f in fields(kernel):
+        value = getattr(kernel, f.name)
+        record[f.name] = list(value) if type(value) is tuple else value
+    return record
 
 
 def kernel_from_dict(record: dict):
@@ -313,19 +313,15 @@ def kernel_from_dict(record: dict):
     if "kind" not in record:
         raise ValueError("kernel record is missing the 'kind' tag")
     kind = record["kind"]
-    fields = {k: v for k, v in record.items() if k != "kind"}
-    if kind == "constant":
-        allowed = {"level"}
-    elif kind == "sumexp":
-        allowed = {"weights", "rates"}
-    elif kind == "truncfrac":
-        allowed = {"alpha", "T"}
-    else:
+    cls = KERNEL_KINDS.get(kind)
+    if cls is None:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    unknown = set(fields) - allowed
+    given = {k: v for k, v in record.items() if k != "kind"}
+    allowed = {f.name for f in fields(cls)}
+    unknown = set(given) - allowed
     if unknown:
         raise ValueError(f"unknown kernel field(s) {sorted(unknown)} for kind {kind!r}")
-    missing = allowed - set(fields)
+    missing = allowed - set(given)
     if missing:
         raise ValueError(f"missing kernel field(s) {sorted(missing)} for kind {kind!r}")
-    return _TAGS[kind](**fields)
+    return cls(**given)

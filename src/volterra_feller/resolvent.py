@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .kernels import ConstantKernel, SumOfExponentialsKernel
 
 __all__ = ["ResolventGrid", "HypothesisReport", "solve_resolvent", "check_hypotheses"]
 
@@ -127,10 +126,9 @@ def solve_resolvent(kernel, dt: float, horizon: float) -> ResolventGrid:
     if abs(k_grid[1]) * dt < 1e-300:
         raise NumericError("triangular solve ill-conditioned: K(dt) vanishes", k_dt=k_grid[1])
 
-    if isinstance(kernel, SumOfExponentialsKernel):
-        rho = _solve_density_sumexp(kernel.weights, kernel.rates, k_grid, atom, dt, n)
-    elif isinstance(kernel, ConstantKernel):
-        rho = _solve_density_sumexp((kernel.level,), (0.0,), k_grid, atom, dt, n)
+    form = getattr(kernel, "exp_form", lambda: None)()
+    if form is not None:
+        rho = _solve_density_sumexp(*form, k_grid, atom, dt, n)
     else:
         rho = _solve_density_generic(k_grid, atom, dt, n)
 

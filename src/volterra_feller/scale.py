@@ -18,10 +18,25 @@ and the scale function and first test function are
     v_c(x)  = 2 int_c^x p'_c(y) int_c^y (p'_c(z) sigma~(z)^2)^(-1) dz dy.
 
 Divergence of v at a boundary (for suitable shifts) is what the verdict
-layer in ``feller`` consumes.  For the three built-in model families E(y)
-has closed forms; Custom models get E by adaptive quadrature.  All
-integration runs in log space: p' spans hundreds of orders of magnitude
-near boundaries and overflow must degrade into +inf values, not NaNs.
+layer in ``feller`` consumes.  All integration runs in log space: p' spans
+hundreds of orders of magnitude near boundaries and overflow must degrade
+into +inf values, not NaNs.
+
+Each built-in model family keeps its closed forms on its own class, and
+``ScaleContext`` and ``feller.family_test`` use whichever a model has:
+
+* ``exponent(y, c, k0, ratio, shift)``: E(y), with ``ratio`` = K0'/K0 and
+  ``shift`` the beta-or-gamma value at each y;
+* ``limit_rule(which, target, k0, ratio, shift)``: (kind, evidence) for the
+  limit of v or |p| at one boundary under that side's shift;
+* ``interior_singularities()``: interior zeros of sigma, graded like
+  endpoints;
+* ``family_verdicts(k0, kp0, emit)``: the family's printed inequalities,
+  emitted as (boundary, verdict, theorem, evidence) with string names.
+
+``CustomModel`` has none of them: E comes from adaptive quadrature, limits
+from sampling, and ``family_test`` does not apply.  The ``family`` class
+attribute is a data tag only.
 
 The iterated-integral series u_c = sum_n u_{c,n} built from the recursion
 
@@ -99,6 +114,37 @@ class CIRModel:
     def truncate(self, x):
         return np.maximum(np.asarray(x, dtype=float), 0.0)
 
+    def exponent(self, y, c, k0, ratio, shift):
+        cc = 2.0 / (k0 * self.sigma) ** 2
+        e = cc * (k0 * self.kappa * self.theta + shift * ratio)
+        lin = cc * (ratio - k0 * self.kappa)
+        return -e * np.log(y / c) - lin * (y - c)
+
+    def limit_rule(self, which, target, k0, ratio, shift):
+        if which == "right":
+            return "divergent", {"reason": "p' grows exponentially toward +inf"}
+        expo = 2.0 / (k0 * self.sigma) ** 2 * (k0 * self.kappa * self.theta + shift * ratio)
+        ev = {"exponent": expo, "divergent_iff": "exponent >= 1"}
+        return ("divergent" if expo >= 1.0 else "finite"), ev
+
+    def family_verdicts(self, k0, kp0, emit):
+        kappa, theta, sigma, x0 = self.kappa, self.theta, self.sigma, self.x0
+        suff = 2.0 * kappa * theta - k0 * sigma**2
+        if suff >= 0.0:
+            emit("Left", "NoExitAS", "cir-sufficient",
+                 [("2*kappa*theta - K0*sigma^2", suff, 0.0)])
+        if kp0 < 0.0:
+            thr = k0**2 / (2.0 * abs(kp0)) * (k0 * sigma**2 - 2.0 * kappa * theta)
+            verdict = "NecessaryHolds" if x0 >= thr else "ExitsWithPositiveProb"
+            emit("Left", verdict, "cir-necessary", [("x0", x0, thr)])
+        elif suff < 0.0:
+            # constant-slope kernel: the sufficient condition is an equivalence,
+            # and its failure also pins the supremum below any level
+            emit("Left", "ExitsWithPositiveProb", "cir-classical-iff",
+                 [("2*kappa*theta - K0*sigma^2", suff, 0.0)])
+            emit("Right", "SupBoundedAS", "cir-classical-sup-bound",
+                 [("2*kappa*theta - K0*sigma^2", suff, 0.0)])
+
 
 @dataclass(frozen=True)
 class JacobiModel:
@@ -136,6 +182,63 @@ class JacobiModel:
     def truncate(self, x):
         return np.clip(np.asarray(x, dtype=float), self.a, self.b)
 
+    def _coef(self, end, k0, ratio, shift):
+        # coefficient of log|y - end| in -E(y) / C, C = 2 (K0 sigma)^-2
+        return (k0 * self.kappa * (self.theta - end) + ratio * (end + shift)) / (self.b - self.a)
+
+    def exponent(self, y, c, k0, ratio, shift):
+        a, b = self.a, self.b
+        cc = 2.0 / (k0 * self.sigma) ** 2
+        return -cc * (
+            self._coef(a, k0, ratio, shift) * np.log((y - a) / (c - a))
+            - self._coef(b, k0, ratio, shift) * np.log((b - y) / (b - c))
+        )
+
+    def limit_rule(self, which, target, k0, ratio, shift):
+        end = self.a if which == "left" else self.b
+        expo = self._coef(end, k0, ratio, shift) * (2.0 / (k0 * self.sigma) ** 2)
+        if which == "right":
+            expo = -expo
+        ev = {"exponent": expo, "divergent_iff": "exponent >= 1"}
+        return ("divergent" if expo >= 1.0 else "finite"), ev
+
+    def family_verdicts(self, k0, kp0, emit):
+        a, b = self.a, self.b
+        kappa, theta, sigma, x0 = self.kappa, self.theta, self.sigma, self.x0
+        width = b - a
+        suff_l = 2.0 * kappa * (theta - a) - k0 * sigma**2 * width
+        suff_r = 2.0 * kappa * (b - theta) - k0 * sigma**2 * width
+        if suff_l >= 0.0:
+            emit("Left", "NoExitAS", "jacobi-sufficient",
+                 [("2*kappa*(theta-a) - K0*sigma^2*(b-a)", suff_l, 0.0)])
+        if suff_r >= 0.0:
+            emit("Right", "NoExitAS", "jacobi-sufficient",
+                 [("2*kappa*(b-theta) - K0*sigma^2*(b-a)", suff_r, 0.0)])
+        if kp0 < 0.0:
+            scale = k0**2 / (2.0 * abs(kp0))
+            thr_l = a + scale * (k0 * sigma**2 * width - 2.0 * kappa * (theta - a))
+            thr_r = b - scale * (k0 * sigma**2 * width - 2.0 * kappa * (b - theta))
+            emit("Left", "NecessaryHolds" if x0 >= thr_l else "ExitsWithPositiveProb",
+                 "jacobi-necessary", [("x0", x0, thr_l)])
+            emit("Right", "NecessaryHolds" if x0 <= thr_r else "ExitsWithPositiveProb",
+                 "jacobi-necessary", [("x0", x0, thr_r)])
+        else:
+            if suff_l < 0.0:
+                emit("Left", "ExitsWithPositiveProb", "jacobi-classical-iff",
+                     [("2*kappa*(theta-a) - K0*sigma^2*(b-a)", suff_l, 0.0)])
+            if suff_r < 0.0:
+                emit("Right", "ExitsWithPositiveProb", "jacobi-classical-iff",
+                     [("2*kappa*(b-theta) - K0*sigma^2*(b-a)", suff_r, 0.0)])
+        # localized bounds: one endpoint repelling strongly enough while the
+        # other attracts keeps the extreme of the path short of the far endpoint
+        drift_cap = (k0 * sigma**2 - 2.0 * abs(kp0) / k0**2) * width
+        if suff_r >= 0.0 and 2.0 * kappa * (theta - a) < drift_cap:
+            emit("Right", "SupBoundedAS", "jacobi-sup-bound",
+                 [("2*kappa*(theta-a)", 2.0 * kappa * (theta - a), drift_cap)])
+        if suff_l >= 0.0 and 2.0 * kappa * (b - theta) < drift_cap:
+            emit("Left", "InfBoundedAS", "jacobi-inf-bound",
+                 [("2*kappa*(b-theta)", 2.0 * kappa * (b - theta), drift_cap)])
+
 
 @dataclass(frozen=True)
 class PowerModel:
@@ -167,6 +270,42 @@ class PowerModel:
 
     def truncate(self, x):
         return np.asarray(x, dtype=float)
+
+    def exponent(self, y, c, k0, ratio, shift):
+        cc = 2.0 / (k0 * self.sigma) ** 2
+        p = self.alpha - self.delta
+
+        def odd(z, q):
+            return np.sign(z) * np.abs(z) ** q / q
+
+        def even(z, q):
+            return np.abs(z) ** q / q
+
+        term = k0 * (odd(y, p + 1.0) - odd(c, p + 1.0))
+        term = term + ratio * (even(y, 2.0 - self.delta) - even(c, 2.0 - self.delta))
+        term = term + ratio * shift * (odd(y, 1.0 - self.delta) - odd(c, 1.0 - self.delta))
+        return -cc * term
+
+    def limit_rule(self, which, target, k0, ratio, shift):
+        if which == "left":
+            return "divergent", {"reason": "p' grows superexponentially toward -inf"}
+        if target == "p":
+            return "finite", {"reason": "p' decays superexponentially toward +inf"}
+        if self.alpha > 1.0 + self.delta:
+            return "finite", {"rule": "alpha > 1 + delta", "alpha": self.alpha,
+                              "delta": self.delta}
+        return "inconclusive", {"rule": "alpha <= 1 + delta: no closed rule",
+                                "alpha": self.alpha, "delta": self.delta}
+
+    def interior_singularities(self):
+        # sigma vanishes at 0 when delta > 0
+        return (0.0,) if self.delta > 0.0 else ()
+
+    def family_verdicts(self, k0, kp0, emit):
+        emit("Left", "NoExitAS", "power-no-left-blowup", [("alpha", self.alpha, 1.0)])
+        margin = self.alpha - (1.0 + self.delta)
+        verdict = "ExitsWithPositiveProb" if margin > 0.0 else "Inconclusive"
+        emit("Right", verdict, "power-right-blowup", [("alpha - (1 + delta)", margin, 0.0)])
 
 
 @dataclass(eq=False)
@@ -306,44 +445,6 @@ class ScaleContext:
     def _side_shift(self, y):
         return np.where(np.asarray(y, dtype=float) < self.c, self.beta, self.gamma)
 
-    def _exponent_closed(self, y):
-        m = self.model
-        y = np.asarray(y, dtype=float)
-        c = self.c
-        k0, rat = self._k0, self._ratio
-        with np.errstate(divide="ignore", over="ignore"):
-            if m.family == "cir":
-                cc = 2.0 / (k0 * m.sigma) ** 2
-                e = cc * (k0 * m.kappa * m.theta + self._side_shift(y) * rat)
-                lin = cc * (rat - k0 * m.kappa)
-                return -e * np.log(y / c) - lin * (y - c)
-            if m.family == "jacobi":
-                cc = 2.0 / (k0 * m.sigma) ** 2
-                s = self._side_shift(y)
-                a_coef = (k0 * m.kappa * (m.theta - m.a) + rat * (m.a + s)) / (m.b - m.a)
-                b_coef = (k0 * m.kappa * (m.theta - m.b) + rat * (m.b + s)) / (m.b - m.a)
-                return -cc * (
-                    a_coef * np.log((y - m.a) / (c - m.a))
-                    - b_coef * np.log((m.b - y) / (m.b - c))
-                )
-            if m.family == "power":
-                cc = 2.0 / (k0 * m.sigma) ** 2
-                p = m.alpha - m.delta
-
-                def odd(z, q):
-                    return np.sign(z) * np.abs(z) ** q / q
-
-                def even(z, q):
-                    return np.abs(z) ** q / q
-
-                term = k0 * (odd(y, p + 1.0) - odd(c, p + 1.0))
-                term = term + rat * (even(y, 2.0 - m.delta) - even(c, 2.0 - m.delta))
-                term = term + rat * self._side_shift(y) * (
-                    odd(y, 1.0 - m.delta) - odd(c, 1.0 - m.delta)
-                )
-                return -cc * term
-        raise AssertionError("unreachable")
-
     def _exponent_custom(self, pts):
         # E by cumulative quadrature of 2 b~_c / sigma~^2 along the sorted
         # path from c; open Gauss panels between consecutive points, so the
@@ -374,9 +475,13 @@ class ScaleContext:
         return out
 
     def _exponent_batch(self, pts):
-        if self.model.family == "custom":
+        # closed form when the model has one, quadrature otherwise
+        exponent = getattr(self.model, "exponent", None)
+        if exponent is None:
             return self._exponent_custom(pts)
-        return self._exponent_closed(pts)
+        y = np.asarray(pts, dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
+            return exponent(y, self.c, self._k0, self._ratio, self._side_shift(y))
 
     def log_scale_derivative(self, x):
         """log p'_c(x); finite wherever x is interior."""
@@ -404,9 +509,9 @@ class ScaleContext:
     # -- panel machinery -----------------------------------------------------
 
     def _interior_singularities(self):
-        if self.model.family == "power" and self.model.delta > 0.0:
-            return (0.0,)
-        return ()
+        # interior zeros of sigma a model declares; none for custom models
+        found = getattr(self.model, "interior_singularities", None)
+        return found() if found is not None else ()
 
     def _edges(self, lo, hi, n_panels, rel_first):
         half = max(n_panels // 2, 8)
@@ -659,65 +764,28 @@ class ScaleContext:
             raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
         if steps < 4:
             raise ValueError("need at least 4 sampling steps")
-        if method in ("auto", "closed") and self.model.family != "custom":
-            closed = self._closed_limit(which, target)
-            if closed is not None and (method == "closed" or closed.kind != "inconclusive"):
-                return closed
-        elif method == "closed":
+        has_rule = hasattr(self.model, "limit_rule")
+        if method == "closed" and not has_rule:
             raise PreconditionError("no closed-form limit rule for custom models")
+        if method != "sample" and has_rule:
+            closed = self._closed_limit(which, target)
+            if method == "closed" or closed.kind != "inconclusive":
+                return closed
         return self._sampled_limit(
             which, target, steps, ratio, cap, tail_rtol, divergence_ratio
         )
 
     def _closed_limit(self, which, target):
-        m = self.model
-        k0, rat = self._k0, self._ratio
-        if m.family == "cir":
-            cc = 2.0 / (k0 * m.sigma) ** 2
-            if which == "left":
-                expo = cc * (k0 * m.kappa * m.theta + self.beta * rat)
-                ev = {"exponent": expo, "divergent_iff": "exponent >= 1"}
-                if expo >= 1.0:
-                    return LimitResult("divergent", None, "closed", ev)
-                val = self._boundary_value(0.0, target)
-                return LimitResult("finite", val, "closed", ev)
-            ev = {"reason": "p' grows exponentially toward +inf"}
-            return LimitResult("divergent", None, "closed", ev)
-        if m.family == "jacobi":
-            cc = 2.0 / (k0 * m.sigma) ** 2
-            if which == "left":
-                a_coef = (k0 * m.kappa * (m.theta - m.a) + rat * (m.a + self.beta)) / (
-                    m.b - m.a
-                )
-                expo = a_coef * cc
-                boundary = m.a
-            else:
-                b_coef = (k0 * m.kappa * (m.theta - m.b) + rat * (m.b + self.gamma)) / (
-                    m.b - m.a
-                )
-                expo = -b_coef * cc
-                boundary = m.b
-            ev = {"exponent": expo, "divergent_iff": "exponent >= 1"}
-            if expo >= 1.0:
-                return LimitResult("divergent", None, "closed", ev)
-            return LimitResult("finite", self._boundary_value(boundary, target), "closed", ev)
-        if m.family == "power":
-            if which == "left":
-                ev = {"reason": "p' grows superexponentially toward -inf"}
-                return LimitResult("divergent", None, "closed", ev)
-            if target == "p":
-                ev = {"reason": "p' decays superexponentially toward +inf"}
-                return LimitResult("finite", None, "closed", ev)
-            if m.alpha > 1.0 + m.delta:
-                ev = {"rule": "alpha > 1 + delta", "alpha": m.alpha, "delta": m.delta}
-                return LimitResult("finite", None, "closed", ev)
-            ev = {
-                "rule": "alpha <= 1 + delta: no closed rule",
-                "alpha": m.alpha,
-                "delta": m.delta,
-            }
-            return LimitResult("inconclusive", None, "closed", ev)
-        return None
+        # the model's rule decides the kind; a finite limit at a finite
+        # endpoint also gets its value by graded integration
+        shift = self.beta if which == "left" else self.gamma
+        kind, ev = self.model.limit_rule(which, target, self._k0, self._ratio, shift)
+        l, r = self.model.interval
+        boundary = l if which == "left" else r
+        value = None
+        if kind == "finite" and math.isfinite(boundary):
+            value = self._boundary_value(boundary, target)
+        return LimitResult(kind, value, "closed", ev)
 
     def _boundary_value(self, boundary, target):
         try:

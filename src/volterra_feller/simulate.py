@@ -35,7 +35,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import PreconditionError
-from .kernels import ConstantKernel, SumOfExponentialsKernel
 
 __all__ = [
     "SimConfig",
@@ -166,43 +165,43 @@ def _advance_block(model, kernel, scheme, dW, dt, hit_eps, blowup_cap, detect_hi
     hit_side = np.zeros(block, dtype=np.int8)
     hit_time = np.full(block, np.nan)
 
-    if scheme == "markov_lift":
-        if isinstance(kernel, ConstantKernel):
-            weights = np.array([kernel.level])
-            rates = np.array([0.0])
-        elif isinstance(kernel, SumOfExponentialsKernel):
-            weights = np.asarray(kernel.weights)
-            rates = np.asarray(kernel.rates)
-        else:
+    form = getattr(kernel, "exp_form", lambda: None)()
+    if form is None:
+        if scheme == "markov_lift":
             raise PreconditionError(
                 "markov_lift needs a constant or sum-of-exponentials kernel"
             )
-        factors = 1.0 - rates * dt
-        Y = np.zeros((len(rates), block))
-    elif isinstance(kernel, ConstantKernel):
-        level = kernel.level
-        S = np.zeros(block)
-    elif isinstance(kernel, SumOfExponentialsKernel):
-        weights = np.asarray(kernel.weights)
-        rates = np.asarray(kernel.rates)
-        decay = np.exp(-rates * dt)
-        Z = np.zeros((len(rates), block))
-    else:
         # general kernel: quadratic-cost history convolution
+        step = "history"
         kvals = kernel.eval(dt * np.arange(1, n_steps + 1))
         B_hist = np.zeros((n_steps, block))
+    else:
+        weights, rates = form
+        if scheme == "markov_lift":
+            step = "lift"
+            factors = 1.0 - rates * dt
+            Y = np.zeros((len(rates), block))
+        elif not np.any(rates):
+            # constant kernel: the per-rate recursion reduces to a running sum
+            step = "sum"
+            level = weights.sum()
+            S = np.zeros(block)
+        else:
+            step = "exp"
+            decay = np.exp(-rates * dt)
+            Z = np.zeros((len(rates), block))
 
     for k in range(n_steps):
         Xh = model.truncate(X)
         B = model.drift(Xh) * dt + model.diffusion(Xh) * dW[:, k]
         B[~active] = 0.0
-        if scheme == "markov_lift":
+        if step == "lift":
             Y = factors[:, None] * Y + B[None, :]
             X_new = x0 + weights @ Y
-        elif isinstance(kernel, ConstantKernel):
+        elif step == "sum":
             S = S + B
             X_new = x0 + level * S
-        elif isinstance(kernel, SumOfExponentialsKernel):
+        elif step == "exp":
             Z = decay[:, None] * (Z + B[None, :])
             X_new = x0 + weights @ Z
         else:

@@ -91,6 +91,18 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     assert "typo_key" in err
 
 
+def test_numeric_error_prints_its_details(tmp_path, capsys):
+    # 64 panels allow a single quadrature round, so p cannot be seen to
+    # stabilize
+    cfg = CIR_FAMILY.replace("name = family", "name = scale\n    x_grid = 0.5\n    max_panels = 64")
+    rc = main(["scale", "--config", _write_ini(tmp_path, cfg)])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert out.err.startswith("error: scale quadrature did not stabilize (x=0.5, ")
+    assert "max_panels=64)" in out.err
+
+
 def test_missing_config_file_exits_1(capsys):
     rc = main(["test", "--config", "/nonexistent/run.ini"])
     assert rc == 1
@@ -111,26 +123,32 @@ def test_output_path_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert doc["verdicts"]
 
 
-def test_csv_round_trip_is_byte_identical(tmp_path, capsys):
+_ROUND_TRIP_MODELS = {
+    "cir": ("family = cir\nkappa = 1.0\ntheta = 1.0\nsigma = 1.0\nx0 = 0.2\n",
+            "0.5, 1.0, 1.5"),
+    "jacobi": ("family = jacobi\na = 0.0\nb = 1.0\nkappa = 2.0\ntheta = 0.5\nsigma = 1.0\n"
+               "x0 = 0.3\n", "0.1, 0.5, 0.9"),
+    "power": ("family = power\nalpha = 1.5\ndelta = 0.25\nsigma = 1.0\nx0 = 0.5\n",
+              "-1.0, 0.25, 1.5"),
+}
+_ROUND_TRIP_KERNELS = {
+    "sumexp": "kind = sumexp\nweights = 1.0\nrates = 1.0\n",
+    "constant": "kind = constant\nlevel = 1.0\n",
+    "truncfrac": "kind = truncfrac\nalpha = 0.6\nT = 4.0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "family, kind",
+    [("cir", "sumexp"), ("cir", "constant"), ("cir", "truncfrac"),
+     ("jacobi", "sumexp"), ("power", "sumexp")],
+)
+def test_csv_round_trip_is_byte_identical(tmp_path, capsys, family, kind):
     # the CSV header comments echo a complete INI config; feeding that back
     # must reproduce the run byte for byte
-    cfg = """\
-        [model]
-        family = cir
-        kappa = 1.0
-        theta = 1.0
-        sigma = 1.0
-        x0 = 0.2
-
-        [kernel]
-        kind = sumexp
-        weights = 1.0
-        rates = 1.0
-
-        [test]
-        name = scale
-        x_grid = 0.5, 1.0, 1.5
-        """
+    model, x_grid = _ROUND_TRIP_MODELS[family]
+    cfg = (f"[model]\n{model}\n[kernel]\n{_ROUND_TRIP_KERNELS[kind]}\n"
+           f"[test]\nname = scale\nx_grid = {x_grid}\n")
     rc = main(["scale", "--config", _write_ini(tmp_path, cfg), "--format", "csv"])
     first = capsys.readouterr().out
     assert rc == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from volterra_feller import (
@@ -71,16 +73,21 @@ def test_truncfrac_scalars_against_gamma_oracle():
 
 
 def test_truncfrac_eval_against_quad_oracle():
-    alpha, T = 0.4, 5.0
-    k = TruncatedFractionalKernel(alpha, T)
-    norm = 1.0 / (math.gamma(alpha) * math.gamma(1.0 - alpha))
+    # quad's algebraic weight integrates the x^(-alpha) endpoint singularity
+    # exactly, so the oracle is good to a few ulps
+    for alpha, T in [(0.05, 0.5), (0.3, 2.0), (0.4, 5.0), (0.5, 1.0), (0.7, 50.0), (0.95, 300.0)]:
+        k = TruncatedFractionalKernel(alpha, T)
+        norm = 1.0 / (math.gamma(alpha) * math.gamma(1.0 - alpha))
 
-    def oracle(t):
-        val, _ = quad(lambda x: math.exp(-x * t) * x ** (-alpha), 0.0, T, limit=200)
-        return norm * val
+        def oracle(f):
+            val, _ = quad(f, 0.0, T, weight="alg", wvar=(-alpha, 0.0), limit=200)
+            return norm * val
 
-    for t in [0.0, 0.01, 0.3, 1.0, 10.0]:
-        assert k.eval(t) == pytest.approx(oracle(t), rel=1e-8)
+        for t in [0.0, 1e-3, 0.01, 0.3, 1.0, 10.0]:
+            assert k.eval(t) == pytest.approx(oracle(lambda x: math.exp(-x * t)), rel=1e-12)
+            assert k.eval_deriv(t) == pytest.approx(
+                -oracle(lambda x: x * math.exp(-x * t)), rel=1e-12
+            )
 
 
 def test_truncfrac_eval_zero_matches_k0():
@@ -107,6 +114,8 @@ def test_truncfrac_validation():
         TruncatedFractionalKernel(0.5, 0.0)
     with pytest.raises(ValueError, match="negative"):
         TruncatedFractionalKernel(0.5, 1.0).eval(-0.1)
+    with pytest.raises(ValueError, match="overflows"):
+        TruncatedFractionalKernel(0.5, 1e300)
 
 
 def test_user_kernel_asserted_scalars_and_fd_derivative():
@@ -135,6 +144,38 @@ def test_dict_round_trip(kernel):
     t = np.linspace(0.0, 2.0, 7)
     np.testing.assert_allclose(back.eval(t), kernel.eval(t), rtol=1e-15)
     assert back.k0_kprime0() == kernel.k0_kprime0()
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_KERNELS = st.one_of(
+    st.builds(ConstantKernel, st.floats(min_value=0.0, exclude_min=True, **_finite)),
+    st.integers(1, 6).flatmap(
+        lambda n: st.builds(
+            SumOfExponentialsKernel,
+            st.lists(st.floats(min_value=0.0, exclude_min=True, **_finite), min_size=n, max_size=n),
+            st.lists(st.floats(min_value=0.0, **_finite), min_size=n, max_size=n),
+        )
+    ),
+    # K'(0) ~ T^(2-alpha) stays finite up to T ~ 1e154; larger T is rejected
+    st.builds(
+        TruncatedFractionalKernel,
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=0.0, max_value=1e150, exclude_min=True),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_KERNELS)
+def test_dict_round_trip_property(kernel):
+    back = kernel_from_dict(kernel_to_dict(kernel))
+    assert type(back) is type(kernel)
+    assert back == kernel
+    t = np.array([0.0, 1e-3, 0.5, 2.0, 40.0])
+    # extreme weights and rates overflow to inf, identically on both sides
+    with np.errstate(all="ignore"):
+        assert back.k0_kprime0() == kernel.k0_kprime0()
+        np.testing.assert_array_equal(back.eval(t), kernel.eval(t))
 
 
 def test_dict_rejects_unknown_kind():

@@ -13,6 +13,7 @@ from volterra_feller import (
     ScaleContext,
     SumOfExponentialsKernel,
 )
+from volterra_feller._quad import outward_edges
 from volterra_feller.errors import PreconditionError
 
 
@@ -262,6 +263,22 @@ def test_sampled_limit_on_custom_model():
     assert res.kind == "finite"
     with pytest.raises(PreconditionError):
         ctx.boundary_limit("right", method="closed")
+
+
+def test_outward_edges_start_exactly_at_the_anchor():
+    # both legs are ones where target - (target - anchor) != anchor in floats
+    for anchor, target in [(0.3, 2.4), (0.8333333333333333, 4.833333333333333)]:
+        for n in (32, 64, 2048):
+            assert outward_edges(anchor, target, n)[0] == anchor
+
+
+def test_custom_cir_clone_right_limit_at_every_base_point():
+    # a graded leg whose first edge rounded past c used to leave a sliver
+    # panel across c, and the custom-model exponent rejected the batch
+    m = CustomModel(lambda x: 1.0 * (0.5 - x), lambda x: np.sqrt(x), (0.0, math.inf), 1.0)
+    for c in np.linspace(0.3, 1.9, 10):
+        ctx = ScaleContext(m, ConstantKernel(1.0), c=float(c))
+        assert ctx.boundary_limit("right").kind == "divergent"
 
 
 def test_boundary_limit_argument_validation(cir_ctx):
