@@ -14,6 +14,22 @@ def gl_rule(order: int):
     return nodes, weights
 
 
+@lru_cache(maxsize=None)
+def gl_integration_matrix(order: int):
+    """Partial integrals of the Gauss-Legendre interpolant on [-1, 1].
+
+    S[j, k] = int_{-1}^{t_j} l_k(t) dt for the nodes t_j and their Lagrange
+    basis l_k, so S @ f integrates the degree order-1 interpolant of the
+    node values f from -1 to each node (spectral integration).
+    """
+    legendre = np.polynomial.legendre
+    t, w = gl_rule(order)
+    # l_k = sum_n (n + 1/2) w_k P_n(t_k) P_n: Gauss quadrature of l_k P_n is exact
+    coef = (legendre.legvander(t, order - 1) * w[:, None]).T
+    coef *= (np.arange(order) + 0.5)[:, None]
+    return legendre.legval(t, legendre.legint(coef, lbnd=-1.0)).T
+
+
 def outward_edges(anchor: float, target: float, n_panels: int, rel_first: float = 1e-7):
     """Panel edges from anchor to target, widths shrinking geometrically
     toward target (where the integrand may be steep or singular-adjacent).

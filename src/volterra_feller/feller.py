@@ -38,7 +38,7 @@ from scipy.special import logsumexp
 from ._quad import panel_nodes
 from .errors import NumericError, PreconditionError
 from .fracapprox import QuadratureScheme, gaussian_quadrature_kernel, geometric_nodes, truncation_kernel
-from .scale import CIRModel, ScaleContext
+from .scale import kernel_scalars
 
 __all__ = [
     "Boundary",
@@ -407,11 +407,7 @@ def family_test(model, kernel, hypotheses=None):
             "family_test covers the cir/jacobi/power families, "
             f"got {getattr(model, 'family', None)!r}"
         )
-    k0, kp0 = kernel.k0_kprime0()
-    if not k0 > 0.0:
-        raise ValueError(f"K(0) must be positive, got {k0}")
-    if kp0 > 0.0:
-        raise ValueError(f"K'(0) must be nonpositive, got {kp0}")
+    k0, kp0 = kernel_scalars(kernel)
     flags = _hypothesis_flags(kernel, hypotheses)
     out = []
 
@@ -456,7 +452,7 @@ def fractional_condition_study(model, alpha, sweep, scheme="truncation",
     fractional-weight quadrature, and diverges for every alpha under the
     geometric_bb2 weighting.
     """
-    if not isinstance(model, CIRModel):
+    if not (hasattr(model, "necessary_threshold") and hasattr(model, "sufficient_gap")):
         raise PreconditionError("fractional_condition_study needs a square-root model")
     if scheme not in _STUDY_SCHEMES:
         raise ValueError(f"scheme must be one of {_STUDY_SCHEMES}, got {scheme!r}")
@@ -478,20 +474,13 @@ def fractional_condition_study(model, alpha, sweep, scheme="truncation",
                 QuadratureScheme(alpha, nodes, q=q, weight=weight)
             )
         k0, kp0 = kernel.k0_kprime0()
-        gap = 2.0 * model.kappa * model.theta - k0 * model.sigma**2
-        if kp0 < 0.0:
-            threshold = (model.sigma**2 * k0**3 / 2.0
-                         - model.kappa * model.theta * k0**2) / abs(kp0)
-        else:
-            # no slope: exit does not depend on x0 at all
-            threshold = math.inf if gap < 0.0 else -math.inf
         rows.append(
             {
                 "sweep": float(value),
                 "k0": float(k0),
                 "kprime0": float(kp0),
-                "necessary_threshold": float(threshold),
-                "sufficient_gap": float(gap),
+                "necessary_threshold": float(model.necessary_threshold(k0, kp0)),
+                "sufficient_gap": float(model.sufficient_gap(k0)),
                 "regime": regime,
             }
         )

@@ -22,6 +22,20 @@ layer in ``feller`` consumes.  All integration runs in log space: p' spans
 hundreds of orders of magnitude near boundaries and overflow must degrade
 into +inf values, not NaNs.
 
+p, v and v' at any set of points on one side of c come from one sweep: a
+pass outward from c that carries (E, log I, log p, log v), with I the
+inner antiderivative int_c^x (p' sigma~^2)^(-1), along one graded grid
+that has every requested point as an edge.  Panels are halved until E and
+-E - log sigma~^2 each move at most about one nat across their 12 Gauss
+nodes; there the partial integrals to the nodes come from the Gauss
+integration matrix S[j, k] = int_{-1}^{t_j} l_k (spectral integration),
+applied to the integrand divided by its panel maximum.  Panels touching a
+finite endpoint or an interior zero of sigma, and panels whose spread
+more halving would not resolve, integrate to each node on sub-panels
+graded from both ends instead.  The base grid is doubled from 64 panels
+until the requested quantity agrees between rounds at every point
+(``quad_tol`` in log space, or ``NumericError``).
+
 Each built-in model family keeps its closed forms on its own class, and
 ``ScaleContext`` and ``feller.family_test`` use whichever a model has:
 
@@ -34,9 +48,10 @@ Each built-in model family keeps its closed forms on its own class, and
 * ``family_verdicts(k0, kp0, emit)``: the family's printed inequalities,
   emitted as (boundary, verdict, theorem, evidence) with string names.
 
-``CustomModel`` has none of them: E comes from adaptive quadrature, limits
-from sampling, and ``family_test`` does not apply.  The ``family`` class
-attribute is a data tag only.
+``CustomModel`` has none of them: E comes from the sweep's integration
+matrix applied to 2 b~_c / sigma~^2, limits from sampling, and
+``family_test`` does not apply.  The ``family`` class attribute is a data
+tag only.
 
 The iterated-integral series u_c = sum_n u_{c,n} built from the recursion
 
@@ -53,16 +68,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
-from ._quad import (
-    cumulative_simpson,
-    gl_rule,
-    outward_edges,
-    panel_nodes,
-)
+from ._quad import cumulative_simpson, gl_integration_matrix, gl_rule, outward_edges
 from .errors import NumericError, PreconditionError
 
 __all__ = [
@@ -76,11 +87,23 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _LOG_HUGE = 700.0  # beyond this, exp() overflows; treated as divergent mass
+_ORDER = 12  # Gauss nodes per sweep panel
+_NAT = 1.0  # largest move of an integrand's log across a resolved panel's nodes
+_MAX_BISECTIONS = 8  # halving rounds before a panel falls back to graded quadrature
 
 
 def _require(cond, msg):
     if not cond:
         raise ValueError(msg)
+
+
+def kernel_scalars(kernel):
+    """(K(0), K'(0)) of a kernel after checking the standing sign conditions:
+    K(0) finite and positive, K'(0) finite and nonpositive."""
+    k0, kp0 = kernel.k0_kprime0()
+    _require(math.isfinite(k0) and k0 > 0.0, f"K(0) must be finite and positive, got {k0}")
+    _require(math.isfinite(kp0) and kp0 <= 0.0, f"K'(0) must be finite and nonpositive, got {kp0}")
+    return k0, kp0
 
 
 @dataclass(frozen=True)
@@ -127,14 +150,29 @@ class CIRModel:
         ev = {"exponent": expo, "divergent_iff": "exponent >= 1"}
         return ("divergent" if expo >= 1.0 else "finite"), ev
 
+    def sufficient_gap(self, k0):
+        """2 kappa theta - K0 sigma^2; no exit through 0 when it is >= 0."""
+        return 2.0 * self.kappa * self.theta - k0 * self.sigma**2
+
+    def necessary_threshold(self, k0, kp0):
+        """The x0 level below which exit through 0 has positive probability.
+
+        (sigma^2 K0^3 / 2 - kappa theta K0^2) / |K0'| for K0' < 0.  With
+        K0' = 0 exit does not depend on x0: +inf when the sufficient gap is
+        negative, -inf otherwise.
+        """
+        if kp0 < 0.0:
+            return (self.sigma**2 * k0**3 / 2.0 - self.kappa * self.theta * k0**2) / abs(kp0)
+        return math.inf if self.sufficient_gap(k0) < 0.0 else -math.inf
+
     def family_verdicts(self, k0, kp0, emit):
-        kappa, theta, sigma, x0 = self.kappa, self.theta, self.sigma, self.x0
-        suff = 2.0 * kappa * theta - k0 * sigma**2
+        x0 = self.x0
+        suff = self.sufficient_gap(k0)
         if suff >= 0.0:
             emit("Left", "NoExitAS", "cir-sufficient",
                  [("2*kappa*theta - K0*sigma^2", suff, 0.0)])
         if kp0 < 0.0:
-            thr = k0**2 / (2.0 * abs(kp0)) * (k0 * sigma**2 - 2.0 * kappa * theta)
+            thr = self.necessary_threshold(k0, kp0)
             verdict = "NecessaryHolds" if x0 >= thr else "ExitsWithPositiveProb"
             emit("Left", verdict, "cir-necessary", [("x0", x0, thr)])
         elif suff < 0.0:
@@ -353,13 +391,28 @@ class LimitResult:
     kind : 'finite', 'divergent' or 'inconclusive'
     value : limit estimate for finite kinds when one is computable
     method : 'closed' (exponent arithmetic) or 'sample' (geometric sampling)
-    evidence : exponents or the sampled sequence backing the call
+    evidence : exponents or the sampled sequence backing the call; sampled
+        limits also carry the sweep's effort: ``base_panels`` at
+        convergence, ``doubling_rounds`` (sweeps run) and ``last_max_delta``
+        (largest |change| of the log values between the last two rounds)
     """
 
     kind: str
     value: float | None
     method: str
     evidence: dict = field(default_factory=dict)
+
+
+class _Sweep(NamedTuple):
+    # running state of one outward pass, read at the requested points
+    e: np.ndarray  # E = log p'
+    log_i: np.ndarray  # log |int_c^x (p' sigma~^2)^(-1)|
+    log_p: np.ndarray  # log |p|
+    log_v: np.ndarray  # log v
+
+
+# the checked field's name in NumericError messages
+_QUANTITY = {"log_i": "inner antiderivative", "log_p": "scale", "log_v": "test function"}
 
 
 @dataclass(frozen=True)
@@ -387,9 +440,7 @@ class ScaleContext:
         _require(math.isfinite(self.gamma), f"gamma must be finite, got {self.gamma}")
         _require(self.quad_tol > 0.0, f"quad_tol must be positive, got {self.quad_tol}")
         _require(self.max_panels >= 64, "max_panels must be at least 64")
-        k0, kp0 = self.kernel.k0_kprime0()
-        _require(k0 > 0.0, f"K(0) must be positive, got {k0}")
-        _require(kp0 <= 0.0, f"K'(0) must be nonpositive, got {kp0}")
+        k0, kp0 = kernel_scalars(self.kernel)
         object.__setattr__(self, "_k0", float(k0))
         object.__setattr__(self, "_kp0", float(kp0))
 
@@ -445,19 +496,16 @@ class ScaleContext:
     def _side_shift(self, y):
         return np.where(np.asarray(y, dtype=float) < self.c, self.beta, self.gamma)
 
-    def _exponent_custom(self, pts):
-        # E by cumulative quadrature of 2 b~_c / sigma~^2 along the sorted
-        # path from c; open Gauss panels between consecutive points, so the
-        # base point and any asserted-integrable endpoints are never hit.
+    def _exponent_custom(self, pts, start):
+        # E(pts) - E(start) by cumulative quadrature of 2 b~_c / sigma~^2
+        # along the path from start through pts (all on one side of it),
+        # sorted outward; open Gauss panels between consecutive points, so
+        # start and any asserted-integrable endpoints are never hit.
         pts = np.asarray(pts, dtype=float)
         order = np.argsort(pts, kind="stable")
-        sorted_pts = pts[order]
-        if sorted_pts[0] >= self.c:
-            path = np.concatenate([[self.c], sorted_pts])
-        elif sorted_pts[-1] <= self.c:
-            path = np.concatenate([[self.c], sorted_pts[::-1]])
-        else:
-            raise AssertionError("exponent batch must lie on one side of c")
+        if pts[order[0]] < start:
+            order = order[::-1]
+        path = np.concatenate([[start], pts[order]])
         x8, w8 = gl_rule(8)
         lo = path[:-1]
         hi = path[1:]
@@ -466,28 +514,35 @@ class ScaleContext:
         z = mid[:, None] + half[:, None] * x8[None, :]
         g = 2.0 * self.b_tilde_shifted(z.ravel()) / self.sigma_tilde_sq(z.ravel())
         segs = (g.reshape(z.shape) @ w8) * half
-        cum = -np.cumsum(segs)
         out = np.empty_like(pts)
-        if sorted_pts[0] >= self.c:
-            out[order] = cum
-        else:
-            out[order] = cum[::-1]
+        out[order] = -np.cumsum(segs)
         return out
+
+    @property
+    def _closed_exponent(self):
+        return getattr(self.model, "exponent", None) is not None
 
     def _exponent_batch(self, pts):
         # closed form when the model has one, quadrature otherwise
-        exponent = getattr(self.model, "exponent", None)
-        if exponent is None:
-            return self._exponent_custom(pts)
+        if not self._closed_exponent:
+            return self._exponent_custom(pts, self.c)
         y = np.asarray(pts, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            return exponent(y, self.c, self._k0, self._ratio, self._side_shift(y))
+            return self.model.exponent(y, self.c, self._k0, self._ratio, self._side_shift(y))
 
     def log_scale_derivative(self, x):
         """log p'_c(x); finite wherever x is interior."""
         arr = np.asarray(x, dtype=float)
         self._check_interior(arr)
-        out = self._exponent_batch(np.atleast_1d(arr).ravel())
+        pts = np.atleast_1d(arr).ravel()
+        if self._closed_exponent:
+            out = self._exponent_batch(pts)
+        else:
+            # custom models read E off one outward sweep per side of c
+            out = np.zeros_like(pts)
+            for side in (pts > self.c, pts < self.c):
+                if side.any():
+                    out[side] = self._sweep(pts[side], 64, inner=False).e
         if np.isscalar(x) or arr.ndim == 0:
             return float(out[0])
         return out.reshape(arr.shape)
@@ -506,12 +561,18 @@ class ScaleContext:
         if np.any(~np.isfinite(a)) or np.any(a <= l) or np.any(a >= r):
             raise ValueError(f"argument must lie strictly inside ({l}, {r})")
 
-    # -- panel machinery -----------------------------------------------------
+    # -- the sweep -------------------------------------------------------------
 
     def _interior_singularities(self):
         # interior zeros of sigma a model declares; none for custom models
         found = getattr(self.model, "interior_singularities", None)
         return found() if found is not None else ()
+
+    def _singular_points(self):
+        # finite endpoints and interior zeros of sigma: next to one, the
+        # integrands keep a power law that no amount of halving resolves
+        l, r = self.model.interval
+        return [s for s in (l, r, *self._interior_singularities()) if math.isfinite(s)]
 
     def _edges(self, lo, hi, n_panels, rel_first):
         half = max(n_panels // 2, 8)
@@ -532,20 +593,152 @@ class ScaleContext:
                 parts.append(outward_edges(hi, s, q, rel_first))
         return np.unique(np.concatenate(parts))
 
-    def _log_p_once(self, x, n_panels, rel_first=1e-7):
-        lo, hi = (self.c, x) if x > self.c else (x, self.c)
-        edges = self._edges(lo, hi, n_panels, rel_first)
-        pts, log_half, log_w = panel_nodes(edges, 12)
-        e_vals = self._exponent_batch(pts.ravel()).reshape(pts.shape)
-        return float(logsumexp(e_vals + log_w[None, :] + log_half[:, None]))
+    def _node_values(self, a, b, inner):
+        # Gauss nodes of panels running from a (the end nearer c) to b, in
+        # that order, with E there and log sigma~^2 (inner sweeps only).
+        # Custom models give E relative to E(a), from the integration matrix
+        # applied to 2 b~_c / sigma~^2, plus the panel's total change of E.
+        t, w = gl_rule(_ORDER)
+        half = 0.5 * (b - a)
+        y = a[:, None] + half[:, None] * (1.0 + t)
+        log_sig = self._log_sigma_tilde_sq(y) if inner else None
+        if self._closed_exponent:
+            return y, self._exponent_batch(y.ravel()).reshape(y.shape), log_sig, None
+        g = 2.0 * self.b_tilde_shifted(y) / self.sigma_tilde_sq(y)
+        return y, -half[:, None] * (g @ gl_integration_matrix(_ORDER).T), log_sig, -half * (g @ w)
 
-    def _log_inner_intervals(self, lo, hi):
+    def _refine(self, a, b, inner):
+        # Halve panels until E (and, for inner sweeps, -E - log sigma~^2)
+        # moves at most _NAT across the nodes; the 12-node interpolant of an
+        # exponential that moves one nat is good to about 1e-14, and the
+        # base-grid doubling in _stabilized checks what the spread misses.
+        # Panels touching a singular point, and panels the rounds left
+        # could not bring under _NAT, are flagged for graded quadrature.
+        vals = self._node_values(a, b, inner)
+        singular = self._singular_points()
+        fallback = np.isin(a, singular) | np.isin(b, singular)
+        for left in range(_MAX_BISECTIONS, -1, -1):
+            _, e, log_sig, _ = vals
+            with np.errstate(invalid="ignore"):
+                spread = np.ptp(e, axis=1)
+                if inner:
+                    spread = np.maximum(spread, np.ptp(-e - log_sig, axis=1))
+            over = ~(spread <= _NAT) & ~fallback
+            fallback |= over & ~(spread <= _NAT * 2.0**left)
+            split = over & ~fallback
+            if not split.any():
+                break  # always by the last round, which flags what is left
+            counts = 1 + split
+            first = (np.cumsum(counts) - counts)[split]
+            mid = 0.5 * (a[split] + b[split])
+            halves = self._node_values(
+                np.concatenate([a[split], mid]), np.concatenate([mid, b[split]]), inner
+            )
+            n = len(mid)
+            a, b = np.repeat(a, counts), np.repeat(b, counts)
+            b[first] = mid
+            a[first + 1] = mid
+            fallback = np.repeat(fallback, counts)
+            spliced = []
+            for old, new in zip(vals, halves):
+                if old is not None:
+                    old = np.repeat(old, counts, axis=0)
+                    old[first], old[first + 1] = new[:n], new[n:]
+                spliced.append(old)
+            vals = tuple(spliced)
+        return a, b, vals, fallback
+
+    def _advance(self, a, b, state, inner):
+        # integrate panels a -> b (outward from c) on from state = (E, log I,
+        # log p, log v) at a[0]; returns the refined panel ends and the state
+        # at each of them (E only for custom models, I and v only if inner)
+        e0, i0, p0, v0 = state
+        a, b, (y, e, log_sig, de), fallback = self._refine(a, b, inner)
+        _, w = gl_rule(_ORDER)
+        log_w = np.log(w)
+        log_half = np.log(np.abs(0.5 * (b - a)))
+        nan = np.full(len(b), np.nan)
+        e_b = nan
+        if de is not None:
+            e_b = e0 + np.cumsum(de)
+            e_a = np.concatenate([[e0], e_b[:-1]])
+            e = e + e_a[:, None]
+        with np.errstate(invalid="ignore"):
+            p_b = np.logaddexp.accumulate(
+                np.concatenate([[p0], logsumexp(e + log_w, axis=1) + log_half])
+            )[1:]
+        if not inner:
+            return b, e_b, nan, p_b, nan
+        with np.errstate(invalid="ignore"):
+            log_h = -e - log_sig
+        log_h[np.isnan(log_h)] = -np.inf  # see _log_inner_intervals
+        part = np.empty_like(e)
+        total = np.empty(len(b))
+        fine = ~fallback
+        if fine.any():
+            # the integration matrix acts on h / max h, so nothing leaves log space
+            top = log_h[fine].max(axis=1)
+            h = np.exp(log_h[fine] - top[:, None])
+            scale = top + log_half[fine]
+            part[fine] = scale[:, None] + np.log(h @ gl_integration_matrix(_ORDER).T)
+            total[fine] = scale + np.log(h @ w)
+        for i in np.flatnonzero(fallback):
+            if de is None:
+                exponent = self._exponent_batch
+            else:
+                def exponent(z, anchor=a[i], e_anchor=e_a[i]):
+                    return e_anchor + self._exponent_custom(z, start=anchor)
+            vals = self._log_inner_intervals(
+                np.full(_ORDER + 1, a[i]), np.append(y[i], b[i]), exponent
+            )
+            part[i], total[i] = vals[:-1], vals[-1]
+        i_b = np.logaddexp.accumulate(np.concatenate([[i0], total]))
+        log_i = np.logaddexp(i_b[:-1, None], part)
+        with np.errstate(invalid="ignore"):
+            v_inc = _LOG2 + logsumexp(e + log_i + log_w, axis=1) + log_half
+        v_b = np.logaddexp.accumulate(np.concatenate([[v0], v_inc]))[1:]
+        return b, e_b, i_b[1:], p_b, v_b
+
+    def _sweep(self, xs, n_panels, rel_first=1e-7, inner=True, field="log_v", stop=math.inf):
+        """(E, log I, log p, log v) at xs by one cumulative pass from c.
+
+        xs lie on one side of c.  The grid is ``_edges`` from c to the
+        farthest x with every x as an edge.  The pass runs outward in chunks
+        of 1, 2, 4, ... requested points and ends after the chunk in which
+        ``field`` first reaches ``stop``; points beyond read nan.
+        """
+        xs = np.asarray(xs, dtype=float)
+        uniq, inv = np.unique(xs, return_inverse=True)
+        far = xs[np.argmax(np.abs(xs - self.c))]
+        lo, hi = (self.c, far) if far > self.c else (far, self.c)
+        edges = np.union1d(self._edges(lo, hi, n_panels, rel_first), uniq)
+        if far < self.c:
+            uniq, inv, edges = uniq[::-1], len(uniq) - 1 - inv, edges[::-1]
+        ends = np.flatnonzero(np.isin(edges, uniq))
+        out = np.full((4, len(uniq)), np.nan)
+        row = _Sweep._fields.index(field)
+        state = (0.0, -np.inf, -np.inf, -np.inf)
+        done, start, chunk = 0, 0, 1
+        while done < len(uniq) and not np.any(out[row, :done] >= stop):
+            upto = min(done + chunk, len(uniq))
+            end = ends[upto - 1]
+            b, *cols = self._advance(edges[start:end], edges[start + 1:end + 1], state, inner)
+            at = np.isin(b, uniq[done:upto])
+            out[:, done:upto] = [col[at] for col in cols]
+            state = tuple(col[-1] for col in cols)
+            done, start, chunk = upto, end, 2 * chunk
+        if self._closed_exponent:
+            out[0] = self._exponent_batch(uniq)
+        return _Sweep(*out[:, inv])
+
+    def _log_inner_intervals(self, lo, hi, exponent):
         # log of int_lo^hi (p' sigma~^2)^(-1), elementwise over interval
-        # arrays of any common shape.  The integrand e^-E / sigma~^2 can vary
-        # by thousands of nats across one interval, concentrating in an
-        # endpoint layer of width 1/|E'|; sub-edges are graded geometrically
-        # from both ends starting at that resolvable scale, so plain Gauss
-        # sees at most a few nats of variation per sub-panel.
+        # arrays of any common shape, with E from exponent(points).  The
+        # integrand e^-E / sigma~^2 can vary by thousands of nats across one
+        # interval, concentrating in an endpoint layer of width 1/|E'|;
+        # sub-edges are graded geometrically from both ends starting at that
+        # resolvable scale, so plain Gauss sees at most a few nats of
+        # variation per sub-panel.
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         span = hi - lo
@@ -565,7 +758,7 @@ class ScaleContext:
         mid = 0.5 * (sub_hi + sub_lo)
         x8, w8 = gl_rule(8)
         z = mid[..., None] + half[..., None] * x8
-        e_z = self._exponent_batch(z.ravel()).reshape(z.shape)
+        e_z = exponent(z.ravel()).reshape(z.shape)
         with np.errstate(invalid="ignore"):
             log_h = -e_z - self._log_sigma_tilde_sq(z.ravel()).reshape(z.shape)
         # inf - inf at a node only happens when fp rounding of a graded
@@ -577,48 +770,6 @@ class ScaleContext:
                 log_h + np.log(w8) + np.log(np.abs(half))[..., None], axis=(-2, -1)
             )
 
-    def _inner_panel_data(self, x, n_panels, rel_first):
-        asc = x > self.c
-        lo, hi = (self.c, x) if asc else (x, self.c)
-        edges = self._edges(lo, hi, n_panels, rel_first)
-        pts, log_half, log_w = panel_nodes(edges, 12)
-        e_vals = self._exponent_batch(pts.ravel()).reshape(pts.shape)
-        panel_log = self._log_inner_intervals(edges[:-1], edges[1:])
-        return asc, edges, pts, log_half, log_w, e_vals, panel_log
-
-    def _log_inner_full(self, x, n_panels, rel_first=1e-7):
-        # log |int_c^x (p' sigma~^2)^(-1)|
-        _, _, _, _, _, _, panel_log = self._inner_panel_data(x, n_panels, rel_first)
-        return float(logsumexp(panel_log))
-
-    def _log_v_once(self, x, n_panels, rel_first=1e-7):
-        asc, edges, pts, log_half, log_w, e_vals, panel_log = self._inner_panel_data(
-            x, n_panels, rel_first
-        )
-        n_p = len(edges) - 1
-        cum = np.empty(n_p)
-        if asc:
-            cum[0] = -np.inf
-            if n_p > 1:
-                np.logaddexp.accumulate(panel_log[:-1], out=cum[1:])
-            anchor_edge = edges[:-1]
-        else:
-            cum[-1] = -np.inf
-            if n_p > 1:
-                rev = np.empty(n_p - 1)
-                np.logaddexp.accumulate(panel_log[:0:-1], out=rev)
-                cum[-2::-1] = rev
-            anchor_edge = edges[1:]
-        # inner antiderivative at the outer nodes: cached edge values plus a
-        # graded completion from the anchor-side edge of each panel
-        partial = self._log_inner_intervals(
-            np.broadcast_to(anchor_edge[:, None], pts.shape), pts
-        )
-        log_inner = np.logaddexp(cum[:, None], partial)
-        return float(
-            _LOG2 + logsumexp(e_vals + log_inner + log_w[None, :] + log_half[:, None])
-        )
-
     def _leg_tol_floor(self, x):
         # a leg crossing (or touching) an interior diffusion zero keeps a
         # power-law integrand factor the panel rule integrates at first
@@ -629,25 +780,47 @@ class ScaleContext:
                 return 1e-6
         return 0.0
 
-    def _stabilized(self, evaluate, what, x):
-        tol = max(self.quad_tol, 1e-12, self._leg_tol_floor(x))
+    def _stabilized(self, xs, field, stop=math.inf):
+        """Sweep with 64, 128, ... base panels until ``field`` agrees between
+        consecutive rounds at every x up to the first at or above ``stop``.
+
+        Returns the last sweep and its effort: base panels at convergence,
+        the number of sweeps run and the largest |change| of ``field`` that
+        the tolerance rule judged.
+        """
+        xs = np.asarray(xs, dtype=float)
+        tol = np.array([max(self.quad_tol, 1e-12, self._leg_tol_floor(x)) for x in xs])
         prev = None
+        first_open = 0
         n_panels = 64
+        rounds = 0
         while n_panels <= self.max_panels:
-            cur = evaluate(n_panels)
+            sweep = self._sweep(xs, n_panels, inner=field != "log_p", field=field, stop=stop)
+            rounds += 1
+            cur = getattr(sweep, field)
             if prev is not None:
-                if cur == -math.inf and prev == -math.inf:
-                    return cur
-                if min(cur, prev) > _LOG_HUGE:
-                    return cur
-                if abs(cur - prev) <= tol:
-                    return cur
+                reached = np.flatnonzero(cur >= stop)
+                m = reached[0] + 1 if reached.size else len(xs)
+                now, before = cur[:m], prev[:m]
+                with np.errstate(invalid="ignore"):
+                    settled = (now == -math.inf) & (before == -math.inf)
+                    settled |= np.minimum(now, before) > _LOG_HUGE
+                    delta = np.abs(now - before)
+                    ok = settled | (delta <= tol[:m])
+                if ok.all():
+                    effort = {
+                        "base_panels": n_panels,
+                        "doubling_rounds": rounds,
+                        "last_max_delta": float(np.max(delta[~settled], initial=0.0)),
+                    }
+                    return sweep, effort
+                first_open = int(np.argmin(ok))
             prev = cur
             n_panels *= 2
         raise NumericError(
-            f"{what} quadrature did not stabilize",
-            x=x,
-            last_log_value=prev,
+            f"{_QUANTITY[field]} quadrature did not stabilize",
+            x=float(xs[first_open]),
+            last_log_value=float(prev[first_open]),
             max_panels=self.max_panels,
         )
 
@@ -656,10 +829,11 @@ class ScaleContext:
         # limited by float resolution of (y - boundary), so the stop rule is
         # loose and the result is informational (the kind is decided by the
         # closed-form exponents, not by this number)
-        fn = self._log_v_once if target == "v" else self._log_p_once
+        field = "log_v" if target == "v" else "log_p"
         prev = None
         for n_panels, rel in ((128, 1e-7), (256, 1e-10), (512, 1e-13), (1024, 1e-13)):
-            cur = fn(boundary, n_panels, rel)
+            sweep = self._sweep([boundary], n_panels, rel, inner=target == "v")
+            cur = float(getattr(sweep, field)[0])
             if prev is not None and (abs(cur - prev) <= 1e-3 or min(cur, prev) > _LOG_HUGE):
                 return cur
             prev = cur
@@ -673,7 +847,8 @@ class ScaleContext:
         self._check_interior(np.asarray(x))
         if x == self.c:
             return 0.0
-        log_p = self._stabilized(lambda n: self._log_p_once(x, n), "scale", x)
+        sweep, _ = self._stabilized([x], "log_p")
+        log_p = float(sweep.log_p[0])
         mag = math.exp(log_p) if log_p <= _LOG_HUGE else math.inf
         return mag if x > self.c else -mag
 
@@ -683,7 +858,8 @@ class ScaleContext:
         self._check_interior(np.asarray(x))
         if x == self.c:
             return 0.0
-        log_v = self._stabilized(lambda n: self._log_v_once(x, n), "test function", x)
+        sweep, _ = self._stabilized([x], "log_v")
+        log_v = float(sweep.log_v[0])
         return math.exp(log_v) if log_v <= _LOG_HUGE else math.inf
 
     def v_prime(self, x) -> float:
@@ -692,11 +868,8 @@ class ScaleContext:
         self._check_interior(np.asarray(x))
         if x == self.c:
             return 0.0
-        log_i = self._stabilized(
-            lambda n: self._log_inner_full(x, n), "inner antiderivative", x
-        )
-        log_e = float(self._exponent_batch(np.array([x]))[0])
-        total = _LOG2 + log_e + log_i
+        sweep, _ = self._stabilized([x], "log_i")
+        total = _LOG2 + float(sweep.e[0]) + float(sweep.log_i[0])
         mag = math.exp(total) if total <= _LOG_HUGE else math.inf
         return mag if x > self.c else -mag
 
@@ -753,6 +926,12 @@ class ScaleContext:
         (x_k = boundary +- s ratio^k for finite endpoints, x_k = c +- 2^(k+1)
         for infinite ones) and classifies the increment tail, 'auto' prefers
         the closed form and samples when no closed rule decides.
+
+        All sample points are read off one outward sweep from c, which
+        stops after the first point whose log value reaches log(cap); the
+        base grid is doubled until every point up to that one agrees
+        between rounds.  A finite closed limit at a finite endpoint gets its
+        value from a sweep that runs to the endpoint itself.
         """
         if which not in ("left", "right"):
             raise ValueError(f"which must be 'left' or 'right', got {which!r}")
@@ -800,30 +979,25 @@ class ScaleContext:
         l, r = self.model.interval
         boundary = l if which == "left" else r
         log_cap = math.log(cap)
-        fn = (lambda x: self._stabilized(lambda n: self._log_v_once(x, n), "test function", x)) \
-            if target == "v" else \
-            (lambda x: self._stabilized(lambda n: self._log_p_once(x, n), "scale", x))
-        points, log_vals = [], []
+        points = []
         for k in range(steps):
             if math.isfinite(boundary):
                 dist = 0.5 * abs(self.c - boundary) * ratio**k
-                xk = boundary + dist if which == "left" else boundary - dist
+                points.append(boundary + dist if which == "left" else boundary - dist)
             else:
-                xk = self.c - 2.0 ** (k + 1) if which == "left" else self.c + 2.0 ** (k + 1)
-            lv = fn(xk)
-            points.append(xk)
+                points.append(self.c - 2.0 ** (k + 1) if which == "left" else self.c + 2.0 ** (k + 1))
+        field = "log_v" if target == "v" else "log_p"
+        sweep, effort = self._stabilized(points, field, stop=log_cap)
+        log_vals = []
+        for k, lv in enumerate(getattr(sweep, field).tolist()):
             log_vals.append(lv)
             if lv >= log_cap:
-                return LimitResult(
-                    "divergent",
-                    None,
-                    "sample",
-                    {"points": points, "log_values": log_vals, "cap": cap},
-                )
+                evidence = {"points": points[:k + 1], "log_values": log_vals, "cap": cap}
+                return LimitResult("divergent", None, "sample", {**evidence, **effort})
         vals = np.exp(np.array(log_vals))
         incs = np.maximum(np.diff(vals), 0.0)
         scale_ref = max(float(vals[-1]), 1e-300)
-        evidence = {"points": points, "values": vals.tolist()}
+        evidence = {"points": points, "values": vals.tolist(), **effort}
         if float(np.max(incs)) <= 1e-11 * scale_ref:
             evidence["tail_relative"] = 0.0
             return LimitResult("finite", float(vals[-1]), "sample", evidence)

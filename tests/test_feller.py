@@ -346,6 +346,26 @@ def test_study_geometric_bb2_always_diverges():
     assert "every alpha" in rows[0]["regime"]
 
 
+def test_study_and_family_share_the_cir_threshold():
+    # one formula for both; two spellings of it differed in the last bit
+    model = CIRModel(1.0, 0.25, 1.0, 0.2)
+    for alpha, T in [(0.6, 10.0), (0.6, 100.0), (0.4, 1000.0)]:
+        row = fractional_condition_study(model, alpha, [T])[0]
+        fam = family_test(model, TruncatedFractionalKernel(alpha, T))
+        nec = [v for v in fam if v.theorem == "cir-necessary"][0]
+        assert nec.evidence[0][2] == row["necessary_threshold"]
+
+
+def test_nonfinite_kernel_scalars_are_rejected(cir_111):
+    # K(0) = inf made K'(0)/K(0) nan and let a strong verdict through
+    with np.errstate(over="ignore"):
+        huge = SumOfExponentialsKernel([1e308, 1e308], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            ScaleContext(cir_111, huge)
+        with pytest.raises(ValueError, match="finite"):
+            family_test(cir_111, huge)
+
+
 def test_study_requires_cir(unit_kernel):
     with pytest.raises(PreconditionError):
         fractional_condition_study(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from volterra_feller import (
@@ -113,6 +115,16 @@ def test_cir_scale_derivative_closed_form(cir_ctx):
     assert cir_ctx.scale_derivative(0.5) == pytest.approx(4.0 / math.e, rel=1e-12)
 
 
+def test_custom_scale_derivative_on_both_sides_of_c(cir_111, unit_kernel):
+    # a custom clone used to reject a batch straddling the base point
+    clone = CustomModel(lambda x: 1.0 * (1.0 - x), lambda x: np.sqrt(x), (0.0, math.inf), 1.0)
+    ctx, want = ScaleContext(clone, unit_kernel), ScaleContext(cir_111, unit_kernel)
+    xs = np.array([0.5, 1.5])
+    np.testing.assert_allclose(ctx.log_scale_derivative(xs), want.log_scale_derivative(xs),
+                               rtol=1e-9)
+    np.testing.assert_allclose(ctx.scale_derivative(xs), want.scale_derivative(xs), rtol=1e-9)
+
+
 def test_scale_matches_quad_oracle(cir_ctx):
     for x in [0.3, 0.8, 1.6]:
         want, err = quad(cir_ctx.scale_derivative, 1.0, x)
@@ -169,6 +181,42 @@ def test_v_with_shifts_matches_oracle(cir_111, sloped_kernel):
     ctx = ScaleContext(cir_111, sloped_kernel, beta=0.5, gamma=-0.5)
     for x in [0.6, 1.5]:
         assert ctx.v(x) == pytest.approx(_v_oracle(ctx, x), rel=1e-6)
+
+
+@pytest.mark.parametrize("case", ["cir", "jacobi", "custom_cir"])
+def test_multi_point_sweep_matches_nested_quad_oracle(case, cir_111, jacobi_unit,
+                                                      sloped_kernel, unit_kernel):
+    if case == "jacobi":
+        ctx = ScaleContext(jacobi_unit, sloped_kernel, beta=0.1, gamma=-0.3)
+        legs = ([0.35, 0.1], [0.7, 0.9])
+    else:
+        ctx = ScaleContext(cir_111, unit_kernel)
+        legs = ([0.6, 0.2], [1.5, 2.5])
+    sweep_ctx = ctx
+    if case == "custom_cir":
+        # checked against the closed-form model's oracle
+        clone = CustomModel(lambda x: 1.0 - x, np.sqrt, (0.0, math.inf), 1.0)
+        sweep_ctx = ScaleContext(clone, unit_kernel)
+    for xs in legs:
+        sweep, _ = sweep_ctx._stabilized(xs, "log_v")
+        for x, log_v in zip(xs, sweep.log_v):
+            assert math.exp(log_v) == pytest.approx(_v_oracle(ctx, x), rel=1e-6)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    kappa=st.floats(0.2, 3.0),
+    theta=st.floats(0.05, 3.0),
+    sigma=st.floats(0.2, 2.0),
+    c=st.floats(0.1, 4.0),
+)
+def test_v_grows_away_from_c_along_one_sweep(kappa, theta, sigma, c):
+    ctx = ScaleContext(CIRModel(kappa, theta, sigma, c), ConstantKernel(1.0))
+    for xs in (c * np.array([0.9, 0.6, 0.3, 0.05]), c + np.array([0.1, 0.5, 1.5, 4.0])):
+        sweep, _ = ctx._stabilized(xs, "log_v")
+        assert np.all(np.diff(sweep.log_v) > 0.0)
+    for x in (0.5 * c, 2.0 * c):
+        assert np.sign(ctx.scale(x)) == np.sign(x - c)
 
 
 def test_v_prime_is_derivative_of_v(cir_ctx):
@@ -253,6 +301,54 @@ def test_sampled_limit_agrees_with_closed_on_cir(unit_kernel):
         closed = ctx.boundary_limit("left", method="closed")
         sampled = ctx.boundary_limit("left", method="sample")
         assert sampled.kind == closed.kind
+
+
+def test_sampled_limit_exponent_evaluations_are_bounded(unit_kernel):
+    # a cost guard that counts work instead of timing it: one sweep serves
+    # all 40 sample points
+    counted = []
+
+    class Counting(CIRModel):
+        def exponent(self, y, *args):
+            counted.append(np.size(y))
+            return super().exponent(y, *args)
+
+    ctx = ScaleContext(Counting(1.0, 0.3, 1.0, 1.0), unit_kernel)
+    res = ctx.boundary_limit("left", method="sample", steps=40)
+    assert res.kind == "finite" and len(res.evidence["points"]) == 40
+    assert sum(counted) <= 250_000
+
+
+def test_sampled_evidence_reports_sweep_effort(unit_kernel):
+    for theta in (0.3, 2.0):  # finite, and divergent past the cap
+        ctx = ScaleContext(CIRModel(1.0, theta, 1.0, 1.0), unit_kernel)
+        ev = ctx.boundary_limit("left", method="sample").evidence
+        assert ev["base_panels"] == 64 * 2 ** (ev["doubling_rounds"] - 1)
+        assert ev["doubling_rounds"] >= 2
+        assert 0.0 <= ev["last_max_delta"] <= ctx.quad_tol
+        assert "exponent" not in ev  # the verdict layer keys closed limits on it
+
+
+def test_power_right_sampled_limit_is_pinned(unit_kernel):
+    # alpha <= 1 + delta has no closed rule, so 'auto' samples; the values
+    # are those of the per-point quadrature the sweep replaced
+    res = ScaleContext(PowerModel(1.2, 0.5, 1.0, 1.0), unit_kernel).boundary_limit("right")
+    assert (res.kind, res.method) == ("inconclusive", "sample")
+    want = [0.8137671314613877, 1.2333320537984547, 1.6459742516840865, 2.0342970721781293,
+            2.3878195870129546, 2.703141384721984, 2.981163213544757, 3.2247855470039304,
+            3.4375782413261438, 3.623136589685793, 3.784811065115711, 3.9256165451512355]
+    assert res.evidence["values"] == pytest.approx(want, rel=1e-6)
+
+
+def test_power_leg_across_interior_zero_is_pinned(unit_kernel):
+    # sigma vanishes at 0; the panels touching it keep graded quadrature.
+    # These values sit about 1e-5 below the converged ones because that
+    # quadrature does not grade the panel next to 0 (see ROADMAP); mending
+    # it means re-pinning them.
+    ctx = ScaleContext(PowerModel(1.5, 0.5, 1.0, 1.0), unit_kernel)
+    assert ctx.v(-1.0) == pytest.approx(13.184103934283605, rel=1e-6)
+    assert ctx.v(-0.3) == pytest.approx(3.8603508334883943, rel=1e-6)
+    assert ctx.scale(-1.0) == pytest.approx(-6.00597813154209, rel=1e-6)
 
 
 def test_sampled_limit_on_custom_model():
