@@ -14,7 +14,10 @@ Config format
 INI with sections [model], [kernel], [test], [sim], [output].  Keys are
 lower case; unknown sections or keys in a section the subcommand reads are
 errors.  Sections a subcommand does not read may be present (one file can
-drive several subcommands) and are ignored.
+drive several subcommands) and are ignored.  Keys and defaults are read
+from the library: [model] from the model class's fields, [sim] from
+SimConfig's fields (and verdict_crosscheck's keyword parameters), [test]
+from ScaleContext's fields and the named test's keyword parameters.
 
 Every run echoes its fully resolved configuration: JSON output carries it
 under the "config" key, CSV output as leading '# ' comment lines in INI
@@ -31,30 +34,16 @@ produces no verdicts), 2 when every verdict is inconclusive, 1 on errors.
 import argparse
 import configparser
 import csv
+import inspect
 import io
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 
+from . import feller
 from .errors import NumericError, PreconditionError
-from .feller import (
-    Verdict,
-    _interval_span,
-    bounded_interval_test,
-    family_test,
-    necessary_test,
-    sufficient_test,
-    sup_inf_test,
-)
-from .fracapprox import (
-    QuadratureScheme,
-    TruncationScheme,
-    approximation_error,
-    gaussian_quadrature_kernel,
-    geometric_nodes,
-    truncation_kernel,
-)
+from .fracapprox import STAND_INS, approximation_error, stand_in_kernel, stand_in_scheme
 from .kernels import KERNEL_KINDS, kernel_from_dict
 from .resolvent import check_hypotheses, solve_resolvent
 from .scale import CIRModel, JacobiModel, PowerModel, ScaleContext
@@ -64,6 +53,11 @@ __all__ = ["main", "build_parser"]
 
 _SECTIONS = ("model", "kernel", "test", "sim", "output")
 _REQUIRED = object()
+# library parameters that take objects the CLI builds, never config keys
+_OBJECTS = ("model", "kernel", "hypotheses")
+# the verdict tests set the drift shifts themselves
+_SHIFTS = ("beta", "gamma")
+_VERDICT_TESTS = ("necessary", "sufficient", "bounded_interval", "sup_inf")
 
 
 class CliError(Exception):
@@ -120,12 +114,42 @@ def _float_list_echo(values):
     return ", ".join(repr(float(v)) for v in values)
 
 
+# dataclass field annotation (a type, or its name when postponed) -> parser
+# for its INI value
+_FIELD_CASTS = {"float": float, "int": int, "tuple": _floats}
+
+
+def _take_params(sec, section, owner, skip=()):
+    """Pop the keys named by a dataclass's fields or a function's keyword
+    parameters, with the library's own defaults.
+
+    A key with a default is parsed as that default's type (float when it is
+    None); a dataclass field without one is required and parsed as its
+    annotation says.
+    """
+    if is_dataclass(owner):
+        params = [(f.name, _REQUIRED if f.default is MISSING else f.default, f.type)
+                  for f in fields(owner)]
+    else:
+        params = [(p.name, p.default, None)
+                  for p in inspect.signature(owner).parameters.values()
+                  if p.default is not p.empty]
+    out = {}
+    for name, default, annotation in params:
+        if name in _OBJECTS or name in skip:
+            continue
+        if default is _REQUIRED:
+            cast = _FIELD_CASTS[getattr(annotation, "__name__", annotation)]
+        else:
+            cast = float if default is None else type(default)
+        out[name] = _take(sec, section, name, cast, default)
+    return out
+
+
 # -- model / kernel builders -------------------------------------------------
 
 
 _MODELS = {cls.family: cls for cls in (CIRModel, JacobiModel, PowerModel)}
-# dataclass field annotation -> parser for its INI value
-_FIELD_CASTS = {"float": float, "tuple": _floats}
 
 
 def _build_model(cfg):
@@ -136,7 +160,7 @@ def _build_model(cfg):
     cls = _MODELS.get(family)
     if cls is None:
         raise CliError(f"unknown model family {family!r}")
-    kw = {f.name: _take(sec, "model", f.name, float) for f in fields(cls)}
+    kw = _take_params(sec, "model", cls)
     model = cls(**kw)
     _no_leftovers(sec, "model")
     echo = {"family": family}
@@ -279,7 +303,7 @@ def _verdict_rows(verdicts):
 
 
 def _verdict_exit_code(verdicts):
-    if verdicts and all(bv.verdict is Verdict.INCONCLUSIVE for bv in verdicts):
+    if verdicts and all(bv.verdict is feller.Verdict.INCONCLUSIVE for bv in verdicts):
         return 2
     return 0
 
@@ -287,34 +311,23 @@ def _verdict_exit_code(verdicts):
 def _run_verdicts(cfg, model, kernel):
     sec = dict(cfg.get("test") or {})
     name = _take(sec, "test", "name", str, "family")
-    quad_tol = _take(sec, "test", "quad_tol", float, 1e-9)
-    max_panels = _take(sec, "test", "max_panels", int, 4096)
-    c = _take(sec, "test", "c", float, None)
-    echo = {"name": name, "quad_tol": quad_tol, "max_panels": max_panels}
+    ctx_kw = _take_params(sec, "test", ScaleContext, skip=_SHIFTS)
+    echo = {"name": name, **ctx_kw}
     if name == "family":
         _no_leftovers(sec, "test")
-        verdicts = family_test(model, kernel)
-        return verdicts, echo
-    ctx = ScaleContext(model, kernel, c=c, quad_tol=quad_tol, max_panels=max_panels)
-    echo["c"] = ctx.c
-    if name == "necessary":
-        eps = _take(sec, "test", "eps_shift", float, None)
-        _no_leftovers(sec, "test")
-        verdict = necessary_test(ctx, eps_shift=eps)
-        echo["eps_shift"] = eps if eps is not None else 1e-6 * _interval_span(model)
-    elif name == "sufficient":
-        n_stages = _take(sec, "test", "n_stages", int, 8)
-        _no_leftovers(sec, "test")
-        verdict = sufficient_test(ctx, n_stages=n_stages)
-        echo["n_stages"] = n_stages
-    elif name == "bounded_interval":
-        _no_leftovers(sec, "test")
-        verdict = bounded_interval_test(ctx)
-    elif name == "sup_inf":
-        _no_leftovers(sec, "test")
-        verdict = sup_inf_test(ctx)
-    else:
+        del echo["c"]  # accepted, but the closed-form family test has no base point
+        return feller.family_test(model, kernel), echo
+    ctx = ScaleContext(model, kernel, **ctx_kw)
+    if name not in _VERDICT_TESTS:
         raise CliError(f"unknown test name {name!r}")
+    # looked up at call time, so wrappers installed on feller's names see it
+    test = getattr(feller, f"{name}_test")
+    own = _take_params(sec, "test", test)
+    _no_leftovers(sec, "test")
+    verdict = test(ctx, **own)
+    echo.update(own, c=ctx.c)
+    # a default the test resolves itself (eps_shift) is echoed as evidenced
+    echo.update((q, value) for q, value, _ in verdict.evidence if q in own)
     return [verdict], echo
 
 
@@ -322,24 +335,12 @@ def _sim_config(cfg, for_crosscheck=False):
     sec = dict(cfg.get("sim") or {})
     if not sec:
         raise CliError("config needs a [sim] section")
-    kw = {
-        "dt": _take(sec, "sim", "dt", float),
-        "horizon": _take(sec, "sim", "horizon", float),
-        "n_paths": _take(sec, "sim", "n_paths", int),
-        "scheme": _take(sec, "sim", "scheme", str, "conv_euler"),
-        "seed": _take(sec, "sim", "seed", int, 0),
-        "blowup_cap": _take(sec, "sim", "blowup_cap", float, 1e6),
-    }
-    hit_eps = _take(sec, "sim", "hit_eps", float, None)
-    if hit_eps is not None:
-        kw["hit_eps"] = hit_eps
-    tols = {}
-    if for_crosscheck:
-        tols["leak_tol"] = _take(sec, "sim", "leak_tol", float, 0.02)
-        tols["floor_tol"] = _take(sec, "sim", "floor_tol", float, 0.05)
+    kw = _take_params(sec, "sim", SimConfig)
+    tols = _take_params(sec, "sim", verdict_crosscheck) if for_crosscheck else {}
     _no_leftovers(sec, "sim")
     config = SimConfig(**kw)
-    echo = dict(kw)
+    # an unset hit_eps is resolved per model inside simulate
+    echo = {key: value for key, value in kw.items() if value is not None}
     echo.update(tols)
     return config, tols, echo
 
@@ -366,18 +367,12 @@ def _cmd_scale(args):
     kernel, k_echo = _build_kernel(cfg)
     sec = dict(cfg.get("test") or {})
     xs = _take(sec, "test", "x_grid", _floats)
-    beta = _take(sec, "test", "beta", float, 0.0)
-    gamma = _take(sec, "test", "gamma", float, 0.0)
-    quad_tol = _take(sec, "test", "quad_tol", float, 1e-9)
-    max_panels = _take(sec, "test", "max_panels", int, 4096)
-    c = _take(sec, "test", "c", float, None)
+    kw = _take_params(sec, "test", ScaleContext)
     _take(sec, "test", "name", str, "scale")
     _no_leftovers(sec, "test")
-    ctx = ScaleContext(model, kernel, c=c, beta=beta, gamma=gamma,
-                       quad_tol=quad_tol, max_panels=max_panels)
+    ctx = ScaleContext(model, kernel, **kw)
     rows = [{"x": float(x), "p": ctx.scale(x), "v": ctx.v(x)} for x in xs]
-    t_echo = {"x_grid": _float_list_echo(xs), "beta": beta, "gamma": gamma,
-              "quad_tol": quad_tol, "max_panels": max_panels, "c": ctx.c}
+    t_echo = {"x_grid": _float_list_echo(xs), **kw, "c": ctx.c}
     echo = {"model": m_echo, "kernel": k_echo, "test": t_echo, "output": out_cfg}
     _write(echo, {"rows": rows}, rows, ("x", "p", "v"), out_cfg)
     return 0
@@ -392,14 +387,14 @@ def _cmd_resolvent(args):
         raise CliError("config needs a [sim] section with dt and horizon")
     dt = _take(sec, "sim", "dt", float)
     horizon = _take(sec, "sim", "horizon", float)
-    for key in ("n_paths", "scheme", "seed", "hit_eps", "blowup_cap"):
-        sec.pop(key, None)
+    for f in fields(SimConfig):
+        sec.pop(f.name, None)
     _no_leftovers(sec, "sim")
     tsec = dict(cfg.get("test") or {})
-    tol = _take(tsec, "test", "tol", float, None)
+    kw = _take_params(tsec, "test", check_hypotheses)
     _no_leftovers(tsec, "test")
     grid = solve_resolvent(kernel, dt, horizon)
-    report = check_hypotheses(grid, tol=tol)
+    report = check_hypotheses(grid, **kw)
     row = {
         "atom": grid.atom,
         "density_at_0": float(grid.density[0]),
@@ -427,19 +422,16 @@ def _cmd_approx(args):
     if args.scheme == "truncation":
         if args.T is None:
             raise CliError("--scheme truncation needs --T")
-        scheme = TruncationScheme(args.alpha, args.T)
-        kernel = truncation_kernel(scheme)
-        a_echo["t"] = args.T
+        size = a_echo["t"] = args.T
     else:
         if args.intervals is None:
             raise CliError(f"--scheme {args.scheme} needs --intervals")
-        nodes = geometric_nodes(args.intervals, ratio=args.ratio, xi1=args.xi1)
-        weight = "fractional" if args.scheme == "fractional" else "geometric_bb2"
-        scheme = QuadratureScheme(args.alpha, nodes, q=args.q, weight=weight)
-        kernel = gaussian_quadrature_kernel(scheme)
+        size = args.intervals
         a_echo.update({"intervals": args.intervals, "q": args.q,
                        "ratio": args.ratio, "xi1": args.xi1})
-    k0, kp0 = kernel.k0_kprime0()
+    scheme = stand_in_scheme(args.scheme, args.alpha, size,
+                             q=args.q, ratio=args.ratio, xi1=args.xi1)
+    k0, kp0 = stand_in_kernel(scheme).k0_kprime0()
     a_echo["k0"] = float(k0)
     a_echo["kprime0"] = float(kp0)
     rows = approximation_error(scheme, t_grid)
@@ -530,9 +522,7 @@ def build_parser():
     )
     approx.add_argument("--alpha", type=float, required=True,
                         help="fractional index in (0, 1)")
-    approx.add_argument("--scheme",
-                        choices=("truncation", "fractional", "geometric_bb2"),
-                        default="truncation",
+    approx.add_argument("--scheme", choices=STAND_INS, default="truncation",
                         help="approximation scheme (default truncation)")
     approx.add_argument("--T", type=float, default=None,
                         help="rate-domain truncation cap (truncation scheme)")

@@ -37,8 +37,8 @@ from scipy.special import logsumexp
 
 from ._quad import panel_nodes
 from .errors import NumericError, PreconditionError
-from .fracapprox import QuadratureScheme, gaussian_quadrature_kernel, geometric_nodes, truncation_kernel
-from .scale import kernel_scalars
+from .fracapprox import STAND_INS, stand_in_kernel, stand_in_scheme, truncation_kernel
+from .scale import DIVERGENCE_CAP, kernel_scalars
 
 __all__ = [
     "Boundary",
@@ -127,15 +127,15 @@ def _finish(boundary, verdict, theorem, evidence, flags):
     return BoundaryVerdict(boundary, verdict, theorem, tuple(evidence), assumptions)
 
 
-def _limit_triple(name, lim, cap=1e12):
+def _limit_triple(name, lim):
     """Collapse a LimitResult into an evidence triple."""
     if "exponent" in lim.evidence:
         return (name + " divergence exponent (divergent iff >= 1)",
                 float(lim.evidence["exponent"]), 1.0)
     if lim.kind == "divergent":
-        return (name, math.inf, cap)
+        return (name, math.inf, DIVERGENCE_CAP)
     value = lim.value if lim.value is not None else math.nan
-    return (name, float(value), cap)
+    return (name, float(value), DIVERGENCE_CAP)
 
 
 def _interval_span(model):
@@ -191,7 +191,7 @@ def necessary_test(ctx, eps_shift=None, hypotheses=None):
                            tuple(evidence), flags)
 
 
-def _staged_side(ctx, which, n_stages, cap):
+def _staged_side(ctx, which, n_stages):
     """Evaluate v at base points marching to one boundary, with matched shifts.
 
     Stage n sits at x_n (geometric approach for finite boundaries, c -+ 2^n
@@ -199,34 +199,28 @@ def _staged_side(ctx, which, n_stages, cap):
     growth of v across stages is the sufficient condition for no exit through
     that boundary.
     """
-    l, r = ctx.model.interval
-    boundary = l if which == "left" else r
-    c = ctx.c
     vals = []
     evidence = []
     inf_streak = 0
-    for n in range(1, n_stages + 1):
-        if math.isfinite(boundary):
-            x_n = boundary + (c - boundary) * 0.5 ** n
-        else:
-            x_n = c - 2.0 ** n if which == "left" else c + 2.0 ** n
+    for x_n in ctx._approach(which, n_stages):
         shift = -x_n
         try:
             val = ctx.with_shifts(shift, shift).v(x_n)
         except NumericError:
             break
         vals.append(val)
-        evidence.append((f"v at stage point {x_n:.6g} with shift {shift:.6g}", val, cap))
+        evidence.append((f"v at stage point {x_n:.6g} with shift {shift:.6g}", val,
+                         DIVERGENCE_CAP))
         inf_streak = inf_streak + 1 if math.isinf(val) else 0
         if inf_streak >= 2:
             break
     if len(vals) < 2:
         return False, evidence
     grows = all(b >= a * (1.0 - 1e-9) for a, b in zip(vals, vals[1:]))
-    return grows and vals[-1] >= cap, evidence
+    return grows and vals[-1] >= DIVERGENCE_CAP, evidence
 
 
-def _sufficient_side(ctx, which, n_stages, cap):
+def _sufficient_side(ctx, which, n_stages):
     l, r = ctx.model.interval
     boundary = l if which == "left" else r
     evidence = []
@@ -235,14 +229,14 @@ def _sufficient_side(ctx, which, n_stages, cap):
         # implies the staged condition
         shifted = ctx.with_shifts(-boundary, -boundary)
         lim = shifted.boundary_limit(which, target="v")
-        evidence.append(_limit_triple(f"v({which}) with boundary shift {-boundary:.6g}", lim, cap))
+        evidence.append(_limit_triple(f"v({which}) with boundary shift {-boundary:.6g}", lim))
         if lim.kind == "divergent":
             return True, evidence
-    staged_ok, staged_ev = _staged_side(ctx, which, n_stages, cap)
+    staged_ok, staged_ev = _staged_side(ctx, which, n_stages)
     return staged_ok, evidence + staged_ev
 
 
-def sufficient_test(ctx, n_stages=8, cap=1e12, hypotheses=None):
+def sufficient_test(ctx, n_stages=8, hypotheses=None):
     """Check the staged divergence condition that guarantees no exit.
 
     If v evaluated at base points x_n marching to a boundary, with drift
@@ -253,11 +247,9 @@ def sufficient_test(ctx, n_stages=8, cap=1e12, hypotheses=None):
     """
     if int(n_stages) != n_stages or n_stages < 2:
         raise ValueError("n_stages must be an integer >= 2")
-    if not cap > 0.0:
-        raise ValueError("cap must be positive")
     n_stages = int(n_stages)
-    left_ok, ev_left = _sufficient_side(ctx, "left", n_stages, cap)
-    right_ok, ev_right = _sufficient_side(ctx, "right", n_stages, cap)
+    left_ok, ev_left = _sufficient_side(ctx, "left", n_stages)
+    right_ok, ev_right = _sufficient_side(ctx, "right", n_stages)
     flags = _hypothesis_flags(ctx.kernel, hypotheses)
     evidence = ev_left + ev_right
     theorem = "staged-sufficient-divergence"
@@ -420,8 +412,6 @@ def family_test(model, kernel, hypotheses=None):
 
 # -- fractional approximation study ------------------------------------------
 
-_STUDY_SCHEMES = ("truncation", "fractional", "geometric_bb2")
-
 
 def _study_regime(scheme, alpha):
     if scheme == "geometric_bb2":
@@ -454,8 +444,8 @@ def fractional_condition_study(model, alpha, sweep, scheme="truncation",
     """
     if not (hasattr(model, "necessary_threshold") and hasattr(model, "sufficient_gap")):
         raise PreconditionError("fractional_condition_study needs a square-root model")
-    if scheme not in _STUDY_SCHEMES:
-        raise ValueError(f"scheme must be one of {_STUDY_SCHEMES}, got {scheme!r}")
+    if scheme not in STAND_INS:
+        raise ValueError(f"scheme must be one of {STAND_INS}, got {scheme!r}")
     values = list(np.atleast_1d(np.asarray(sweep, dtype=float)))
     if not values:
         raise ValueError("sweep must be nonempty")
@@ -468,10 +458,8 @@ def fractional_condition_study(model, alpha, sweep, scheme="truncation",
             n_intervals = int(value)
             if n_intervals != value or n_intervals < 1:
                 raise ValueError(f"interval counts must be positive integers, got {value}")
-            weight = "fractional" if scheme == "fractional" else "geometric_bb2"
-            nodes = geometric_nodes(n_intervals, ratio=ratio, xi1=xi1)
-            kernel = gaussian_quadrature_kernel(
-                QuadratureScheme(alpha, nodes, q=q, weight=weight)
+            kernel = stand_in_kernel(
+                stand_in_scheme(scheme, alpha, n_intervals, q=q, ratio=ratio, xi1=xi1)
             )
         k0, kp0 = kernel.k0_kprime0()
         rows.append(

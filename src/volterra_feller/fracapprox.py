@@ -29,20 +29,26 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
+from scipy.special import gamma
 
 from .errors import NumericError
-from .kernels import SumOfExponentialsKernel, TruncatedFractionalKernel, lanczos_gamma
+from .kernels import SumOfExponentialsKernel, TruncatedFractionalKernel
 
 __all__ = [
+    "STAND_INS",
     "TruncationScheme",
     "QuadratureScheme",
     "geometric_nodes",
+    "stand_in_scheme",
+    "stand_in_kernel",
     "truncation_kernel",
     "gaussian_quadrature_kernel",
     "approximation_error",
 ]
 
 _WEIGHT_KINDS = ("fractional", "geometric_bb2")
+# stand-in names: truncation, or Gauss quadrature under one of the weights
+STAND_INS = ("truncation",) + _WEIGHT_KINDS
 _MAX_NODES_PER_INTERVAL = 12
 
 
@@ -122,6 +128,18 @@ def geometric_nodes(n_intervals, ratio=6.4, xi1=1.0):
     for n in range(int(n_intervals)):
         pts.append(xi1 * ratio ** n)
     return tuple(pts)
+
+
+def stand_in_scheme(name, alpha, size, q=1, ratio=6.4, xi1=1.0):
+    """The stand-in scheme called ``name`` (one of ``STAND_INS``).
+
+    ``truncation`` cuts the rate measure at T = size; ``fractional`` and
+    ``geometric_bb2`` put q Gauss nodes under that weight on each interval of
+    ``geometric_nodes(size, ratio, xi1)``.
+    """
+    if name == "truncation":
+        return TruncationScheme(alpha, size)
+    return QuadratureScheme(alpha, geometric_nodes(size, ratio=ratio, xi1=xi1), q=q, weight=name)
 
 
 def truncation_kernel(alpha, T=None):
@@ -226,7 +244,8 @@ def gaussian_quadrature_kernel(scheme):
     return SumOfExponentialsKernel(weights=tuple(all_weights), rates=tuple(all_rates))
 
 
-def _kernel_for(scheme):
+def stand_in_kernel(scheme):
+    """The kernel of a ``TruncationScheme`` or ``QuadratureScheme``."""
     if isinstance(scheme, TruncationScheme):
         return truncation_kernel(scheme)
     if isinstance(scheme, QuadratureScheme):
@@ -246,8 +265,8 @@ def approximation_error(scheme, t_grid):
         raise ValueError("t_grid must be nonempty")
     if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
         raise ValueError("lags must be finite and strictly positive")
-    kernel = _kernel_for(scheme)
-    galpha = lanczos_gamma(scheme.alpha)
+    kernel = stand_in_kernel(scheme)
+    galpha = gamma(scheme.alpha)
     rows = []
     for ti in t:
         approx = kernel.eval(ti)

@@ -34,10 +34,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gamma, gammainc
 
 __all__ = [
-    "lanczos_gamma",
     "ConstantKernel",
     "SumOfExponentialsKernel",
     "TruncatedFractionalKernel",
@@ -46,41 +45,6 @@ __all__ = [
     "kernel_from_dict",
     "kernel_to_dict",
 ]
-
-
-# Lanczos coefficients, g = 7, 9 terms.  Relative error below 1e-13 on the
-# range used here (closed-form constants only need arguments in (0, 10]).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lanczos_gamma(x: float) -> float:
-    """Gamma function for positive real arguments.
-
-    Library-internal implementation so the closed-form kernel constants do
-    not depend on the same Gamma routine the tests use as an oracle.
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma argument must be positive, got {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * lanczos_gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFS[0]
-    for i, c in enumerate(_LANCZOS_COEFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def _as_time_array(t):
@@ -220,7 +184,7 @@ class TruncatedFractionalKernel:
         x = self.T * arr
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = factor * self.T**-power * (x**power * gammainc(-power, x))
-        out = np.where(x < 1e-16, at_zero, out / lanczos_gamma(self.alpha))
+        out = np.where(x < 1e-16, at_zero, out / gamma(self.alpha))
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def eval(self, t):
@@ -232,9 +196,10 @@ class TruncatedFractionalKernel:
 
     def k0_kprime0(self):
         a, T = self.alpha, self.T
-        k0 = T ** (1.0 - a) / (lanczos_gamma(a) * lanczos_gamma(2.0 - a))
-        kp0 = -(T ** (2.0 - a)) / ((2.0 - a) * lanczos_gamma(a) * lanczos_gamma(1.0 - a))
-        return k0, kp0
+        k0 = T ** (1.0 - a) / (gamma(a) * gamma(2.0 - a))
+        kp0 = -(T ** (2.0 - a)) / ((2.0 - a) * gamma(a) * gamma(1.0 - a))
+        # plain floats: numpy scalars would reach CSV echoes with another repr
+        return float(k0), float(kp0)
 
     def exp_form(self):
         return None

@@ -90,6 +90,7 @@ _LOG_HUGE = 700.0  # beyond this, exp() overflows; treated as divergent mass
 _ORDER = 12  # Gauss nodes per sweep panel
 _NAT = 1.0  # largest move of an integrand's log across a resolved panel's nodes
 _MAX_BISECTIONS = 8  # halving rounds before a panel falls back to graded quadrature
+DIVERGENCE_CAP = 1e12  # a sampled or staged value at or above this counts as divergent
 
 
 def _require(cond, msg):
@@ -459,11 +460,6 @@ class ScaleContext:
         # K'(0)/K(0), the slope of the shift terms
         return self._kp0 / self._k0
 
-    @property
-    def _cap_c(self) -> float:
-        # C = 2 (K0 sigma)^-2 for the affine-diffusion families
-        return 2.0 / self._k0**2
-
     def with_shifts(self, beta: float, gamma: float) -> "ScaleContext":
         return replace(self, beta=beta, gamma=gamma)
 
@@ -738,14 +734,15 @@ class ScaleContext:
         # interval, concentrating in an endpoint layer of width 1/|E'|;
         # sub-edges are graded geometrically from both ends starting at that
         # resolvable scale, so plain Gauss sees at most a few nats of
-        # variation per sub-panel.
+        # variation per sub-panel.  An end where b~_c and sigma~ both vanish
+        # (0/0) reads as infinitely steep, so it gets the finest grading.
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         span = hi - lo
         with np.errstate(all="ignore"):
             g_lo = np.abs(2.0 * self.b_tilde_shifted(lo) / self.sigma_tilde_sq(lo))
             g_hi = np.abs(2.0 * self.b_tilde_shifted(hi) / self.sigma_tilde_sq(hi))
-            g = np.fmax(np.nan_to_num(np.fmax(g_lo, g_hi), nan=np.inf), 1.0)
+            g = np.fmax(np.nan_to_num(np.maximum(g_lo, g_hi), nan=np.inf), 1.0)
             rel0 = np.where(span != 0.0, 1.0 / (g * np.abs(span)), 1.0)
         rel0 = np.clip(rel0, 1e-13, 0.5)
         n_dbl = int(min(45, max(4, math.ceil(-math.log2(float(np.min(rel0)))))))
@@ -913,22 +910,19 @@ class ScaleContext:
         target: str = "v",
         method: str = "auto",
         steps: int = 12,
-        ratio: float = 0.5,
-        cap: float = 1e12,
-        tail_rtol: float = 0.05,
-        divergence_ratio: float = 0.98,
     ) -> LimitResult:
         """Classify the limit of v_c (target='v') or |p_c| (target='p') at a
         boundary as finite or divergent.
 
         method 'closed' uses the per-family exponent signs, 'sample'
         evaluates along a geometric sequence approaching the boundary
-        (x_k = boundary +- s ratio^k for finite endpoints, x_k = c +- 2^(k+1)
-        for infinite ones) and classifies the increment tail, 'auto' prefers
-        the closed form and samples when no closed rule decides.
+        (x_k = boundary +- |c - boundary| 2^-k for finite endpoints,
+        x_k = c -+ 2^k for infinite ones, k = 1..steps) and classifies the
+        increment tail, 'auto' prefers the closed form and samples when no
+        closed rule decides.
 
         All sample points are read off one outward sweep from c, which
-        stops after the first point whose log value reaches log(cap); the
+        stops after the first point whose value reaches DIVERGENCE_CAP; the
         base grid is doubled until every point up to that one agrees
         between rounds.  A finite closed limit at a finite endpoint gets its
         value from a sweep that runs to the endpoint itself.
@@ -939,8 +933,6 @@ class ScaleContext:
             raise ValueError(f"target must be 'v' or 'p', got {target!r}")
         if method not in ("auto", "closed", "sample"):
             raise ValueError(f"unknown method {method!r}")
-        if not (0.0 < ratio < 1.0):
-            raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
         if steps < 4:
             raise ValueError("need at least 4 sampling steps")
         has_rule = hasattr(self.model, "limit_rule")
@@ -950,9 +942,7 @@ class ScaleContext:
             closed = self._closed_limit(which, target)
             if method == "closed" or closed.kind != "inconclusive":
                 return closed
-        return self._sampled_limit(
-            which, target, steps, ratio, cap, tail_rtol, divergence_ratio
-        )
+        return self._sampled_limit(which, target, steps)
 
     def _closed_limit(self, which, target):
         # the model's rule decides the kind; a finite limit at a finite
@@ -975,24 +965,28 @@ class ScaleContext:
             return None
         return math.exp(log_val) if log_val <= _LOG_HUGE else math.inf
 
-    def _sampled_limit(self, which, target, steps, ratio, cap, tail_rtol, divergence_ratio):
+    def _approach(self, which, count):
+        # x_1..x_count marching to a boundary: boundary +- |c - boundary| 2^-n
+        # for a finite one, c -+ 2^n for an infinite one
         l, r = self.model.interval
         boundary = l if which == "left" else r
-        log_cap = math.log(cap)
-        points = []
-        for k in range(steps):
-            if math.isfinite(boundary):
-                dist = 0.5 * abs(self.c - boundary) * ratio**k
-                points.append(boundary + dist if which == "left" else boundary - dist)
-            else:
-                points.append(self.c - 2.0 ** (k + 1) if which == "left" else self.c + 2.0 ** (k + 1))
+        inward = 1.0 if which == "left" else -1.0
+        if math.isfinite(boundary):
+            gap = abs(self.c - boundary)
+            return [boundary + inward * (gap * 0.5**n) for n in range(1, count + 1)]
+        return [self.c - inward * 2.0**n for n in range(1, count + 1)]
+
+    def _sampled_limit(self, which, target, steps):
+        log_cap = math.log(DIVERGENCE_CAP)
+        points = self._approach(which, steps)
         field = "log_v" if target == "v" else "log_p"
         sweep, effort = self._stabilized(points, field, stop=log_cap)
         log_vals = []
         for k, lv in enumerate(getattr(sweep, field).tolist()):
             log_vals.append(lv)
             if lv >= log_cap:
-                evidence = {"points": points[:k + 1], "log_values": log_vals, "cap": cap}
+                evidence = {"points": points[:k + 1], "log_values": log_vals,
+                            "cap": DIVERGENCE_CAP}
                 return LimitResult("divergent", None, "sample", {**evidence, **effort})
         vals = np.exp(np.array(log_vals))
         incs = np.maximum(np.diff(vals), 0.0)
@@ -1012,10 +1006,10 @@ class ScaleContext:
             return LimitResult("finite", float(vals[-1]), "sample", evidence)
         r_med = float(np.median(ratios))
         evidence["increment_ratio"] = r_med
-        if r_med >= divergence_ratio:
+        if r_med >= 0.98:  # increments shrink too slowly to sum to a limit
             return LimitResult("divergent", None, "sample", evidence)
         tail = float(tail_incs[-1]) * r_med / (1.0 - r_med)
         evidence["tail_relative"] = tail / scale_ref
-        if tail / scale_ref < tail_rtol:
+        if tail / scale_ref < 0.05:  # the geometric tail barely moves the value
             return LimitResult("finite", float(vals[-1]) + tail, "sample", evidence)
         return LimitResult("inconclusive", None, "sample", evidence)

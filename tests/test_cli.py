@@ -109,6 +109,70 @@ def test_missing_config_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------- library defaults
+
+_MINIMAL = """\
+    [model]
+    family = cir
+    kappa = 1.0
+    theta = 1.0
+    sigma = 1.0
+    x0 = 0.2
+
+    [kernel]
+    kind = constant
+    level = 1.0
+
+    [sim]
+    dt = 0.01
+    horizon = 0.5
+    n_paths = 8
+"""
+_MODEL_ECHO = {"family": "cir", "kappa": 1.0, "theta": 1.0, "sigma": 1.0, "x0": 0.2}
+_SIM_ECHO = {"dt": 0.01, "horizon": 0.5, "n_paths": 8, "scheme": "conv_euler", "seed": 0,
+             "blowup_cap": 1e6}
+
+
+@pytest.mark.parametrize("command, test_section, expected", [
+    ("scale", "x_grid = 0.5", {"test": {"x_grid": "0.5", "beta": 0.0, "gamma": 0.0, "c": 0.2,
+                                        "quad_tol": 1e-9, "max_panels": 4096}}),
+    ("resolvent", None, {"sim": {"dt": 0.01, "horizon": 0.5}, "test": {"tol": 1.0}}),
+    ("simulate", None, {"sim": _SIM_ECHO}),
+    ("crosscheck", None, {"sim": dict(_SIM_ECHO, leak_tol=0.02, floor_tol=0.05),
+                          "test": {"name": "family", "quad_tol": 1e-9, "max_panels": 4096}}),
+    ("test", "name = necessary", {"test": {"name": "necessary", "c": 0.2, "quad_tol": 1e-9,
+                                           "max_panels": 4096, "eps_shift": 1e-6}}),
+    ("test", "name = sufficient", {"test": {"name": "sufficient", "c": 0.2, "quad_tol": 1e-9,
+                                            "max_panels": 4096, "n_stages": 8}}),
+])
+def test_omitted_keys_echo_library_defaults(tmp_path, capsys, command, test_section,
+                                            expected):
+    cfg = _MINIMAL + (f"\n    [test]\n    {test_section}\n" if test_section else "")
+    rc = main([command, "--config", _write_ini(tmp_path, cfg)])
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert rc == 0
+    want = {"kernel": {"kind": "constant", "level": 1.0},
+            "output": {"format": "json", "path": None}, **expected}
+    if command != "resolvent":
+        want["model"] = _MODEL_ECHO
+    assert config == want
+
+
+@pytest.mark.parametrize("command, extra, key, section", [
+    ("test", "\n    [test]\n    name = sufficient\n    cap = 1e10\n", "cap", "test"),
+    ("simulate", "    leak_tol = 0.1\n", "leak_tol", "sim"),
+])
+def test_keys_outside_the_library_signatures_are_unknown(tmp_path, capsys, command, extra,
+                                                          key, section):
+    # sufficient_test takes no cap; only crosscheck reads the Euler tolerances.
+    # Appended lines without a header land in [sim], the last section.
+    rc = main([command, "--config", _write_ini(tmp_path, _MINIMAL + extra)])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert out.err == f"error: unknown key '{key}' in [{section}]\n"
+
+
 # --------------------------------------------------------------------- output
 
 

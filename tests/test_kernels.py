@@ -14,7 +14,6 @@ from volterra_feller import (
     kernel_from_dict,
     kernel_to_dict,
 )
-from volterra_feller.kernels import lanczos_gamma
 
 
 def test_constant_kernel_values():
@@ -181,8 +180,3 @@ def test_dict_round_trip_property(kernel):
 def test_dict_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         kernel_from_dict({"kind": "mystery"})
-
-
-def test_lanczos_gamma_matches_math_gamma():
-    for x in [0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 9.25]:
-        assert lanczos_gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)

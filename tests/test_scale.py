@@ -342,13 +342,21 @@ def test_power_right_sampled_limit_is_pinned(unit_kernel):
 
 def test_power_leg_across_interior_zero_is_pinned(unit_kernel):
     # sigma vanishes at 0; the panels touching it keep graded quadrature.
-    # These values sit about 1e-5 below the converged ones because that
-    # quadrature does not grade the panel next to 0 (see ROADMAP); mending
-    # it means re-pinning them.
+    # v is pinned to nested scipy quad values
     ctx = ScaleContext(PowerModel(1.5, 0.5, 1.0, 1.0), unit_kernel)
-    assert ctx.v(-1.0) == pytest.approx(13.184103934283605, rel=1e-6)
-    assert ctx.v(-0.3) == pytest.approx(3.8603508334883943, rel=1e-6)
+    assert ctx.v(-1.0) == pytest.approx(13.1842466855599, rel=1e-9)
+    assert ctx.v(-0.3) == pytest.approx(3.860375707924967, rel=1e-9)
     assert ctx.scale(-1.0) == pytest.approx(-6.00597813154209, rel=1e-6)
+
+
+def test_power_leg_ending_at_zero_of_sigma_is_graded(unit_kernel):
+    # at 0 both b~ and sigma~ vanish; the panel ending there must still be
+    # graded, or these legs converge at first order and never stabilize.
+    # Reference values from nested scipy quad.
+    ctx = ScaleContext(PowerModel(1.5, 0.75, 1.0, 1.0), unit_kernel)
+    assert ctx.v(-1.0) == pytest.approx(28.005143322758, rel=1e-5)
+    assert ctx.v(-0.3) == pytest.approx(6.789972419265, rel=1e-5)
+    assert ctx.v_prime(0.0) == pytest.approx(-9.605511001566, rel=1e-5)
 
 
 def test_sampled_limit_on_custom_model():
