@@ -127,6 +127,17 @@ def _finish(boundary, verdict, theorem, evidence, flags):
     return BoundaryVerdict(boundary, verdict, theorem, tuple(evidence), assumptions)
 
 
+def _on_sides(sides, verdict, theorem, evidence, flags):
+    """Conclude ``verdict`` on the sides ("left", "right") where it holds.
+
+    Both sides give ``Both``; no side gives ``Inconclusive`` on ``Both``.
+    """
+    if len(sides) == 1:
+        return _finish(Boundary(sides[0].title()), verdict, theorem, evidence, flags)
+    verdict = verdict if sides else Verdict.INCONCLUSIVE
+    return _finish(Boundary.BOTH, verdict, theorem, evidence, flags)
+
+
 def _limit_triple(name, lim):
     """Collapse a LimitResult into an evidence triple."""
     if "exponent" in lim.evidence:
@@ -178,17 +189,10 @@ def necessary_test(ctx, eps_shift=None, hypotheses=None):
         ("eps_shift", float(eps_shift), 0.0),
     ]
     theorem = "shifted-necessary-limit"
-    finite_sides = [k for k, lim in (("left", left), ("right", right)) if lim.kind == "finite"]
-    if finite_sides:
-        boundary = Boundary.BOTH if len(finite_sides) == 2 else (
-            Boundary.LEFT if finite_sides[0] == "left" else Boundary.RIGHT
-        )
-        return _finish(boundary, Verdict.EXITS_WITH_POSITIVE_PROB, theorem, evidence, flags)
     if left.kind == "divergent" and right.kind == "divergent":
-        return BoundaryVerdict(Boundary.BOTH, Verdict.NECESSARY_HOLDS, theorem,
-                               tuple(evidence), flags)
-    return BoundaryVerdict(Boundary.BOTH, Verdict.INCONCLUSIVE, theorem,
-                           tuple(evidence), flags)
+        return _finish(Boundary.BOTH, Verdict.NECESSARY_HOLDS, theorem, evidence, flags)
+    finite_sides = [k for k, lim in (("left", left), ("right", right)) if lim.kind == "finite"]
+    return _on_sides(finite_sides, Verdict.EXITS_WITH_POSITIVE_PROB, theorem, evidence, flags)
 
 
 def _staged_side(ctx, which, n_stages):
@@ -251,16 +255,9 @@ def sufficient_test(ctx, n_stages=8, hypotheses=None):
     left_ok, ev_left = _sufficient_side(ctx, "left", n_stages)
     right_ok, ev_right = _sufficient_side(ctx, "right", n_stages)
     flags = _hypothesis_flags(ctx.kernel, hypotheses)
-    evidence = ev_left + ev_right
-    theorem = "staged-sufficient-divergence"
-    if left_ok and right_ok:
-        return _finish(Boundary.BOTH, Verdict.NO_EXIT_AS, theorem, evidence, flags)
-    if left_ok:
-        return _finish(Boundary.LEFT, Verdict.NO_EXIT_AS, theorem, evidence, flags)
-    if right_ok:
-        return _finish(Boundary.RIGHT, Verdict.NO_EXIT_AS, theorem, evidence, flags)
-    return BoundaryVerdict(Boundary.BOTH, Verdict.INCONCLUSIVE, theorem,
-                           tuple(evidence), flags)
+    sides = [k for k, ok in (("left", left_ok), ("right", right_ok)) if ok]
+    return _on_sides(sides, Verdict.NO_EXIT_AS, "staged-sufficient-divergence",
+                     ev_left + ev_right, flags)
 
 
 def _log_sigma_inv_sq_mass(ctx, n_panels, rel_first):
@@ -324,16 +321,10 @@ def bounded_interval_test(ctx, hypotheses=None):
     evidence.append(_limit_triple("v(left+)", left))
     evidence.append(_limit_triple("v(right-)", right))
     theorem = "bounded-interval-equivalence"
-    finite_sides = [k for k, lim in (("left", left), ("right", right)) if lim.kind == "finite"]
-    if finite_sides:
-        boundary = Boundary.BOTH if len(finite_sides) == 2 else (
-            Boundary.LEFT if finite_sides[0] == "left" else Boundary.RIGHT
-        )
-        return _finish(boundary, Verdict.EXITS_WITH_POSITIVE_PROB, theorem, evidence, flags)
     if left.kind == "divergent" and right.kind == "divergent":
         return _finish(Boundary.BOTH, Verdict.NO_EXIT_AS, theorem, evidence, flags)
-    return BoundaryVerdict(Boundary.BOTH, Verdict.INCONCLUSIVE, theorem,
-                           tuple(evidence), flags)
+    finite_sides = [k for k, lim in (("left", left), ("right", right)) if lim.kind == "finite"]
+    return _on_sides(finite_sides, Verdict.EXITS_WITH_POSITIVE_PROB, theorem, evidence, flags)
 
 
 def sup_inf_test(ctx, hypotheses=None):
@@ -381,8 +372,8 @@ def sup_inf_test(ctx, hypotheses=None):
     if inf_holds:
         return _finish(Boundary.LEFT, Verdict.INF_BOUNDED_AS,
                        "scale-function-inf-bound", evidence, flags)
-    return BoundaryVerdict(Boundary.BOTH, Verdict.INCONCLUSIVE,
-                           "scale-function-bounds", tuple(evidence), flags)
+    return _finish(Boundary.BOTH, Verdict.INCONCLUSIVE, "scale-function-bounds",
+                   evidence, flags)
 
 
 def family_test(model, kernel, hypotheses=None):

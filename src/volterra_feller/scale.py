@@ -769,8 +769,13 @@ class ScaleContext:
 
     def _leg_tol_floor(self, x):
         # a leg crossing (or touching) an interior diffusion zero keeps a
-        # power-law integrand factor the panel rule integrates at first
-        # order; ~1e-7 log accuracy is reachable, 1e-9 is not
+        # power-law integrand factor there.  On PowerModel(1.5, 0.75, 1, 1)
+        # with K = 1, log v at -1.0 and -0.3 still moves at first order in
+        # the base panel count: 3.4e-7 from 64 to 128 panels, halving per
+        # doubling to 8.8e-9 at 4096 (the max_panels default), so 1e-9 is
+        # out of reach and this floor stops such legs at 128 panels.  Their
+        # remaining 2.6e-6 gap to nested quad is set by the first graded
+        # sub-panel (rel_first), not by the panel count
         lo, hi = (x, self.c) if x < self.c else (self.c, x)
         for s in self._interior_singularities():
             if lo <= s <= hi:

@@ -19,7 +19,7 @@ Two discretizations of X = x0 + K * (b(X) dt + sigma(X) dW):
 
 Paths draw their increments from counter-based generators keyed by
 (seed, path index), so results are bit-reproducible for a fixed seed and
-path count no matter how paths are blocked or threaded.
+path count no matter how paths are blocked.
 
 A path that reaches hit_eps of a finite boundary, or blowup_cap when the
 boundary is infinite, is recorded with its grid hit time and frozen; the
@@ -28,8 +28,6 @@ mask every crossing.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -49,14 +47,8 @@ _BLOCK = 512
 
 
 def _thread_count():
-    raw = os.environ.get("VOLTERRA_FELLER_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(os.cpu_count() or 1, 4)
-    return n
+    # paths run serially; kept for the machine record of bench/worker.py
+    return 1
 
 
 @dataclass(frozen=True)
@@ -139,32 +131,21 @@ def _resolve_hit_eps(model, config):
     return 1e-4
 
 
-def _path_noise(seed, path_index, n_steps, dt):
-    rng = np.random.Generator(np.random.Philox(key=[seed, path_index]))
-    return rng.standard_normal(n_steps) * math.sqrt(dt)
-
-
 def _block_noise(seed, start, block, n_steps, dt):
     out = np.empty((block, n_steps))
-    for i in range(block):
-        out[i] = _path_noise(seed, start + i, n_steps, dt)
+    for i, row in enumerate(out):
+        rng = np.random.Generator(np.random.Philox(key=[seed, start + i]))
+        rng.standard_normal(n_steps, out=row)
+    out *= math.sqrt(dt)
     return out
 
 
-def _advance_block(model, kernel, scheme, dW, dt, hit_eps, blowup_cap, detect_hits=True):
-    """Run one block of paths; returns (terminal X, hit side, hit time).
+def _convolver(kernel, scheme, dt, n_steps, block):
+    """Pick the block's kernel recursion once.
 
-    hit side is -1 / 0 / +1 for left / none / right.  Paths freeze at their
-    hit value.
+    Returns conv(k, B), which takes step k's increments B_k and returns
+    (K * B)(t_{k+1}); each form keeps its own state.
     """
-    block, n_steps = dW.shape
-    l, r = model.interval
-    x0 = float(model.x0)
-    X = np.full(block, x0)
-    active = np.ones(block, dtype=bool)
-    hit_side = np.zeros(block, dtype=np.int8)
-    hit_time = np.full(block, np.nan)
-
     form = getattr(kernel, "exp_form", lambda: None)()
     if form is None:
         if scheme == "markov_lift":
@@ -172,57 +153,71 @@ def _advance_block(model, kernel, scheme, dW, dt, hit_eps, blowup_cap, detect_hi
                 "markov_lift needs a constant or sum-of-exponentials kernel"
             )
         # general kernel: quadratic-cost history convolution
-        step = "history"
         kvals = kernel.eval(dt * np.arange(1, n_steps + 1))
         B_hist = np.zeros((n_steps, block))
-    else:
-        weights, rates = form
-        if scheme == "markov_lift":
-            step = "lift"
-            factors = 1.0 - rates * dt
-            Y = np.zeros((len(rates), block))
-        elif not np.any(rates):
-            # constant kernel: the per-rate recursion reduces to a running sum
-            step = "sum"
-            level = weights.sum()
-            S = np.zeros(block)
-        else:
-            step = "exp"
-            decay = np.exp(-rates * dt)
-            Z = np.zeros((len(rates), block))
 
+        def history(k, B):
+            B_hist[k] = B
+            return kvals[k::-1] @ B_hist[: k + 1]
+
+        return history
+    weights, rates = form
+    if scheme == "conv_euler" and not np.any(rates):
+        # constant kernel: the per-rate recursion reduces to a running sum
+        level = weights.sum()
+        S = np.zeros(block)
+
+        def running_sum(k, B):
+            nonlocal S
+            S += B
+            return level * S
+
+        return running_sum
+    state = np.zeros((len(rates), block))
+    if scheme == "markov_lift":
+        factors = (1.0 - rates * dt)[:, None]
+
+        def lift(k, B):
+            nonlocal state
+            state *= factors
+            state += B
+            return weights @ state
+
+        return lift
+    decay = np.exp(-rates * dt)[:, None]
+
+    def exact_exp(k, B):
+        nonlocal state
+        state += B
+        state *= decay
+        return weights @ state
+
+    return exact_exp
+
+
+def _advance_block(model, conv, dW, dt, levels=None):
+    """Run one block of paths; returns (terminal X, hit side, hit time).
+
+    levels = (lo, hi) are the hit levels (None: no hit detection).  hit side
+    is -1 / 0 / +1 for left / none / right.  Paths freeze at their hit value.
+    """
+    block, n_steps = dW.shape
+    x0 = float(model.x0)
+    X = np.full(block, x0)
+    active = np.ones(block, dtype=bool)
+    hit_side = np.zeros(block, dtype=np.int8)
+    hit_time = np.full(block, np.nan)
     for k in range(n_steps):
         Xh = model.truncate(X)
         B = model.drift(Xh) * dt + model.diffusion(Xh) * dW[:, k]
         B[~active] = 0.0
-        if step == "lift":
-            Y = factors[:, None] * Y + B[None, :]
-            X_new = x0 + weights @ Y
-        elif step == "sum":
-            S = S + B
-            X_new = x0 + level * S
-        elif step == "exp":
-            Z = decay[:, None] * (Z + B[None, :])
-            X_new = x0 + weights @ Z
-        else:
-            B_hist[k] = B
-            X_new = x0 + kvals[k::-1] @ B_hist[: k + 1]
-        X_new = np.where(active, X_new, X)
-        if detect_hits:
-            if math.isfinite(l):
-                left = X_new <= l + hit_eps
-            else:
-                left = X_new <= -blowup_cap
-            if math.isfinite(r):
-                right = X_new >= r - hit_eps
-            else:
-                right = X_new >= blowup_cap
-            newly_left = active & left
-            newly_right = active & right & ~newly_left
-            t_now = (k + 1) * dt
+        X_new = np.where(active, x0 + conv(k, B), X)
+        if levels is not None:
+            newly_left = active & (X_new <= levels[0])
+            newly_right = active & (X_new >= levels[1]) & ~newly_left
             hit_side[newly_left] = -1
             hit_side[newly_right] = 1
-            hit_time[newly_left | newly_right] = t_now
+            hit_time[newly_left | newly_right] = (k + 1) * dt
             active = active & ~(newly_left | newly_right)
         X = X_new
     return X, hit_side, hit_time
@@ -239,30 +234,25 @@ def simulate(model, kernel, config):
         )
     n_steps = config.n_steps
     n_paths = config.n_paths
+    l, r = model.interval
+    levels = (
+        l + hit_eps if math.isfinite(l) else -config.blowup_cap,
+        r - hit_eps if math.isfinite(r) else config.blowup_cap,
+    )
     X = np.empty(n_paths)
     hit_side = np.empty(n_paths, dtype=np.int8)
     hit_time = np.empty(n_paths)
-
-    starts = list(range(0, n_paths, _BLOCK))
-
-    def run(start):
-        block = min(_BLOCK, n_paths - start)
-        dW = _block_noise(config.seed, start, block, n_steps, config.dt)
-        return start, _advance_block(
-            model, kernel, config.scheme, dW, config.dt, hit_eps, config.blowup_cap
+    for start in range(0, n_paths, _BLOCK):
+        stop = min(start + _BLOCK, n_paths)
+        # neither the noise nor the convolution state is bound to a name
+        # here, so both are freed before the next block allocates its own
+        X[start:stop], hit_side[start:stop], hit_time[start:stop] = _advance_block(
+            model,
+            _convolver(kernel, config.scheme, config.dt, n_steps, stop - start),
+            _block_noise(config.seed, start, stop - start, n_steps, config.dt),
+            config.dt,
+            levels,
         )
-
-    threads = _thread_count()
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
-    for start, (bx, bs, bt) in results:
-        stop = start + len(bx)
-        X[start:stop] = bx
-        hit_side[start:stop] = bs
-        hit_time[start:stop] = bt
 
     n_left = int(np.sum(hit_side == -1))
     n_right = int(np.sum(hit_side == 1))
@@ -299,13 +289,9 @@ def simulate(model, kernel, config):
     )
 
 
-def _observed_fraction(report, boundary):
-    name = getattr(boundary, "value", boundary)
-    if name == "Left":
-        return report.hit_fraction_left
-    if name == "Right":
-        return report.hit_fraction_right
-    return report.hit_fraction
+# one-sided bound verdicts speak about their own side, whatever boundary
+# they carry
+_BOUND_SIDE = {"SupBoundedAS": "Right", "InfBoundedAS": "Left"}
 
 
 def verdict_crosscheck(verdicts, report, leak_tol=0.02, floor_tol=0.05):
@@ -329,39 +315,36 @@ def verdict_crosscheck(verdicts, report, leak_tol=0.02, floor_tol=0.05):
         verdicts = list(verdicts)
     except TypeError:
         verdicts = [verdicts]
+    fractions = {
+        "Left": report.hit_fraction_left,
+        "Right": report.hit_fraction_right,
+        "Both": report.hit_fraction,
+    }
     checks = []
-    consistent = True
     for bv in verdicts:
         name = getattr(bv.verdict, "value", bv.verdict)
+        boundary = getattr(bv.boundary, "value", bv.boundary)
+        observed = fractions[_BOUND_SIDE.get(name, boundary)]
         if name in ("NoExitAS", "SupBoundedAS", "InfBoundedAS"):
-            if name == "SupBoundedAS":
-                observed = report.hit_fraction_right
-            elif name == "InfBoundedAS":
-                observed = report.hit_fraction_left
-            else:
-                observed = _observed_fraction(report, bv.boundary)
             status = "agree" if observed <= leak_tol else "contradict"
             tol = leak_tol
         elif name == "ExitsWithPositiveProb":
-            observed = _observed_fraction(report, bv.boundary)
             status = "agree" if observed >= floor_tol else "unresolved"
             tol = floor_tol
         else:
-            observed = _observed_fraction(report, bv.boundary)
             status = "skipped"
             tol = math.nan
-        if status == "contradict":
-            consistent = False
         checks.append(
             {
                 "verdict": name,
-                "boundary": getattr(bv.boundary, "value", bv.boundary),
+                "boundary": boundary,
                 "theorem": bv.theorem,
                 "observed": float(observed),
                 "tolerance": float(tol),
                 "status": status,
             }
         )
+    consistent = all(check["status"] != "contradict" for check in checks)
     return {"consistent": consistent, "checks": checks}
 
 
@@ -390,11 +373,9 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
         factor = int(round(factor))
         n_coarse = n_fine // factor
         dW = dW_fine[:, : n_coarse * factor].reshape(n_paths, n_coarse, factor).sum(axis=2)
-        x_conv, _, _ = _advance_block(
-            model, kernel, "conv_euler", dW, dt, 0.0, math.inf, detect_hits=False
-        )
-        x_lift, _, _ = _advance_block(
-            model, kernel, "markov_lift", dW, dt, 0.0, math.inf, detect_hits=False
+        x_conv, x_lift = (
+            _advance_block(model, _convolver(kernel, scheme, dt, n_coarse, n_paths), dW, dt)[0]
+            for scheme in _SCHEMES
         )
         rows.append({"dt": dt, "max_terminal_gap": float(np.max(np.abs(x_conv - x_lift)))})
     return rows

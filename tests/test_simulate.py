@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -51,15 +52,16 @@ def test_simulate_is_bit_reproducible(cir_111, unit_kernel):
     assert c != a
 
 
-def test_thread_count_does_not_change_results(cir_111, unit_kernel, monkeypatch):
-    # 600 paths split into two blocks; blocking and threading must not leak
-    # into the noise stream
+def test_blocking_does_not_change_results(cir_111, unit_kernel, monkeypatch):
+    # 600 paths run as two blocks, then as one; blocking must not leak into
+    # the noise stream or the per-block state
     cfg = SimConfig(dt=0.05, horizon=0.5, n_paths=600, seed=3)
-    monkeypatch.setenv("VOLTERRA_FELLER_THREADS", "1")
-    serial = simulate(cir_111, unit_kernel, cfg)
-    monkeypatch.setenv("VOLTERRA_FELLER_THREADS", "4")
-    threaded = simulate(cir_111, unit_kernel, cfg)
-    assert serial == threaded
+    two_blocks = simulate(cir_111, unit_kernel, cfg)
+    # the package's ``simulate`` attribute is the function, not the module
+    module = importlib.import_module("volterra_feller.simulate")
+    monkeypatch.setattr(module, "_BLOCK", 1024)
+    one_block = simulate(cir_111, unit_kernel, cfg)
+    assert two_blocks == one_block
 
 
 def test_schemes_coincide_for_constant_kernels(cir_111, unit_kernel):
