@@ -29,12 +29,14 @@ that has every requested point as an edge.  Panels are halved until E and
 -E - log sigma~^2 each move at most about one nat across their 12 Gauss
 nodes; there the partial integrals to the nodes come from the Gauss
 integration matrix S[j, k] = int_{-1}^{t_j} l_k (spectral integration),
-applied to the integrand divided by its panel maximum.  Panels touching a
-finite endpoint or an interior zero of sigma, and panels whose spread
-more halving would not resolve, integrate to each node on sub-panels
-graded from both ends instead.  The base grid is doubled from 64 panels
-until the requested quantity agrees between rounds at every point
-(``quad_tol`` in log space, or ``NumericError``).
+applied to the integrand divided by its panel maximum; panels that more
+halving would not resolve integrate on sub-panels graded from both ends.
+A leg reaching a singular point s (a finite endpoint or an interior zero
+of sigma) halves its way toward s, and the panel touching s integrates a
+power law C |y - s|^beta fitted to each log integrand at its nodes.  The
+base grid, and with it the depth toward s, is doubled from 64 panels until
+the requested quantity agrees between rounds at every point (``quad_tol``
+in log space, or ``NumericError``).
 
 Each built-in model family keeps its closed forms on its own class, and
 ``ScaleContext`` and ``feller.family_test`` use whichever a model has:
@@ -43,7 +45,7 @@ Each built-in model family keeps its closed forms on its own class, and
   ``shift`` the beta-or-gamma value at each y;
 * ``limit_rule(which, target, k0, ratio, shift)``: (kind, evidence) for the
   limit of v or |p| at one boundary under that side's shift;
-* ``interior_singularities()``: interior zeros of sigma, graded like
+* ``interior_singularities()``: interior zeros of sigma, treated like
   endpoints;
 * ``family_verdicts(k0, kp0, emit)``: the family's printed inequalities,
   emitted as (boundary, verdict, theorem, evidence) with string names.
@@ -91,6 +93,23 @@ _ORDER = 12  # Gauss nodes per sweep panel
 _NAT = 1.0  # largest move of an integrand's log across a resolved panel's nodes
 _MAX_BISECTIONS = 8  # halving rounds before a panel falls back to graded quadrature
 DIVERGENCE_CAP = 1e12  # a sampled or staged value at or above this counts as divergent
+
+
+def _power_law_integrals(log_f, x, x_a, x_b):
+    # logs of int C |y - s|^beta from a to each node and to b, for the least
+    # squares fit log f = log C + beta x at the nodes' x = log |y - s|, with
+    # x_a, x_b those of a and b.  The sweep reads a value at s only where it
+    # is finite, so a range reaching s (x = -inf) under beta <= -1 is a
+    # misfit: nan, which forces another doubling round, where +inf in two
+    # rounds would settle as a divergence
+    xc = x - x.mean(axis=1, keepdims=True)
+    beta = np.sum(xc * log_f, axis=1, keepdims=True) / np.sum(xc * xc, axis=1, keepdims=True)
+    log_c = log_f.mean(axis=1, keepdims=True) - beta * x.mean(axis=1, keepdims=True)
+    g1, g2 = (beta + 1.0) * x_a[:, None], (beta + 1.0) * np.column_stack([x, x_b])
+    top = np.maximum(g1, g2)
+    out = log_c - np.log(np.abs(beta + 1.0)) + top + np.log(-np.expm1(np.minimum(g1, g2) - top))
+    out = np.where(top < np.inf, out, np.nan)
+    return out[:, :-1], out[:, -1]
 
 
 def _require(cond, msg):
@@ -393,9 +412,10 @@ class LimitResult:
     value : limit estimate for finite kinds when one is computable
     method : 'closed' (exponent arithmetic) or 'sample' (geometric sampling)
     evidence : exponents or the sampled sequence backing the call; sampled
-        limits also carry the sweep's effort: ``base_panels`` at
-        convergence, ``doubling_rounds`` (sweeps run) and ``last_max_delta``
-        (largest |change| of the log values between the last two rounds)
+        limits, and closed ones valued at a finite endpoint, also carry the
+        sweep's effort: ``base_panels`` at convergence, ``doubling_rounds``
+        (sweeps run) and ``last_max_delta`` (largest |change| of the log
+        values between the last two rounds)
     """
 
     kind: str
@@ -561,16 +581,9 @@ class ScaleContext:
 
     def _interior_singularities(self):
         # interior zeros of sigma a model declares; none for custom models
-        found = getattr(self.model, "interior_singularities", None)
-        return found() if found is not None else ()
+        return getattr(self.model, "interior_singularities", tuple)()
 
-    def _singular_points(self):
-        # finite endpoints and interior zeros of sigma: next to one, the
-        # integrands keep a power law that no amount of halving resolves
-        l, r = self.model.interval
-        return [s for s in (l, r, *self._interior_singularities()) if math.isfinite(s)]
-
-    def _edges(self, lo, hi, n_panels, rel_first):
+    def _edges(self, lo, hi, n_panels, rel_first=1e-7):
         half = max(n_panels // 2, 8)
         parts = [
             outward_edges(lo, hi, half, rel_first),
@@ -582,11 +595,6 @@ class ScaleContext:
             parts.append(np.geomspace(lo, hi, half))
         elif hi < 0.0 and lo <= 16.0 * hi:
             parts.append(-np.geomspace(-hi, -lo, half))
-        for s in self._interior_singularities():
-            if lo < s < hi:
-                q = max(n_panels // 4, 8)
-                parts.append(outward_edges(lo, s, q, rel_first))
-                parts.append(outward_edges(hi, s, q, rel_first))
         return np.unique(np.concatenate(parts))
 
     def _node_values(self, a, b, inner):
@@ -603,22 +611,20 @@ class ScaleContext:
         g = 2.0 * self.b_tilde_shifted(y) / self.sigma_tilde_sq(y)
         return y, -half[:, None] * (g @ gl_integration_matrix(_ORDER).T), log_sig, -half * (g @ w)
 
-    def _refine(self, a, b, inner):
+    def _refine(self, a, b, inner, ends):
         # Halve panels until E (and, for inner sweeps, -E - log sigma~^2)
         # moves at most _NAT across the nodes; the 12-node interpolant of an
         # exponential that moves one nat is good to about 1e-14, and the
         # base-grid doubling in _stabilized checks what the spread misses.
-        # Panels touching a singular point, and panels the rounds left
-        # could not bring under _NAT, are flagged for graded quadrature.
+        # Flagged: panels touching a singular point in ends, never halved,
+        # and panels the rounds could not bring under _NAT.
         vals = self._node_values(a, b, inner)
-        singular = self._singular_points()
-        fallback = np.isin(a, singular) | np.isin(b, singular)
+        fallback = np.isin(a, ends) | np.isin(b, ends) if ends else np.zeros(len(a), dtype=bool)
         for left in range(_MAX_BISECTIONS, -1, -1):
             _, e, log_sig, _ = vals
-            with np.errstate(invalid="ignore"):
-                spread = np.ptp(e, axis=1)
-                if inner:
-                    spread = np.maximum(spread, np.ptp(-e - log_sig, axis=1))
+            spread = np.ptp(e, axis=1)
+            if inner:
+                spread = np.maximum(spread, np.ptp(-e - log_sig, axis=1))
             over = ~(spread <= _NAT) & ~fallback
             fallback |= over & ~(spread <= _NAT * 2.0**left)
             split = over & ~fallback
@@ -644,12 +650,13 @@ class ScaleContext:
             vals = tuple(spliced)
         return a, b, vals, fallback
 
-    def _advance(self, a, b, state, inner):
+    def _advance(self, a, b, state, inner, ends):
         # integrate panels a -> b (outward from c) on from state = (E, log I,
         # log p, log v) at a[0]; returns the refined panel ends and the state
-        # at each of them (E only for custom models, I and v only if inner)
+        # at each of them (E only for custom models, I and v only if inner);
+        # panels touching a point in ends integrate fitted power laws
         e0, i0, p0, v0 = state
-        a, b, (y, e, log_sig, de), fallback = self._refine(a, b, inner)
+        a, b, (y, e, log_sig, de), fallback = self._refine(a, b, inner, ends)
         _, w = gl_rule(_ORDER)
         log_w = np.log(w)
         log_half = np.log(np.abs(0.5 * (b - a)))
@@ -659,15 +666,22 @@ class ScaleContext:
             e_b = e0 + np.cumsum(de)
             e_a = np.concatenate([[e0], e_b[:-1]])
             e = e + e_a[:, None]
-        with np.errstate(invalid="ignore"):
-            p_b = np.logaddexp.accumulate(
-                np.concatenate([[p0], logsumexp(e + log_w, axis=1) + log_half])
-            )[1:]
+        graded = fallback
+        if ends:
+            at_a = np.isin(a, ends)
+            end = at_a | np.isin(b, ends)
+            graded = fallback & ~end
+            s = np.where(at_a, a, b)[end]
+            # log distances from s of the nodes, of a and of b
+            dist = (np.log(np.abs(y[end] - s[:, None])), np.log(np.abs(a[end] - s)),
+                    np.log(np.abs(b[end] - s)))
+        p_inc = logsumexp(e + log_w, axis=1) + log_half
+        if ends:
+            p_inc[end] = _power_law_integrals(e[end], *dist)[1]
+        p_b = np.logaddexp.accumulate(np.concatenate([[p0], p_inc]))[1:]
         if not inner:
             return b, e_b, nan, p_b, nan
-        with np.errstate(invalid="ignore"):
-            log_h = -e - log_sig
-        log_h[np.isnan(log_h)] = -np.inf  # see _log_inner_intervals
+        log_h = -e - log_sig
         part = np.empty_like(e)
         total = np.empty(len(b))
         fine = ~fallback
@@ -678,7 +692,7 @@ class ScaleContext:
             scale = top + log_half[fine]
             part[fine] = scale[:, None] + np.log(h @ gl_integration_matrix(_ORDER).T)
             total[fine] = scale + np.log(h @ w)
-        for i in np.flatnonzero(fallback):
+        for i in np.flatnonzero(graded):
             if de is None:
                 exponent = self._exponent_batch
             else:
@@ -688,39 +702,58 @@ class ScaleContext:
                 np.full(_ORDER + 1, a[i]), np.append(y[i], b[i]), exponent
             )
             part[i], total[i] = vals[:-1], vals[-1]
+        if ends:
+            part[end], total[end] = _power_law_integrals(log_h[end], *dist)
         i_b = np.logaddexp.accumulate(np.concatenate([[i0], total]))
         log_i = np.logaddexp(i_b[:-1, None], part)
-        with np.errstate(invalid="ignore"):
-            v_inc = _LOG2 + logsumexp(e + log_i + log_w, axis=1) + log_half
+        v_inc = _LOG2 + logsumexp(e + log_i + log_w, axis=1) + log_half
+        if ends:
+            v_inc[end] = _LOG2 + _power_law_integrals(e[end] + log_i[end], *dist)[1]
         v_b = np.logaddexp.accumulate(np.concatenate([[v0], v_inc]))[1:]
         return b, e_b, i_b[1:], p_b, v_b
 
-    def _sweep(self, xs, n_panels, rel_first=1e-7, inner=True, field="log_v", stop=math.inf):
+    def _sweep(self, xs, n_panels, inner=True, field="log_v", stop=math.inf):
         """(E, log I, log p, log v) at xs by one cumulative pass from c.
 
         xs lie on one side of c.  The grid is ``_edges`` from c to the
-        farthest x with every x as an edge.  The pass runs outward in chunks
-        of 1, 2, 4, ... requested points and ends after the chunk in which
-        ``field`` first reaches ``stop``; points beyond read nan.
+        farthest x with every x as an edge, plus, for each singular point s
+        on the leg [lo, hi], s itself and s -+ (hi - lo) 2^-k for k = 1 ..
+        n_panels / 4 down to 2^-36 |s| (1e-300 at s = 0), short of the float
+        resolution of y - s.  The pass runs outward in chunks of 1, 2, 4, ...
+        requested points and ends after the chunk in which ``field`` first
+        reaches ``stop``; points beyond read nan.
         """
         xs = np.asarray(xs, dtype=float)
         uniq, inv = np.unique(xs, return_inverse=True)
         far = xs[np.argmax(np.abs(xs - self.c))]
         lo, hi = (self.c, far) if far > self.c else (far, self.c)
-        edges = np.union1d(self._edges(lo, hi, n_panels, rel_first), uniq)
+        # finite endpoints and interior zeros of sigma on the leg: next to
+        # one, the integrands keep a power law that no halving resolves
+        ends = tuple(s for s in (*self.model.interval, *self._interior_singularities())
+                     if lo <= s <= hi)
+        parts = [self._edges(lo, hi, n_panels), uniq]
+        for s in ends:
+            d = (hi - lo) * 0.5 ** np.arange(1, n_panels // 4 + 1)
+            d = d[d >= max(2.0**-36 * abs(s), 1e-300)]
+            parts.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
+        edges = np.unique(np.concatenate(parts))
         if far < self.c:
             uniq, inv, edges = uniq[::-1], len(uniq) - 1 - inv, edges[::-1]
-        ends = np.flatnonzero(np.isin(edges, uniq))
+        at = np.flatnonzero(np.isin(edges, uniq))
         out = np.full((4, len(uniq)), np.nan)
         row = _Sweep._fields.index(field)
         state = (0.0, -np.inf, -np.inf, -np.inf)
         done, start, chunk = 0, 0, 1
         while done < len(uniq) and not np.any(out[row, :done] >= stop):
             upto = min(done + chunk, len(uniq))
-            end = ends[upto - 1]
-            b, *cols = self._advance(edges[start:end], edges[start + 1:end + 1], state, inner)
-            at = np.isin(b, uniq[done:upto])
-            out[:, done:upto] = [col[at] for col in cols]
+            end = at[upto - 1]
+            # nan (a misfit end panel) and log 0 are values; _stabilized judges them
+            with np.errstate(invalid="ignore", divide="ignore"):
+                b, *cols = self._advance(
+                    edges[start:end], edges[start + 1:end + 1], state, inner, ends
+                )
+            hit = np.isin(b, uniq[done:upto])
+            out[:, done:upto] = [col[hit] for col in cols]
             state = tuple(col[-1] for col in cols)
             done, start, chunk = upto, end, 2 * chunk
         if self._closed_exponent:
@@ -734,17 +767,13 @@ class ScaleContext:
         # interval, concentrating in an endpoint layer of width 1/|E'|;
         # sub-edges are graded geometrically from both ends starting at that
         # resolvable scale, so plain Gauss sees at most a few nats of
-        # variation per sub-panel.  An end where b~_c and sigma~ both vanish
-        # (0/0) reads as infinitely steep, so it gets the finest grading.
+        # variation per sub-panel.
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         span = hi - lo
-        with np.errstate(all="ignore"):
-            g_lo = np.abs(2.0 * self.b_tilde_shifted(lo) / self.sigma_tilde_sq(lo))
-            g_hi = np.abs(2.0 * self.b_tilde_shifted(hi) / self.sigma_tilde_sq(hi))
-            g = np.fmax(np.nan_to_num(np.maximum(g_lo, g_hi), nan=np.inf), 1.0)
-            rel0 = np.where(span != 0.0, 1.0 / (g * np.abs(span)), 1.0)
-        rel0 = np.clip(rel0, 1e-13, 0.5)
+        pair = np.stack([lo, hi])
+        g = np.max(np.abs(2.0 * self.b_tilde_shifted(pair) / self.sigma_tilde_sq(pair)), axis=0)
+        rel0 = np.clip(1.0 / (np.fmax(g, 1.0) * np.abs(span)), 1e-13, 0.5)
         n_dbl = int(min(45, max(4, math.ceil(-math.log2(float(np.min(rel0)))))))
         ladder = np.minimum(rel0[..., None] * 2.0 ** np.arange(n_dbl + 1), 0.5)
         ladder = np.concatenate([np.zeros(ladder.shape[:-1] + (1,)), ladder], axis=-1)
@@ -756,42 +785,20 @@ class ScaleContext:
         x8, w8 = gl_rule(8)
         z = mid[..., None] + half[..., None] * x8
         e_z = exponent(z.ravel()).reshape(z.shape)
-        with np.errstate(invalid="ignore"):
-            log_h = -e_z - self._log_sigma_tilde_sq(z.ravel()).reshape(z.shape)
-        # inf - inf at a node only happens when fp rounding of a graded
-        # sub-panel puts it exactly on a boundary where sigma~ vanishes and
-        # the exponent diverges; there the integrand limit is zero
-        log_h = np.where(np.isnan(log_h), -np.inf, log_h)
-        with np.errstate(divide="ignore"):
-            return logsumexp(
-                log_h + np.log(w8) + np.log(np.abs(half))[..., None], axis=(-2, -1)
-            )
-
-    def _leg_tol_floor(self, x):
-        # a leg crossing (or touching) an interior diffusion zero keeps a
-        # power-law integrand factor there.  On PowerModel(1.5, 0.75, 1, 1)
-        # with K = 1, log v at -1.0 and -0.3 still moves at first order in
-        # the base panel count: 3.4e-7 from 64 to 128 panels, halving per
-        # doubling to 8.8e-9 at 4096 (the max_panels default), so 1e-9 is
-        # out of reach and this floor stops such legs at 128 panels.  Their
-        # remaining 2.6e-6 gap to nested quad is set by the first graded
-        # sub-panel (rel_first), not by the panel count
-        lo, hi = (x, self.c) if x < self.c else (self.c, x)
-        for s in self._interior_singularities():
-            if lo <= s <= hi:
-                return 1e-6
-        return 0.0
+        log_h = -e_z - self._log_sigma_tilde_sq(z.ravel()).reshape(z.shape)
+        return logsumexp(log_h + np.log(w8) + np.log(np.abs(half))[..., None], axis=(-2, -1))
 
     def _stabilized(self, xs, field, stop=math.inf):
         """Sweep with 64, 128, ... base panels until ``field`` agrees between
-        consecutive rounds at every x up to the first at or above ``stop``.
+        consecutive rounds to max(quad_tol, 1e-12) at every x up to the first
+        at or above ``stop``.
 
         Returns the last sweep and its effort: base panels at convergence,
         the number of sweeps run and the largest |change| of ``field`` that
         the tolerance rule judged.
         """
         xs = np.asarray(xs, dtype=float)
-        tol = np.array([max(self.quad_tol, 1e-12, self._leg_tol_floor(x)) for x in xs])
+        tol = max(self.quad_tol, 1e-12)
         prev = None
         first_open = 0
         n_panels = 64
@@ -808,7 +815,7 @@ class ScaleContext:
                     settled = (now == -math.inf) & (before == -math.inf)
                     settled |= np.minimum(now, before) > _LOG_HUGE
                     delta = np.abs(now - before)
-                    ok = settled | (delta <= tol[:m])
+                    ok = settled | (delta <= tol)
                 if ok.all():
                     effort = {
                         "base_panels": n_panels,
@@ -825,21 +832,6 @@ class ScaleContext:
             last_log_value=float(prev[first_open]),
             max_panels=self.max_panels,
         )
-
-    def _log_target_at_boundary(self, boundary, target):
-        # graded integration all the way to a finite endpoint; accuracy is
-        # limited by float resolution of (y - boundary), so the stop rule is
-        # loose and the result is informational (the kind is decided by the
-        # closed-form exponents, not by this number)
-        field = "log_v" if target == "v" else "log_p"
-        prev = None
-        for n_panels, rel in ((128, 1e-7), (256, 1e-10), (512, 1e-13), (1024, 1e-13)):
-            sweep = self._sweep([boundary], n_panels, rel, inner=target == "v")
-            cur = float(getattr(sweep, field)[0])
-            if prev is not None and (abs(cur - prev) <= 1e-3 or min(cur, prev) > _LOG_HUGE):
-                return cur
-            prev = cur
-        return prev
 
     # -- public evaluations ----------------------------------------------------
 
@@ -929,8 +921,9 @@ class ScaleContext:
         All sample points are read off one outward sweep from c, which
         stops after the first point whose value reaches DIVERGENCE_CAP; the
         base grid is doubled until every point up to that one agrees
-        between rounds.  A finite closed limit at a finite endpoint gets its
-        value from a sweep that runs to the endpoint itself.
+        between rounds.  A finite closed limit at a finite endpoint takes its
+        value, to ``quad_tol``, and the effort keys from a sweep that runs
+        to the endpoint itself; the value is None if that does not converge.
         """
         if which not in ("left", "right"):
             raise ValueError(f"which must be 'left' or 'right', got {which!r}")
@@ -951,24 +944,27 @@ class ScaleContext:
 
     def _closed_limit(self, which, target):
         # the model's rule decides the kind; a finite limit at a finite
-        # endpoint also gets its value by graded integration
+        # endpoint also gets its value, with that sweep's effort
         shift = self.beta if which == "left" else self.gamma
         kind, ev = self.model.limit_rule(which, target, self._k0, self._ratio, shift)
         l, r = self.model.interval
         boundary = l if which == "left" else r
         value = None
         if kind == "finite" and math.isfinite(boundary):
-            value = self._boundary_value(boundary, target)
+            value, effort = self._boundary_value(boundary, target)
+            ev = {**ev, **effort}
         return LimitResult(kind, value, "closed", ev)
 
     def _boundary_value(self, boundary, target):
+        # (value, effort) of a sweep run to the endpoint itself; (None, {})
+        # when it does not meet quad_tol within max_panels
+        field = "log_v" if target == "v" else "log_p"
         try:
-            log_val = self._log_target_at_boundary(boundary, target)
-        except (NumericError, FloatingPointError):
-            return None
-        if log_val is None:
-            return None
-        return math.exp(log_val) if log_val <= _LOG_HUGE else math.inf
+            sweep, effort = self._stabilized([boundary], field)
+        except NumericError:
+            return None, {}
+        log_val = float(getattr(sweep, field)[0])
+        return (math.exp(log_val) if log_val <= _LOG_HUGE else math.inf), effort
 
     def _approach(self, which, count):
         # x_1..x_count marching to a boundary: boundary +- |c - boundary| 2^-n

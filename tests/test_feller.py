@@ -220,6 +220,14 @@ def test_bounded_interval_preconditions(unit_kernel, sloped_kernel):
         )
 
 
+def test_bounded_interval_integrability_ladder_sees_divergence(sloped_kernel):
+    # sigma~^2 = x on (0, 2): 1/sigma~^2 is not integrable at 0, which the
+    # deepening masses of the edge-graded grid must show
+    model = CustomModel(lambda x: 1.0 - x, np.sqrt, (0.0, 2.0), 1.0)
+    with pytest.raises(PreconditionError, match="integrab"):
+        bounded_interval_test(ScaleContext(model, sloped_kernel))
+
+
 def test_sup_inf_classical_cir(unit_kernel):
     # 2 kappa theta < sigma^2: trajectories stay a.s. bounded above
     ctx = ScaleContext(CIRModel(0.25, 0.25, 1.0, 0.2), unit_kernel)

@@ -16,7 +16,7 @@ from volterra_feller import (
     SumOfExponentialsKernel,
 )
 from volterra_feller._quad import outward_edges
-from volterra_feller.errors import PreconditionError
+from volterra_feller.errors import NumericError, PreconditionError
 
 
 # ---------------------------------------------------------------- models
@@ -329,6 +329,71 @@ def test_sampled_evidence_reports_sweep_effort(unit_kernel):
         assert "exponent" not in ev  # the verdict layer keys closed limits on it
 
 
+def _cir_zero_oracle(ctx):
+    # p and v at 0 by scipy quad after y = c u^(1/(1-e)) for p' and
+    # z = c w^(1/e) for the inner integrand, which make the power laws
+    # y^-e and z^(e-1) of both at 0 smooth: with lin the slope of the
+    # linear part of -E, p' dy = c/(1-e) exp(-lin (y - c)) du and
+    # dz / (p' sigma~^2) = exp(lin (z - c)) dw / (e (K0 sigma)^2)
+    m, c, k0 = ctx.model, ctx.c, ctx.k0
+    cc = 2.0 / (k0 * m.sigma) ** 2
+    e = cc * (k0 * m.kappa * m.theta + ctx.beta * ctx.kprime0 / k0)
+    lin = cc * (ctx.kprime0 / k0 - k0 * m.kappa)
+
+    def inner(y):
+        val = quad(lambda w: math.exp(lin * c * (w ** (1.0 / e) - 1.0)), (y / c) ** e, 1.0,
+                   epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return val / (e * (k0 * m.sigma) ** 2)
+
+    def outer(u, weight):
+        y = c * u ** (1.0 / (1.0 - e))
+        return c / (1.0 - e) * math.exp(-lin * (y - c)) * weight(y)
+
+    p = quad(outer, 0.0, 1.0, args=(lambda y: 1.0,), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    v = 2.0 * quad(outer, 0.0, 1.0, args=(inner,), epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return p, v
+
+
+@pytest.mark.parametrize("expo", [0.3, 0.85, 0.95])
+@pytest.mark.parametrize("kernel", ["flat", "exp"])
+def test_cir_closed_finite_values_at_zero_match_quad(expo, kernel, unit_kernel, sloped_kernel):
+    # 2 kappa theta / (K0 sigma^2) = expo < 1: v and |p| are finite at 0, and
+    # the values come from one sweep run to 0 itself
+    ctx = ScaleContext(CIRModel(1.0, expo / 2.0, 1.0, 1.0),
+                       unit_kernel if kernel == "flat" else sloped_kernel)
+    p_want, v_want = _cir_zero_oracle(ctx)
+    for target, want in (("p", p_want), ("v", v_want)):
+        res = ctx.boundary_limit("left", target=target)
+        assert (res.kind, res.method) == ("finite", "closed")
+        assert res.value == pytest.approx(want, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    kappa=st.floats(0.2, 3.0),
+    sigma=st.floats(0.3, 2.0),
+    expo=st.floats(0.05, 0.97),
+    c=st.floats(0.2, 2.0),
+)
+def test_cir_scale_at_zero_matches_quad(kappa, sigma, expo, c):
+    # theta is set by the exponent 2 kappa theta / sigma^2 of p' ~ y^-expo
+    ctx = ScaleContext(CIRModel(kappa, expo * sigma**2 / (2.0 * kappa), sigma, c),
+                       ConstantKernel(1.0))
+    res = ctx.boundary_limit("left", target="p")
+    assert res.value == pytest.approx(_cir_zero_oracle(ctx)[0], rel=1e-9)
+
+
+def test_closed_finite_limit_reports_sweep_effort(unit_kernel):
+    ctx = ScaleContext(CIRModel(1.0, 0.125, 1.0, 1.0), unit_kernel)
+    ev = ctx.boundary_limit("left").evidence
+    assert ev["exponent"] == pytest.approx(0.25)
+    assert ev["base_panels"] == 64 * 2 ** (ev["doubling_rounds"] - 1)
+    assert ev["doubling_rounds"] >= 2
+    assert 0.0 <= ev["last_max_delta"] <= ctx.quad_tol
+    # a divergent closed limit runs no sweep
+    assert "base_panels" not in ctx.boundary_limit("right").evidence
+
+
 def test_power_right_sampled_limit_is_pinned(unit_kernel):
     # alpha <= 1 + delta has no closed rule, so 'auto' samples; the values
     # are those of the per-point quadrature the sweep replaced
@@ -341,22 +406,83 @@ def test_power_right_sampled_limit_is_pinned(unit_kernel):
 
 
 def test_power_leg_across_interior_zero_is_pinned(unit_kernel):
-    # sigma vanishes at 0; the panels touching it keep graded quadrature.
-    # v is pinned to nested scipy quad values
+    # sigma vanishes at 0; the panels touching it integrate fitted power
+    # laws.  v is pinned to nested scipy quad values
     ctx = ScaleContext(PowerModel(1.5, 0.5, 1.0, 1.0), unit_kernel)
     assert ctx.v(-1.0) == pytest.approx(13.1842466855599, rel=1e-9)
     assert ctx.v(-0.3) == pytest.approx(3.860375707924967, rel=1e-9)
     assert ctx.scale(-1.0) == pytest.approx(-6.00597813154209, rel=1e-6)
 
 
-def test_power_leg_ending_at_zero_of_sigma_is_graded(unit_kernel):
-    # at 0 both b~ and sigma~ vanish; the panel ending there must still be
-    # graded, or these legs converge at first order and never stabilize.
-    # Reference values from nested scipy quad.
-    ctx = ScaleContext(PowerModel(1.5, 0.75, 1.0, 1.0), unit_kernel)
-    assert ctx.v(-1.0) == pytest.approx(28.005143322758, rel=1e-5)
-    assert ctx.v(-0.3) == pytest.approx(6.789972419265, rel=1e-5)
-    assert ctx.v_prime(0.0) == pytest.approx(-9.605511001566, rel=1e-5)
+def _power_oracle(ctx, x, what):
+    # p(x), v(x) or v'(x) (what = "p", "v", "v'") for PowerModel legs from
+    # c > 0 to x <= 0 by nested scipy quad on t = |z|^(1-delta) on each side
+    # of 0, where the |z|^-delta factor of the inner integrand and the
+    # |z|^(1-delta) terms of E turn smooth; E is written out here, not read
+    # from the library
+    m, c, k0, kp0 = ctx.model, ctx.c, ctx.k0, ctx.kprime0
+    d, cc, ratio = m.delta, 2.0 / (k0 * m.sigma) ** 2, kp0 / k0
+    q = 1.0 / (1.0 - d)
+
+    def odd(z, power):
+        return math.copysign(abs(z) ** power / power, z)
+
+    def exponent(z):
+        shift = ctx.beta if z < c else ctx.gamma
+        term = k0 * (odd(z, m.alpha - d + 1.0) - odd(c, m.alpha - d + 1.0))
+        term += ratio * (abs(z) ** (2.0 - d) - c ** (2.0 - d)) / (2.0 - d)
+        term += ratio * shift * (odd(z, 1.0 - d) - odd(c, 1.0 - d))
+        return -cc * term
+
+    def integral(f, lo, hi, singular=False):
+        # int_lo^hi f(z) dz, times |z|^-delta if singular, for lo <= 0 < hi,
+        # as quads in t: dz = q t^(q-1) dt and |z|^-delta = t^(1-q)
+        power = 0.0 if singular else q - 1.0
+
+        def in_t(sign, a, b):
+            return quad(lambda t: f(sign * t**q) * q * t**power, a, b,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        total = in_t(1.0, max(lo, 0.0) ** (1.0 - d), hi ** (1.0 - d))
+        return total if lo >= 0.0 else total + in_t(-1.0, 0.0, (-lo) ** (1.0 - d))
+
+    def inner(y):  # int_y^c 1 / (p' sigma~^2)
+        return integral(lambda z: math.exp(-exponent(z)) / (k0 * m.sigma) ** 2, y, c, True)
+
+    if what == "p":
+        return -integral(lambda y: math.exp(exponent(y)), x, c)
+    if what == "v'":
+        return -2.0 * math.exp(exponent(x)) * inner(x)
+    return 2.0 * integral(lambda y: math.exp(exponent(y)) * inner(y), x, c)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.75, 0.9])
+@pytest.mark.parametrize("kernel", ["flat", "exp_shifted"])
+def test_power_leg_ending_at_zero_of_sigma_is_graded(delta, kernel, unit_kernel, sloped_kernel):
+    # sigma vanishes at 0, where the panel touching it integrates a fitted
+    # power law: legs across 0 and v' at 0 meet quad_tol against nested quad
+    if kernel == "flat":
+        ctx = ScaleContext(PowerModel(1.5, delta, 1.0, 1.0), unit_kernel)
+    else:
+        ctx = ScaleContext(PowerModel(1.5, delta, 1.0, 1.0), sloped_kernel, beta=-1.3, gamma=-0.7)
+    for x in (-1.0, -0.3):
+        assert ctx.v(x) == pytest.approx(_power_oracle(ctx, x, "v"), rel=1e-9)
+    assert ctx.v_prime(0.0) == pytest.approx(_power_oracle(ctx, 0.0, "v'"), rel=1e-9)
+    if delta == 0.9:  # the oracle's own values, pinned so that a change to it shows
+        want = 72.5919443341 if kernel == "flat" else 5.63213217254e22
+        assert ctx.v(-1.0) == pytest.approx(want, rel=1e-11)
+
+
+def test_misfit_end_panel_never_reads_as_divergence(sloped_kernel):
+    # delta = 0.99, shifts 1: near 0+ the inner integrand is about
+    # exp(200 (1 - y^0.01)) y^-0.99 and near 0- p' is about exp(-200 |y|^0.01),
+    # both integrable but steeper than 1/y above |y| ~ 1e-30 (p') and
+    # ~ 1e-230 (inner), so end panels that wide fit beta < -1.  Such fits
+    # must force more rounds, not settle as an infinite p or v'
+    ctx = ScaleContext(PowerModel(1.5, 0.99, 1.0, 1.0), sloped_kernel, beta=1.0, gamma=1.0)
+    assert ctx.scale(-1.0) == pytest.approx(_power_oracle(ctx, -1.0, "p"), rel=1e-9)
+    with pytest.raises(NumericError):  # the inner law fits only at the 4096-panel floor
+        ctx.v_prime(0.0)
 
 
 def test_sampled_limit_on_custom_model():
