@@ -1,5 +1,5 @@
-"""Internal quadrature helpers: panel grids, Gauss-Legendre rules in log
-space, and a cumulative Simpson rule for nonuniform grids."""
+"""Internal quadrature helpers: panel grids, Gauss-Legendre rules and the
+Gauss integration matrix."""
 
 from __future__ import annotations
 
@@ -61,36 +61,3 @@ def panel_nodes(edges: np.ndarray, order: int):
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * x[None, :]
     return pts, np.log(np.abs(half)), np.log(w)
-
-
-def cumulative_simpson(y: np.ndarray, x: np.ndarray):
-    """Cumulative integral of samples (x, y) by composite quadratic panels.
-
-    Needs an even number of panels (odd number of points, >= 3).  Exact for
-    quadratics on arbitrary spacing; O(h^4) otherwise.
-    """
-    n = len(x) - 1
-    if n < 2 or n % 2:
-        raise ValueError("cumulative_simpson needs an even panel count >= 2")
-    x0, x1, x2 = x[0:-1:2], x[1::2], x[2::2]
-    y0, y1, y2 = y[0:-1:2], y[1::2], y[2::2]
-    h0 = x1 - x0
-    h1 = x2 - x1
-    s = h0 + h1
-    first = (
-        y0 * h0 * (2.0 * h0 + 3.0 * h1) / (6.0 * s)
-        + y1 * h0 * (h0 + 3.0 * h1) / (6.0 * h1)
-        - y2 * h0 ** 3 / (6.0 * h1 * s)
-    )
-    second = (
-        y2 * h1 * (2.0 * h1 + 3.0 * h0) / (6.0 * s)
-        + y1 * h1 * (h1 + 3.0 * h0) / (6.0 * h0)
-        - y0 * h1 ** 3 / (6.0 * h0 * s)
-    )
-    out = np.empty_like(x)
-    out[0] = 0.0
-    increments = np.empty(n)
-    increments[0::2] = first
-    increments[1::2] = second
-    np.cumsum(increments, out=out[1:])
-    return out

@@ -43,7 +43,7 @@ from dataclasses import MISSING, fields, is_dataclass
 
 from . import feller
 from .errors import NumericError, PreconditionError
-from .fracapprox import STAND_INS, approximation_error, stand_in_kernel, stand_in_scheme
+from .fracapprox import STAND_INS, _error_rows, stand_in_kernel, stand_in_scheme
 from .kernels import KERNEL_KINDS, kernel_from_dict
 from .resolvent import check_hypotheses, solve_resolvent
 from .scale import CIRModel, JacobiModel, PowerModel, ScaleContext
@@ -431,10 +431,11 @@ def _cmd_approx(args):
                        "ratio": args.ratio, "xi1": args.xi1})
     scheme = stand_in_scheme(args.scheme, args.alpha, size,
                              q=args.q, ratio=args.ratio, xi1=args.xi1)
-    k0, kp0 = stand_in_kernel(scheme).k0_kprime0()
+    kernel = stand_in_kernel(scheme)
+    k0, kp0 = kernel.k0_kprime0()
     a_echo["k0"] = float(k0)
     a_echo["kprime0"] = float(kp0)
-    rows = approximation_error(scheme, t_grid)
+    rows = _error_rows(kernel, scheme.alpha, t_grid)
     echo = {"approx": a_echo, "output": out_cfg}
     _write(echo, {"rows": rows}, rows,
            ("t", "approx", "exact", "abs_error", "rel_error"), out_cfg)

@@ -260,17 +260,21 @@ def approximation_error(scheme, t_grid):
     kernel, and absolute/relative errors.  Lags must be strictly positive; the
     fractional kernel has no value at 0.
     """
+    return _error_rows(stand_in_kernel(scheme), scheme.alpha, t_grid)
+
+
+def _error_rows(kernel, alpha, t_grid):
+    # approximation_error for a stand-in kernel already built
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t.size == 0:
         raise ValueError("t_grid must be nonempty")
     if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
         raise ValueError("lags must be finite and strictly positive")
-    kernel = stand_in_kernel(scheme)
-    galpha = gamma(scheme.alpha)
+    galpha = gamma(alpha)
     rows = []
     for ti in t:
         approx = kernel.eval(ti)
-        exact = ti ** (scheme.alpha - 1.0) / galpha
+        exact = ti ** (alpha - 1.0) / galpha
         err = approx - exact
         rows.append({
             "t": float(ti),

@@ -23,14 +23,15 @@ hundreds of orders of magnitude near boundaries and overflow must degrade
 into +inf values, not NaNs.
 
 p, v and v' at any set of points on one side of c come from one sweep: a
-pass outward from c that carries (E, log I, log p, log v), with I the
-inner antiderivative int_c^x (p' sigma~^2)^(-1), along one graded grid
-that has every requested point as an edge.  Panels are halved until E and
--E - log sigma~^2 each move at most about one nat across their 12 Gauss
-nodes; there the partial integrals to the nodes come from the Gauss
-integration matrix S[j, k] = int_{-1}^{t_j} l_k (spectral integration),
-applied to the integrand divided by its panel maximum; panels that more
-halving would not resolve integrate on sub-panels graded from both ends.
+pass outward from c that carries E and either log p or (log I, log v),
+with I the inner antiderivative int_c^x (p' sigma~^2)^(-1), along one
+graded grid that has every requested point as an edge.  Panels are halved
+until E and -E - log sigma~^2 each move at most about one nat across their
+12 Gauss nodes; there the partial integrals to the nodes come from the
+Gauss integration matrix S[j, k] = int_{-1}^{t_j} l_k (spectral
+integration), applied to the integrand divided by its panel maximum;
+panels that more halving would not resolve integrate on sub-panels graded
+from both ends.
 A leg reaching a singular point s (a finite endpoint or an interior zero
 of sigma) halves its way toward s, and the panel touching s integrates a
 power law C |y - s|^beta fitted to each log integrand at its nodes.  The
@@ -63,7 +64,9 @@ The iterated-integral series u_c = sum_n u_{c,n} built from the recursion
 
 satisfies 1 + v_c <= u_c <= exp(v_c); partial sums of it solve the
 associated second-order equation u = (1/2) sigma~^2 u'' + b~_c u' in the
-limit.  The recursion divides by sigma~ squared throughout.
+limit.  Its first term is v_c, and ``u_series`` carries each later one on
+v's sweep as two more node-to-node partial integrals, under the same
+doubling rule and ``NumericError`` as v.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import logsumexp
 
-from ._quad import cumulative_simpson, gl_integration_matrix, gl_rule, outward_edges
+from ._quad import gl_integration_matrix, gl_rule, outward_edges
 from .errors import NumericError, PreconditionError
 
 __all__ = [
@@ -430,10 +433,12 @@ class _Sweep(NamedTuple):
     log_i: np.ndarray  # log |int_c^x (p' sigma~^2)^(-1)|
     log_p: np.ndarray  # log |p|
     log_v: np.ndarray  # log v
+    log_u: np.ndarray  # log (u_1 + ... + u_n), the series less its 1; log v at n = 1
 
 
 # the checked field's name in NumericError messages
-_QUANTITY = {"log_i": "inner antiderivative", "log_p": "scale", "log_v": "test function"}
+_QUANTITY = {"log_i": "inner antiderivative", "log_p": "scale", "log_v": "test function",
+             "log_u": "series"}
 
 
 @dataclass(frozen=True)
@@ -539,9 +544,7 @@ class ScaleContext:
         return getattr(self.model, "exponent", None) is not None
 
     def _exponent_batch(self, pts):
-        # closed form when the model has one, quadrature otherwise
-        if not self._closed_exponent:
-            return self._exponent_custom(pts, self.c)
+        # the model's closed form
         y = np.asarray(pts, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
             return self.model.exponent(y, self.c, self._k0, self._ratio, self._side_shift(y))
@@ -558,7 +561,7 @@ class ScaleContext:
             out = np.zeros_like(pts)
             for side in (pts > self.c, pts < self.c):
                 if side.any():
-                    out[side] = self._sweep(pts[side], 64, inner=False).e
+                    out[side] = self._sweep(pts[side], 64, "log_p").e
         if np.isscalar(x) or arr.ndim == 0:
             return float(out[0])
         return out.reshape(arr.shape)
@@ -652,10 +655,11 @@ class ScaleContext:
 
     def _advance(self, a, b, state, inner, ends):
         # integrate panels a -> b (outward from c) on from state = (E, log I,
-        # log p, log v) at a[0]; returns the refined panel ends and the state
-        # at each of them (E only for custom models, I and v only if inner);
-        # panels touching a point in ends integrate fitted power laws
-        e0, i0, p0, v0 = state
+        # log p, log v, series) at a[0]; returns the refined panel ends, the
+        # state and log (u_1 + ... + u_n) at each (E only for custom models;
+        # p, or else I, v and u), and the series' (log I_k, log u_k), k >= 2,
+        # at the last; panels touching a point in ends integrate power laws
+        e0, i0, p0, v0, series = state
         a, b, (y, e, log_sig, de), fallback = self._refine(a, b, inner, ends)
         _, w = gl_rule(_ORDER)
         log_w = np.log(w)
@@ -675,12 +679,12 @@ class ScaleContext:
             # log distances from s of the nodes, of a and of b
             dist = (np.log(np.abs(y[end] - s[:, None])), np.log(np.abs(a[end] - s)),
                     np.log(np.abs(b[end] - s)))
-        p_inc = logsumexp(e + log_w, axis=1) + log_half
-        if ends:
-            p_inc[end] = _power_law_integrals(e[end], *dist)[1]
-        p_b = np.logaddexp.accumulate(np.concatenate([[p0], p_inc]))[1:]
         if not inner:
-            return b, e_b, nan, p_b, nan
+            p_inc = logsumexp(e + log_w, axis=1) + log_half
+            if ends:
+                p_inc[end] = _power_law_integrals(e[end], *dist)[1]
+            p_b = np.logaddexp.accumulate(np.concatenate([[p0], p_inc]))[1:]
+            return b, e_b, nan, p_b, nan, nan, series
         log_h = -e - log_sig
         part = np.empty_like(e)
         total = np.empty(len(b))
@@ -706,14 +710,53 @@ class ScaleContext:
             part[end], total[end] = _power_law_integrals(log_h[end], *dist)
         i_b = np.logaddexp.accumulate(np.concatenate([[i0], total]))
         log_i = np.logaddexp(i_b[:-1, None], part)
-        v_inc = _LOG2 + logsumexp(e + log_i + log_w, axis=1) + log_half
-        if ends:
-            v_inc[end] = _LOG2 + _power_law_integrals(e[end] + log_i[end], *dist)[1]
-        v_b = np.logaddexp.accumulate(np.concatenate([[v0], v_inc]))[1:]
-        return b, e_b, i_b[1:], p_b, v_b
+        if not series.size:
+            v_inc = _LOG2 + logsumexp(e + log_i + log_w, axis=1) + log_half
+            if ends:
+                v_inc[end] = _LOG2 + _power_law_integrals(e[end] + log_i[end], *dist)[1]
+            v_b = np.logaddexp.accumulate(np.concatenate([[v0], v_inc]))[1:]
+            return b, e_b, i_b[1:], nan, v_b, v_b, series
 
-    def _sweep(self, xs, n_panels, inner=True, field="log_v", stop=math.inf):
-        """(E, log I, log p, log v) at xs by one cumulative pass from c.
+        # u_k = 2 int p' I_k and I_k = int u_(k-1) / (p' sigma~^2), from I_1 = I
+        # (u_1 is v by the Gauss weights), are carried as logs at the panel
+        # ends and as ratios to those at the nodes, which grow outward, so
+        # the matrix needs no logs.  Next to c, u_k ~ (y - c)^2k outgrows the
+        # 12-node interpolant once 2k > 11: its node partials, clamped at 0,
+        # carry a share of order (panel / |x - c|)^2k of u_k(x).  Graded
+        # panels, rare and judged by the doubling rule, use the matrix too.
+        e_top, h_top = e.max(axis=1), log_h.max(axis=1)
+        pl, hl = np.exp(e - e_top[:, None]), np.exp(log_h - h_top[:, None])
+        partials = np.column_stack([gl_integration_matrix(_ORDER).T, w])  # to nodes, to b
+
+        def outward(first, top, ratio):
+            # log F at the panel ends and F / F(b) at the nodes, for F the
+            # integral of exp(top) ratio on from exp(first) at a[0]
+            g = ratio @ partials
+            scale = top + log_half
+            if ends:
+                fit = _power_law_integrals(top[end, None] + np.log(ratio[end]), *dist)
+                g[end] = np.exp(np.column_stack(fit) - scale[end, None])
+            f_b = np.logaddexp.accumulate(np.concatenate([[first], scale + np.log(g[:, -1])]))
+            lift = np.exp(f_b[:-1] - f_b[1:])
+            part = np.maximum(g[:, :-1], 0.0)
+            return f_b[1:], lift[:, None] + part * np.exp(scale - f_b[1:])[:, None]
+
+        starts = np.column_stack([[i0, v0], series])
+        ik_b, i_ratio = i_b[1:], np.exp(log_i - i_b[1:, None])
+        terms = []
+        for k, (ik0, uk0) in enumerate(starts.T):
+            if k:
+                ik_b, i_ratio = outward(ik0, h_top + uk_b, hl * u_ratio)
+            uk_b, u_ratio = outward(uk0, _LOG2 + e_top + ik_b, pl * i_ratio)
+            starts[:, k] = ik_b[-1], uk_b[-1]
+            terms.append(uk_b)
+        log_u = np.logaddexp.reduce(terms, axis=0)
+        return b, e_b, i_b[1:], nan, terms[0], log_u, starts[:, 1:]
+
+    def _sweep(self, xs, n_panels, field="log_v", stop=math.inf, n_terms=1):
+        """(E, log I, log p, log v, log u) at xs by one cumulative pass from c,
+        with u the first n_terms terms of the series after its 1.  A sweep
+        for ``field`` log_p carries E and p only; any other carries all but p.
 
         xs lie on one side of c.  The grid is ``_edges`` from c to the
         farthest x with every x as an edge, plus, for each singular point s
@@ -740,21 +783,21 @@ class ScaleContext:
         if far < self.c:
             uniq, inv, edges = uniq[::-1], len(uniq) - 1 - inv, edges[::-1]
         at = np.flatnonzero(np.isin(edges, uniq))
-        out = np.full((4, len(uniq)), np.nan)
+        out = np.full((5, len(uniq)), np.nan)
         row = _Sweep._fields.index(field)
-        state = (0.0, -np.inf, -np.inf, -np.inf)
+        state = (0.0, -np.inf, -np.inf, -np.inf, np.full((2, n_terms - 1), -np.inf))
         done, start, chunk = 0, 0, 1
         while done < len(uniq) and not np.any(out[row, :done] >= stop):
             upto = min(done + chunk, len(uniq))
             end = at[upto - 1]
             # nan (a misfit end panel) and log 0 are values; _stabilized judges them
             with np.errstate(invalid="ignore", divide="ignore"):
-                b, *cols = self._advance(
-                    edges[start:end], edges[start + 1:end + 1], state, inner, ends
+                b, *cols, series = self._advance(
+                    edges[start:end], edges[start + 1:end + 1], state, field != "log_p", ends
                 )
             hit = np.isin(b, uniq[done:upto])
             out[:, done:upto] = [col[hit] for col in cols]
-            state = tuple(col[-1] for col in cols)
+            state = (*(col[-1] for col in cols[:4]), series)
             done, start, chunk = upto, end, 2 * chunk
         if self._closed_exponent:
             out[0] = self._exponent_batch(uniq)
@@ -788,10 +831,10 @@ class ScaleContext:
         log_h = -e_z - self._log_sigma_tilde_sq(z.ravel()).reshape(z.shape)
         return logsumexp(log_h + np.log(w8) + np.log(np.abs(half))[..., None], axis=(-2, -1))
 
-    def _stabilized(self, xs, field, stop=math.inf):
+    def _stabilized(self, xs, field, stop=math.inf, n_terms=1):
         """Sweep with 64, 128, ... base panels until ``field`` agrees between
         consecutive rounds to max(quad_tol, 1e-12) at every x up to the first
-        at or above ``stop``.
+        at or above ``stop``; ``n_terms`` series terms ride along.
 
         Returns the last sweep and its effort: base panels at convergence,
         the number of sweeps run and the largest |change| of ``field`` that
@@ -804,7 +847,7 @@ class ScaleContext:
         n_panels = 64
         rounds = 0
         while n_panels <= self.max_panels:
-            sweep = self._sweep(xs, n_panels, inner=field != "log_p", field=field, stop=stop)
+            sweep = self._sweep(xs, n_panels, field, stop, n_terms)
             rounds += 1
             cur = getattr(sweep, field)
             if prev is not None:
@@ -868,36 +911,20 @@ class ScaleContext:
         return mag if x > self.c else -mag
 
     def u_series(self, x, n_terms: int = 8) -> float:
-        """Partial sum sum_{k=0}^{n_terms} u_{c,k}(x) of the iterated series.
-
-        n_terms = 0 returns 1; n_terms = 1 returns 1 + v_c(x) up to grid
-        error.  Intended for x well inside the interval: the fixed grid
-        underneath is not boundary-graded.
+        """Partial sum sum_{k=0}^{n_terms} u_{c,k}(x) of the iterated series;
+        may overflow to +inf.  n_terms = 1 returns exactly 1 + v_c(x): the
+        terms ride v's sweep, doubled until the sum less its 1 agrees between
+        rounds to ``quad_tol`` in log space, else ``NumericError``.
         """
         if not isinstance(n_terms, (int, np.integer)) or n_terms < 0:
             raise ValueError(f"n_terms must be a nonnegative integer, got {n_terms}")
         x = float(x)
         self._check_interior(np.asarray(x))
-        # below ~1e-12 of the base point the 2049-point grid degenerates to
-        # zero-width panels; the series is 1 + O((x-c)^2) there anyway
-        if n_terms == 0 or abs(x - self.c) <= 1e-12 * max(1.0, abs(self.c)):
+        if n_terms == 0 or x == self.c:
             return 1.0
-        pts = np.linspace(self.c, x, 2049)
-        for s in self._interior_singularities():
-            hit = np.abs(pts - s) < 1e-13 * max(abs(x - self.c), 1.0)
-            pts[hit] += 1e-9 * (x - self.c)
-        e_vals = self._exponent_batch(pts)
-        log_sig = self._log_sigma_tilde_sq(pts)
-        with np.errstate(over="ignore"):
-            p_prime = np.exp(np.clip(e_vals, -_LOG_HUGE, _LOG_HUGE))
-            inv_ps = np.exp(np.clip(-e_vals - log_sig, -_LOG_HUGE, _LOG_HUGE))
-        u_prev = np.ones_like(pts)
-        total = 1.0
-        for _ in range(n_terms):
-            inner = cumulative_simpson(u_prev * inv_ps, pts)
-            u_prev = 2.0 * cumulative_simpson(p_prime * inner, pts)
-            total += u_prev[-1]
-        return float(total)
+        sweep, _ = self._stabilized([x], "log_u", n_terms=int(n_terms))
+        log_u = float(sweep.log_u[0])
+        return 1.0 + math.exp(log_u) if log_u <= _LOG_HUGE else math.inf
 
     # -- boundary classification -----------------------------------------------
 

@@ -136,8 +136,8 @@ def test_04_series_sandwich(capsys):
          np.linspace(0.2, 2.5, 17)),
         (ScaleContext(JacobiModel(0.0, 1.0, 1.0, 0.5, 1.0, 0.5), ConstantKernel(1.0)),
          np.linspace(0.05, 0.95, 17)),
-        # base the power context at 1 so no sampled leg crosses the interior
-        # diffusion zero at 0, which the series' fixed grid cannot resolve
+        # base the power context at 1, so no sampled leg crosses the interior
+        # diffusion zero at 0 (test_scale covers a series leg across it)
         (ScaleContext(PowerModel(1.5, 0.5, 1.0, 1.0), ConstantKernel(1.0)),
          np.linspace(0.3, 3.0, 16)),
     ]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from volterra_feller import fracapprox
 from volterra_feller.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -246,6 +247,21 @@ def test_approx_truncation_scalars(capsys):
         -0.2122065907891938, rel=1e-12
     )
     assert len(doc["rows"]) == 4  # default lag grid
+
+
+def test_approx_builds_its_stand_in_once(monkeypatch, capsys):
+    # each Gauss stand-in is a 60-digit mpmath construction
+    calls = []
+    build = fracapprox.gaussian_quadrature_kernel
+
+    def counted(scheme):
+        calls.append(scheme)
+        return build(scheme)
+
+    monkeypatch.setattr(fracapprox, "gaussian_quadrature_kernel", counted)
+    rc = main(["approx", "--alpha", "0.5", "--scheme", "fractional", "--intervals", "3"])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_approx_quadrature_needs_intervals(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from volterra_feller import (
     CIRModel,
@@ -241,6 +241,17 @@ def test_u_series_constant_coefficient_anchor():
     assert ctx.u_series(1.0, n_terms=12) == pytest.approx(math.cosh(math.sqrt(2.0)), rel=1e-9)
 
 
+@pytest.mark.parametrize("x, n_terms", [(10.0, 20), (30.0, 40)])
+def test_u_series_many_terms_match_the_cosh_partial_sums(x, n_terms, unit_kernel):
+    # next to c the high terms, ~ (y - c)^2k, are beyond the panels'
+    # 12-node interpolant; what they lose there must stay negligible
+    m = CustomModel(lambda y: np.zeros_like(y), lambda y: np.ones_like(y),
+                    (-math.inf, math.inf), 0.0)
+    want = math.fsum((2.0 * x * x) ** k / math.factorial(2 * k) for k in range(n_terms + 1))
+    u = ScaleContext(m, unit_kernel, c=0.0).u_series(x, n_terms)
+    assert u == pytest.approx(want, rel=1e-12)
+
+
 def test_u_series_sandwich(cir_ctx):
     for x in [0.4, 0.9, 1.3, 2.0]:
         v = cir_ctx.v(x)
@@ -251,6 +262,88 @@ def test_u_series_sandwich(cir_ctx):
 
 def test_u_series_at_base_is_one(cir_ctx):
     assert cir_ctx.u_series(1.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def _u_ode_oracle(ctx, x, n_terms=8):
+    # the terms solve (1/2) sigma~^2 u_k'' + b~_c u_k' = u_(k-1) with
+    # u_k(c) = u_k'(c) = 0 and u_0 = 1
+    def rhs(t, y):
+        u, du = y[:n_terms], y[n_terms:]
+        prev = np.concatenate([[1.0], u[:-1]])
+        drift, var = float(ctx.b_tilde_shifted(t)), float(ctx.sigma_tilde_sq(t))
+        return np.concatenate([du, 2.0 * (prev - drift * du) / var])
+
+    sol = solve_ivp(rhs, (ctx.c, x), np.zeros(2 * n_terms), method="DOP853",
+                    rtol=1e-12, atol=1e-30)
+    assert sol.success
+    return 1.0 + sol.y[:n_terms, -1].sum()
+
+
+def _check_series_bounds(ctx, x):
+    # 1 + v <= u <= e^v at 8 terms, and the first term is v itself
+    v = ctx.v(x)
+    u = ctx.u_series(x, 8)
+    assert 1.0 + v <= u * (1.0 + 1e-9)
+    if v < 700.0:  # beyond, e^v overflows
+        assert u <= math.exp(v) * (1.0 + 1e-9)
+    assert ctx.u_series(x, 1) == pytest.approx(1.0 + v, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", ["cir_near_zero", "cir_right", "cir_shifted",
+                                  "jacobi_near_b", "jacobi_shifted"])
+def test_u_series_matches_ode_oracle(case, cir_111, unit_kernel, sloped_kernel):
+    jac = JacobiModel(0.0, 1.0, 1.5, 0.5, 0.55, 0.5)
+    ctx, x = {
+        "cir_near_zero": (ScaleContext(cir_111, unit_kernel), 1e-3),
+        "cir_right": (ScaleContext(cir_111, unit_kernel), 2.5),
+        "cir_shifted": (ScaleContext(CIRModel(1.2, 0.6, 0.85, 0.8), sloped_kernel,
+                                     beta=-0.5, gamma=0.7), 1.8),
+        # u of order 1e5 near b, where a uniform 2049-point grid is 2e-9 off
+        "jacobi_near_b": (ScaleContext(jac, sloped_kernel), 0.9),
+        "jacobi_shifted": (ScaleContext(jac, sloped_kernel, beta=0.3, gamma=-0.4), 0.1),
+    }[case]
+    assert ctx.u_series(x, 8) == pytest.approx(_u_ode_oracle(ctx, x), rel=1e-10)
+    _check_series_bounds(ctx, x)
+
+
+def test_u_series_raises_when_it_does_not_converge(cir_111, unit_kernel):
+    # one round of 64 panels leaves nothing to compare it with
+    ctx = ScaleContext(cir_111, unit_kernel, max_panels=64)
+    with pytest.raises(NumericError, match="series") as err:
+        ctx.u_series(0.5)
+    assert err.value.details["x"] == 0.5
+    assert math.isfinite(err.value.details["last_log_value"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    jacobi=st.booleans(),
+    sloped=st.booleans(),
+    kappa=st.floats(0.2, 3.0),
+    level=st.floats(0.05, 0.95),
+    sigma=st.floats(0.2, 2.0),
+    base=st.floats(0.05, 0.95),
+    frac=st.floats(0.001, 0.999),
+)
+def test_u_series_sandwich_over_cir_and_jacobi(jacobi, sloped, kappa, level, sigma, base, frac):
+    # Jacobi on (0, 1); CIR with theta, c and x scaled to (0, 4), (0, 4) and (0, 8)
+    kernel = SumOfExponentialsKernel([1.0], [1.0]) if sloped else ConstantKernel(1.0)
+    if jacobi:
+        ctx, x = ScaleContext(JacobiModel(0.0, 1.0, kappa, level, sigma, base), kernel), frac
+    else:
+        ctx, x = ScaleContext(CIRModel(kappa, 4.0 * level, sigma, 4.0 * base), kernel), 8.0 * frac
+    _check_series_bounds(ctx, x)
+
+
+@pytest.mark.parametrize("x", [-1.0, -0.3, 0.0])
+def test_u_series_across_interior_zero_of_sigma(x, unit_kernel):
+    # the leg from c = 1 crosses sigma's zero at 0, where the end panels
+    # integrate fitted power laws; u(-1) agrees with a DOP853 solution of
+    # the terms' equations run across 0 to 2e-13
+    ctx = ScaleContext(PowerModel(1.5, 0.5, 1.0, 1.0), unit_kernel)
+    _check_series_bounds(ctx, x)
+    if x == -1.0:
+        assert ctx.u_series(x, 8) == pytest.approx(45.865884714617, rel=1e-9)
 
 
 # ----------------------------------------------------------- boundary limits
