@@ -1,5 +1,5 @@
-"""Internal quadrature helpers: panel grids, Gauss-Legendre rules and the
-Gauss integration matrix."""
+"""Internal quadrature helpers: panel grids, Gauss-Legendre rules, the
+interpolant's Legendre coefficients and the Gauss integration matrix."""
 
 from __future__ import annotations
 
@@ -15,6 +15,18 @@ def gl_rule(order: int):
 
 
 @lru_cache(maxsize=None)
+def gl_legendre_coefficients(order: int):
+    """C[n, k] = (n + 1/2) w_k P_n(t_k), so C @ f holds the Legendre
+    coefficients of the degree order-1 interpolant of the node values f:
+    l_k = sum_n C[n, k] P_n, since Gauss quadrature of l_k P_n is exact.
+    """
+    t, w = gl_rule(order)
+    coef = (np.polynomial.legendre.legvander(t, order - 1) * w[:, None]).T
+    coef *= (np.arange(order) + 0.5)[:, None]
+    return coef
+
+
+@lru_cache(maxsize=None)
 def gl_integration_matrix(order: int):
     """Partial integrals of the Gauss-Legendre interpolant on [-1, 1].
 
@@ -23,11 +35,8 @@ def gl_integration_matrix(order: int):
     node values f from -1 to each node (spectral integration).
     """
     legendre = np.polynomial.legendre
-    t, w = gl_rule(order)
-    # l_k = sum_n (n + 1/2) w_k P_n(t_k) P_n: Gauss quadrature of l_k P_n is exact
-    coef = (legendre.legvander(t, order - 1) * w[:, None]).T
-    coef *= (np.arange(order) + 0.5)[:, None]
-    return legendre.legval(t, legendre.legint(coef, lbnd=-1.0)).T
+    t, _ = gl_rule(order)
+    return legendre.legval(t, legendre.legint(gl_legendre_coefficients(order), lbnd=-1.0)).T
 
 
 def outward_edges(anchor: float, target: float, n_panels: int, rel_first: float = 1e-7):

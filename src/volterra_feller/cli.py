@@ -529,12 +529,12 @@ def build_parser():
                         help="rate-domain truncation cap (truncation scheme)")
     approx.add_argument("--intervals", type=int, default=None, metavar="N",
                         help="number of geometric quadrature intervals")
-    approx.add_argument("--q", type=int, default=1,
-                        help="Gauss nodes per interval (default 1)")
-    approx.add_argument("--ratio", type=float, default=6.4,
-                        help="geometric ladder ratio (default 6.4)")
-    approx.add_argument("--xi1", type=float, default=1.0,
-                        help="first ladder breakpoint (default 1.0)")
+    ladder = inspect.signature(stand_in_scheme).parameters
+    for name, text in (("q", "Gauss nodes per interval"), ("ratio", "geometric ladder ratio"),
+                       ("xi1", "first ladder breakpoint")):
+        default = ladder[name].default
+        approx.add_argument(f"--{name}", type=type(default), default=default,
+                            help=f"{text} (default {default})")
     approx.add_argument("--t-grid", default="0.01,0.1,1.0,10.0", metavar="LAGS",
                         help="comma-separated lags (default 0.01,0.1,1.0,10.0)")
     _add_output_flags(approx)

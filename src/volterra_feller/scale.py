@@ -23,15 +23,17 @@ hundreds of orders of magnitude near boundaries and overflow must degrade
 into +inf values, not NaNs.
 
 p, v and v' at any set of points on one side of c come from one sweep: a
-pass outward from c that carries E and either log p or (log I, log v),
-with I the inner antiderivative int_c^x (p' sigma~^2)^(-1), along one
-graded grid that has every requested point as an edge.  Panels are halved
+pass outward from c along one graded grid that has every requested point
+as an edge.  It carries E and either log p or the logs of I, the inner
+antiderivative int_c^x (p' sigma~^2)^(-1), and of v.  Panels are halved
 until E and -E - log sigma~^2 each move at most about one nat across their
-12 Gauss nodes; there the partial integrals to the nodes come from the
-Gauss integration matrix S[j, k] = int_{-1}^{t_j} l_k (spectral
-integration), applied to the integrand divided by its panel maximum;
-panels that more halving would not resolve integrate on sub-panels graded
-from both ends.
+12 Gauss nodes.  Every integral of the sweep (p, I, v and the series terms
+below) is then one log-space rule: the Gauss integration matrix
+S[j, k] = int_{-1}^{t_j} l_k (spectral integration), with the Gauss
+weights as a last column, applied to the integrand divided by its panel
+maximum, gives the partial integrals to the nodes and the panel total.
+Panels that more halving would not resolve integrate the inner integrands
+on sub-panels graded from both ends instead.
 A leg reaching a singular point s (a finite endpoint or an interior zero
 of sigma) halves its way toward s, and the panel touching s integrates a
 power law C |y - s|^beta fitted to each log integrand at its nodes.  The
@@ -65,8 +67,9 @@ The iterated-integral series u_c = sum_n u_{c,n} built from the recursion
 satisfies 1 + v_c <= u_c <= exp(v_c); partial sums of it solve the
 associated second-order equation u = (1/2) sigma~^2 u'' + b~_c u' in the
 limit.  Its first term is v_c, and ``u_series`` carries each later one on
-v's sweep as two more node-to-node partial integrals, under the same
-doubling rule and ``NumericError`` as v.
+v's sweep as two more integrals by the same rule (u_{c,n-1} weights the
+inner integrand, also on graded sub-panels), under the same doubling rule
+and ``NumericError`` as v.
 """
 
 from __future__ import annotations
@@ -76,9 +79,10 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 from scipy.special import logsumexp
 
-from ._quad import gl_integration_matrix, gl_rule, outward_edges
+from ._quad import gl_integration_matrix, gl_legendre_coefficients, gl_rule, outward_edges
 from .errors import NumericError, PreconditionError
 
 __all__ = [
@@ -517,28 +521,6 @@ class ScaleContext:
     def _side_shift(self, y):
         return np.where(np.asarray(y, dtype=float) < self.c, self.beta, self.gamma)
 
-    def _exponent_custom(self, pts, start):
-        # E(pts) - E(start) by cumulative quadrature of 2 b~_c / sigma~^2
-        # along the path from start through pts (all on one side of it),
-        # sorted outward; open Gauss panels between consecutive points, so
-        # start and any asserted-integrable endpoints are never hit.
-        pts = np.asarray(pts, dtype=float)
-        order = np.argsort(pts, kind="stable")
-        if pts[order[0]] < start:
-            order = order[::-1]
-        path = np.concatenate([[start], pts[order]])
-        x8, w8 = gl_rule(8)
-        lo = path[:-1]
-        hi = path[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        z = mid[:, None] + half[:, None] * x8[None, :]
-        g = 2.0 * self.b_tilde_shifted(z.ravel()) / self.sigma_tilde_sq(z.ravel())
-        segs = (g.reshape(z.shape) @ w8) * half
-        out = np.empty_like(pts)
-        out[order] = -np.cumsum(segs)
-        return out
-
     @property
     def _closed_exponent(self):
         return getattr(self.model, "exponent", None) is not None
@@ -654,18 +636,16 @@ class ScaleContext:
         return a, b, vals, fallback
 
     def _advance(self, a, b, state, inner, ends):
-        # integrate panels a -> b (outward from c) on from state = (E, log I,
-        # log p, log v, series) at a[0]; returns the refined panel ends, the
-        # state and log (u_1 + ... + u_n) at each (E only for custom models;
-        # p, or else I, v and u), and the series' (log I_k, log u_k), k >= 2,
-        # at the last; panels touching a point in ends integrate power laws
-        e0, i0, p0, v0, series = state
+        # integrate panels a -> b (outward from c) on from state = (E, log p,
+        # logs of (I_k, u_k) for k = 1 .. n) at a[0]; returns the refined
+        # panel ends, the _Sweep rows there (E only for custom models; p, or
+        # else I_1, v = u_1 and log (u_1 + ... + u_n)) and the state at the
+        # last end.  Every integral is one call of outward.
+        e0, p0, starts = state
         a, b, (y, e, log_sig, de), fallback = self._refine(a, b, inner, ends)
-        _, w = gl_rule(_ORDER)
-        log_w = np.log(w)
         log_half = np.log(np.abs(0.5 * (b - a)))
         nan = np.full(len(b), np.nan)
-        e_b = nan
+        e_a = e_b = nan
         if de is not None:
             e_b = e0 + np.cumsum(de)
             e_a = np.concatenate([[e0], e_b[:-1]])
@@ -679,79 +659,49 @@ class ScaleContext:
             # log distances from s of the nodes, of a and of b
             dist = (np.log(np.abs(y[end] - s[:, None])), np.log(np.abs(a[end] - s)),
                     np.log(np.abs(b[end] - s)))
+        partials = np.column_stack([gl_integration_matrix(_ORDER).T, gl_rule(_ORDER)[1]])
+
+        def outward(first, log_f, inner_weight=None):
+            # log F at the panel ends and at the nodes, for F the integral of
+            # exp(log_f) on from exp(first) at a[0].  The integration matrix,
+            # with the Gauss weights as a last column for the panel total,
+            # acts on f over its panel maximum, so nothing leaves log space.
+            # Next to c, the series' u_k ~ (y - c)^2k outgrows the 12-node
+            # interpolant once 2k > 11; node partials are clamped at 0 and
+            # carry a share of order (panel / |x - c|)^2k of u_k(x).  An
+            # inner integral, log_f = inner_weight - E - log sigma~^2, takes
+            # the graded rule on graded panels.
+            top = log_f.max(axis=1)
+            g = np.exp(log_f - top[:, None]) @ partials
+            log_g = (top + log_half)[:, None] + np.log(np.maximum(g, 0.0))
+            if inner_weight is not None and graded.any():
+                log_g[graded] = self._log_inner_intervals(
+                    a[graded], b[graded], y[graded], e_a[graded], inner_weight[graded]
+                )
+            if ends:
+                log_g[end] = np.column_stack(_power_law_integrals(log_f[end], *dist))
+            f_b = np.logaddexp.accumulate(np.concatenate([[first], log_g[:, -1]]))
+            # log(F(a) + partial) at the nodes, written out: np.logaddexp
+            # takes twice as long
+            f_a, part = f_b[:-1, None], log_g[:, :-1]
+            top = np.maximum(f_a, part)
+            nodes = top + np.log1p(np.exp(-np.abs(f_a - part)))
+            return f_b[1:], np.where(top > -np.inf, nodes, top)
+
         if not inner:
-            p_inc = logsumexp(e + log_w, axis=1) + log_half
-            if ends:
-                p_inc[end] = _power_law_integrals(e[end], *dist)[1]
-            p_b = np.logaddexp.accumulate(np.concatenate([[p0], p_inc]))[1:]
-            return b, e_b, nan, p_b, nan, nan, series
-        log_h = -e - log_sig
-        part = np.empty_like(e)
-        total = np.empty(len(b))
-        fine = ~fallback
-        if fine.any():
-            # the integration matrix acts on h / max h, so nothing leaves log space
-            top = log_h[fine].max(axis=1)
-            h = np.exp(log_h[fine] - top[:, None])
-            scale = top + log_half[fine]
-            part[fine] = scale[:, None] + np.log(h @ gl_integration_matrix(_ORDER).T)
-            total[fine] = scale + np.log(h @ w)
-        for i in np.flatnonzero(graded):
-            if de is None:
-                exponent = self._exponent_batch
-            else:
-                def exponent(z, anchor=a[i], e_anchor=e_a[i]):
-                    return e_anchor + self._exponent_custom(z, start=anchor)
-            vals = self._log_inner_intervals(
-                np.full(_ORDER + 1, a[i]), np.append(y[i], b[i]), exponent
-            )
-            part[i], total[i] = vals[:-1], vals[-1]
-        if ends:
-            part[end], total[end] = _power_law_integrals(log_h[end], *dist)
-        i_b = np.logaddexp.accumulate(np.concatenate([[i0], total]))
-        log_i = np.logaddexp(i_b[:-1, None], part)
-        if not series.size:
-            v_inc = _LOG2 + logsumexp(e + log_i + log_w, axis=1) + log_half
-            if ends:
-                v_inc[end] = _LOG2 + _power_law_integrals(e[end] + log_i[end], *dist)[1]
-            v_b = np.logaddexp.accumulate(np.concatenate([[v0], v_inc]))[1:]
-            return b, e_b, i_b[1:], nan, v_b, v_b, series
-
-        # u_k = 2 int p' I_k and I_k = int u_(k-1) / (p' sigma~^2), from I_1 = I
-        # (u_1 is v by the Gauss weights), are carried as logs at the panel
-        # ends and as ratios to those at the nodes, which grow outward, so
-        # the matrix needs no logs.  Next to c, u_k ~ (y - c)^2k outgrows the
-        # 12-node interpolant once 2k > 11: its node partials, clamped at 0,
-        # carry a share of order (panel / |x - c|)^2k of u_k(x).  Graded
-        # panels, rare and judged by the doubling rule, use the matrix too.
-        e_top, h_top = e.max(axis=1), log_h.max(axis=1)
-        pl, hl = np.exp(e - e_top[:, None]), np.exp(log_h - h_top[:, None])
-        partials = np.column_stack([gl_integration_matrix(_ORDER).T, w])  # to nodes, to b
-
-        def outward(first, top, ratio):
-            # log F at the panel ends and F / F(b) at the nodes, for F the
-            # integral of exp(top) ratio on from exp(first) at a[0]
-            g = ratio @ partials
-            scale = top + log_half
-            if ends:
-                fit = _power_law_integrals(top[end, None] + np.log(ratio[end]), *dist)
-                g[end] = np.exp(np.column_stack(fit) - scale[end, None])
-            f_b = np.logaddexp.accumulate(np.concatenate([[first], scale + np.log(g[:, -1])]))
-            lift = np.exp(f_b[:-1] - f_b[1:])
-            part = np.maximum(g[:, :-1], 0.0)
-            return f_b[1:], lift[:, None] + part * np.exp(scale - f_b[1:])[:, None]
-
-        starts = np.column_stack([[i0, v0], series])
-        ik_b, i_ratio = i_b[1:], np.exp(log_i - i_b[1:, None])
-        terms = []
-        for k, (ik0, uk0) in enumerate(starts.T):
-            if k:
-                ik_b, i_ratio = outward(ik0, h_top + uk_b, hl * u_ratio)
-            uk_b, u_ratio = outward(uk0, _LOG2 + e_top + ik_b, pl * i_ratio)
-            starts[:, k] = ik_b[-1], uk_b[-1]
+            p_b = outward(p0, e)[0]
+            return b, (e_b, nan, p_b, nan, nan), (e_b[-1], p_b[-1], starts)
+        # u_k = 2 int p' I_k and I_k = int u_(k-1) / (p' sigma~^2), u_0 = 1
+        log_u = np.zeros_like(e)
+        inners, terms = [], []
+        for ik0, uk0 in starts.T:
+            ik_b, log_i = outward(ik0, log_u - e - log_sig, log_u)
+            uk_b, log_u = outward(uk0, _LOG2 + e + log_i)
+            inners.append(ik_b)
             terms.append(uk_b)
+        last = np.array([[f[-1] for f in inners], [f[-1] for f in terms]])
         log_u = np.logaddexp.reduce(terms, axis=0)
-        return b, e_b, i_b[1:], nan, terms[0], log_u, starts[:, 1:]
+        return b, (e_b, inners[0], nan, terms[0], log_u), (e_b[-1], nan, last)
 
     def _sweep(self, xs, n_panels, field="log_v", stop=math.inf, n_terms=1):
         """(E, log I, log p, log v, log u) at xs by one cumulative pass from c,
@@ -785,34 +735,34 @@ class ScaleContext:
         at = np.flatnonzero(np.isin(edges, uniq))
         out = np.full((5, len(uniq)), np.nan)
         row = _Sweep._fields.index(field)
-        state = (0.0, -np.inf, -np.inf, -np.inf, np.full((2, n_terms - 1), -np.inf))
+        state = (0.0, -np.inf, np.full((2, n_terms), -np.inf))
         done, start, chunk = 0, 0, 1
         while done < len(uniq) and not np.any(out[row, :done] >= stop):
             upto = min(done + chunk, len(uniq))
             end = at[upto - 1]
             # nan (a misfit end panel) and log 0 are values; _stabilized judges them
             with np.errstate(invalid="ignore", divide="ignore"):
-                b, *cols, series = self._advance(
+                b, cols, state = self._advance(
                     edges[start:end], edges[start + 1:end + 1], state, field != "log_p", ends
                 )
             hit = np.isin(b, uniq[done:upto])
             out[:, done:upto] = [col[hit] for col in cols]
-            state = (*(col[-1] for col in cols[:4]), series)
             done, start, chunk = upto, end, 2 * chunk
         if self._closed_exponent:
             out[0] = self._exponent_batch(uniq)
         return _Sweep(*out[:, inv])
 
-    def _log_inner_intervals(self, lo, hi, exponent):
-        # log of int_lo^hi (p' sigma~^2)^(-1), elementwise over interval
-        # arrays of any common shape, with E from exponent(points).  The
-        # integrand e^-E / sigma~^2 can vary by thousands of nats across one
-        # interval, concentrating in an endpoint layer of width 1/|E'|;
-        # sub-edges are graded geometrically from both ends starting at that
-        # resolvable scale, so plain Gauss sees at most a few nats of
-        # variation per sub-panel.
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+    def _log_inner_intervals(self, a, b, y, e_a, log_w):
+        # logs of int_a^x w / (p' sigma~^2) for x each Gauss node y of the
+        # panels a -> b and b itself, with log w given at the nodes (read
+        # between them from its Legendre series) and E(a) = e_a (read for
+        # custom models only).  The integrand can vary by thousands of nats
+        # across one panel, concentrating in an endpoint layer of width
+        # 1/|E'|; sub-edges are graded geometrically from both ends of each
+        # interval starting at that resolvable scale, so the 12 Gauss nodes of
+        # a sub-panel, read through _node_values, see a few nats at most.
+        lo = np.repeat(a[:, None], _ORDER + 1, axis=1)
+        hi = np.column_stack([y, b])
         span = hi - lo
         pair = np.stack([lo, hi])
         g = np.max(np.abs(2.0 * self.b_tilde_shifted(pair) / self.sigma_tilde_sq(pair)), axis=0)
@@ -823,13 +773,19 @@ class ScaleContext:
         rel_edges = np.concatenate([ladder, 1.0 - ladder[..., ::-1]], axis=-1)
         sub_lo = lo[..., None] + span[..., None] * rel_edges[..., :-1]
         sub_hi = lo[..., None] + span[..., None] * rel_edges[..., 1:]
-        half = 0.5 * (sub_hi - sub_lo)
-        mid = 0.5 * (sub_hi + sub_lo)
-        x8, w8 = gl_rule(8)
-        z = mid[..., None] + half[..., None] * x8
-        e_z = exponent(z.ravel()).reshape(z.shape)
-        log_h = -e_z - self._log_sigma_tilde_sq(z.ravel()).reshape(z.shape)
-        return logsumexp(log_h + np.log(w8) + np.log(np.abs(half))[..., None], axis=(-2, -1))
+        z, e, log_sig, de = self._node_values(sub_lo.ravel(), sub_hi.ravel(), True)
+        shape = sub_lo.shape + (_ORDER,)
+        z, e, log_sig = z.reshape(shape), e.reshape(shape), log_sig.reshape(shape)
+        if de is not None:
+            # E at each sub-panel start: E(a) plus the changes before it
+            de = de.reshape(sub_lo.shape)
+            e = e + (e_a[:, None, None] + np.cumsum(de, axis=-1) - de)[..., None]
+        # panel coordinate t in [-1, 1] of each sub-panel node
+        t = 2.0 * (z - a[:, None, None, None]) / (b - a)[:, None, None, None] - 1.0
+        coef = (log_w @ gl_legendre_coefficients(_ORDER).T).T[..., None, None, None]
+        log_h = legval(t, coef, tensor=False) - e - log_sig
+        log_half = np.log(np.abs(0.5 * (sub_hi - sub_lo)))[..., None]
+        return logsumexp(log_h + np.log(gl_rule(_ORDER)[1]) + log_half, axis=(-2, -1))
 
     def _stabilized(self, xs, field, stop=math.inf, n_terms=1):
         """Sweep with 64, 128, ... base panels until ``field`` agrees between

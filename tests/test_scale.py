@@ -286,7 +286,7 @@ def _check_series_bounds(ctx, x):
     assert 1.0 + v <= u * (1.0 + 1e-9)
     if v < 700.0:  # beyond, e^v overflows
         assert u <= math.exp(v) * (1.0 + 1e-9)
-    assert ctx.u_series(x, 1) == pytest.approx(1.0 + v, rel=1e-9)
+    assert ctx.u_series(x, 1) == 1.0 + v
 
 
 @pytest.mark.parametrize("case", ["cir_near_zero", "cir_right", "cir_shifted",
@@ -332,6 +332,19 @@ def test_u_series_sandwich_over_cir_and_jacobi(jacobi, sloped, kappa, level, sig
         ctx, x = ScaleContext(JacobiModel(0.0, 1.0, kappa, level, sigma, base), kernel), frac
     else:
         ctx, x = ScaleContext(CIRModel(kappa, 4.0 * level, sigma, 4.0 * base), kernel), 8.0 * frac
+    _check_series_bounds(ctx, x)
+
+
+@pytest.mark.parametrize("model, x, want", [
+    (PowerModel(2.0, 0.0, 1.0, 0.5), 64.5, 3.2891676592018158),
+    (PowerModel(1.2, 0.5, 1.0, 1.0), 513.0, 27.778946302901996),
+], ids=["alpha=2", "alpha=1.2"])
+def test_u_series_on_graded_panels_matches_ode_oracle(model, x, want, unit_kernel):
+    # legs whose inner integrands span hundreds of nats across a panel after
+    # every halving: each term's inner integral takes the graded sub-panels;
+    # the pinned values are _u_ode_oracle's (7-15 s per point)
+    ctx = ScaleContext(model, unit_kernel)
+    assert ctx.u_series(x, 8) == pytest.approx(want, rel=1e-10)
     _check_series_bounds(ctx, x)
 
 
@@ -487,10 +500,16 @@ def test_closed_finite_limit_reports_sweep_effort(unit_kernel):
     assert "base_panels" not in ctx.boundary_limit("right").evidence
 
 
-def test_power_right_sampled_limit_is_pinned(unit_kernel):
+@pytest.mark.parametrize("custom", [False, True], ids=["closed", "custom"])
+def test_power_right_sampled_limit_is_pinned(custom, unit_kernel):
     # alpha <= 1 + delta has no closed rule, so 'auto' samples; the values
-    # are those of the per-point quadrature the sweep replaced
-    res = ScaleContext(PowerModel(1.2, 0.5, 1.0, 1.0), unit_kernel).boundary_limit("right")
+    # are those of the per-point quadrature the sweep replaced.  The
+    # CustomModel clone reaches graded panels with E from the sweep itself.
+    model = PowerModel(1.2, 0.5, 1.0, 1.0)
+    if custom:
+        model = CustomModel(lambda y: np.abs(y) ** 1.2, lambda y: np.abs(y) ** 0.25,
+                            (-math.inf, math.inf), 1.0)
+    res = ScaleContext(model, unit_kernel).boundary_limit("right")
     assert (res.kind, res.method) == ("inconclusive", "sample")
     want = [0.8137671314613877, 1.2333320537984547, 1.6459742516840865, 2.0342970721781293,
             2.3878195870129546, 2.703141384721984, 2.981163213544757, 3.2247855470039304,
