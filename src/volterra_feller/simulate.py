@@ -17,9 +17,19 @@ Two discretizations of X = x0 + K * (b(X) dt + sigma(X) dW):
   the lift an honest first-order scheme whose gap against conv_euler
   shrinks linearly in dt instead of collapsing to rounding noise.
 
-Paths draw their increments from counter-based generators keyed by
-(seed, path index), so results are bit-reproducible for a fixed seed and
-path count no matter how paths are blocked.
+Each path draws its increments from one counter-based generator keyed by
+(seed, path index) for the whole run, _CHUNK steps at a time; successive
+draws continue its stream bit for bit, so results are bit-reproducible for a
+fixed seed and path count whatever the chunk length.  Memory is bounded in
+the number of steps for the running-sum and per-rate recursions: a block
+holds one noise chunk and O(rates) state per path.  The history convolution
+keeps every past increment, n_steps per path.
+
+Blocks are as wide as a per-path result allows.  The running sum and
+one-rate recursions are elementwise, so their blocks take up to _WIDE paths.
+The history form and multi-rate sums w_n Y^n go through a BLAS product,
+which may round a path's value by its column in the call, so they keep
+_BLOCK-path blocks and their results stay fixed for a given path count.
 
 A path that reaches hit_eps of a finite boundary, or blowup_cap when the
 boundary is infinite, is recorded with its grid hit time and frozen; the
@@ -44,6 +54,10 @@ __all__ = [
 
 _SCHEMES = ("conv_euler", "markov_lift")
 _BLOCK = 512
+# noise budget of a wide block: _WIDE x _CHUNK float64s drawn, then copied
+# time-major, 2 x 32 MiB at most whatever the number of steps
+_WIDE = 8192
+_CHUNK = 512
 
 
 def _thread_count():
@@ -131,22 +145,31 @@ def _resolve_hit_eps(model, config):
     return 1e-4
 
 
-def _block_noise(seed, start, block, n_steps, dt):
-    out = np.empty((block, n_steps))
-    for i, row in enumerate(out):
-        rng = np.random.Generator(np.random.Philox(key=[seed, start + i]))
-        rng.standard_normal(n_steps, out=row)
-    out *= math.sqrt(dt)
-    return out
+def _noise(seed, start, stop, n_steps, dt, chunk):
+    """Yield the increments dW of paths start..stop-1, chunk steps at a time.
+
+    Path i draws from one Philox(key=[seed, i]) generator for the whole run.
+    Each chunk is scaled by sqrt(dt) and laid out time-major, (steps, paths),
+    so a step reads one contiguous row; the next chunk overwrites it.
+    """
+    rngs = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(start, stop)]
+    chunk = min(chunk, n_steps)
+    drawn = np.empty((stop - start, chunk))
+    out = np.empty((chunk, stop - start))
+    scale = math.sqrt(dt)
+    for k in range(0, n_steps, chunk):
+        n = min(chunk, n_steps - k)
+        for rng, row in zip(rngs, drawn[:, :n]):
+            rng.standard_normal(n, out=row)
+        yield np.multiply(drawn[:, :n].T, scale, out=out[:n])
 
 
-def _convolver(kernel, scheme, dt, n_steps, block):
-    """Pick the block's kernel recursion once.
+def _convolver(kernel, form, scheme, dt, n_steps, block):
+    """Pick the block's kernel recursion once; form is kernel.exp_form().
 
     Returns conv(k, B), which takes step k's increments B_k and returns
     (K * B)(t_{k+1}); each form keeps its own state.
     """
-    form = getattr(kernel, "exp_form", lambda: None)()
     if form is None:
         if scheme == "markov_lift":
             raise PreconditionError(
@@ -195,31 +218,43 @@ def _convolver(kernel, scheme, dt, n_steps, block):
     return exact_exp
 
 
-def _advance_block(model, conv, dW, dt, levels=None):
-    """Run one block of paths; returns (terminal X, hit side, hit time).
+def _advance_block(model, conv, noise, width, dt, levels):
+    """Run one block of width paths; returns (terminal X, hit side, hit time).
 
-    levels = (lo, hi) are the hit levels (None: no hit detection).  hit side
-    is -1 / 0 / +1 for left / none / right.  Paths freeze at their hit value.
+    noise yields the block's increments dW in time order, one time-major
+    chunk (steps, width) at a time.  levels = (lo, hi) are the hit levels.
+    hit side is -1 / 0 / +1 for left / none / right.  Paths freeze at their
+    hit value, and once all are frozen no further noise is drawn.
     """
-    block, n_steps = dW.shape
     x0 = float(model.x0)
-    X = np.full(block, x0)
-    active = np.ones(block, dtype=bool)
-    hit_side = np.zeros(block, dtype=np.int8)
-    hit_time = np.full(block, np.nan)
-    for k in range(n_steps):
-        Xh = model.truncate(X)
-        B = model.drift(Xh) * dt + model.diffusion(Xh) * dW[:, k]
-        B[~active] = 0.0
-        X_new = np.where(active, x0 + conv(k, B), X)
-        if levels is not None:
-            newly_left = active & (X_new <= levels[0])
-            newly_right = active & (X_new >= levels[1]) & ~newly_left
-            hit_side[newly_left] = -1
-            hit_side[newly_right] = 1
-            hit_time[newly_left | newly_right] = (k + 1) * dt
-            active = active & ~(newly_left | newly_right)
-        X = X_new
+    X = np.full(width, x0)
+    active = np.ones(width, dtype=bool)
+    all_active = True
+    hit_side = np.zeros(width, dtype=np.int8)
+    hit_time = np.full(width, np.nan)
+    k = 0
+    for dW in noise:
+        for dW_k in dW:
+            Xh = model.truncate(X)
+            B = model.drift(Xh) * dt + model.diffusion(Xh) * dW_k
+            if all_active:
+                X = x0 + conv(k, B)
+            else:
+                B[~active] = 0.0
+                X = np.where(active, x0 + conv(k, B), X)
+            k += 1
+            crossed = (X <= levels[0]) | (X >= levels[1])
+            if not all_active:
+                crossed &= active
+            if crossed.any():
+                left = crossed & (X <= levels[0])
+                hit_side[left] = -1
+                hit_side[crossed & ~left] = 1
+                hit_time[crossed] = k * dt
+                active &= ~crossed
+                all_active = False
+                if not active.any():
+                    return X, hit_side, hit_time
     return X, hit_side, hit_time
 
 
@@ -239,17 +274,20 @@ def simulate(model, kernel, config):
         l + hit_eps if math.isfinite(l) else -config.blowup_cap,
         r - hit_eps if math.isfinite(r) else config.blowup_cap,
     )
+    form = getattr(kernel, "exp_form", lambda: None)()
+    block = _WIDE if form is not None and len(form[1]) == 1 else _BLOCK
     X = np.empty(n_paths)
     hit_side = np.empty(n_paths, dtype=np.int8)
     hit_time = np.empty(n_paths)
-    for start in range(0, n_paths, _BLOCK):
-        stop = min(start + _BLOCK, n_paths)
+    for start in range(0, n_paths, block):
+        stop = min(start + block, n_paths)
         # neither the noise nor the convolution state is bound to a name
         # here, so both are freed before the next block allocates its own
         X[start:stop], hit_side[start:stop], hit_time[start:stop] = _advance_block(
             model,
-            _convolver(kernel, config.scheme, config.dt, n_steps, stop - start),
-            _block_noise(config.seed, start, stop - start, n_steps, config.dt),
+            _convolver(kernel, form, config.scheme, config.dt, n_steps, stop - start),
+            _noise(config.seed, start, stop, n_steps, config.dt, _CHUNK),
+            stop - start,
             config.dt,
             levels,
         )
@@ -365,7 +403,10 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
     dt_fine = dts[0]
     n_fine = max(1, int(round(horizon / dt_fine)))
     rows = []
-    dW_fine = _block_noise(seed, 0, n_paths, n_fine, dt_fine)
+    # the whole fine grid as one chunk, back in path-major order: numpy sums
+    # a contiguous axis pairwise, and that order fixes the rows' last bits
+    dW_fine = np.ascontiguousarray(next(_noise(seed, 0, n_paths, n_fine, dt_fine, n_fine)).T)
+    form = getattr(kernel, "exp_form", lambda: None)()
     for dt in dts:
         factor = dt / dt_fine
         if abs(factor - round(factor)) > 1e-9:
@@ -374,7 +415,8 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
         n_coarse = n_fine // factor
         dW = dW_fine[:, : n_coarse * factor].reshape(n_paths, n_coarse, factor).sum(axis=2)
         x_conv, x_lift = (
-            _advance_block(model, _convolver(kernel, scheme, dt, n_coarse, n_paths), dW, dt)[0]
+            _advance_block(model, _convolver(kernel, form, scheme, dt, n_coarse, n_paths),
+                           [dW.T], n_paths, dt, (-math.inf, math.inf))[0]
             for scheme in _SCHEMES
         )
         rows.append({"dt": dt, "max_terminal_gap": float(np.max(np.abs(x_conv - x_lift)))})

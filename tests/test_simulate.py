@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from volterra_feller import (
     CIRModel,
     ConstantKernel,
     CustomModel,
+    JacobiModel,
     PowerModel,
     SimConfig,
     SimulationReport,
@@ -52,16 +54,170 @@ def test_simulate_is_bit_reproducible(cir_111, unit_kernel):
     assert c != a
 
 
-def test_blocking_does_not_change_results(cir_111, unit_kernel, monkeypatch):
-    # 600 paths run as two blocks, then as one; blocking must not leak into
-    # the noise stream or the per-block state
-    cfg = SimConfig(dt=0.05, horizon=0.5, n_paths=600, seed=3)
-    two_blocks = simulate(cir_111, unit_kernel, cfg)
+# one small run per stepping branch, plus runs where every path hits and
+# where none does; step counts are not multiples of the noise chunk
+_TWO_EXP = SumOfExponentialsKernel([0.75, 0.5], [1.25, 4.0])
+_CASES = {
+    "running_sum": (CIRModel(1.0, 0.3, 1.0, 0.3), ConstantKernel(1.0),
+                    dict(dt=1e-3, horizon=0.7, n_paths=600, seed=3)),
+    "running_sum_lift": (JacobiModel(0.0, 1.0, 1.0, 0.5, 1.2, 0.5), ConstantKernel(1.0),
+                         dict(dt=1e-3, horizon=0.7, n_paths=600, seed=3, scheme="markov_lift")),
+    "exact_exp_one_rate": (CIRModel(1.0, 0.3, 1.0, 0.2), SumOfExponentialsKernel([1.0], [1.0]),
+                           dict(dt=1e-3, horizon=0.7, n_paths=600, seed=4)),
+    "exact_exp": (CIRModel(1.0, 0.1, 1.0, 0.1), _TWO_EXP,
+                  dict(dt=1e-3, horizon=0.7, n_paths=515, seed=4)),
+    "lift": (CIRModel(1.0, 0.1, 1.0, 0.1), _TWO_EXP,
+             dict(dt=1e-3, horizon=0.7, n_paths=515, seed=4, scheme="markov_lift")),
+    "history": (CIRModel(1.0, 0.2, 1.0, 0.1), TruncatedFractionalKernel(0.6, 4.0),
+                dict(dt=2e-3, horizon=1.1, n_paths=515, seed=5)),
+    "blowup": (PowerModel(1.8, 0.15, 0.5, 1.0), ConstantKernel(1.0),
+               dict(dt=1e-3, horizon=1.5, n_paths=40, seed=6, blowup_cap=1e3)),
+    "all_hit": (CIRModel(1.0, 0.01, 1.0, 0.02), ConstantKernel(1.0),
+                dict(dt=1e-3, horizon=2.0, n_paths=40, seed=7)),
+    "none_hit": (CIRModel(1.0, 1.0, 1.0, 1.0), ConstantKernel(1.0),
+                 dict(dt=1e-3, horizon=0.6, n_paths=40, seed=8)),
+}
+
+# SimulationReport fields beyond the config echo, recorded from the
+# whole-horizon noise blocks that simulate drew before time chunking
+_PINNED = {
+    "running_sum": dict(
+        n_hit_left=139, n_hit_right=0, hit_fraction_left=0.23166666666666666,
+        hit_fraction_right=0.0, hit_fraction=0.23166666666666666, hit_time_p10=0.2178,
+        hit_time_p50=0.424, hit_time_p90=0.6372, terminal_mean=0.3592891479587918,
+        terminal_var=0.10465055622981488, hit_eps=0.0001, blowup_cap=1000000.0,
+    ),
+    "running_sum_lift": dict(
+        n_hit_left=46, n_hit_right=50, hit_fraction_left=0.07666666666666666,
+        hit_fraction_right=0.08333333333333333, hit_fraction=0.16, hit_time_p10=0.259,
+        hit_time_p50=0.47300000000000003, hit_time_p90=0.6625000000000001,
+        terminal_mean=0.5069031597271704, terminal_var=0.07473009232678145, hit_eps=0.0001,
+        blowup_cap=1000000.0,
+    ),
+    "exact_exp_one_rate": dict(
+        n_hit_left=96, n_hit_right=0, hit_fraction_left=0.16, hit_fraction_right=0.0,
+        hit_fraction=0.16, hit_time_p10=0.179, hit_time_p50=0.388, hit_time_p90=0.619,
+        terminal_mean=0.2749496815493208, terminal_var=0.06302505651198323, hit_eps=0.0001,
+        blowup_cap=1000000.0,
+    ),
+    "exact_exp": dict(
+        n_hit_left=405, n_hit_right=0, hit_fraction_left=0.7864077669902912,
+        hit_fraction_right=0.0, hit_fraction=0.7864077669902912, hit_time_p10=0.07040000000000002,
+        hit_time_p50=0.188, hit_time_p90=0.4870000000000001, terminal_mean=0.20702779132534382,
+        terminal_var=0.04345160309592261, hit_eps=0.0001, blowup_cap=1000000.0,
+    ),
+    "lift": dict(
+        n_hit_left=405, n_hit_right=0, hit_fraction_left=0.7864077669902912,
+        hit_fraction_right=0.0, hit_fraction=0.7864077669902912, hit_time_p10=0.07040000000000002,
+        hit_time_p50=0.185, hit_time_p90=0.484, terminal_mean=0.2068377697540361,
+        terminal_var=0.04359476139836919, hit_eps=0.0001, blowup_cap=1000000.0,
+    ),
+    "history": dict(
+        n_hit_left=441, n_hit_right=0, hit_fraction_left=0.8563106796116505,
+        hit_fraction_right=0.0, hit_fraction=0.8563106796116505,
+        hit_time_p10=0.052000000000000005, hit_time_p50=0.20400000000000001, hit_time_p90=0.728,
+        terminal_mean=0.32912692399492677, terminal_var=0.10082078578067756, hit_eps=0.0001,
+        blowup_cap=1000000.0,
+    ),
+    "blowup": dict(
+        n_hit_left=0, n_hit_right=35, hit_fraction_left=0.0, hit_fraction_right=0.875,
+        hit_fraction=0.875, hit_time_p10=1.0166, hit_time_p50=1.1500000000000001,
+        hit_time_p90=1.4274, terminal_mean=72.51188405323305, terminal_var=16738.98581702669,
+        hit_eps=0.0001, blowup_cap=1000.0,
+    ),
+    "all_hit": dict(
+        n_hit_left=40, n_hit_right=0, hit_fraction_left=1.0, hit_fraction_right=0.0,
+        hit_fraction=1.0, hit_time_p10=0.0119, hit_time_p50=0.0375,
+        hit_time_p90=0.31980000000000014, terminal_mean=None, terminal_var=None, hit_eps=0.0001,
+        blowup_cap=1000000.0,
+    ),
+    "none_hit": dict(
+        n_hit_left=0, n_hit_right=0, hit_fraction_left=0.0, hit_fraction_right=0.0,
+        hit_fraction=0.0, hit_time_p10=None, hit_time_p50=None, hit_time_p90=None,
+        terminal_mean=1.0148564995417357, terminal_var=0.3349345398366338, hit_eps=0.0001,
+        blowup_cap=1000000.0,
+    ),
+}
+
+
+def _run_case(name):
+    model, kernel, cfg = _CASES[name]
+    return simulate(model, kernel, SimConfig(**cfg)).as_dict()
+
+
+def _pinned_report(name):
+    config = SimConfig(**_CASES[name][2])
+    echo = {key: getattr(config, key) for key in ("scheme", "dt", "horizon", "n_paths", "seed")}
+    return {**echo, **_PINNED[name]}
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_reports_match_pins(name):
+    assert _run_case(name) == _pinned_report(name)
+
+
+def test_blocking_does_not_change_results(monkeypatch):
+    # Blocking and chunking must leak into neither the noise streams nor the
+    # per-block state.  Chunks of 13 steps divide no step count here, and
+    # 4096 covers each run in one chunk; 37 paths divide no path count.  The running sum and one-rate forms
+    # take any width.  The multi-rate and history forms keep _BLOCK because
+    # a BLAS product may round a column by its place in the call: OpenBLAS
+    # rounds columns past the last multiple of four, and next to a thread
+    # split, on their own.  Across widths they are compared on blocks of 64,
+    # 128 and 512 paths, which avoid both.
     # the package's ``simulate`` attribute is the function, not the module
     module = importlib.import_module("volterra_feller.simulate")
-    monkeypatch.setattr(module, "_BLOCK", 1024)
-    one_block = simulate(cir_111, unit_kernel, cfg)
-    assert two_blocks == one_block
+    for width, chunk in ((37, 13), (1000, 4096)):
+        monkeypatch.setattr(module, "_WIDE", width)
+        monkeypatch.setattr(module, "_CHUNK", chunk)
+        for name in _CASES:
+            assert _run_case(name) == _pinned_report(name), (name, width, chunk)
+    for name in ("exact_exp", "lift", "history"):
+        model, kernel, cfg = _CASES[name]
+        cfg = SimConfig(**{**cfg, "n_paths": 640})
+        reports = []
+        for width in (64, 128, 512):
+            monkeypatch.setattr(module, "_BLOCK", width)
+            reports.append(simulate(model, kernel, cfg))
+        assert reports[0] == reports[1] == reports[2], name
+
+
+def test_history_product_rounds_alike_at_these_widths():
+    # the history form's kvals[k::-1] @ B_hist[: k + 1], one BLAS call per
+    # step, gives each path the same bits at the block widths compared above
+    rng = np.random.default_rng(9)
+    kvals = rng.random(300)
+    B_hist = rng.standard_normal((300, 640))
+    for k in (0, 3, 17, 150, 299):
+        full = kvals[k::-1] @ B_hist[: k + 1]
+        for width in (64, 128, 512):
+            for start in range(0, 640, width):
+                block = np.ascontiguousarray(B_hist[: k + 1, start : start + width])
+                assert np.array_equal(kvals[k::-1] @ block, full[start : start + width])
+
+
+@pytest.mark.parametrize(
+    "kernel, scheme",
+    [(ConstantKernel(1.0), "conv_euler"), (_TWO_EXP, "conv_euler"), (_TWO_EXP, "markov_lift")],
+    ids=["running_sum", "exact_exp", "lift"],
+)
+def test_memory_does_not_grow_with_n_steps(kernel, scheme):
+    model = CIRModel(1.0, 1.0, 1.0, 1.0)
+
+    def peak(horizon):
+        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=64, scheme=scheme, seed=2)
+        tracemalloc.start()
+        try:
+            report = simulate(model, kernel, cfg)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.hit_fraction == 0.0  # every path runs every step
+        return peak_bytes
+
+    simulate(model, kernel, SimConfig(dt=1e-3, horizon=0.01, n_paths=2, scheme=scheme))
+    short, long = peak(1.0), peak(4.0)
+    assert long <= 1.25 * short, (short, long)
 
 
 def test_schemes_coincide_for_constant_kernels(cir_111, unit_kernel):
@@ -221,6 +377,24 @@ def test_discrepancy_zero_for_constant_kernel(cir_111, unit_kernel):
     assert [r["dt"] for r in rows] == [1e-3, 2e-3]
     for r in rows:
         assert r["max_terminal_gap"] == 0.0
+
+
+def test_discrepancy_rows_are_pinned(cir_111, sloped_kernel):
+    # rows recorded from the whole-grid noise block drawn before time
+    # chunking; the first set is acceptance criterion 10's
+    rows = scheme_discrepancy(cir_111, sloped_kernel, [2e-3, 1e-3, 5e-4], 1.0, n_paths=50)
+    assert rows == [
+        {"dt": 0.0005, "max_terminal_gap": 0.0006747556493293949},
+        {"dt": 0.001, "max_terminal_gap": 0.0013503745542275958},
+        {"dt": 0.002, "max_terminal_gap": 0.0026911675760197262},
+    ]
+    rows = scheme_discrepancy(
+        JacobiModel(0.0, 1.0, 1.0, 0.5, 1.0, 0.5), _TWO_EXP, [1e-2, 1e-3], 0.6, n_paths=9, seed=3
+    )
+    assert rows == [
+        {"dt": 0.001, "max_terminal_gap": 0.00044961234311025056},
+        {"dt": 0.01, "max_terminal_gap": 0.00392790602284343},
+    ]
 
 
 def test_discrepancy_contracts_with_dt(cir_111, sloped_kernel):
