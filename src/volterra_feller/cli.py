@@ -15,7 +15,8 @@ INI with sections [model], [kernel], [test], [sim], [output].  Keys are
 lower case; unknown sections or keys in a section the subcommand reads are
 errors.  Sections a subcommand does not read may be present (one file can
 drive several subcommands) and are ignored.  Keys and defaults are read
-from the library: [model] from the model class's fields, [sim] from
+from the library: [model] from the model class's fields, [kernel] from
+the kernel class's fields (lower-cased, so T is given as t), [sim] from
 SimConfig's fields (and verdict_crosscheck's keyword parameters), [test]
 from ScaleContext's fields and the named test's keyword parameters.
 
@@ -44,7 +45,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from . import feller
 from .errors import NumericError, PreconditionError
 from .fracapprox import STAND_INS, _error_rows, stand_in_kernel, stand_in_scheme
-from .kernels import KERNEL_KINDS, kernel_from_dict
+from .kernels import KERNEL_KINDS
 from .resolvent import check_hypotheses, solve_resolvent
 from .scale import CIRModel, JacobiModel, PowerModel, ScaleContext
 from .simulate import SimConfig, simulate, verdict_crosscheck
@@ -123,9 +124,10 @@ def _take_params(sec, section, owner, skip=()):
     """Pop the keys named by a dataclass's fields or a function's keyword
     parameters, with the library's own defaults.
 
-    A key with a default is parsed as that default's type (float when it is
-    None); a dataclass field without one is required and parsed as its
-    annotation says.
+    Keys are looked up lower-cased, as configparser stores them.  A key with
+    a default is parsed as that default's type (float when it is None); a
+    dataclass field without one is required and parsed as its annotation
+    says.
     """
     if is_dataclass(owner):
         params = [(f.name, _REQUIRED if f.default is MISSING else f.default, f.type)
@@ -142,7 +144,7 @@ def _take_params(sec, section, owner, skip=()):
             cast = _FIELD_CASTS[getattr(annotation, "__name__", annotation)]
         else:
             cast = float if default is None else type(default)
-        out[name] = _take(sec, section, name, cast, default)
+        out[name] = _take(sec, section, name.lower(), cast, default)
     return out
 
 
@@ -152,40 +154,32 @@ def _take_params(sec, section, owner, skip=()):
 _MODELS = {cls.family: cls for cls in (CIRModel, JacobiModel, PowerModel)}
 
 
-def _build_model(cfg):
-    sec = dict(cfg.get("model") or {})
+def _build(cfg, section, tag, classes):
+    """The [model] or [kernel] object: the class its tag names in ``classes``,
+    built from that class's fields, and its echo."""
+    sec = dict(cfg.get(section) or {})
     if not sec:
-        raise CliError("config needs a [model] section")
-    family = _take(sec, "model", "family")
-    cls = _MODELS.get(family)
+        raise CliError(f"config needs a [{section}] section")
+    name = _take(sec, section, tag)
+    cls = classes.get(name)
     if cls is None:
-        raise CliError(f"unknown model family {family!r}")
-    kw = _take_params(sec, "model", cls)
-    model = cls(**kw)
-    _no_leftovers(sec, "model")
-    echo = {"family": family}
-    echo.update(kw)
-    return model, echo
+        raise CliError(f"unknown {section} {tag} {name!r}")
+    kw = _take_params(sec, section, cls)
+    obj = cls(**kw)
+    _no_leftovers(sec, section)
+    echo = {tag: name}
+    for key, value in kw.items():
+        echo[key.lower()] = _float_list_echo(value) if isinstance(value, list) else value
+    return obj, echo
 
 
-def _build_kernel(cfg):
-    sec = dict(cfg.get("kernel") or {})
-    if not sec:
-        raise CliError("config needs a [kernel] section")
-    kind = _take(sec, "kernel", "kind")
-    cls = KERNEL_KINDS.get(kind)
-    if cls is None:
-        raise CliError(f"unknown kernel kind {kind!r}")
-    record = {"kind": kind}
-    echo = {"kind": kind}
-    for f in fields(cls):
-        key = f.name.lower()  # configparser lowercases keys: T is read as t
-        value = _take(sec, "kernel", key, _FIELD_CASTS[f.type])
-        record[f.name] = value
-        echo[key] = _float_list_echo(value) if f.type == "tuple" else value
-    kernel = kernel_from_dict(record)
-    _no_leftovers(sec, "kernel")
-    return kernel, echo
+def _setup(args):
+    """Config, output settings, model, kernel and the echo they share."""
+    cfg = _read_config(args.config)
+    out_cfg = _resolve_output(cfg, args)
+    model, m_echo = _build(cfg, "model", "family", _MODELS)
+    kernel, k_echo = _build(cfg, "kernel", "kind", KERNEL_KINDS)
+    return cfg, out_cfg, model, kernel, {"model": m_echo, "kernel": k_echo, "output": out_cfg}
 
 
 # -- output writing ----------------------------------------------------------
@@ -286,19 +280,10 @@ def _verdict_dicts(verdicts):
 
 def _verdict_rows(verdicts):
     rows = []
-    for bv in verdicts:
-        assumptions = ";".join(bv.assumptions_checked)
-        evidence = bv.evidence or (("", "", ""),)
-        for quantity, value, threshold in evidence:
-            rows.append({
-                "boundary": bv.boundary.value,
-                "verdict": bv.verdict.value,
-                "theorem": bv.theorem,
-                "quantity": quantity,
-                "value": value,
-                "threshold": threshold,
-                "assumptions": assumptions,
-            })
+    for verdict in _verdict_dicts(verdicts):
+        assumptions = ";".join(verdict.pop("assumptions_checked"))
+        for evidence in verdict.pop("evidence") or [{}]:
+            rows.append(dict(verdict, **evidence, assumptions=assumptions))
     return rows
 
 
@@ -349,22 +334,15 @@ def _sim_config(cfg, for_crosscheck=False):
 
 
 def _cmd_test(args):
-    cfg = _read_config(args.config)
-    out_cfg = _resolve_output(cfg, args)
-    model, m_echo = _build_model(cfg)
-    kernel, k_echo = _build_kernel(cfg)
-    verdicts, t_echo = _run_verdicts(cfg, model, kernel)
-    echo = {"model": m_echo, "kernel": k_echo, "test": t_echo, "output": out_cfg}
+    cfg, out_cfg, model, kernel, echo = _setup(args)
+    verdicts, echo["test"] = _run_verdicts(cfg, model, kernel)
     _write(echo, {"verdicts": _verdict_dicts(verdicts)},
            _verdict_rows(verdicts), _VERDICT_COLUMNS, out_cfg)
     return _verdict_exit_code(verdicts)
 
 
 def _cmd_scale(args):
-    cfg = _read_config(args.config)
-    out_cfg = _resolve_output(cfg, args)
-    model, m_echo = _build_model(cfg)
-    kernel, k_echo = _build_kernel(cfg)
+    cfg, out_cfg, model, kernel, echo = _setup(args)
     sec = dict(cfg.get("test") or {})
     xs = _take(sec, "test", "x_grid", _floats)
     kw = _take_params(sec, "test", ScaleContext)
@@ -372,8 +350,7 @@ def _cmd_scale(args):
     _no_leftovers(sec, "test")
     ctx = ScaleContext(model, kernel, **kw)
     rows = [{"x": float(x), "p": ctx.scale(x), "v": ctx.v(x)} for x in xs]
-    t_echo = {"x_grid": _float_list_echo(xs), **kw, "c": ctx.c}
-    echo = {"model": m_echo, "kernel": k_echo, "test": t_echo, "output": out_cfg}
+    echo["test"] = {"x_grid": _float_list_echo(xs), **kw, "c": ctx.c}
     _write(echo, {"rows": rows}, rows, ("x", "p", "v"), out_cfg)
     return 0
 
@@ -381,7 +358,7 @@ def _cmd_scale(args):
 def _cmd_resolvent(args):
     cfg = _read_config(args.config)
     out_cfg = _resolve_output(cfg, args)
-    kernel, k_echo = _build_kernel(cfg)
+    kernel, k_echo = _build(cfg, "kernel", "kind", KERNEL_KINDS)
     sec = dict(cfg.get("sim") or {})
     if not sec:
         raise CliError("config needs a [sim] section with dt and horizon")
@@ -443,25 +420,17 @@ def _cmd_approx(args):
 
 
 def _cmd_simulate(args):
-    cfg = _read_config(args.config)
-    out_cfg = _resolve_output(cfg, args)
-    model, m_echo = _build_model(cfg)
-    kernel, k_echo = _build_kernel(cfg)
-    config, _, s_echo = _sim_config(cfg)
-    report = simulate(model, kernel, config)
-    row = report.as_dict()
-    echo = {"model": m_echo, "kernel": k_echo, "sim": s_echo, "output": out_cfg}
+    cfg, out_cfg, model, kernel, echo = _setup(args)
+    config, _, echo["sim"] = _sim_config(cfg)
+    row = simulate(model, kernel, config).as_dict()
     _write(echo, {"report": row}, [row], tuple(row.keys()), out_cfg)
     return 0
 
 
 def _cmd_crosscheck(args):
-    cfg = _read_config(args.config)
-    out_cfg = _resolve_output(cfg, args)
-    model, m_echo = _build_model(cfg)
-    kernel, k_echo = _build_kernel(cfg)
-    verdicts, t_echo = _run_verdicts(cfg, model, kernel)
-    config, tols, s_echo = _sim_config(cfg, for_crosscheck=True)
+    cfg, out_cfg, model, kernel, echo = _setup(args)
+    verdicts, echo["test"] = _run_verdicts(cfg, model, kernel)
+    config, tols, echo["sim"] = _sim_config(cfg, for_crosscheck=True)
     report = simulate(model, kernel, config)
     result = verdict_crosscheck(verdicts, report, **tols)
     rows = [dict(check, consistent=result["consistent"]) for check in result["checks"]]
@@ -470,8 +439,6 @@ def _cmd_crosscheck(args):
         "report": report.as_dict(),
         "crosscheck": result,
     }
-    echo = {"model": m_echo, "kernel": k_echo, "test": t_echo, "sim": s_echo,
-            "output": out_cfg}
     _write(echo, payload, rows,
            ("verdict", "boundary", "theorem", "observed", "tolerance", "status",
             "consistent"), out_cfg)

@@ -37,7 +37,7 @@ from scipy.special import logsumexp
 
 from ._quad import panel_nodes
 from .errors import NumericError, PreconditionError
-from .fracapprox import STAND_INS, stand_in_kernel, stand_in_scheme, truncation_kernel
+from .fracapprox import STAND_INS, stand_in_kernel, stand_in_scheme
 from .scale import DIVERGENCE_CAP, kernel_scalars
 
 __all__ = [
@@ -149,6 +149,23 @@ def _limit_triple(name, lim):
     return (name, float(value), DIVERGENCE_CAP)
 
 
+def _limit_pair(ctx, beta, gamma, target, names):
+    """Both boundary limits of ``target`` ("v", or "p" for |p|) under the
+    shifts (beta, gamma), and their evidence triples under ``names``."""
+    shifted = ctx.with_shifts(beta, gamma)
+    lims = [shifted.boundary_limit(which, target=target) for which in ("left", "right")]
+    return lims, [_limit_triple(name, lim) for name, lim in zip(names, lims)]
+
+
+def _pair_verdict(lims, verdict, theorem, evidence, flags):
+    """``verdict`` on ``Both`` when both limits diverge; otherwise exit with
+    positive probability through each side whose limit is finite."""
+    if all(lim.kind == "divergent" for lim in lims):
+        return _finish(Boundary.BOTH, verdict, theorem, evidence, flags)
+    finite_sides = [side for side, lim in zip(("left", "right"), lims) if lim.kind == "finite"]
+    return _on_sides(finite_sides, Verdict.EXITS_WITH_POSITIVE_PROB, theorem, evidence, flags)
+
+
 def _interval_span(model):
     l, r = model.interval
     if math.isfinite(l) and math.isfinite(r):
@@ -179,20 +196,12 @@ def necessary_test(ctx, eps_shift=None, hypotheses=None):
     if not (eps_shift > 0.0 and math.isfinite(eps_shift)):
         raise ValueError(f"eps_shift must be positive and finite, got {eps_shift}")
     x0 = model.x0
-    shifted = ctx.with_shifts(-(x0 + eps_shift), -(x0 - eps_shift))
-    left = shifted.boundary_limit("left", target="v")
-    right = shifted.boundary_limit("right", target="v")
-    flags = _hypothesis_flags(ctx.kernel, hypotheses)
-    evidence = [
-        _limit_triple("v(left+) with shift -(x0+eps)", left),
-        _limit_triple("v(right-) with shift -(x0-eps)", right),
-        ("eps_shift", float(eps_shift), 0.0),
-    ]
-    theorem = "shifted-necessary-limit"
-    if left.kind == "divergent" and right.kind == "divergent":
-        return _finish(Boundary.BOTH, Verdict.NECESSARY_HOLDS, theorem, evidence, flags)
-    finite_sides = [k for k, lim in (("left", left), ("right", right)) if lim.kind == "finite"]
-    return _on_sides(finite_sides, Verdict.EXITS_WITH_POSITIVE_PROB, theorem, evidence, flags)
+    lims, evidence = _limit_pair(ctx, -(x0 + eps_shift), -(x0 - eps_shift), "v",
+                                 ("v(left+) with shift -(x0+eps)",
+                                  "v(right-) with shift -(x0-eps)"))
+    evidence.append(("eps_shift", float(eps_shift), 0.0))
+    return _pair_verdict(lims, Verdict.NECESSARY_HOLDS, "shifted-necessary-limit", evidence,
+                         _hypothesis_flags(ctx.kernel, hypotheses))
 
 
 def _staged_side(ctx, which, n_stages):
@@ -314,17 +323,9 @@ def bounded_interval_test(ctx, hypotheses=None):
                 "1/sigma~^2 is not integrable over the interval; the two-sided "
                 "equivalence needs integrability when K'(0) < 0",
                 )
-    zctx = ctx.with_shifts(0.0, 0.0)
-    left = zctx.boundary_limit("left", target="v")
-    right = zctx.boundary_limit("right", target="v")
-    flags = _hypothesis_flags(ctx.kernel, hypotheses)
-    evidence.append(_limit_triple("v(left+)", left))
-    evidence.append(_limit_triple("v(right-)", right))
-    theorem = "bounded-interval-equivalence"
-    if left.kind == "divergent" and right.kind == "divergent":
-        return _finish(Boundary.BOTH, Verdict.NO_EXIT_AS, theorem, evidence, flags)
-    finite_sides = [k for k, lim in (("left", left), ("right", right)) if lim.kind == "finite"]
-    return _on_sides(finite_sides, Verdict.EXITS_WITH_POSITIVE_PROB, theorem, evidence, flags)
+    lims, triples = _limit_pair(ctx, 0.0, 0.0, "v", ("v(left+)", "v(right-)"))
+    return _pair_verdict(lims, Verdict.NO_EXIT_AS, "bounded-interval-equivalence",
+                         evidence + triples, _hypothesis_flags(ctx.kernel, hypotheses))
 
 
 def sup_inf_test(ctx, hypotheses=None):
@@ -340,38 +341,31 @@ def sup_inf_test(ctx, hypotheses=None):
     """
     l, r = ctx.model.interval
     classical = ctx.kprime0 == 0.0
-    sup_applicable = math.isfinite(r) or classical
-    inf_applicable = math.isfinite(l) or classical
-    if not (sup_applicable or inf_applicable):
+    if not (math.isfinite(l) or math.isfinite(r) or classical):
         raise PreconditionError(
             "sup_inf_test needs a finite boundary on the tested side "
             "(or K'(0) = 0)"
         )
-    flags = _hypothesis_flags(ctx.kernel, hypotheses)
     evidence = []
-    sup_holds = inf_holds = False
-    if sup_applicable:
-        shift = -r if math.isfinite(r) else 0.0
-        sctx = ctx.with_shifts(shift, shift)
-        pl = sctx.boundary_limit("left", target="p")
-        pr = sctx.boundary_limit("right", target="p")
-        evidence.append(_limit_triple(f"|p|(left+) with shift {shift:.6g}", pl))
-        evidence.append(_limit_triple(f"|p|(right-) with shift {shift:.6g}", pr))
-        sup_holds = pl.kind == "finite" and pr.kind == "divergent"
-    if inf_applicable:
-        shift = -l if math.isfinite(l) else 0.0
-        ictx = ctx.with_shifts(shift, shift)
-        ql = ictx.boundary_limit("left", target="p")
-        qr = ictx.boundary_limit("right", target="p")
-        evidence.append(_limit_triple(f"|p|(left+) with shift {shift:.6g}", ql))
-        evidence.append(_limit_triple(f"|p|(right-) with shift {shift:.6g}", qr))
-        inf_holds = ql.kind == "divergent" and qr.kind == "finite"
-    if sup_holds:
-        return _finish(Boundary.RIGHT, Verdict.SUP_BOUNDED_AS,
-                       "scale-function-sup-bound", evidence, flags)
-    if inf_holds:
-        return _finish(Boundary.LEFT, Verdict.INF_BOUNDED_AS,
-                       "scale-function-inf-bound", evidence, flags)
+    held = []
+    for bound, kinds, conclusion in (
+        (r, ("finite", "divergent"),
+         (Boundary.RIGHT, Verdict.SUP_BOUNDED_AS, "scale-function-sup-bound")),
+        (l, ("divergent", "finite"),
+         (Boundary.LEFT, Verdict.INF_BOUNDED_AS, "scale-function-inf-bound")),
+    ):
+        if not (math.isfinite(bound) or classical):
+            continue
+        shift = -bound if math.isfinite(bound) else 0.0
+        lims, triples = _limit_pair(ctx, shift, shift, "p",
+                                    (f"|p|(left+) with shift {shift:.6g}",
+                                     f"|p|(right-) with shift {shift:.6g}"))
+        evidence += triples
+        if tuple(lim.kind for lim in lims) == kinds:
+            held.append(conclusion)
+    flags = _hypothesis_flags(ctx.kernel, hypotheses)
+    if held:
+        return _finish(*held[0], evidence, flags)
     return _finish(Boundary.BOTH, Verdict.INCONCLUSIVE, "scale-function-bounds",
                    evidence, flags)
 
@@ -443,15 +437,7 @@ def fractional_condition_study(model, alpha, sweep, scheme="truncation",
     regime = _study_regime(scheme, alpha)
     rows = []
     for value in values:
-        if scheme == "truncation":
-            kernel = truncation_kernel(alpha, float(value))
-        else:
-            n_intervals = int(value)
-            if n_intervals != value or n_intervals < 1:
-                raise ValueError(f"interval counts must be positive integers, got {value}")
-            kernel = stand_in_kernel(
-                stand_in_scheme(scheme, alpha, n_intervals, q=q, ratio=ratio, xi1=xi1)
-            )
+        kernel = stand_in_kernel(stand_in_scheme(scheme, alpha, value, q=q, ratio=ratio, xi1=xi1))
         k0, kp0 = kernel.k0_kprime0()
         rows.append(
             {

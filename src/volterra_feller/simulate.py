@@ -27,9 +27,9 @@ keeps every past increment, n_steps per path.
 
 Blocks are as wide as a per-path result allows.  The running sum and
 one-rate recursions are elementwise, so their blocks take up to _WIDE paths.
-The history form and multi-rate sums w_n Y^n go through a BLAS product,
-which may round a path's value by its column in the call, so they keep
-_BLOCK-path blocks and their results stay fixed for a given path count.
+The history form and multi-rate sums w_n Y^n go through a BLAS product that
+may round a path by its column and thread split, so they keep _BLOCK-path
+blocks: results stay fixed for a given path count, BLAS build and thread count.
 
 A path that reaches hit_eps of a finite boundary, or blowup_cap when the
 boundary is infinite, is recorded with its grid hit time and frozen; the

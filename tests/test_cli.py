@@ -374,3 +374,68 @@ def test_help_snapshots(name, monkeypatch):
         subs = next(a for a in parser._actions if getattr(a, "choices", None))
         text = subs.choices[name].format_help()
     assert text == (GOLDEN / f"help_{name}.txt").read_text()
+
+
+# ------------------------------------------------------------- output goldens
+
+_GOLDEN_KERNELS = dict(_ROUND_TRIP_KERNELS,
+                       two_rate="kind = sumexp\nweights = 0.5, 0.5\nrates = 1.0, 2.0\n")
+_GOLDEN_SIM = "[sim]\ndt = 0.01\nhorizon = 0.5\nn_paths = 16\nseed = 3\n"
+
+
+def _golden_config(model, kernel, test=None, sim=""):
+    cfg = f"[model]\n{_ROUND_TRIP_MODELS[model][0]}\n[kernel]\n{_GOLDEN_KERNELS[kernel]}\n"
+    if test is not None:
+        cfg += f"[test]\n{test}\n"
+    return cfg + sim
+
+
+# (case name, subcommand and flags, config text or None: --config follows the
+# subcommand);
+# simulate and crosscheck use the constant and one-rate kernels, whose
+# recursions are elementwise, so their bits do not depend on the BLAS build
+_GOLDEN_RUNS = [
+    ("test_necessary", ["test"], _golden_config("cir", "two_rate", "name = necessary")),
+    ("test_sufficient", ["test"], _golden_config("jacobi", "constant", "name = sufficient")),
+    ("test_bounded_interval", ["test"],
+     _golden_config("jacobi", "constant", "name = bounded_interval")),
+    ("test_sup_inf", ["test"], _golden_config("jacobi", "sumexp", "name = sup_inf")),
+    ("test_family", ["test"], _golden_config("power", "truncfrac", "name = family")),
+    ("scale", ["scale"], _golden_config("power", "truncfrac",
+                                        "name = scale\nx_grid = -1.0, 0.25, 1.5")),
+    ("resolvent", ["resolvent"],
+     f"[kernel]\n{_GOLDEN_KERNELS['two_rate']}\n[sim]\ndt = 0.01\nhorizon = 1.0\n"),
+    ("simulate", ["simulate"], _golden_config("cir", "constant", sim=_GOLDEN_SIM)),
+    ("crosscheck", ["crosscheck"],
+     _golden_config("jacobi", "sumexp", "name = family", _GOLDEN_SIM)),
+    ("approx", ["approx", "--alpha", "0.6", "--scheme", "fractional", "--intervals", "3",
+                "--q", "2"], None),
+]
+_GOLDEN_ERRORS = [
+    ("unknown_family", _golden_config("cir", "constant").replace("= cir", "= heston")),
+    ("unknown_kind", _golden_config("cir", "constant").replace("= constant", "= gamma")),
+    ("missing_key", _golden_config("cir", "constant").replace("theta = 1.0\n", "")),
+    ("bad_tuple", _golden_config("cir", "two_rate").replace("1.0, 2.0", "1.0, fast")),
+    # appended lines land in [kernel], the last section
+    ("unknown_key", _golden_config("cir", "truncfrac") + "cap = 2.0\n"),
+]
+_GOLDEN_CASES = (
+    [(f"{name}_{fmt}", argv, cfg, fmt) for name, argv, cfg in _GOLDEN_RUNS
+     for fmt in ("json", "csv")]
+    + [(f"error_{name}", ["test"], cfg, None) for name, cfg in _GOLDEN_ERRORS]
+)
+
+
+@pytest.mark.parametrize("case, argv, cfg, fmt", _GOLDEN_CASES,
+                         ids=[case[0] for case in _GOLDEN_CASES])
+def test_output_goldens(tmp_path, capsys, case, argv, cfg, fmt):
+    # exit code, stdout and stderr of whole runs, byte for byte
+    argv = list(argv)
+    if cfg is not None:
+        argv[1:1] = ["--config", _write_ini(tmp_path, cfg)]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    rc = main(argv)
+    out = capsys.readouterr()
+    text = f"exit {rc}\n--- stdout\n{out.out}--- stderr\n{out.err}"
+    assert text == (GOLDEN / f"cli_{case}.txt").read_text()
