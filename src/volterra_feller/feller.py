@@ -242,7 +242,8 @@ def _sufficient_side(ctx, which, n_stages):
         # implies the staged condition
         shifted = ctx.with_shifts(-boundary, -boundary)
         lim = shifted.boundary_limit(which, target="v")
-        evidence.append(_limit_triple(f"v({which}) with boundary shift {-boundary:.6g}", lim))
+        label = f"v({which}) with boundary shift {-boundary + 0.0:.6g}"  # 0, not -0, at 0
+        evidence.append(_limit_triple(label, lim))
         if lim.kind == "divergent":
             return True, evidence
     staged_ok, staged_ev = _staged_side(ctx, which, n_stages)
@@ -357,9 +358,9 @@ def sup_inf_test(ctx, hypotheses=None):
         if not (math.isfinite(bound) or classical):
             continue
         shift = -bound if math.isfinite(bound) else 0.0
-        lims, triples = _limit_pair(ctx, shift, shift, "p",
-                                    (f"|p|(left+) with shift {shift:.6g}",
-                                     f"|p|(right-) with shift {shift:.6g}"))
+        label = f"{shift + 0.0:.6g}"  # a boundary at 0 gives shift -0.0
+        lims, triples = _limit_pair(ctx, shift, shift, "p", (f"|p|(left+) with shift {label}",
+                                                              f"|p|(right-) with shift {label}"))
         evidence += triples
         if tuple(lim.kind for lim in lims) == kinds:
             held.append(conclusion)

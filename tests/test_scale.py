@@ -16,6 +16,7 @@ from volterra_feller import (
     SumOfExponentialsKernel,
 )
 from volterra_feller._quad import outward_edges
+from volterra_feller.scale import _NAT
 from volterra_feller.errors import NumericError, PreconditionError
 
 
@@ -224,6 +225,189 @@ def test_v_prime_is_derivative_of_v(cir_ctx):
     for x in [0.7, 1.4]:
         fd = (cir_ctx.v(x + h) - cir_ctx.v(x - h)) / (2.0 * h)
         assert cir_ctx.v_prime(x) == pytest.approx(fd, rel=1e-5)
+
+
+# ------------------------------------------------------------ sweep bits
+
+
+def _pinned_legs():
+    # one leg per kind of panel the sweep meets: end panels at a finite
+    # endpoint (CIR, Jacobi), an interior zero of sigma (power), E from the
+    # integration matrix (custom CIR clone) and graded panels the halving
+    # rounds flag (power, alpha = 2)
+    exp, one = SumOfExponentialsKernel([1.0], [1.0]), ConstantKernel(1.0)
+    clone = CustomModel(lambda x: 1.0 - x, np.sqrt, (0.0, math.inf), 1.0)
+    return {
+        "cir_to_0": (ScaleContext(CIRModel(1.0, 0.3, 1.0, 1.0), exp), [0.5, 0.0]),
+        "jacobi_to_0": (ScaleContext(JacobiModel(0.0, 1.0, 0.5, 0.5, 1.0, 0.5), exp,
+                                     beta=0.1, gamma=-0.3), [0.3, 0.0]),
+        "power_across_0": (ScaleContext(PowerModel(1.5, 0.5, 1.0, 1.0), one), [-0.3, -1.0]),
+        "custom_cir": (ScaleContext(clone, one), [0.6, 0.2]),
+        "power_graded": (ScaleContext(PowerModel(2.0, 0.0, 1.0, 0.5), one), [8.5, 64.5]),
+    }
+
+
+# float.hex of the _Sweep rows (e, log_i, log_p, log_v, log_u, each at the
+# leg's points) of the 64-panel sweep and of _stabilized's converged sweep,
+# keyed (leg, field, base panels); log_u carries 3 series terms
+_SWEEP_BITS = {
+    ("cir_to_0", "log_p", 64): (
+        "-0x1.95885804e8838p+0 inf nan nan -0x1.679fad78d6950p+0 -0x1.23b0fb65f40a9p+0 nan nan "
+        "nan nan"
+    ),
+    ("cir_to_0", "log_p", 128): (
+        "-0x1.95885804e8838p+0 inf nan nan -0x1.679fad78d6953p+0 -0x1.23b0fb65e7056p+0 nan nan "
+        "nan nan"
+    ),
+    ("cir_to_0", "log_u", 64): (
+        "-0x1.95885804e8838p+0 inf 0x1.46696d9c86a16p-1 0x1.c7ab52ad11926p+1 nan nan "
+        "-0x1.9e635cca1ec21p+0 0x1.4062b7df72588p-1 -0x1.91d92a81ea006p+0 0x1.1ea28f7748036p+0"
+    ),
+    ("cir_to_0", "log_u", 256): (
+        "-0x1.95885804e8838p+0 inf 0x1.46696d9c86a14p-1 0x1.c7ab52ad13f70p+1 nan nan "
+        "-0x1.9e635cca1ec22p+0 0x1.4062b646d9426p-1 -0x1.91d92a81ea007p+0 0x1.1ea28d996b408p+0"
+    ),
+    ("jacobi_to_0", "log_p", 64): (
+        "-0x1.82ad28d199a76p-1 inf nan nan -0x1.febb8aae38b6cp+0 -0x1.60bfc400faab0p+0 nan nan "
+        "nan nan"
+    ),
+    ("jacobi_to_0", "log_p", 128): (
+        "-0x1.82ad28d199a76p-1 inf nan nan -0x1.febb8aae38b6cp+0 -0x1.60bfc400fac17p+0 nan nan "
+        "nan nan"
+    ),
+    ("jacobi_to_0", "log_u", 64): (
+        "-0x1.82ad28d199a76p-1 inf 0x1.1c820db758d25p-2 0x1.70e2cbfb25fd4p+1 nan nan "
+        "-0x1.04bb76d010f8fp+1 0x1.94b4adf6434bep-3 -0x1.01579203bda4ap+1 0x1.052ebf574a006p-1"
+    ),
+    ("jacobi_to_0", "log_u", 256): (
+        "-0x1.82ad28d199a76p-1 inf 0x1.1c820db758d24p-2 0x1.70e2cbfa7e93ep+1 nan nan "
+        "-0x1.04bb76d010f8fp+1 0x1.94b4aeb118120p-3 -0x1.01579203bda4ap+1 0x1.052ebfb08d7c7p-1"
+    ),
+    ("power_across_0", "log_p", 64): (
+        "0x1.170a3d70a3d71p+0 0x1.0000000000000p+1 nan nan 0x1.0df76ec935a3ap+0 "
+        "0x1.caf203616f0bdp+0 nan nan nan nan"
+    ),
+    ("power_across_0", "log_p", 128): (
+        "0x1.170a3d70a3d71p+0 0x1.0000000000000p+1 nan nan 0x1.0df76ec935a3ap+0 "
+        "0x1.caf203616f0b9p+0 nan nan nan nan"
+    ),
+    ("power_across_0", "log_u", 64): (
+        "0x1.170a3d70a3d71p+0 0x1.0000000000000p+1 0x1.250163afe24cep-2 0x1.c55c1650a642dp-2 "
+        "nan nan 0x1.59cbb3fd3f0a9p+0 0x1.4a1d6a51a2a90p+1 0x1.fb119ab7ec449p+0 "
+        "0x1.ddbd72587137ap+1"
+    ),
+    ("power_across_0", "log_u", 128): (
+        "0x1.170a3d70a3d71p+0 0x1.0000000000000p+1 0x1.250163afe24cbp-2 0x1.c55c1650a642bp-2 "
+        "nan nan 0x1.59cbb3fd5a5e1p+0 0x1.4a1d6a51a6a96p+1 0x1.fb119ab87cc4cp+0 "
+        "0x1.ddbd7258983f4p+1"
+    ),
+    ("custom_cir", "log_p", 64): (
+        "0x1.c5f116da23c26p-3 0x1.9e6ea564180cdp+0 nan nan -0x1.b17d87964acfep-1 "
+        "0x1.1dea746bc5c33p-2 nan nan nan nan"
+    ),
+    ("custom_cir", "log_p", 128): (
+        "0x1.c5f116da23c27p-3 0x1.9e6ea564180cep+0 nan nan -0x1.b17d87964acfcp-1 "
+        "0x1.1dea746bc5c37p-2 nan nan nan nan"
+    ),
+    ("custom_cir", "log_u", 64): (
+        "0x1.c5f116da23c26p-3 0x1.9e6ea564180cdp+0 -0x1.7e2e658ef9292p-1 -0x1.0f91b3a01aa02p-6 "
+        "nan nan -0x1.9ae06d3857396p+0 0x1.f1fac8b37aadfp-2 -0x1.92412b2775726p+0 "
+        "0x1.63c48fdb9bebep-1"
+    ),
+    ("custom_cir", "log_u", 128): (
+        "0x1.c5f116da23c27p-3 0x1.9e6ea564180cep+0 -0x1.7e2e658ef9294p-1 -0x1.0f91b3a01aa07p-6 "
+        "nan nan -0x1.9ae06d3857397p+0 0x1.f1fac8b37aadbp-2 -0x1.92412b2775727p+0 "
+        "0x1.63c48fdb9bebdp-1"
+    ),
+    ("power_graded", "log_p", 64): (
+        "-0x1.9955555555556p+8 -0x1.5d65555555555p+17 nan nan -0x1.1818e30cf30c3p-1 "
+        "-0x1.1818e30cf30c3p-1 nan nan nan nan"
+    ),
+    ("power_graded", "log_p", 128): (
+        "-0x1.9955555555556p+8 -0x1.5d65555555555p+17 nan nan -0x1.1818e30cf30c3p-1 "
+        "-0x1.1818e30cf30c3p-1 nan nan nan nan"
+    ),
+    ("power_graded", "log_u", 64): (
+        "-0x1.9955555555556p+8 -0x1.5d65555555555p+17 0x1.945c978d3e07ap+8 "
+        "0x1.5d60d1f1d626dp+17 nan nan 0x1.5ac01c9f019d1p-3 0x1.021d7f4be177ep-2 "
+        "0x1.510e691a902ffp-1 0x1.999ecf19433f8p-1"
+    ),
+    ("power_graded", "log_u", 128): (
+        "-0x1.9955555555556p+8 -0x1.5d65555555555p+17 0x1.945c978d3e07ap+8 "
+        "0x1.5d60d1f1d626dp+17 nan nan 0x1.5ac01c9f019ccp-3 0x1.021d7f4be178dp-2 "
+        "0x1.510e691a902fep-1 0x1.999ecf19433edp-1"
+    ),
+}
+
+
+@pytest.mark.parametrize("leg", list(_pinned_legs()))
+def test_sweep_rows_are_pinned_to_the_bit(leg):
+    ctx, xs = _pinned_legs()[leg]
+    for field in ("log_p", "log_u"):
+        n_terms = 3 if field == "log_u" else 1
+        sweep, effort = ctx._stabilized(xs, field, n_terms=n_terms)
+        for n, got in ((64, ctx._sweep(xs, 64, field, n_terms=n_terms)),
+                       (effort["base_panels"], sweep)):
+            bits = " ".join(float(v).hex() for v in np.ravel(got))
+            assert bits == _SWEEP_BITS[leg, field, n], (field, n)
+
+
+@st.composite
+def _refine_cases(draw):
+    # (context, panel edges outward from c, inner, singular points) for one
+    # leg of a drawn model, kernel and target, gridded as _sweep grids it
+    pos = st.floats(0.2, 3.0)
+    kernel = draw(st.sampled_from([ConstantKernel(1.0), SumOfExponentialsKernel([1.0], [1.0])]))
+    kind = draw(st.sampled_from(["cir", "jacobi", "power", "custom"]))
+    if kind == "cir":
+        model = CIRModel(draw(pos), draw(st.floats(0.05, 3.0)), draw(pos), 1.0)
+    elif kind == "jacobi":
+        model = JacobiModel(0.0, 1.0, draw(pos), draw(st.floats(0.1, 0.9)), draw(pos), 0.5)
+    elif kind == "power":
+        model = PowerModel(draw(st.floats(1.1, 2.5)), draw(st.floats(0.0, 0.9)), draw(pos), 1.0)
+    else:
+        kappa, theta, sigma = draw(pos), draw(pos), draw(pos)
+        model = CustomModel(lambda x: kappa * (theta - x), lambda x: sigma * np.sqrt(x),
+                            (0.0, math.inf), 1.0)
+    ctx = ScaleContext(model, kernel)
+    c, (l, r) = ctx.c, model.interval
+    boundary = draw(st.sampled_from([l, r]))
+    if math.isfinite(boundary):
+        x = boundary + (c - boundary) * draw(st.just(0.0) | st.floats(0.0, 0.9))
+    else:
+        x = c + math.copysign(2.0 ** draw(st.floats(-2.0, 8.0)), boundary)
+    lo, hi = min(c, x), max(c, x)
+    ends = tuple(s for s in (l, r, *ctx._interior_singularities()) if lo <= s <= hi)
+    edges = np.unique(np.concatenate([ctx._edges(lo, hi, draw(st.sampled_from([64, 256]))),
+                                      [x, *ends]]))
+    return ctx, (edges if x > c else edges[::-1]), draw(st.booleans()), ends
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_refine_cases())
+def test_refine_tiles_the_leg_and_resolves_every_open_panel(case):
+    ctx, edges, inner, ends = case
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a, b, vals, flagged = ctx._refine(edges[:-1], edges[1:], inner, ends)
+        again = ctx._node_values(a, b, inner)
+    assert a[0] == edges[0] and b[-1] == edges[-1]
+    assert np.array_equal(b[:-1], a[1:])
+    for got, want in zip(vals[:3], again[:3]):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got, want, equal_nan=True)
+    # a custom model's change of E per panel is a BLAS matrix-vector
+    # product, which rounds a row by its position in the call
+    assert (vals[3] is None) == (again[3] is None)
+    if vals[3] is not None:
+        assert np.allclose(vals[3], again[3], rtol=1e-13, atol=1e-13 * np.max(np.abs(again[3])))
+    _, e, log_sig, _ = vals
+    spread = np.ptp(e, axis=1)
+    if inner:
+        spread = np.maximum(spread, np.ptp(-e - log_sig, axis=1))
+    assert np.all(spread[~flagged] <= _NAT)
+    touches = np.isin(a, ends) | np.isin(b, ends)
+    assert np.all(touches[flagged] | ~(spread[flagged] <= _NAT))
 
 
 # ----------------------------------------------------------------- u-series
