@@ -39,16 +39,16 @@ def gl_integration_matrix(order: int):
     return legendre.legval(t, legendre.legint(gl_legendre_coefficients(order), lbnd=-1.0)).T
 
 
-def outward_edges(anchor: float, target: float, n_panels: int, rel_first: float = 1e-7):
+def outward_edges(anchor: float, target: float, n_panels: int):
     """Panel edges from anchor to target, widths shrinking geometrically
     toward target (where the integrand may be steep or singular-adjacent).
 
-    edges[0] == anchor, edges[-1] == target; constant width ratio rel_first**(1/n).
+    edges[0] == anchor, edges[-1] == target; constant width ratio 1e-7**(1/n).
     """
     span = target - anchor
     if span == 0.0:
         raise ValueError("anchor and target coincide")
-    frac = rel_first ** (np.arange(n_panels) / n_panels)
+    frac = 1e-7 ** (np.arange(n_panels) / n_panels)
     dist = np.concatenate([frac, [0.0]])  # distance from target, in units of span
     edges = target - span * dist
     # target - span can round past the anchor, leaving a sliver panel across
@@ -56,17 +56,3 @@ def outward_edges(anchor: float, target: float, n_panels: int, rel_first: float 
     edges[0] = anchor
     return edges
 
-
-def panel_nodes(edges: np.ndarray, order: int):
-    """Gauss-Legendre nodes mapped into each panel.
-
-    Returns (points[n_panels, order], log_halfwidth[n_panels], log_w[order]).
-    Open rule: no panel endpoint is ever evaluated.
-    """
-    x, w = gl_rule(order)
-    lo = edges[:-1]
-    hi = edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    return pts, np.log(np.abs(half)), np.log(w)

@@ -33,9 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._quad import panel_nodes
 from .errors import NumericError, PreconditionError
 from .fracapprox import STAND_INS, stand_in_kernel, stand_in_scheme
 from .scale import DIVERGENCE_CAP, kernel_scalars
@@ -259,7 +257,7 @@ def sufficient_test(ctx, n_stages=8, hypotheses=None):
     divergence of v under the boundary shift.  Divergence on both sides rules
     out exit entirely.
     """
-    if int(n_stages) != n_stages or n_stages < 2:
+    if not float(n_stages).is_integer() or n_stages < 2:
         raise ValueError("n_stages must be an integer >= 2")
     n_stages = int(n_stages)
     left_ok, ev_left = _sufficient_side(ctx, "left", n_stages)
@@ -268,30 +266,6 @@ def sufficient_test(ctx, n_stages=8, hypotheses=None):
     sides = [k for k, ok in (("left", left_ok), ("right", right_ok)) if ok]
     return _on_sides(sides, Verdict.NO_EXIT_AS, "staged-sufficient-divergence",
                      ev_left + ev_right, flags)
-
-
-def _log_sigma_inv_sq_mass(ctx, n_panels, rel_first):
-    l, r = ctx.model.interval
-    edges = ctx._edges(l, r, n_panels, rel_first)
-    pts, log_half, log_w = panel_nodes(edges, 12)
-    with np.errstate(divide="ignore"):
-        logf = -ctx._log_sigma_tilde_sq(pts)
-    return float(logsumexp(logf + log_w + log_half[:, None]))
-
-
-def _sigma_inv_sq_integrable(ctx):
-    """Numerically decide whether 1/sigma~^2 is integrable over (l, r).
-
-    Integrates on edge-graded panels whose first panel shrinks by three
-    orders of magnitude per round; a stable total flags integrability, while
-    steady growth flags an endpoint divergence.
-    """
-    masses = [
-        _log_sigma_inv_sq_mass(ctx, 256, rel)
-        for rel in (1e-6, 1e-9, 1e-12)
-    ]
-    integrable = abs(masses[-1] - masses[-2]) <= 1e-3
-    return integrable, masses
 
 
 def bounded_interval_test(ctx, hypotheses=None):
@@ -304,26 +278,29 @@ def bounded_interval_test(ctx, hypotheses=None):
     probability.  A kernel with K'(0) = 0 makes the shifts vanish identically,
     so the integrability precondition is waived in that case.
 
-    Raises ``PreconditionError`` on unbounded intervals and on
-    non-integrable 1/sigma~^2 with K'(0) < 0.
+    1/sigma~^2 is integrable at an endpoint once its exponent, fitted on the
+    end panels the scale sweep places there, exceeds -1 by more than twice
+    its change between rounds (and 1e-9); a log factor, whose change halves
+    as the depth doubles, never passes.  Each endpoint adds its (exponent,
+    value, bound) triple to the evidence.
+
+    Raises ``PreconditionError`` on unbounded intervals and, with
+    K'(0) < 0, on 1/sigma~^2 not shown integrable, naming exponent and bound.
     """
     l, r = ctx.model.interval
     if not (math.isfinite(l) and math.isfinite(r)):
         raise PreconditionError(
             f"bounded_interval_test needs a bounded interval, got ({l}, {r})"
         )
-    evidence = []
-    if ctx.kprime0 == 0.0:
-        evidence.append(("K'(0)", 0.0, 0.0))
-    else:
-        integrable, masses = _sigma_inv_sq_integrable(ctx)
-        evidence.append(("log integral of 1/sigma~^2 (last deepening increment)",
-                         abs(masses[-1] - masses[-2]), 1e-3))
+    evidence = [("K'(0)", 0.0, 0.0)] if ctx.kprime0 == 0.0 else []
+    for s in (l, r) if ctx.kprime0 < 0.0 else ():
+        beta, bound, integrable = ctx._sigma_inv_sq_fit(s)
         if not integrable:
             raise PreconditionError(
-                "1/sigma~^2 is not integrable over the interval; the two-sided "
-                "equivalence needs integrability when K'(0) < 0",
-                )
+                f"1/sigma~^2 is not shown integrable at {s:.6g}: fitted exponent {beta:.12g} "
+                f"<= bound {bound:.12g}; the equivalence needs it when K'(0) < 0")
+        evidence.append((f"1/sigma~^2 fitted exponent at {s + 0.0:.6g} (integrable if above)",
+                         beta, bound))
     lims, triples = _limit_pair(ctx, 0.0, 0.0, "v", ("v(left+)", "v(right-)"))
     return _pair_verdict(lims, Verdict.NO_EXIT_AS, "bounded-interval-equivalence",
                          evidence + triples, _hypothesis_flags(ctx.kernel, hypotheses))

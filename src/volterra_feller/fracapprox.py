@@ -97,7 +97,7 @@ class QuadratureScheme:
             raise ValueError("breakpoints must be finite and nonnegative")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if not (1 <= int(self.q) <= _MAX_NODES_PER_INTERVAL):
+        if not (float(self.q).is_integer() and 1 <= self.q <= _MAX_NODES_PER_INTERVAL):
             raise ValueError("q must be an integer in [1, %d]" % _MAX_NODES_PER_INTERVAL)
         if self.weight not in _WEIGHT_KINDS:
             raise ValueError("weight must be one of %s" % (_WEIGHT_KINDS,))
@@ -118,7 +118,7 @@ def geometric_nodes(n_intervals, ratio=6.4, xi1=1.0):
     fractional weight at 0; the remaining ones grow geometrically so the far
     rates (short-time behaviour of the kernel) are covered with few intervals.
     """
-    if int(n_intervals) != n_intervals or n_intervals < 1:
+    if not float(n_intervals).is_integer() or n_intervals < 1:
         raise ValueError("n_intervals must be a positive integer")
     if not (ratio > 1.0 and math.isfinite(ratio)):
         raise ValueError("ratio must exceed 1")

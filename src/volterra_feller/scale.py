@@ -55,9 +55,9 @@ Each built-in model family keeps its closed forms on its own class, and
   emitted as (boundary, verdict, theorem, evidence) with string names.
 
 ``CustomModel`` has none of them: E comes from the sweep's integration
-matrix applied to 2 b~_c / sigma~^2, limits from sampling, and
-``family_test`` does not apply.  The ``family`` class attribute is a data
-tag only.
+matrix applied to 2 b~_c / sigma~^2, limits from a sweep to a finite
+endpoint or from sampling toward an infinite one, and ``family_test`` does
+not apply.  The ``family`` class attribute is a data tag only.
 
 The iterated-integral series u_c = sum_n u_{c,n} built from the recursion
 
@@ -101,23 +101,31 @@ _ORDER = 12  # Gauss nodes per sweep panel
 _NAT = 1.0  # largest move of an integrand's log across a resolved panel's nodes
 _MAX_BISECTIONS = 8  # halving rounds before a panel falls back to graded quadrature
 DIVERGENCE_CAP = 1e12  # a sampled or staged value at or above this counts as divergent
+_FIT_TOL = 1e-9  # a fitted exponent this near -1 is undecided: fits round by 2e-11
 
 
 def _power_law_integrals(log_f, x, x_a, x_b):
-    # logs of int C |y - s|^beta from a to each node and to b, for the least
-    # squares fit log f = log C + beta x at the nodes' x = log |y - s|, with
-    # x_a, x_b those of a and b.  The sweep reads a value at s only where it
-    # is finite, so a range reaching s (x = -inf) under beta <= -1 is a
-    # misfit: nan, which forces another doubling round, where +inf in two
-    # rounds would settle as a divergence
+    # logs of int C |y - s|^beta from a to each node and to b (last column),
+    # and beta, for the least squares fit log f = log C + beta x at the
+    # nodes' x = log |y - s|, with x_a, x_b those of a and b.  The sweep
+    # reads a value at s only where it is finite, so a range reaching s
+    # (x = -inf) under beta <= -1 is a misfit: nan, which forces another
+    # doubling round, where +inf in two rounds would settle as a divergence
     xc = x - x.mean(axis=1, keepdims=True)
     beta = np.sum(xc * log_f, axis=1, keepdims=True) / np.sum(xc * xc, axis=1, keepdims=True)
     log_c = log_f.mean(axis=1, keepdims=True) - beta * x.mean(axis=1, keepdims=True)
     g1, g2 = (beta + 1.0) * x_a[:, None], (beta + 1.0) * np.column_stack([x, x_b])
     top = np.maximum(g1, g2)
     out = log_c - np.log(np.abs(beta + 1.0)) + top + np.log(-np.expm1(np.minimum(g1, g2) - top))
-    out = np.where(top < np.inf, out, np.nan)
-    return out[:, :-1], out[:, -1]
+    return np.where(top < np.inf, out, np.nan), beta[:, 0]
+
+
+def _depths(s, leg, n_panels):
+    # distances from a singular point s of the edges a leg of length leg
+    # places toward it: leg 2^-k for k = 1 .. n_panels / 4, down to 2^-36 |s|
+    # (1e-300 at s = 0), short of the float resolution of y - s
+    d = leg * 0.5 ** np.arange(1, n_panels // 4 + 1)
+    return d[d >= max(2.0**-36 * abs(s), 1e-300)]
 
 
 def _require(cond, msg):
@@ -418,12 +426,14 @@ class LimitResult:
 
     kind : 'finite', 'divergent' or 'inconclusive'
     value : limit estimate for finite kinds when one is computable
-    method : 'closed' (exponent arithmetic) or 'sample' (geometric sampling)
+    method : 'closed' (exponent arithmetic), 'sweep' (a sweep run to a
+        finite endpoint) or 'sample' (geometric sampling)
     evidence : exponents or the sampled sequence backing the call; sampled
-        limits, and closed ones valued at a finite endpoint, also carry the
-        sweep's effort: ``base_panels`` at convergence, ``doubling_rounds``
+        and swept limits, and closed ones valued at a finite endpoint, also
+        carry the sweep's effort: ``base_panels``, ``doubling_rounds``
         (sweeps run) and ``last_max_delta`` (largest |change| of the log
-        values between the last two rounds)
+        values between the last two rounds) or, read nan twice, the end
+        panel's ``fitted_exponent`` and ``fitted_exponent_change``
     """
 
     kind: str
@@ -544,7 +554,7 @@ class ScaleContext:
             out = np.zeros_like(pts)
             for side in (pts > self.c, pts < self.c):
                 if side.any():
-                    out[side] = self._sweep(pts[side], 64, "log_p").e
+                    out[side] = self._sweep(pts[side], 64, "log_p")[0].e
         if np.isscalar(x) or arr.ndim == 0:
             return float(out[0])
         return out.reshape(arr.shape)
@@ -569,12 +579,9 @@ class ScaleContext:
         # interior zeros of sigma a model declares; none for custom models
         return getattr(self.model, "interior_singularities", tuple)()
 
-    def _edges(self, lo, hi, n_panels, rel_first=1e-7):
+    def _edges(self, lo, hi, n_panels):
         half = max(n_panels // 2, 8)
-        parts = [
-            outward_edges(lo, hi, half, rel_first),
-            outward_edges(hi, lo, half, rel_first),
-        ]
+        parts = [outward_edges(lo, hi, half), outward_edges(hi, lo, half)]
         # integrands on wide single-sign intervals vary on a log scale, so
         # endpoint grading alone starves the interior; keep panels per decade
         if lo > 0.0 and hi >= 16.0 * lo:
@@ -583,11 +590,13 @@ class ScaleContext:
             parts.append(-np.geomspace(-hi, -lo, half))
         return np.unique(np.concatenate(parts))
 
-    def _node_values(self, a, b, inner):
+    def _node_values(self, a, b, inner, ends=()):
         # Gauss nodes of panels running from a (the end nearer c) to b, in
         # that order, with E there and log sigma~^2 (inner sweeps only).
         # Custom models give E relative to E(a), from the integration matrix
-        # applied to 2 b~_c / sigma~^2, plus the panel's total change of E.
+        # applied to g = 2 b~_c / sigma~^2, plus the panel's total change of
+        # E.  On a panel ending at s in ends, g's pole h(s) / (y - s), h(s) read
+        # off the interpolant of h = g (y - s), integrates in closed form.
         t, w = gl_rule(_ORDER)
         half = 0.5 * (b - a)
         y = a[:, None] + half[:, None] * (1.0 + t)
@@ -595,7 +604,15 @@ class ScaleContext:
         if self._closed_exponent:
             return y, self._exponent_batch(y.ravel()).reshape(y.shape), log_sig, None
         g = 2.0 * self.b_tilde_shifted(y) / self.sigma_tilde_sq(y)
-        return y, -half[:, None] * (g @ gl_integration_matrix(_ORDER).T), log_sig, -half * (g @ w)
+        e = -half[:, None] * (g @ gl_integration_matrix(_ORDER).T)
+        at_s = np.isin(b, ends)
+        if at_s.any():
+            z = y[at_s] - b[at_s, None]
+            h = g[at_s] * z
+            h_s = (h @ gl_legendre_coefficients(_ORDER).sum(axis=0))[:, None]  # at t = 1
+            rest = ((h - h_s) / z) @ gl_integration_matrix(_ORDER).T
+            e[at_s] = -(h_s * np.log(z / (a - b)[at_s, None]) + half[at_s, None] * rest)
+        return y, e, log_sig, -half * (g @ w)
 
     def _refine(self, a, b, inner, ends):
         # Halve panels until E (and, for inner sweeps, -E - log sigma~^2)
@@ -607,7 +624,7 @@ class ScaleContext:
         # flagged panels never change again: each round measures only the
         # open ones, in outward order, and one sort and gather order the rest.
         fallback = np.isin(a, ends) | np.isin(b, ends) if ends else np.zeros(len(a), dtype=bool)
-        vals, pair = self._node_values(a, b, inner), np.arange(len(a))
+        vals, pair = self._node_values(a, b, inner, ends), np.arange(len(a))
         evals, done, start = [], [], 0
         for left in range(_MAX_BISECTIONS, -1, -1):
             _, e, log_sig, _ = vals  # open panel i's node values: row pair[i]
@@ -637,8 +654,9 @@ class ScaleContext:
         # integrate panels a -> b (outward from c) on from state = (E, log p,
         # logs of (I_k, u_k) for k = 1 .. n) at a[0]; returns the refined
         # panel ends, the _Sweep rows there (E only for custom models; p, or
-        # else I_1, v = u_1 and log (u_1 + ... + u_n)) and the state at the
-        # last end.  Every integral is one call of outward.
+        # else I_1, v = u_1 and log (u_1 + ... + u_n)) with the exponents fitted
+        # to p's or u_n's integrand, and the state at the last end.  Every
+        # integral is one call of outward.
         e0, p0, starts = state
         a, b, (y, e, log_sig, de), fallback = self._refine(a, b, inner, ends)
         log_half = np.log(np.abs(0.5 * (b - a)))
@@ -668,7 +686,7 @@ class ScaleContext:
             # interpolant once 2k > 11; node partials are clamped at 0 and
             # carry a share of order (panel / |x - c|)^2k of u_k(x).  An
             # inner integral, log_f = inner_weight - E - log sigma~^2, takes
-            # the graded rule on graded panels.
+            # the graded rule on graded panels.  Fitted exponents: nan off ends.
             top = log_f.T.copy().max(axis=0)  # node-major, as in _refine
             g = np.exp(log_f - top[:, None]) @ partials
             log_g = (top + log_half)[:, None] + np.log(np.maximum(g, 0.0))
@@ -676,35 +694,37 @@ class ScaleContext:
                 log_g[graded] = self._log_inner_intervals(
                     a[graded], b[graded], y[graded], e_a[graded], inner_weight[graded]
                 )
+            fit = nan.copy()
             if ends:
-                log_g[end] = np.column_stack(_power_law_integrals(log_f[end], *dist))
+                log_g[end], fit[end] = _power_law_integrals(log_f[end], *dist)
             f_b = np.logaddexp.accumulate(np.concatenate([[first], log_g[:, -1]]))
             # log(F(a) + partial) at the nodes, written out: np.logaddexp
             # takes twice as long
             f_a, part = f_b[:-1, None], log_g[:, :-1]
             top = np.maximum(f_a, part)
             nodes = top + np.log1p(np.exp(-np.abs(f_a - part)))
-            return f_b[1:], np.where(top > -np.inf, nodes, top)
+            return f_b[1:], np.where(top > -np.inf, nodes, top), fit
 
         if not inner:
-            p_b = outward(p0, e)[0]
-            return b, (e_b, nan, p_b, nan, nan), (e_b[-1], p_b[-1], starts)
+            p_b, _, fit = outward(p0, e)
+            return b, (e_b, nan, p_b, nan, nan, fit), (e_b[-1], p_b[-1], starts)
         # u_k = 2 int p' I_k and I_k = int u_(k-1) / (p' sigma~^2), u_0 = 1
         log_u = np.zeros_like(e)
         inners, terms = [], []
         for ik0, uk0 in starts.T:
-            ik_b, log_i = outward(ik0, log_u - e - log_sig, log_u)
-            uk_b, log_u = outward(uk0, _LOG2 + e + log_i)
+            ik_b, log_i, _ = outward(ik0, log_u - e - log_sig, log_u)
+            uk_b, log_u, fit = outward(uk0, _LOG2 + e + log_i)
             inners.append(ik_b)
             terms.append(uk_b)
         last = np.array([[f[-1] for f in inners], [f[-1] for f in terms]])
         log_u = np.logaddexp.reduce(terms, axis=0)
-        return b, (e_b, inners[0], nan, terms[0], log_u), (e_b[-1], nan, last)
+        return b, (e_b, inners[0], nan, terms[0], log_u, fit), (e_b[-1], nan, last)
 
     def _sweep(self, xs, n_panels, field="log_v", stop=math.inf, n_terms=1):
         """(E, log I, log p, log v, log u) at xs by one cumulative pass from c,
-        with u the first n_terms terms of the series after its 1.  A sweep
-        for ``field`` log_p carries E and p only; any other carries all but p.
+        with u the first n_terms terms of the series after its 1, and the
+        exponents fitted to p's integrand (log_p) or u_n's at singular xs.  A
+        sweep for ``field`` log_p carries E and p only; any other all but p.
 
         xs lie on one side of c.  The grid is ``_edges`` from c to the
         farthest x with every x as an edge, plus, for each singular point s
@@ -724,14 +744,13 @@ class ScaleContext:
                      if lo <= s <= hi)
         parts = [self._edges(lo, hi, n_panels), uniq]
         for s in ends:
-            d = (hi - lo) * 0.5 ** np.arange(1, n_panels // 4 + 1)
-            d = d[d >= max(2.0**-36 * abs(s), 1e-300)]
+            d = _depths(s, hi - lo, n_panels)
             parts.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
         edges = np.unique(np.concatenate(parts))
         if far < self.c:
             uniq, inv, edges = uniq[::-1], len(uniq) - 1 - inv, edges[::-1]
         at = np.flatnonzero(np.isin(edges, uniq))
-        out = np.full((5, len(uniq)), np.nan)
+        out = np.full((6, len(uniq)), np.nan)
         row = _Sweep._fields.index(field)
         state = (0.0, -np.inf, np.full((2, n_terms), -np.inf))
         done, start, chunk = 0, 0, 1
@@ -748,7 +767,24 @@ class ScaleContext:
             done, start, chunk = upto, end, 2 * chunk
         if self._closed_exponent:
             out[0] = self._exponent_batch(uniq)
-        return _Sweep(*out[:, inv])
+        return _Sweep(*out[:5, inv]), out[5, inv]
+
+    def _sigma_inv_sq_fit(self, s):
+        # (beta, bound, integrable) at a finite endpoint s: the first round
+        # with beta > bound = -1 + max(2 |change|, _FIT_TOL), else the last,
+        # for beta of 1/sigma~^2 fitted on _sweep's end panel at s with 64, 128,
+        # ... max_panels (>= 128) base panels while it shrinks to leg 2^-(panels/4)
+        rounds = 64 * 2 ** np.arange(max(1, int(math.log2(self.max_panels / 64))) + 1)
+        deepest = _depths(s, abs(self.c - s), rounds[-1])
+        d = deepest[rounds[rounds // 4 <= len(deepest)] // 4 - 1]
+        y = s + np.copysign(d, self.c - s)[:, None] * 0.5 * (1.0 - gl_rule(_ORDER)[0])
+        x = np.log(np.abs(y - s))
+        with np.errstate(divide="ignore", invalid="ignore"):  # only beta is read
+            beta = _power_law_integrals(-self._log_sigma_tilde_sq(y), x, x[:, 0], x[:, -1])[1]
+        bound = -1.0 + np.maximum(2.0 * np.abs(np.diff(beta, prepend=np.nan)), _FIT_TOL)
+        passed = np.flatnonzero(beta > bound)
+        k = passed[0] if passed.size else -1
+        return float(beta[k]), float(bound[k]), bool(passed.size)
 
     def _log_inner_intervals(self, a, b, y, e_a, log_w):
         # logs of int_a^x w / (p' sigma~^2) for x each Gauss node y of the
@@ -792,7 +828,8 @@ class ScaleContext:
 
         Returns the last sweep and its effort: base panels at convergence,
         the number of sweeps run and the largest |change| of ``field`` that
-        the tolerance rule judged.
+        the tolerance rule judged; or, after nan in two rounds at an interval
+        endpoint, its end panel's ``fitted_exponent`` beta and its change.
         """
         xs = np.asarray(xs, dtype=float)
         tol = max(self.quad_tol, 1e-12)
@@ -801,7 +838,7 @@ class ScaleContext:
         n_panels = 64
         rounds = 0
         while n_panels <= self.max_panels:
-            sweep = self._sweep(xs, n_panels, field, stop, n_terms)
+            sweep, fit = self._sweep(xs, n_panels, field, stop, n_terms)
             rounds += 1
             cur = getattr(sweep, field)
             if prev is not None:
@@ -813,15 +850,17 @@ class ScaleContext:
                     settled |= np.minimum(now, before) > _LOG_HUGE
                     delta = np.abs(now - before)
                     ok = settled | (delta <= tol)
-                if ok.all():
-                    effort = {
-                        "base_panels": n_panels,
-                        "doubling_rounds": rounds,
-                        "last_max_delta": float(np.max(delta[~settled], initial=0.0)),
-                    }
+                misfit = np.isnan(now) & np.isnan(before) & np.isin(xs[:m], self.model.interval)
+                if (ok | misfit).all():
+                    effort = {"base_panels": n_panels, "doubling_rounds": rounds}
+                    if misfit.any():  # one endpoint at most: the leg's far end
+                        effort["fitted_exponent"] = float(fit[misfit][0])
+                        effort["fitted_exponent_change"] = float(abs(fit - prev_fit)[misfit][0])
+                    else:
+                        effort["last_max_delta"] = float(np.max(delta[~settled], initial=0.0))
                     return sweep, effort
                 first_open = int(np.argmin(ok))
-            prev = cur
+            prev, prev_fit = cur, fit
             n_panels *= 2
         raise NumericError(
             f"{_QUANTITY[field]} quadrature did not stabilize",
@@ -896,56 +935,52 @@ class ScaleContext:
         evaluates along a geometric sequence approaching the boundary
         (x_k = boundary +- |c - boundary| 2^-k for finite endpoints,
         x_k = c -+ 2^k for infinite ones, k = 1..steps) and classifies the
-        increment tail, 'auto' prefers the closed form and samples when no
-        closed rule decides.
+        increment tail; 'auto' prefers the closed form, else sweeps to a
+        finite endpoint and samples toward an infinite one.
 
         All sample points are read off one outward sweep from c, which
         stops after the first point whose value reaches DIVERGENCE_CAP; the
         base grid is doubled until every point up to that one agrees
-        between rounds.  A finite closed limit at a finite endpoint takes its
-        value, to ``quad_tol``, and the effort keys from a sweep that runs
-        to the endpoint itself; the value is None if that does not converge.
+        between rounds.  So does a sweep to a finite endpoint: a value that
+        agrees is finite; nan in two rounds is divergent if the end panel's
+        ``fitted_exponent`` sits below -1 by more than max(1e-9, twice its
+        ``fitted_exponent_change``), else inconclusive.  A finite closed limit
+        there takes that sweep's value and effort keys (None if not finite).
         """
-        if which not in ("left", "right"):
-            raise ValueError(f"which must be 'left' or 'right', got {which!r}")
-        if target not in ("v", "p"):
-            raise ValueError(f"target must be 'v' or 'p', got {target!r}")
-        if method not in ("auto", "closed", "sample"):
-            raise ValueError(f"unknown method {method!r}")
-        if steps < 4:
-            raise ValueError("need at least 4 sampling steps")
+        _require(which in ("left", "right"), f"which must be 'left' or 'right', got {which!r}")
+        _require(target in ("v", "p"), f"target must be 'v' or 'p', got {target!r}")
+        _require(method in ("auto", "closed", "sample"), f"unknown method {method!r}")
+        _require(float(steps).is_integer() and steps >= 4,
+                 f"steps must be an integer >= 4, got {steps}")
         has_rule = hasattr(self.model, "limit_rule")
         if method == "closed" and not has_rule:
             raise PreconditionError("no closed-form limit rule for custom models")
+        boundary = self.model.interval[0 if which == "left" else 1]
         if method != "sample" and has_rule:
-            closed = self._closed_limit(which, target)
-            if method == "closed" or closed.kind != "inconclusive":
-                return closed
-        return self._sampled_limit(which, target, steps)
+            shift = self.beta if which == "left" else self.gamma
+            kind, ev = self.model.limit_rule(which, target, self._k0, self._ratio, shift)
+            swept = None
+            if kind == "finite" and math.isfinite(boundary):
+                swept = self._swept_limit(boundary, target)
+                ev = {**ev, **swept.evidence} if swept.kind == "finite" else ev
+            if method == "closed" or kind != "inconclusive":
+                return LimitResult(kind, swept and swept.value, "closed", ev)
+        if method == "auto" and math.isfinite(boundary):
+            return self._swept_limit(boundary, target)
+        return self._sampled_limit(which, target, int(steps))
 
-    def _closed_limit(self, which, target):
-        # the model's rule decides the kind; a finite limit at a finite
-        # endpoint also gets its value, with that sweep's effort
-        shift = self.beta if which == "left" else self.gamma
-        kind, ev = self.model.limit_rule(which, target, self._k0, self._ratio, shift)
-        l, r = self.model.interval
-        boundary = l if which == "left" else r
-        value = None
-        if kind == "finite" and math.isfinite(boundary):
-            value, effort = self._boundary_value(boundary, target)
-            ev = {**ev, **effort}
-        return LimitResult(kind, value, "closed", ev)
-
-    def _boundary_value(self, boundary, target):
-        # (value, effort) of a sweep run to the endpoint itself; (None, {})
-        # when it does not meet quad_tol within max_panels
+    def _swept_limit(self, boundary, target):
+        # the limit by sweeps run to a finite endpoint, as boundary_limit says
         field = "log_v" if target == "v" else "log_p"
         try:
-            sweep, effort = self._stabilized([boundary], field)
-        except NumericError:
-            return None, {}
-        log_val = float(getattr(sweep, field)[0])
-        return (math.exp(log_val) if log_val <= _LOG_HUGE else math.inf), effort
+            sweep, ev = self._stabilized([boundary], field)
+        except NumericError as exc:
+            return LimitResult("inconclusive", None, "sweep", exc.details)
+        if "fitted_exponent" in ev:
+            steep = ev["fitted_exponent"] < -1.0 - max(2.0 * ev["fitted_exponent_change"], _FIT_TOL)
+            return LimitResult("divergent" if steep else "inconclusive", None, "sweep", ev)
+        log_v = float(getattr(sweep, field)[0])
+        return LimitResult("finite", math.exp(log_v) if log_v <= _LOG_HUGE else math.inf, "sweep", ev)
 
     def _approach(self, which, count):
         # x_1..x_count marching to a boundary: boundary +- |c - boundary| 2^-n
@@ -974,16 +1009,13 @@ class ScaleContext:
         incs = np.maximum(np.diff(vals), 0.0)
         scale_ref = max(float(vals[-1]), 1e-300)
         evidence = {"points": points, "values": vals.tolist(), **effort}
-        if float(np.max(incs)) <= 1e-11 * scale_ref:
-            evidence["tail_relative"] = 0.0
-            return LimitResult("finite", float(vals[-1]), "sample", evidence)
         tail_incs = incs[-6:]
         ratios = [
             tail_incs[i + 1] / tail_incs[i]
             for i in range(len(tail_incs) - 1)
             if tail_incs[i] > 0.0
         ]
-        if not ratios:
+        if float(np.max(incs)) <= 1e-11 * scale_ref or not ratios:
             evidence["tail_relative"] = 0.0
             return LimitResult("finite", float(vals[-1]), "sample", evidence)
         r_med = float(np.median(ratios))

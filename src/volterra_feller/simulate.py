@@ -87,11 +87,11 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (self.horizon >= self.dt):
             raise ValueError("horizon must cover at least one step")
-        if int(self.n_paths) != self.n_paths or self.n_paths < 1:
+        if not float(self.n_paths).is_integer() or self.n_paths < 1:
             raise ValueError(f"n_paths must be a positive integer, got {self.n_paths}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not float(self.seed).is_integer() or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.hit_eps is not None and not self.hit_eps > 0.0:
             raise ValueError(f"hit_eps must be positive, got {self.hit_eps}")

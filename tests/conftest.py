@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from volterra_feller import (
     CIRModel,
@@ -9,6 +10,10 @@ from volterra_feller import (
     ScaleContext,
     SumOfExponentialsKernel,
 )
+
+# property tests run the same examples on every run, with no time limit
+settings.register_profile("reproducible", deadline=None, derandomize=True)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

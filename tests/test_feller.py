@@ -11,7 +11,9 @@ from volterra_feller import (
     CustomModel,
     JacobiModel,
     PowerModel,
+    QuadratureScheme,
     ScaleContext,
+    SimConfig,
     SumOfExponentialsKernel,
     TruncatedFractionalKernel,
     UserKernel,
@@ -19,6 +21,7 @@ from volterra_feller import (
     bounded_interval_test,
     family_test,
     fractional_condition_study,
+    geometric_nodes,
     necessary_test,
     solve_resolvent,
     check_hypotheses,
@@ -221,11 +224,30 @@ def test_bounded_interval_preconditions(unit_kernel, sloped_kernel):
 
 
 def test_bounded_interval_integrability_ladder_sees_divergence(sloped_kernel):
-    # sigma~^2 = x on (0, 2): 1/sigma~^2 is not integrable at 0, which the
-    # deepening masses of the edge-graded grid must show
-    model = CustomModel(lambda x: 1.0 - x, np.sqrt, (0.0, 2.0), 1.0)
-    with pytest.raises(PreconditionError, match="integrab"):
-        bounded_interval_test(ScaleContext(model, sloped_kernel))
+    # sigma~^2 = x on (0, 2): 1/sigma~^2 is not integrable at 0, and the end
+    # panels at leg 2^-16 ... 2^-512 fit exponent -1 at every depth.  With a
+    # log factor, x log(1/x) (not integrable) and x log^2(1/x) (integrable)
+    # on (0, 0.5) fit -0.931 -> -0.9972 and -0.862 -> -0.9944: the distance
+    # from -1 never exceeds twice the change, since it halves as the depth
+    # doubles, so neither is shown integrable
+    cases = [
+        ((0.0, 2.0), lambda x: 1.0 - x, np.sqrt),
+        ((0.0, 0.5), lambda x: 0.25 - x, lambda x: np.sqrt(x * np.log(1.0 / x))),
+        ((0.0, 0.5), lambda x: 0.25 - x, lambda x: np.sqrt(x) * np.log(1.0 / x)),
+    ]
+    for (l, r), drift, diffusion in cases:
+        model = CustomModel(drift, diffusion, (l, r), 0.5 * (l + r))
+        with pytest.raises(PreconditionError, match="integrab"):
+            bounded_interval_test(ScaleContext(model, sloped_kernel))
+
+
+def test_bounded_interval_accepts_an_integrable_power_singularity(sloped_kernel):
+    # sigma = x^0.45: 1/sigma~^2 = x^-0.9 integrates to 10 on (0, 1), and its
+    # end panels fit exponent -0.9 at every depth
+    model = CustomModel(lambda x: 0.5 - x, lambda x: x**0.45, (0.0, 1.0), 0.5)
+    out = bounded_interval_test(ScaleContext(model, sloped_kernel))
+    assert out.evidence[0][0].startswith("1/sigma~^2 fitted exponent at 0")
+    assert out.evidence[0][1] == pytest.approx(-0.9, abs=1e-12)
 
 
 def test_sup_inf_classical_cir(unit_kernel):
@@ -379,3 +401,24 @@ def test_study_requires_cir(unit_kernel):
         fractional_condition_study(
             JacobiModel(0.0, 1.0, 1.0, 0.5, 1.0, 0.5), 0.5, [1.0]
         )
+
+
+_CIR_CTX = ScaleContext(CIRModel(1.0, 1.0, 1.0, 1.0), ConstantKernel(1.0))
+_INTEGER_PARAMETERS = {
+    "n_paths": lambda n: SimConfig(dt=0.01, horizon=1.0, n_paths=n),
+    "seed": lambda n: SimConfig(dt=0.01, horizon=1.0, n_paths=10, seed=n),
+    "n_intervals": geometric_nodes,
+    "q": lambda n: QuadratureScheme(0.5, (0.0, 1.0), q=n),
+    "n_stages": lambda n: sufficient_test(_CIR_CTX, n_stages=n),
+    "steps": lambda n: _CIR_CTX.boundary_limit("left", method="sample", steps=n),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_PARAMETERS))
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 4.5])
+def test_integer_parameters_reject_nonintegral_values(name, bad):
+    # inf overflowed int() and nan or 4.5 slipped through to a TypeError or
+    # a truncation; an integral float stays accepted
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        _INTEGER_PARAMETERS[name](bad)
+    _INTEGER_PARAMETERS[name](4.0)

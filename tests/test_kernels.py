@@ -164,7 +164,7 @@ _KERNELS = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(_KERNELS)
 def test_dict_round_trip_property(kernel):
     back = kernel_from_dict(kernel_to_dict(kernel))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
@@ -204,7 +204,7 @@ def test_multi_point_sweep_matches_nested_quad_oracle(case, cir_111, jacobi_unit
             assert math.exp(log_v) == pytest.approx(_v_oracle(ctx, x), rel=1e-6)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(
     kappa=st.floats(0.2, 3.0),
     theta=st.floats(0.05, 3.0),
@@ -346,7 +346,7 @@ def test_sweep_rows_are_pinned_to_the_bit(leg):
     for field in ("log_p", "log_u"):
         n_terms = 3 if field == "log_u" else 1
         sweep, effort = ctx._stabilized(xs, field, n_terms=n_terms)
-        for n, got in ((64, ctx._sweep(xs, 64, field, n_terms=n_terms)),
+        for n, got in ((64, ctx._sweep(xs, 64, field, n_terms=n_terms)[0]),
                        (effort["base_panels"], sweep)):
             bits = " ".join(float(v).hex() for v in np.ravel(got))
             assert bits == _SWEEP_BITS[leg, field, n], (field, n)
@@ -383,13 +383,13 @@ def _refine_cases(draw):
     return ctx, (edges if x > c else edges[::-1]), draw(st.booleans()), ends
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(case=_refine_cases())
 def test_refine_tiles_the_leg_and_resolves_every_open_panel(case):
     ctx, edges, inner, ends = case
     with np.errstate(invalid="ignore", divide="ignore"):
         a, b, vals, flagged = ctx._refine(edges[:-1], edges[1:], inner, ends)
-        again = ctx._node_values(a, b, inner)
+        again = ctx._node_values(a, b, inner, ends)
     assert a[0] == edges[0] and b[-1] == edges[-1]
     assert np.array_equal(b[:-1], a[1:])
     for got, want in zip(vals[:3], again[:3]):
@@ -499,7 +499,7 @@ def test_u_series_raises_when_it_does_not_converge(cir_111, unit_kernel):
     assert math.isfinite(err.value.details["last_log_value"])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     jacobi=st.booleans(),
     sloped=st.booleans(),
@@ -658,7 +658,7 @@ def test_cir_closed_finite_values_at_zero_match_quad(expo, kernel, unit_kernel, 
         assert res.value == pytest.approx(want, rel=1e-9)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(
     kappa=st.floats(0.2, 3.0),
     sigma=st.floats(0.3, 2.0),
@@ -805,6 +805,80 @@ def test_custom_cir_clone_right_limit_at_every_base_point():
     for c in np.linspace(0.3, 1.9, 10):
         ctx = ScaleContext(m, ConstantKernel(1.0), c=float(c))
         assert ctx.boundary_limit("right").kind == "divergent"
+
+
+def _clone(model):
+    # a CustomModel with a built-in model's coefficients, interval and x0
+    return CustomModel(model.drift, model.diffusion, model.interval, model.x0)
+
+
+@settings(max_examples=40)
+@given(
+    jacobi=st.booleans(),
+    sloped=st.booleans(),
+    kappa=st.floats(0.2, 3.0),
+    level=st.floats(0.05, 0.95),
+    sigma=st.floats(0.3, 2.0),
+    base=st.floats(0.1, 0.9),
+    shift=st.sampled_from(["zero", "endpoint", "x0"]),
+    right=st.booleans(),
+    target=st.sampled_from(["v", "p"]),
+)
+def test_custom_clone_limits_match_the_closed_family(jacobi, sloped, kappa, level, sigma, base,
+                                                     shift, right, target):
+    # 'auto' sweeps a clone to its finite endpoint, under the shifts the
+    # verdict tests use (0, minus the endpoint, minus x0).  Its kind must be
+    # the closed rule's and a finite value the closed value to 10 quad_tol.
+    # Exponents within 0.15 of 1 are left out: at the right end s = 1, where
+    # the deepest panel is 2^-36 wide, a finite value that close to exponent
+    # 1 settles off by more (2.8e-8 at 0.9, 1e-15 at s = 0)
+    kernel = SumOfExponentialsKernel([1.0], [1.0]) if sloped else ConstantKernel(1.0)
+    if jacobi:
+        model = JacobiModel(0.0, 1.0, kappa, level, sigma, base)
+    else:
+        model, right = CIRModel(kappa, 4.0 * level, sigma, 4.0 * base), False
+    which = "right" if right else "left"
+    boundary = model.interval[int(right)]
+    shift = {"zero": 0.0, "endpoint": -boundary, "x0": -model.x0}[shift]
+    closed = ScaleContext(model, kernel, beta=shift, gamma=shift).boundary_limit(which, target)
+    assume(abs(closed.evidence["exponent"] - 1.0) >= 0.15)
+    ctx = ScaleContext(_clone(model), kernel, beta=shift, gamma=shift)
+    got = ctx.boundary_limit(which, target)
+    assert (got.kind, got.method) == (closed.kind, "sweep")
+    if closed.kind == "finite":
+        assert got.value == pytest.approx(closed.value, rel=10 * ctx.quad_tol)
+    else:
+        assert got.evidence["fitted_exponent"] < -1.0
+        assert got.evidence["doubling_rounds"] == 2
+
+
+@pytest.mark.parametrize("model, kernel, want", [
+    (CIRModel(1.0, 0.3, 1.0, 1.0), "exp", 1.8696534875758448),
+    (CIRModel(1.0, 0.2, 1.0, 1.0), "exp", 1.4002860254672331),
+    (JacobiModel(0.0, 1.0, 1.0, 0.2, 1.0, 0.5), "flat", 5.0 / 3.0),
+], ids=["cir_theta=0.3", "cir_theta=0.2", "jacobi"])
+def test_custom_clone_left_limits_are_pinned(model, kernel, want, unit_kernel, sloped_kernel):
+    # the closed values of v(0+); sampling read the first as inconclusive
+    # and the others 2.3e-3 and 9.1e-4 off
+    ctx = ScaleContext(_clone(model), unit_kernel if kernel == "flat" else sloped_kernel)
+    res = ctx.boundary_limit("left")
+    assert (res.kind, res.method) == ("finite", "sweep")
+    assert res.value == pytest.approx(want, rel=1e-9)
+    assert 0.0 <= res.evidence["last_max_delta"] <= ctx.quad_tol
+
+
+def test_custom_divergent_limit_reports_the_fitted_exponent(sloped_kernel):
+    # CIR(1, 1, 1) with K = e^-t: p' ~ y^-2 at 0, where the clone's end
+    # panel integrates the pole of 2 b~ / sigma~^2 in closed form and fits
+    # -2; nan in the 64- and 128-panel rounds decides it
+    ctx = ScaleContext(_clone(CIRModel(1.0, 1.0, 1.0, 1.0)), sloped_kernel)
+    res = ctx.boundary_limit("left")
+    assert (res.kind, res.value, res.method) == ("divergent", None, "sweep")
+    ev = res.evidence
+    assert ev["fitted_exponent"] == pytest.approx(-2.0, abs=1e-8)
+    assert 0.0 < ev["fitted_exponent_change"] < 1e-6
+    assert (ev["base_panels"], ev["doubling_rounds"]) == (128, 2)
+    assert "exponent" not in ev  # the verdict layer keys closed limits on it
 
 
 def test_boundary_limit_argument_validation(cir_ctx):
