@@ -433,7 +433,8 @@ class LimitResult:
         carry the sweep's effort: ``base_panels``, ``doubling_rounds``
         (sweeps run) and ``last_max_delta`` (largest |change| of the log
         values between the last two rounds) or, read nan twice, the end
-        panel's ``fitted_exponent`` and ``fitted_exponent_change``
+        panel's ``fitted_exponent`` and ``fitted_exponent_change`` (signed,
+        from the round before)
     """
 
     kind: str
@@ -770,18 +771,25 @@ class ScaleContext:
         return _Sweep(*out[:5, inv]), out[5, inv]
 
     def _sigma_inv_sq_fit(self, s):
-        # (beta, bound, integrable) at a finite endpoint s: the first round
-        # with beta > bound = -1 + max(2 |change|, _FIT_TOL), else the last,
-        # for beta of 1/sigma~^2 fitted on _sweep's end panel at s with 64, 128,
-        # ... max_panels (>= 128) base panels while it shrinks to leg 2^-(panels/4)
-        rounds = 64 * 2 ** np.arange(max(1, int(math.log2(self.max_panels / 64))) + 1)
-        deepest = _depths(s, abs(self.c - s), rounds[-1])
-        d = deepest[rounds[rounds // 4 <= len(deepest)] // 4 - 1]
+        # (beta, bound, integrable) at a finite endpoint s, from the model
+        # alone.  beta of 1/sigma~^2 is fitted on end panels reaching
+        # (r - l) 2^-k from s for k = 16, 32, 64, ... while above _depths'
+        # float floor (k = n/2 and n when only n < 32 halvings fit there);
+        # returned: the first deeper fit with beta > bound = -1 +
+        # max(2 |change from the fit before|, _FIT_TOL), else the deepest
+        l, r = self.model.interval
+        n = len(_depths(s, r - l, 8192))
+        if n < 2:
+            raise PreconditionError(
+                f"1/sigma~^2 cannot be fitted at {s:.6g}: the interval is too narrow "
+                "there for float resolution")
+        ks = 16 * 2 ** np.arange(int(math.log2(n / 16)) + 1) if n >= 32 else np.array([n // 2, n])
+        d = (r - l) * 0.5**ks
         y = s + np.copysign(d, self.c - s)[:, None] * 0.5 * (1.0 - gl_rule(_ORDER)[0])
         x = np.log(np.abs(y - s))
         with np.errstate(divide="ignore", invalid="ignore"):  # only beta is read
             beta = _power_law_integrals(-self._log_sigma_tilde_sq(y), x, x[:, 0], x[:, -1])[1]
-        bound = -1.0 + np.maximum(2.0 * np.abs(np.diff(beta, prepend=np.nan)), _FIT_TOL)
+        beta, bound = beta[1:], -1.0 + np.maximum(2.0 * np.abs(np.diff(beta)), _FIT_TOL)
         passed = np.flatnonzero(beta > bound)
         k = passed[0] if passed.size else -1
         return float(beta[k]), float(bound[k]), bool(passed.size)
@@ -829,7 +837,8 @@ class ScaleContext:
         Returns the last sweep and its effort: base panels at convergence,
         the number of sweeps run and the largest |change| of ``field`` that
         the tolerance rule judged; or, after nan in two rounds at an interval
-        endpoint, its end panel's ``fitted_exponent`` beta and its change.
+        endpoint, its end panel's ``fitted_exponent`` beta and its signed
+        change from the round before.
         """
         xs = np.asarray(xs, dtype=float)
         tol = max(self.quad_tol, 1e-12)
@@ -855,7 +864,7 @@ class ScaleContext:
                     effort = {"base_panels": n_panels, "doubling_rounds": rounds}
                     if misfit.any():  # one endpoint at most: the leg's far end
                         effort["fitted_exponent"] = float(fit[misfit][0])
-                        effort["fitted_exponent_change"] = float(abs(fit - prev_fit)[misfit][0])
+                        effort["fitted_exponent_change"] = float((fit - prev_fit)[misfit][0])
                     else:
                         effort["last_max_delta"] = float(np.max(delta[~settled], initial=0.0))
                     return sweep, effort
@@ -943,8 +952,10 @@ class ScaleContext:
         base grid is doubled until every point up to that one agrees
         between rounds.  So does a sweep to a finite endpoint: a value that
         agrees is finite; nan in two rounds is divergent if the end panel's
-        ``fitted_exponent`` sits below -1 by more than max(1e-9, twice its
-        ``fitted_exponent_change``), else inconclusive.  A finite closed limit
+        ``fitted_exponent`` sits below -1 by more than max(1e-9, twice the
+        size of its ``fitted_exponent_change``) or, below -1 - 1e-9 in both
+        rounds, did not rise between them (a singularity steeper than any
+        power), else inconclusive.  A finite closed limit
         there takes that sweep's value and effort keys (None if not finite).
         """
         _require(which in ("left", "right"), f"which must be 'left' or 'right', got {which!r}")
@@ -977,7 +988,11 @@ class ScaleContext:
         except NumericError as exc:
             return LimitResult("inconclusive", None, "sweep", exc.details)
         if "fitted_exponent" in ev:
-            steep = ev["fitted_exponent"] < -1.0 - max(2.0 * ev["fitted_exponent_change"], _FIT_TOL)
+            # a power law sits clearly below -1; the fit to an exponential
+            # singularity, steeper than any power, runs away from -1
+            beta, change = ev["fitted_exponent"], ev["fitted_exponent_change"]
+            steep = (beta < -1.0 - max(2.0 * abs(change), _FIT_TOL)
+                     or change <= 0.0 and beta - change < -1.0 - _FIT_TOL)
             return LimitResult("divergent" if steep else "inconclusive", None, "sweep", ev)
         log_v = float(getattr(sweep, field)[0])
         return LimitResult("finite", math.exp(log_v) if log_v <= _LOG_HUGE else math.inf, "sweep", ev)

@@ -225,11 +225,11 @@ def test_bounded_interval_preconditions(unit_kernel, sloped_kernel):
 
 def test_bounded_interval_integrability_ladder_sees_divergence(sloped_kernel):
     # sigma~^2 = x on (0, 2): 1/sigma~^2 is not integrable at 0, and the end
-    # panels at leg 2^-16 ... 2^-512 fit exponent -1 at every depth.  With a
-    # log factor, x log(1/x) (not integrable) and x log^2(1/x) (integrable)
-    # on (0, 0.5) fit -0.931 -> -0.9972 and -0.862 -> -0.9944: the distance
-    # from -1 never exceeds twice the change, since it halves as the depth
-    # doubles, so neither is shown integrable
+    # panels reaching (r - l) 2^-16 ... 2^-512 fit exponent -1 at every depth.
+    # With a log factor, x log(1/x) (not integrable) and x log^2(1/x)
+    # (integrable) on (0, 0.5) fit -0.928 -> -0.9972 and -0.855 -> -0.9944:
+    # the distance from -1 never exceeds twice the change, since it halves
+    # as the depth doubles, so neither is shown integrable
     cases = [
         ((0.0, 2.0), lambda x: 1.0 - x, np.sqrt),
         ((0.0, 0.5), lambda x: 0.25 - x, lambda x: np.sqrt(x * np.log(1.0 / x))),
@@ -248,6 +248,30 @@ def test_bounded_interval_accepts_an_integrable_power_singularity(sloped_kernel)
     out = bounded_interval_test(ScaleContext(model, sloped_kernel))
     assert out.evidence[0][0].startswith("1/sigma~^2 fitted exponent at 0")
     assert out.evidence[0][1] == pytest.approx(-0.9, abs=1e-12)
+
+
+@pytest.mark.parametrize("interval, x0", [
+    ((0.0, 1.0), 0.5), ((0.0, 1.0), 0.95), ((0.0, 1.0), 1.0 - 1e-7), ((10.0, 11.0), 10.5),
+])
+def test_bounded_interval_integrability_depends_on_the_model_alone(interval, x0, sloped_kernel):
+    # constant sigma: 1/sigma~^2 is bounded, and its fit reads exponent 0 at
+    # both ends whatever x0 is, also where 2^-36 |s| cuts the depths short
+    l, r = interval
+    model = CustomModel(lambda x: 0.5 * (l + r) - x, lambda x: np.ones_like(x), interval, x0)
+    out = bounded_interval_test(ScaleContext(model, sloped_kernel))
+    assert out.verdict == Verdict.EXITS_WITH_POSITIVE_PROB
+    fits = out.evidence[:2]
+    assert [name for name, _, _ in fits] == [
+        f"1/sigma~^2 fitted exponent at {s:.6g} (integrable if above)" for s in interval]
+    assert [(beta, bound) for _, beta, bound in fits] == [(0.0, -1.0 + 1e-9)] * 2
+
+
+def test_bounded_interval_needs_float_resolution_at_the_endpoints(sloped_kernel):
+    # (1e12, 1e12 + 1) is narrower than 2^-36 |s| at its ends: no end panel fits
+    model = CustomModel(lambda x: 1e12 + 0.5 - x, lambda x: np.ones_like(x),
+                        (1e12, 1e12 + 1.0), 1e12 + 0.5)
+    with pytest.raises(PreconditionError, match="cannot be fitted at 1e"):
+        bounded_interval_test(ScaleContext(model, sloped_kernel))
 
 
 def test_sup_inf_classical_cir(unit_kernel):

@@ -876,9 +876,22 @@ def test_custom_divergent_limit_reports_the_fitted_exponent(sloped_kernel):
     assert (res.kind, res.value, res.method) == ("divergent", None, "sweep")
     ev = res.evidence
     assert ev["fitted_exponent"] == pytest.approx(-2.0, abs=1e-8)
-    assert 0.0 < ev["fitted_exponent_change"] < 1e-6
+    assert 0.0 < abs(ev["fitted_exponent_change"]) < 1e-6
     assert (ev["base_panels"], ev["doubling_rounds"]) == (128, 2)
     assert "exponent" not in ev  # the verdict layer keys closed limits on it
+
+
+@pytest.mark.parametrize("target", ["v", "p"])
+def test_custom_exponential_singularity_reads_as_divergent(target, unit_kernel):
+    # drift 1/x^2 at 0: p' ~ e^(2/x), steeper than any power, so the end
+    # panel's fitted exponent falls without bound as the panel deepens
+    model = CustomModel(lambda x: 1.0 / x**2, lambda x: np.ones_like(x), (0.0, 1.0), 0.5)
+    res = ScaleContext(model, unit_kernel).boundary_limit("left", target)
+    assert (res.kind, res.method) == ("divergent", "sweep")
+    ev = res.evidence
+    assert ev["fitted_exponent"] - ev["fitted_exponent_change"] < -1.0
+    assert ev["fitted_exponent_change"] < 0.0
+    assert ev["doubling_rounds"] == 2
 
 
 def test_boundary_limit_argument_validation(cir_ctx):
