@@ -278,17 +278,14 @@ def bounded_interval_test(ctx, hypotheses=None):
     probability.  A kernel with K'(0) = 0 makes the shifts vanish identically,
     so the integrability precondition is waived in that case.
 
-    1/sigma~^2 is integrable at an endpoint once its exponent, fitted as on
-    the scale sweep's end panels on panels reaching (r - l) 2^-16, 2^-32,
-    2^-64, ... from it (as deep as floats resolve there), exceeds -1 by
-    more than twice its change from the depth before (and 1e-9); a log
-    factor, whose change halves as the depth doubles, never passes.  This
-    depends on the model alone, not on x0.  Each endpoint adds its (name,
-    exponent, bound) triple to the evidence.
+    1/sigma~^2 is integrable at an endpoint once its exponent, fitted on end
+    panels as deep as floats resolve there, exceeds -1 by more than twice its
+    change from panels half as deep in log (and 1e-9); a log factor, whose
+    change halves as the depth doubles, never passes.  Each endpoint adds its
+    (name, exponent, bound) triple to the evidence.
 
     Raises ``PreconditionError`` on unbounded intervals and, with
-    K'(0) < 0, on 1/sigma~^2 not shown integrable, naming exponent and bound,
-    or not resolvable in floats at an endpoint.
+    K'(0) < 0, on 1/sigma~^2 not shown integrable, naming exponent and bound.
     """
     l, r = ctx.model.interval
     if not (math.isfinite(l) and math.isfinite(r)):

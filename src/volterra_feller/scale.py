@@ -433,8 +433,7 @@ class LimitResult:
         carry the sweep's effort: ``base_panels``, ``doubling_rounds``
         (sweeps run) and ``last_max_delta`` (largest |change| of the log
         values between the last two rounds) or, read nan twice, the end
-        panel's ``fitted_exponent`` and ``fitted_exponent_change`` (signed,
-        from the round before)
+        panel's ``fitted_exponent`` and its signed ``fitted_exponent_change``
     """
 
     kind: str
@@ -772,27 +771,19 @@ class ScaleContext:
 
     def _sigma_inv_sq_fit(self, s):
         # (beta, bound, integrable) at a finite endpoint s, from the model
-        # alone.  beta of 1/sigma~^2 is fitted on end panels reaching
-        # (r - l) 2^-k from s for k = 16, 32, 64, ... while above _depths'
-        # float floor (k = n/2 and n when only n < 32 halvings fit there);
-        # returned: the first deeper fit with beta > bound = -1 +
-        # max(2 |change from the fit before|, _FIT_TOL), else the deepest
+        # alone: beta of 1/sigma~^2 fitted on end panels reaching (r - l) 2^-k
+        # from s, for the deepest k = n above _depths' float floor and k = n/2
         l, r = self.model.interval
         n = len(_depths(s, r - l, 8192))
         if n < 2:
-            raise PreconditionError(
-                f"1/sigma~^2 cannot be fitted at {s:.6g}: the interval is too narrow "
-                "there for float resolution")
-        ks = 16 * 2 ** np.arange(int(math.log2(n / 16)) + 1) if n >= 32 else np.array([n // 2, n])
-        d = (r - l) * 0.5**ks
+            raise PreconditionError(f"1/sigma~^2 cannot be fitted at {s:.6g}: interval too narrow")
+        d = (r - l) * 0.5 ** np.array([n // 2, n])
         y = s + np.copysign(d, self.c - s)[:, None] * 0.5 * (1.0 - gl_rule(_ORDER)[0])
         x = np.log(np.abs(y - s))
         with np.errstate(divide="ignore", invalid="ignore"):  # only beta is read
             beta = _power_law_integrals(-self._log_sigma_tilde_sq(y), x, x[:, 0], x[:, -1])[1]
-        beta, bound = beta[1:], -1.0 + np.maximum(2.0 * np.abs(np.diff(beta)), _FIT_TOL)
-        passed = np.flatnonzero(beta > bound)
-        k = passed[0] if passed.size else -1
-        return float(beta[k]), float(bound[k]), bool(passed.size)
+        bound = -1.0 + max(2.0 * abs(beta[1] - beta[0]), _FIT_TOL)
+        return float(beta[1]), float(bound), bool(beta[1] > bound)
 
     def _log_inner_intervals(self, a, b, y, e_a, log_w):
         # logs of int_a^x w / (p' sigma~^2) for x each Gauss node y of the
@@ -837,15 +828,11 @@ class ScaleContext:
         Returns the last sweep and its effort: base panels at convergence,
         the number of sweeps run and the largest |change| of ``field`` that
         the tolerance rule judged; or, after nan in two rounds at an interval
-        endpoint, its end panel's ``fitted_exponent`` beta and its signed
-        change from the round before.
+        endpoint, its end panel's ``fitted_exponent`` beta and its signed change.
         """
         xs = np.asarray(xs, dtype=float)
         tol = max(self.quad_tol, 1e-12)
-        prev = None
-        first_open = 0
-        n_panels = 64
-        rounds = 0
+        prev, first_open, n_panels, rounds = None, 0, 64, 0
         while n_panels <= self.max_panels:
             sweep, fit = self._sweep(xs, n_panels, field, stop, n_terms)
             rounds += 1
@@ -952,11 +939,10 @@ class ScaleContext:
         base grid is doubled until every point up to that one agrees
         between rounds.  So does a sweep to a finite endpoint: a value that
         agrees is finite; nan in two rounds is divergent if the end panel's
-        ``fitted_exponent`` sits below -1 by more than max(1e-9, twice the
-        size of its ``fitted_exponent_change``) or, below -1 - 1e-9 in both
-        rounds, did not rise between them (a singularity steeper than any
-        power), else inconclusive.  A finite closed limit
-        there takes that sweep's value and effort keys (None if not finite).
+        ``fitted_exponent`` sits below -1 by more than max(1e-9, twice its
+        |``fitted_exponent_change``|) or fell from below -1 - 1e-9, else
+        inconclusive.  A finite closed limit there takes that sweep's value
+        and effort keys (None if not finite).
         """
         _require(which in ("left", "right"), f"which must be 'left' or 'right', got {which!r}")
         _require(target in ("v", "p"), f"target must be 'v' or 'p', got {target!r}")
@@ -988,9 +974,8 @@ class ScaleContext:
         except NumericError as exc:
             return LimitResult("inconclusive", None, "sweep", exc.details)
         if "fitted_exponent" in ev:
-            # a power law sits clearly below -1; the fit to an exponential
-            # singularity, steeper than any power, runs away from -1
             beta, change = ev["fitted_exponent"], ev["fitted_exponent_change"]
+            # a power below -1, or a fit falling from below -1: e^(1/x) is steeper than any power
             steep = (beta < -1.0 - max(2.0 * abs(change), _FIT_TOL)
                      or change <= 0.0 and beta - change < -1.0 - _FIT_TOL)
             return LimitResult("divergent" if steep else "inconclusive", None, "sweep", ev)
