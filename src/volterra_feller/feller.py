@@ -294,8 +294,8 @@ def bounded_interval_test(ctx, hypotheses=None):
         )
     evidence = [("K'(0)", 0.0, 0.0)] if ctx.kprime0 == 0.0 else []
     for s in (l, r) if ctx.kprime0 < 0.0 else ():
-        beta, bound, integrable = ctx._sigma_inv_sq_fit(s)
-        if not integrable:
+        beta, bound = ctx._sigma_inv_sq_fit(s)
+        if not beta > bound:
             raise PreconditionError(
                 f"1/sigma~^2 is not shown integrable at {s:.6g}: fitted exponent {beta:.12g} "
                 f"<= bound {bound:.12g}; the equivalence needs it when K'(0) < 0")

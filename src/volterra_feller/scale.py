@@ -770,9 +770,10 @@ class ScaleContext:
         return _Sweep(*out[:5, inv]), out[5, inv]
 
     def _sigma_inv_sq_fit(self, s):
-        # (beta, bound, integrable) at a finite endpoint s, from the model
-        # alone: beta of 1/sigma~^2 fitted on end panels reaching (r - l) 2^-k
-        # from s, for the deepest k = n above _depths' float floor and k = n/2
+        # (beta, bound) at a finite endpoint s, from the model alone: beta of
+        # 1/sigma~^2 fitted on end panels reaching (r - l) 2^-k from s, for the
+        # deepest k = n above _depths' float floor; integrable if beta > bound,
+        # -1 + max(2 |change from k = n/2|, _FIT_TOL)
         l, r = self.model.interval
         n = len(_depths(s, r - l, 8192))
         if n < 2:
@@ -782,8 +783,7 @@ class ScaleContext:
         x = np.log(np.abs(y - s))
         with np.errstate(divide="ignore", invalid="ignore"):  # only beta is read
             beta = _power_law_integrals(-self._log_sigma_tilde_sq(y), x, x[:, 0], x[:, -1])[1]
-        bound = -1.0 + max(2.0 * abs(beta[1] - beta[0]), _FIT_TOL)
-        return float(beta[1]), float(bound), bool(beta[1] > bound)
+        return float(beta[1]), -1.0 + max(2.0 * abs(float(beta[1] - beta[0])), _FIT_TOL)
 
     def _log_inner_intervals(self, a, b, y, e_a, log_w):
         # logs of int_a^x w / (p' sigma~^2) for x each Gauss node y of the
@@ -939,8 +939,8 @@ class ScaleContext:
         base grid is doubled until every point up to that one agrees
         between rounds.  So does a sweep to a finite endpoint: a value that
         agrees is finite; nan in two rounds is divergent if the end panel's
-        ``fitted_exponent`` sits below -1 by more than max(1e-9, twice its
-        |``fitted_exponent_change``|) or fell from below -1 - 1e-9, else
+        ``fitted_exponent`` beta, its value one round before and beta plus
+        twice its ``fitted_exponent_change`` all sit below -1 - 1e-9, else
         inconclusive.  A finite closed limit there takes that sweep's value
         and effort keys (None if not finite).
         """
@@ -975,9 +975,9 @@ class ScaleContext:
             return LimitResult("inconclusive", None, "sweep", exc.details)
         if "fitted_exponent" in ev:
             beta, change = ev["fitted_exponent"], ev["fitted_exponent_change"]
-            # a power below -1, or a fit falling from below -1: e^(1/x) is steeper than any power
-            steep = (beta < -1.0 - max(2.0 * abs(change), _FIT_TOL)
-                     or change <= 0.0 and beta - change < -1.0 - _FIT_TOL)
+            # a power law clearly below -1, or a fit falling away from -1, as
+            # for e^(1/x), steeper than any power
+            steep = max(beta - change, beta, beta + 2.0 * change) < -1.0 - _FIT_TOL
             return LimitResult("divergent" if steep else "inconclusive", None, "sweep", ev)
         log_v = float(getattr(sweep, field)[0])
         return LimitResult("finite", math.exp(log_v) if log_v <= _LOG_HUGE else math.inf, "sweep", ev)
