@@ -40,7 +40,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
 
 from . import feller
 from .errors import NumericError, PreconditionError
@@ -372,19 +372,8 @@ def _cmd_resolvent(args):
     _no_leftovers(tsec, "test")
     grid = solve_resolvent(kernel, dt, horizon)
     report = check_hypotheses(grid, **kw)
-    row = {
-        "atom": grid.atom,
-        "density_at_0": float(grid.density[0]),
-        "kl_residual": grid.kl_residual,
-        "tol": report.tol,
-        "density_nonnegative": report.density_nonnegative,
-        "density_min": report.density_min,
-        "kprime_conv_nonpositive": report.kprime_conv_nonpositive,
-        "kprime_conv_max": report.kprime_conv_max,
-        "kprime_conv_nondecreasing": report.kprime_conv_nondecreasing,
-        "kprime_conv_min_increment": report.kprime_conv_min_increment,
-        "passed": report.passed,
-    }
+    row = {"atom": grid.atom, "density_at_0": float(grid.density[0]),
+           "kl_residual": grid.kl_residual, **asdict(report), "passed": report.passed}
     echo = {"kernel": k_echo, "sim": {"dt": dt, "horizon": horizon},
             "test": {"tol": report.tol}, "output": out_cfg}
     _write(echo, {"resolvent": row}, [row], tuple(row.keys()), out_cfg)

@@ -1,10 +1,16 @@
-"""Error types shared across the library.
+"""Error types shared across the library, and its one check of counts.
 
 ``ValueError`` covers malformed inputs (bad parameters, out-of-domain
 arguments).  The two classes below separate the remaining failure modes so
 callers can tell a violated mathematical precondition from a numerical
 routine that did not converge.
+
+Every count a caller passes goes through :func:`check_count`: an integer or
+integral float in range is used as an ``int``; anything else, inf and nan
+included, raises ``ValueError`` with a message starting with its name.
 """
+
+import math
 
 
 class PreconditionError(ValueError):
@@ -21,3 +27,12 @@ class NumericError(RuntimeError):
     def __init__(self, message, **details):
         super().__init__(message)
         self.details = dict(details)
+
+
+def check_count(name, value, low, high=math.inf):
+    """``value`` as an int, if it is integral and in [low, high]; else a
+    ``ValueError`` naming ``name``."""
+    if not (float(value).is_integer() and low <= value <= high):
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value}")
+    return int(value)

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NumericError, PreconditionError
+from .errors import NumericError, PreconditionError, check_count
 from .fracapprox import STAND_INS, stand_in_kernel, stand_in_scheme
 from .scale import DIVERGENCE_CAP, kernel_scalars
 
@@ -213,7 +213,7 @@ def _staged_side(ctx, which, n_stages):
     vals = []
     evidence = []
     inf_streak = 0
-    for x_n in ctx._approach(which, n_stages):
+    for x_n in ctx._approach(which, n_stages, "n_stages"):
         shift = -x_n
         try:
             val = ctx.with_shifts(shift, shift).v(x_n)
@@ -257,9 +257,7 @@ def sufficient_test(ctx, n_stages=8, hypotheses=None):
     divergence of v under the boundary shift.  Divergence on both sides rules
     out exit entirely.
     """
-    if not float(n_stages).is_integer() or n_stages < 2:
-        raise ValueError("n_stages must be an integer >= 2")
-    n_stages = int(n_stages)
+    n_stages = check_count("n_stages", n_stages, 2)
     left_ok, ev_left = _sufficient_side(ctx, "left", n_stages)
     right_ok, ev_right = _sufficient_side(ctx, "right", n_stages)
     flags = _hypothesis_flags(ctx.kernel, hypotheses)

@@ -31,7 +31,7 @@ import numpy as np
 from mpmath import mp
 from scipy.special import gamma
 
-from .errors import NumericError
+from .errors import NumericError, check_count
 from .kernels import SumOfExponentialsKernel, TruncatedFractionalKernel
 
 __all__ = [
@@ -97,14 +97,12 @@ class QuadratureScheme:
             raise ValueError("breakpoints must be finite and nonnegative")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if not (float(self.q).is_integer() and 1 <= self.q <= _MAX_NODES_PER_INTERVAL):
-            raise ValueError("q must be an integer in [1, %d]" % _MAX_NODES_PER_INTERVAL)
+        object.__setattr__(self, "q", check_count("q", self.q, 1, _MAX_NODES_PER_INTERVAL))
         if self.weight not in _WEIGHT_KINDS:
             raise ValueError("weight must be one of %s" % (_WEIGHT_KINDS,))
         if self.weight == "geometric_bb2" and pts[0] != 0.0:
             raise ValueError("geometric_bb2 expects the ladder to start at 0")
         object.__setattr__(self, "nodes", pts)
-        object.__setattr__(self, "q", int(self.q))
 
     @property
     def n_intervals(self):
@@ -118,14 +116,13 @@ def geometric_nodes(n_intervals, ratio=6.4, xi1=1.0):
     fractional weight at 0; the remaining ones grow geometrically so the far
     rates (short-time behaviour of the kernel) are covered with few intervals.
     """
-    if not float(n_intervals).is_integer() or n_intervals < 1:
-        raise ValueError("n_intervals must be a positive integer")
+    n_intervals = check_count("n_intervals", n_intervals, 1)
     if not (ratio > 1.0 and math.isfinite(ratio)):
         raise ValueError("ratio must exceed 1")
     if not (xi1 > 0.0 and math.isfinite(xi1)):
         raise ValueError("xi1 must be positive and finite")
     pts = [0.0]
-    for n in range(int(n_intervals)):
+    for n in range(n_intervals):
         pts.append(xi1 * ratio ** n)
     return tuple(pts)
 

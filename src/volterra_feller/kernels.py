@@ -47,11 +47,14 @@ __all__ = [
 ]
 
 
-def _as_time_array(t):
+def _at_lags(t, values):
+    # values(arr) for the lags t as a float array, checked nonnegative; a
+    # float when t is a scalar or 0-d
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("kernel time argument must be nonnegative")
-    return arr
+    out = values(arr)
+    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,10 @@ class ConstantKernel:
         return True
 
     def eval(self, t):
-        arr = _as_time_array(t)
-        out = np.full_like(arr, self.level)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return _at_lags(t, lambda arr: np.full_like(arr, self.level))
 
     def eval_deriv(self, t):
-        arr = _as_time_array(t)
-        out = np.zeros_like(arr)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return _at_lags(t, np.zeros_like)
 
     def k0_kprime0(self):
         return self.level, 0.0
@@ -115,18 +114,12 @@ class SumOfExponentialsKernel:
         return True
 
     def eval(self, t):
-        arr = _as_time_array(t)
-        w = np.asarray(self.weights)
-        r = np.asarray(self.rates)
-        out = np.exp(-np.multiply.outer(arr, r)) @ w
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        w, r = self.exp_form()
+        return _at_lags(t, lambda arr: np.exp(-np.multiply.outer(arr, r)) @ w)
 
     def eval_deriv(self, t):
-        arr = _as_time_array(t)
-        w = np.asarray(self.weights)
-        r = np.asarray(self.rates)
-        out = -(np.exp(-np.multiply.outer(arr, r)) @ (w * r))
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        w, r = self.exp_form()
+        return _at_lags(t, lambda arr: -(np.exp(-np.multiply.outer(arr, r)) @ (w * r)))
 
     def k0_kprime0(self):
         w = np.asarray(self.weights)
@@ -174,25 +167,24 @@ class TruncatedFractionalKernel:
     def completely_monotone(self) -> bool:
         return True
 
-    def _closed_form(self, t, power, factor, at_zero):
+    def _closed_form(self, arr, power, factor, at_zero):
         # factor t^power P(-power, T t) / Gamma(alpha), with t^power split as
         # T^-power (T t)^power: x^power P(-power, x) <= 1, so nothing
         # overflows while K'(0) is finite.  K and K' move from their t = 0
         # values by a relative amount below T t, so at_zero is exact to
         # rounding for T t < 1e-16, where x^power alone may overflow.
-        arr = _as_time_array(t)
         x = self.T * arr
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = factor * self.T**-power * (x**power * gammainc(-power, x))
-        out = np.where(x < 1e-16, at_zero, out / gamma(self.alpha))
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return np.where(x < 1e-16, at_zero, out / gamma(self.alpha))
 
     def eval(self, t):
-        return self._closed_form(t, self.alpha - 1.0, 1.0, self.k0_kprime0()[0])
+        a, k0 = self.alpha, self.k0_kprime0()[0]
+        return _at_lags(t, lambda arr: self._closed_form(arr, a - 1.0, 1.0, k0))
 
     def eval_deriv(self, t):
-        a = self.alpha
-        return self._closed_form(t, a - 2.0, -(1.0 - a), self.k0_kprime0()[1])
+        a, kp0 = self.alpha, self.k0_kprime0()[1]
+        return _at_lags(t, lambda arr: self._closed_form(arr, a - 2.0, -(1.0 - a), kp0))
 
     def k0_kprime0(self):
         a, T = self.alpha, self.T
@@ -231,20 +223,18 @@ class UserKernel:
         return self._cm
 
     def eval(self, t):
-        arr = _as_time_array(t)
-        out = np.asarray(self._func(arr), dtype=float)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return _at_lags(t, lambda arr: np.asarray(self._func(arr), dtype=float))
 
     def eval_deriv(self, t):
-        arr = _as_time_array(t)
+        return _at_lags(t, self._deriv_values)
+
+    def _deriv_values(self, arr):
         if self._deriv is not None:
-            out = np.asarray(self._deriv(arr), dtype=float)
-        else:
-            h = 1e-6 * max(1.0, float(np.max(arr)) if arr.size else 1.0)
-            lo = np.maximum(arr - h, 0.0)
-            hi = arr + h
-            out = (np.asarray(self._func(hi), dtype=float) - np.asarray(self._func(lo), dtype=float)) / (hi - lo)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+            return np.asarray(self._deriv(arr), dtype=float)
+        h = 1e-6 * max(1.0, float(np.max(arr)) if arr.size else 1.0)
+        lo = np.maximum(arr - h, 0.0)
+        hi = arr + h
+        return (np.asarray(self._func(hi), dtype=float) - np.asarray(self._func(lo), dtype=float)) / (hi - lo)
 
     def k0_kprime0(self):
         return self._k0, self._kprime0

@@ -84,7 +84,7 @@ from numpy.polynomial.legendre import legval
 from scipy.special import logsumexp
 
 from ._quad import gl_integration_matrix, gl_legendre_coefficients, gl_rule, outward_edges
-from .errors import NumericError, PreconditionError
+from .errors import NumericError, PreconditionError, check_count
 
 __all__ = [
     "CIRModel",
@@ -126,6 +126,11 @@ def _depths(s, leg, n_panels):
     # (1e-300 at s = 0), short of the float resolution of y - s
     d = leg * 0.5 ** np.arange(1, n_panels // 4 + 1)
     return d[d >= max(2.0**-36 * abs(s), 1e-300)]
+
+
+def _exp(log_value):
+    # exp, as +inf past _LOG_HUGE (nan included) rather than OverflowError
+    return math.exp(log_value) if log_value <= _LOG_HUGE else math.inf
 
 
 def _require(cond, msg):
@@ -480,7 +485,7 @@ class ScaleContext:
         _require(math.isfinite(self.beta), f"beta must be finite, got {self.beta}")
         _require(math.isfinite(self.gamma), f"gamma must be finite, got {self.gamma}")
         _require(self.quad_tol > 0.0, f"quad_tol must be positive, got {self.quad_tol}")
-        _require(self.max_panels >= 64, "max_panels must be at least 64")
+        object.__setattr__(self, "max_panels", check_count("max_panels", self.max_panels, 64))
         k0, kp0 = kernel_scalars(self.kernel)
         object.__setattr__(self, "_k0", float(k0))
         object.__setattr__(self, "_kp0", float(kp0))
@@ -563,7 +568,7 @@ class ScaleContext:
         """p'_c(x) = exp E(x); overflows to +inf rather than raising."""
         out = self.log_scale_derivative(x)
         if isinstance(out, float):
-            return math.exp(out) if out <= _LOG_HUGE else math.inf
+            return _exp(out)
         with np.errstate(over="ignore"):
             return np.exp(out)
 
@@ -867,37 +872,29 @@ class ScaleContext:
 
     # -- public evaluations ----------------------------------------------------
 
-    def scale(self, x) -> float:
-        """p_c(x) = int_c^x p'.  Signed; zero at c; may overflow to +-inf."""
+    def _read(self, x, field, n_terms=1):
+        # (_Sweep row as floats, sign of x - c) at an interior x by _stabilized
+        # for field; at x = c or for an empty series: E = 0, other logs -inf, +1
         x = float(x)
         self._check_interior(np.asarray(x))
-        if x == self.c:
-            return 0.0
-        sweep, _ = self._stabilized([x], "log_p")
-        log_p = float(sweep.log_p[0])
-        mag = math.exp(log_p) if log_p <= _LOG_HUGE else math.inf
-        return mag if x > self.c else -mag
+        if x == self.c or n_terms == 0:
+            return _Sweep(0.0, -math.inf, -math.inf, -math.inf, -math.inf), 1.0
+        sweep, _ = self._stabilized([x], field, n_terms=n_terms)
+        return _Sweep(*(float(col[0]) for col in sweep)), (1.0 if x > self.c else -1.0)
+
+    def scale(self, x) -> float:
+        """p_c(x) = int_c^x p'.  Signed; zero at c; may overflow to +-inf."""
+        row, sign = self._read(x, "log_p")
+        return sign * _exp(row.log_p)
 
     def v(self, x) -> float:
         """First test function v_c(x) >= 0; may overflow to +inf."""
-        x = float(x)
-        self._check_interior(np.asarray(x))
-        if x == self.c:
-            return 0.0
-        sweep, _ = self._stabilized([x], "log_v")
-        log_v = float(sweep.log_v[0])
-        return math.exp(log_v) if log_v <= _LOG_HUGE else math.inf
+        return _exp(self._read(x, "log_v")[0].log_v)
 
     def v_prime(self, x) -> float:
         """d/dx v_c(x) = 2 p'_c(x) int_c^x (p'_c sigma~^2)^(-1) dz (signed)."""
-        x = float(x)
-        self._check_interior(np.asarray(x))
-        if x == self.c:
-            return 0.0
-        sweep, _ = self._stabilized([x], "log_i")
-        total = _LOG2 + float(sweep.e[0]) + float(sweep.log_i[0])
-        mag = math.exp(total) if total <= _LOG_HUGE else math.inf
-        return mag if x > self.c else -mag
+        row, sign = self._read(x, "log_i")
+        return sign * _exp(_LOG2 + row.e + row.log_i)
 
     def u_series(self, x, n_terms: int = 8) -> float:
         """Partial sum sum_{k=0}^{n_terms} u_{c,k}(x) of the iterated series;
@@ -905,15 +902,8 @@ class ScaleContext:
         terms ride v's sweep, doubled until the sum less its 1 agrees between
         rounds to ``quad_tol`` in log space, else ``NumericError``.
         """
-        if not isinstance(n_terms, (int, np.integer)) or n_terms < 0:
-            raise ValueError(f"n_terms must be a nonnegative integer, got {n_terms}")
-        x = float(x)
-        self._check_interior(np.asarray(x))
-        if n_terms == 0 or x == self.c:
-            return 1.0
-        sweep, _ = self._stabilized([x], "log_u", n_terms=int(n_terms))
-        log_u = float(sweep.log_u[0])
-        return 1.0 + math.exp(log_u) if log_u <= _LOG_HUGE else math.inf
+        n_terms = check_count("n_terms", n_terms, 0)
+        return 1.0 + _exp(self._read(x, "log_u", n_terms)[0].log_u)
 
     # -- boundary classification -----------------------------------------------
 
@@ -930,9 +920,10 @@ class ScaleContext:
         method 'closed' uses the per-family exponent signs, 'sample'
         evaluates along a geometric sequence approaching the boundary
         (x_k = boundary +- |c - boundary| 2^-k for finite endpoints,
-        x_k = c -+ 2^k for infinite ones, k = 1..steps) and classifies the
-        increment tail; 'auto' prefers the closed form, else sweeps to a
-        finite endpoint and samples toward an infinite one.
+        x_k = c -+ 2^k for infinite ones, k = 1..steps; ValueError if one is
+        not a float inside the interval) and classifies the increment tail;
+        'auto' prefers the closed form, else sweeps to a finite endpoint and
+        samples toward an infinite one.
 
         All sample points are read off one outward sweep from c, which
         stops after the first point whose value reaches DIVERGENCE_CAP; the
@@ -947,8 +938,7 @@ class ScaleContext:
         _require(which in ("left", "right"), f"which must be 'left' or 'right', got {which!r}")
         _require(target in ("v", "p"), f"target must be 'v' or 'p', got {target!r}")
         _require(method in ("auto", "closed", "sample"), f"unknown method {method!r}")
-        _require(float(steps).is_integer() and steps >= 4,
-                 f"steps must be an integer >= 4, got {steps}")
+        steps = check_count("steps", steps, 4)
         has_rule = hasattr(self.model, "limit_rule")
         if method == "closed" and not has_rule:
             raise PreconditionError("no closed-form limit rule for custom models")
@@ -964,7 +954,7 @@ class ScaleContext:
                 return LimitResult(kind, swept and swept.value, "closed", ev)
         if method == "auto" and math.isfinite(boundary):
             return self._swept_limit(boundary, target)
-        return self._sampled_limit(which, target, int(steps))
+        return self._sampled_limit(which, target, steps)
 
     def _swept_limit(self, boundary, target):
         # the limit by sweeps run to a finite endpoint, as boundary_limit says
@@ -979,23 +969,30 @@ class ScaleContext:
             # for e^(1/x), steeper than any power
             steep = max(beta - change, beta, beta + 2.0 * change) < -1.0 - _FIT_TOL
             return LimitResult("divergent" if steep else "inconclusive", None, "sweep", ev)
-        log_v = float(getattr(sweep, field)[0])
-        return LimitResult("finite", math.exp(log_v) if log_v <= _LOG_HUGE else math.inf, "sweep", ev)
+        return LimitResult("finite", _exp(float(getattr(sweep, field)[0])), "sweep", ev)
 
-    def _approach(self, which, count):
+    def _approach(self, which, count, name):
         # x_1..x_count marching to a boundary: boundary +- |c - boundary| 2^-n
-        # for a finite one, c -+ 2^n for an infinite one
+        # for a finite one, c -+ 2^n for an infinite one; a ValueError naming
+        # the count if some x_n overflows or rounds onto the boundary
         l, r = self.model.interval
         boundary = l if which == "left" else r
         inward = 1.0 if which == "left" else -1.0
-        if math.isfinite(boundary):
-            gap = abs(self.c - boundary)
-            return [boundary + inward * (gap * 0.5**n) for n in range(1, count + 1)]
-        return [self.c - inward * 2.0**n for n in range(1, count + 1)]
+        points = []
+        for n in range(1, count + 1):
+            if math.isfinite(boundary):
+                x = boundary + inward * (abs(self.c - boundary) * 0.5**n)
+            else:  # 2.0**n raises OverflowError from n = 1024
+                x = self.c - inward * (2.0**n if n < 1024 else math.inf)
+            if not l < x < r:
+                raise ValueError(f"{name} must be at most {n - 1} toward the {which} boundary: "
+                                 f"approach point {n} is not a float inside ({l}, {r})")
+            points.append(x)
+        return points
 
     def _sampled_limit(self, which, target, steps):
         log_cap = math.log(DIVERGENCE_CAP)
-        points = self._approach(which, steps)
+        points = self._approach(which, steps, "steps")
         field = "log_v" if target == "v" else "log_p"
         sweep, effort = self._stabilized(points, field, stop=log_cap)
         log_vals = []

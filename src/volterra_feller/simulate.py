@@ -42,7 +42,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_count
 
 __all__ = [
     "SimConfig",
@@ -85,20 +85,16 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.horizon >= self.dt):
-            raise ValueError("horizon must cover at least one step")
-        if not float(self.n_paths).is_integer() or self.n_paths < 1:
-            raise ValueError(f"n_paths must be a positive integer, got {self.n_paths}")
+        if not (self.dt <= self.horizon < math.inf):
+            raise ValueError(f"horizon must be finite and at least dt, got {self.horizon}")
+        object.__setattr__(self, "n_paths", check_count("n_paths", self.n_paths, 1))
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if not float(self.seed).is_integer() or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
         if self.hit_eps is not None and not self.hit_eps > 0.0:
             raise ValueError(f"hit_eps must be positive, got {self.hit_eps}")
         if not self.blowup_cap > 0.0:
             raise ValueError(f"blowup_cap must be positive, got {self.blowup_cap}")
-        object.__setattr__(self, "n_paths", int(self.n_paths))
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n_steps(self):

@@ -104,6 +104,16 @@ def test_numeric_error_prints_its_details(tmp_path, capsys):
     assert "max_panels=64)" in out.err
 
 
+def test_overflowing_stage_count_is_one_error_line(tmp_path, capsys):
+    # the staged march toward +inf overflowed 2.0**n and left a traceback
+    cfg = CIR_FAMILY.replace("name = family", "name = sufficient\n    n_stages = 1100")
+    rc = main(["test", "--config", _write_ini(tmp_path, cfg)])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (1, "")
+    assert out.err.startswith("error: n_stages must be at most 1023 ")
+    assert out.err.count("\n") == 1
+
+
 def test_missing_config_file_exits_1(capsys):
     rc = main(["test", "--config", "/nonexistent/run.ini"])
     assert rc == 1

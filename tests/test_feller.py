@@ -439,6 +439,9 @@ _INTEGER_PARAMETERS = {
     "q": lambda n: QuadratureScheme(0.5, (0.0, 1.0), q=n),
     "n_stages": lambda n: sufficient_test(_CIR_CTX, n_stages=n),
     "steps": lambda n: _CIR_CTX.boundary_limit("left", method="sample", steps=n),
+    "n_terms": lambda n: _CIR_CTX.u_series(1.5, n_terms=n),
+    # offset so that 4.0 is a valid panel cap
+    "max_panels": lambda n: ScaleContext(_CIR_CTX.model, _CIR_CTX.kernel, max_panels=60 + n),
 }
 
 
@@ -450,3 +453,27 @@ def test_integer_parameters_reject_nonintegral_values(name, bad):
     with pytest.raises(ValueError, match=f"^{name} must"):
         _INTEGER_PARAMETERS[name](bad)
     _INTEGER_PARAMETERS[name](4.0)
+
+
+def test_integral_float_counts_are_used_as_ints():
+    config = SimConfig(dt=0.01, horizon=1.0, n_paths=4.0, seed=2.0)
+    assert (type(config.n_paths), type(config.seed)) == (int, int)
+    assert type(QuadratureScheme(0.5, (0.0, 1.0), q=4.0).q) is int
+    assert type(ScaleContext(_CIR_CTX.model, _CIR_CTX.kernel, max_panels=64.0).max_panels) is int
+    assert _CIR_CTX.u_series(1.5, n_terms=4.0) == _CIR_CTX.u_series(1.5, n_terms=4)
+
+
+def test_approach_points_must_stay_floats_inside_the_interval(unit_kernel):
+    # from c = 0.5, 1 - 2^-(n+1) rounds onto 1.0 past n = 52: a sampled limit
+    # read nan there as finite, and the staged test raised from v; toward
+    # +inf, c + 2^n overflows from n = 1024
+    ctx = ScaleContext(JacobiModel(0.0, 1.0, 1.0, 0.5, 3.0, 0.5), unit_kernel)
+    res = ctx.boundary_limit("right", method="sample", steps=52)
+    assert res.kind == "finite" and len(res.evidence["points"]) == 52
+    assert res.value == pytest.approx(ctx.boundary_limit("right").value, rel=1e-12)
+    with pytest.raises(ValueError, match="^steps must be at most 52 toward the right boundary"):
+        ctx.boundary_limit("right", method="sample", steps=60)
+    with pytest.raises(ValueError, match="^n_stages must be at most 52 toward the right boundary"):
+        sufficient_test(ctx, n_stages=60)
+    with pytest.raises(ValueError, match="^n_stages must be at most 1023 toward the right"):
+        sufficient_test(_CIR_CTX, n_stages=1100)

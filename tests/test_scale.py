@@ -577,6 +577,22 @@ def test_power_right_limit_strict_rule(unit_kernel):
     ).kind == "divergent"
 
 
+def test_power_right_limit_of_p_is_finite_closed_and_sampled(unit_kernel):
+    # p' decays superexponentially toward +inf: the closed rule calls |p|
+    # finite without a value, and the sampled increments fall below 1e-11
+    # of the value, which ends sampling with tail_relative 0
+    ctx = ScaleContext(PowerModel(2.0, 0.0, 1.0, 0.5), unit_kernel)
+    closed = ctx.boundary_limit("right", target="p")
+    assert (closed.kind, closed.value, closed.method) == ("finite", None, "closed")
+    assert closed.evidence == {"reason": "p' decays superexponentially toward +inf"}
+    sampled = ctx.boundary_limit("right", target="p", method="sample")
+    assert (sampled.kind, sampled.method) == ("finite", "sample")
+    assert sampled.evidence["tail_relative"] == 0.0
+    assert sampled.value == pytest.approx(0.5786457195014162, rel=1e-15)
+    oracle = quad(ctx.scale_derivative, ctx.c, math.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
+    assert sampled.value == pytest.approx(oracle[0], rel=1e-12)
+
+
 def test_sampled_divergence_on_custom_model():
     # b = 0, sig = 1 on R: v(x) = x^2, divergent at +inf
     m = CustomModel(lambda x: np.zeros_like(x), lambda x: np.ones_like(x), (-math.inf, math.inf), 0.0)

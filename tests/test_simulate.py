@@ -32,6 +32,8 @@ def test_config_validation():
         SimConfig(**{**ok, "dt": 0.0})
     with pytest.raises(ValueError, match="horizon"):
         SimConfig(**{**ok, "horizon": 0.001})
+    with pytest.raises(ValueError, match="^horizon must be finite"):
+        SimConfig(**{**ok, "horizon": math.inf})
     with pytest.raises(ValueError, match="n_paths"):
         SimConfig(**{**ok, "n_paths": 0})
     with pytest.raises(ValueError, match="scheme"):
