@@ -31,10 +31,13 @@ The history form and multi-rate sums w_n Y^n go through a BLAS product that
 may round a path by its column and thread split, so they keep _BLOCK-path
 blocks: results stay fixed for a given path count, BLAS build and thread count.
 
-A path that reaches hit_eps of a finite boundary, or blowup_cap when the
-boundary is infinite, is recorded with its grid hit time and frozen; the
-raw pre-truncation state decides hits, since the truncation would otherwise
-mask every crossing.
+A path hits when its raw, pre-truncation state (the truncation would mask
+every crossing) reaches hit_eps of a finite boundary, or blowup_cap when the
+boundary is infinite; it reports its first grid hit time and state there.
+Step k writes X over its spent noise row, and every _ROWS steps those rows
+are read for first crossings, so no single step tests for hits.  Hit
+paths step on in their own columns: the elementwise forms touch only their
+own path, and BLAS rounds a column by its place, not by other columns' values.
 """
 
 import math
@@ -58,6 +61,9 @@ _BLOCK = 512
 # time-major, 2 x 32 MiB at most whatever the number of steps
 _WIDE = 8192
 _CHUNK = 512
+# steps between hit scans: the scan's temporaries stay _ROWS x width, and a
+# block whose paths have all hit steps on at most _ROWS - 1 times
+_ROWS = 64
 
 
 def _thread_count():
@@ -90,7 +96,7 @@ class SimConfig:
         object.__setattr__(self, "n_paths", check_count("n_paths", self.n_paths, 1))
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0, 2**64 - 1))
         if self.hit_eps is not None and not self.hit_eps > 0.0:
             raise ValueError(f"hit_eps must be positive, got {self.hit_eps}")
         if not self.blowup_cap > 0.0:
@@ -144,11 +150,16 @@ def _resolve_hit_eps(model, config):
 def _noise(seed, start, stop, n_steps, dt, chunk):
     """Yield the increments dW of paths start..stop-1, chunk steps at a time.
 
-    Path i draws from one Philox(key=[seed, i]) generator for the whole run.
+    Path i draws from one Philox(key=[seed, i]) generator for the whole run;
+    the keys are uint64, so every seed below 2^64 keeps its own stream.
     Each chunk is scaled by sqrt(dt) and laid out time-major, (steps, paths),
-    so a step reads one contiguous row; the next chunk overwrites it.
+    so a step reads one contiguous row.  The consumer may overwrite the
+    chunk; the next one is drawn into the same buffer.
     """
-    rngs = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(start, stop)]
+    keys = np.empty((stop - start, 2), dtype=np.uint64)
+    keys[:, 0] = seed
+    keys[:, 1] = np.arange(start, stop)
+    rngs = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
     chunk = min(chunk, n_steps)
     drawn = np.empty((stop - start, chunk))
     out = np.empty((chunk, stop - start))
@@ -215,43 +226,50 @@ def _convolver(kernel, form, scheme, dt, n_steps, block):
 
 
 def _advance_block(model, conv, noise, width, dt, levels):
-    """Run one block of width paths; returns (terminal X, hit side, hit time).
+    """Run one block of width paths; returns (X, hit side, hit time).
 
     noise yields the block's increments dW in time order, one time-major
-    chunk (steps, width) at a time.  levels = (lo, hi) are the hit levels.
-    hit side is -1 / 0 / +1 for left / none / right.  Paths freeze at their
-    hit value, and once all are frozen no further noise is drawn.
+    chunk (steps, width) at a time, and step k writes its X over the spent
+    row dW_k.  After every _ROWS steps those rows are read for the first row
+    where a path not yet hit lies at or beyond levels = (lo, hi).
+    hit side is -1 / 0 / +1 for left / none / right; X is a hit path's value
+    at its first crossing and a survivor's terminal value.  Once every path
+    has hit no further noise is drawn.
     """
+    lo, hi = levels
     x0 = float(model.x0)
     X = np.full(width, x0)
     active = np.ones(width, dtype=bool)
-    all_active = True
     hit_side = np.zeros(width, dtype=np.int8)
     hit_time = np.full(width, np.nan)
+    hit_x = np.empty(width)
     k = 0
-    for dW in noise:
-        for dW_k in dW:
-            Xh = model.truncate(X)
-            B = model.drift(Xh) * dt + model.diffusion(Xh) * dW_k
-            if all_active:
-                X = x0 + conv(k, B)
-            else:
-                B[~active] = 0.0
-                X = np.where(active, x0 + conv(k, B), X)
-            k += 1
-            crossed = (X <= levels[0]) | (X >= levels[1])
-            if not all_active:
+    # paths step on past a hit and may overflow to inf or nan there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dW in noise:
+            for row in range(0, len(dW), _ROWS):
+                rows = dW[row : row + _ROWS]
+                for dW_k in rows:
+                    Xh = model.truncate(X)
+                    B = model.drift(Xh) * dt + model.diffusion(Xh) * dW_k
+                    X = np.add(x0, conv(k, B), out=dW_k)
+                    k += 1
+                # rows now hold X after steps k - len(rows) + 1 .. k
+                crossed = rows <= lo
+                crossed |= rows >= hi
                 crossed &= active
-            if crossed.any():
-                left = crossed & (X <= levels[0])
-                hit_side[left] = -1
-                hit_side[crossed & ~left] = 1
-                hit_time[crossed] = k * dt
-                active &= ~crossed
-                all_active = False
-                if not active.any():
-                    return X, hit_side, hit_time
-    return X, hit_side, hit_time
+                cols = np.flatnonzero(crossed.any(axis=0))
+                if cols.size:
+                    first = crossed[:, cols].argmax(axis=0)
+                    hit_x[cols] = rows[first, cols]
+                    hit_side[cols] = np.where(hit_x[cols] <= lo, -1, 1)
+                    hit_time[cols] = (k - len(rows) + 1 + first) * dt
+                    active[cols] = False
+                    if not active.any():
+                        return hit_x, hit_side, hit_time
+            # the next chunk is drawn into dW
+            X = X.copy()
+    return np.where(active, X, hit_x), hit_side, hit_time
 
 
 def simulate(model, kernel, config):
@@ -411,8 +429,9 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
         n_coarse = n_fine // factor
         dW = dW_fine[:, : n_coarse * factor].reshape(n_paths, n_coarse, factor).sum(axis=2)
         x_conv, x_lift = (
+            # each scheme writes its X over its own copy of the noise
             _advance_block(model, _convolver(kernel, form, scheme, dt, n_coarse, n_paths),
-                           [dW.T], n_paths, dt, (-math.inf, math.inf))[0]
+                           [np.ascontiguousarray(dW.T)], n_paths, dt, (-math.inf, math.inf))[0]
             for scheme in _SCHEMES
         )
         rows.append({"dt": dt, "max_terminal_gap": float(np.max(np.abs(x_conv - x_lift)))})

@@ -114,6 +114,16 @@ def test_overflowing_stage_count_is_one_error_line(tmp_path, capsys):
     assert out.err.count("\n") == 1
 
 
+def test_seed_past_2_64_is_one_error_line(tmp_path, capsys):
+    # Philox keys are two 64-bit words; a larger seed raised OverflowError
+    cfg = _golden_config("cir", "constant", sim=_GOLDEN_SIM.replace("seed = 3", f"seed = {2**64}"))
+    rc = main(["simulate", "--config", _write_ini(tmp_path, cfg)])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (1, "")
+    assert out.err.startswith("error: seed ")
+    assert out.err.count("\n") == 1
+
+
 def test_missing_config_file_exits_1(capsys):
     rc = main(["test", "--config", "/nonexistent/run.ini"])
     assert rc == 1

@@ -47,6 +47,24 @@ def test_config_validation():
     assert SimConfig(dt=0.25, horizon=1.1, n_paths=3).n_steps == 4
 
 
+def test_seeds_keep_their_own_streams_up_to_2_64(cir_111, unit_kernel):
+    # Philox keys are built as uint64: a list [seed, i] would go through
+    # float64 from 2^63 on and give neighbouring seeds one stream
+    module = importlib.import_module("volterra_feller.simulate")
+    drawn = next(module._noise(5, 2, 5, 4, 1.0, 4))
+    for column, i in enumerate(range(2, 5)):
+        stream = np.random.Generator(np.random.Philox(key=[5, i])).standard_normal(4)
+        assert np.array_equal(drawn[:, column], stream)
+    cfg = SimConfig(dt=0.01, horizon=0.5, n_paths=16, seed=2**63)
+    a = simulate(cir_111, unit_kernel, cfg)
+    b = simulate(cir_111, unit_kernel, dataclasses.replace(cfg, seed=2**63 + 1))
+    assert dataclasses.replace(a, seed=0) != dataclasses.replace(b, seed=0)
+    # the largest seed runs without the float cast's RuntimeWarning
+    assert simulate(cir_111, unit_kernel, dataclasses.replace(cfg, seed=2**64 - 1)).seed == 2**64 - 1
+    with pytest.raises(ValueError, match="^seed must be an integer in"):
+        SimConfig(dt=0.01, horizon=0.5, n_paths=16, seed=2**64)
+
+
 def test_simulate_is_bit_reproducible(cir_111, unit_kernel):
     cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=64, seed=7)
     a = simulate(cir_111, unit_kernel, cfg)
@@ -220,6 +238,180 @@ def test_memory_does_not_grow_with_n_steps(kernel, scheme):
     simulate(model, kernel, SimConfig(dt=1e-3, horizon=0.01, n_paths=2, scheme=scheme))
     short, long = peak(1.0), peak(4.0)
     assert long <= 1.25 * short, (short, long)
+
+
+def test_hit_detection_memory_stays_within_the_noise_buffers():
+    # one 2048-path block (K = 1 takes any width) where most paths hit: the
+    # row-block scan for hits adds no more than a fifth to the two noise
+    # buffers, the drawn chunk and its time-major copy
+    cfg = SimConfig(dt=1e-3, horizon=0.6, n_paths=2048, seed=0)
+    model = CIRModel(1.0, 0.05, 1.0, 0.05)
+    simulate(model, ConstantKernel(1.0), SimConfig(dt=1e-3, horizon=0.01, n_paths=2))
+    tracemalloc.start()
+    try:
+        report = simulate(model, ConstantKernel(1.0), cfg)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.hit_fraction > 0.8
+    noise_bytes = 2 * 512 * 2048 * 8
+    assert peak_bytes <= 1.2 * noise_bytes, (peak_bytes, noise_bytes)
+
+
+# ------------------------------------------------------- hit detection oracle
+
+
+# the per-step hit test with frozen paths that the row-block scan replaced,
+# kept as the oracle for _advance_block
+def _reference_advance_block(model, conv, noise, width, dt, levels):
+    """Run one block of width paths; returns (terminal X, hit side, hit time).
+
+    noise yields the block's increments dW in time order, one time-major
+    chunk (steps, width) at a time.  levels = (lo, hi) are the hit levels.
+    hit side is -1 / 0 / +1 for left / none / right.  Paths freeze at their
+    hit value, and once all are frozen no further noise is drawn.
+    """
+    x0 = float(model.x0)
+    X = np.full(width, x0)
+    active = np.ones(width, dtype=bool)
+    all_active = True
+    hit_side = np.zeros(width, dtype=np.int8)
+    hit_time = np.full(width, np.nan)
+    k = 0
+    for dW in noise:
+        for dW_k in dW:
+            Xh = model.truncate(X)
+            B = model.drift(Xh) * dt + model.diffusion(Xh) * dW_k
+            if all_active:
+                X = x0 + conv(k, B)
+            else:
+                B[~active] = 0.0
+                X = np.where(active, x0 + conv(k, B), X)
+            k += 1
+            crossed = (X <= levels[0]) | (X >= levels[1])
+            if not all_active:
+                crossed &= active
+            if crossed.any():
+                left = crossed & (X <= levels[0])
+                hit_side[left] = -1
+                hit_side[crossed & ~left] = 1
+                hit_time[crossed] = k * dt
+                active &= ~crossed
+                all_active = False
+                if not active.any():
+                    return X, hit_side, hit_time
+    return X, hit_side, hit_time
+
+
+def _assert_matches_reference(model, kernel, scheme, dt, noise_chunks, width, levels):
+    # noise_chunks() gives a fresh noise iterable: _advance_block writes over it
+    module = importlib.import_module("volterra_feller.simulate")
+    form = getattr(kernel, "exp_form", lambda: None)()
+    n_steps = sum(len(chunk) for chunk in noise_chunks())
+    got, want = (
+        advance(model, module._convolver(kernel, form, scheme, dt, n_steps, width),
+                noise_chunks(), width, dt, levels)
+        for advance in (module._advance_block, _reference_advance_block)
+    )
+    for name, a, b in zip(("X", "hit_side", "hit_time"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+    return want
+
+
+# (model, kernel, scheme, dt, n_steps, width, hit levels)
+_ORACLE_BLOCKS = {
+    "running_sum": (CIRModel(1.0, 0.3, 1.0, 0.3), ConstantKernel(1.0), "conv_euler",
+                    1e-3, 700, 67, (1e-4, math.inf)),
+    "exact_exp": (CIRModel(1.0, 0.1, 1.0, 0.1), _TWO_EXP, "conv_euler",
+                  1e-3, 700, 67, (1e-4, math.inf)),
+    "lift": (CIRModel(1.0, 0.1, 1.0, 0.1), _TWO_EXP, "markov_lift",
+             1e-3, 700, 67, (1e-4, math.inf)),
+    "history": (CIRModel(1.0, 0.2, 1.0, 0.1), TruncatedFractionalKernel(0.6, 4.0), "conv_euler",
+                2e-3, 550, 67, (1e-4, math.inf)),
+    "blowup": (PowerModel(1.8, 0.15, 0.5, 1.0), ConstantKernel(1.0), "conv_euler",
+               1e-3, 1500, 40, (-1e3, 1e3)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 13, 512])
+@pytest.mark.parametrize("name", sorted(_ORACLE_BLOCKS))
+def test_hits_match_per_step_detection(monkeypatch, name, chunk):
+    # each branch's block against the per-step hit test with frozen paths
+    # that the row-block scan replaced: same X, sides and times, bit for bit
+    module = importlib.import_module("volterra_feller.simulate")
+    monkeypatch.setattr(module, "_CHUNK", chunk)
+    model, kernel, scheme, dt, n_steps, width, levels = _ORACLE_BLOCKS[name]
+    _, side, _ = _assert_matches_reference(
+        model, kernel, scheme, dt,
+        lambda: module._noise(5, 0, width, n_steps, dt, module._CHUNK), width, levels,
+    )
+    assert 0 < np.count_nonzero(side) < width
+
+
+class _Walk:
+    """X = x0 + the running sum of the noise: paths follow the noise given."""
+
+    x0 = 0.5
+
+    def truncate(self, x):
+        return x
+
+    def drift(self, x):
+        return np.zeros_like(x)
+
+    def diffusion(self, x):
+        return np.ones_like(x)
+
+
+def _walk_noise(path_steps, n_steps, width, rng):
+    # random steps of 0, +-0.25 (every sum is exact), then the listed rows
+    # of chosen paths set to jump
+    dW = 0.25 * rng.integers(-1, 2, size=(n_steps, width)).astype(float)
+    for path, steps in path_steps.items():
+        dW[:, path] = 0.0
+        for row, jump in steps:
+            dW[row, path] = jump
+    return dW
+
+
+@pytest.mark.parametrize("chunk", [1, 13, 512])
+def test_hits_match_per_step_detection_at_edges(monkeypatch, chunk):
+    # levels 0 and 1 around x0 = 0.5; step k's X lands on row k - 1
+    module = importlib.import_module("volterra_feller.simulate")
+    monkeypatch.setattr(module, "_CHUNK", chunk)
+    rng = np.random.default_rng(14)
+    edges = {
+        0: [(12, 0.5)],  # on the last step of a 13-step chunk
+        1: [(13, -0.5)],  # on the first step of the next one
+        2: [(63, 0.5)],  # on the last row of a scanned row block
+        3: [(64, -0.5)],  # on the first row of the next block
+        4: [(511, 0.5)],  # on the last step of a 512-step chunk
+        5: [(512, -0.5)],  # on the first step of the next one
+        6: [(4, 0.5), (5, -0.5), (20, 0.75)],  # crosses, comes back, crosses again
+        7: [(2, -0.75), (3, 1.5)],  # crosses left, then right
+        8: [(529, -0.5)],  # on the last step of the run
+        9: [(100, 0.25), (300, -0.5)],  # never reaches a level
+    }
+    n_steps, width = 530, 19
+
+    def chunks_of(dW):
+        return lambda: [dW[i : i + chunk].copy() for i in range(0, n_steps, chunk)]
+
+    X, side, time = _assert_matches_reference(
+        _Walk(), ConstantKernel(1.0), "conv_euler", 1.0,
+        chunks_of(_walk_noise(edges, n_steps, width, rng)), width, (0.0, 1.0),
+    )
+    assert side[:10].tolist() == [1, -1, 1, -1, 1, -1, 1, -1, -1, 0]
+    assert time[:9].tolist() == [13.0, 14.0, 64.0, 65.0, 512.0, 513.0, 5.0, 3.0, 530.0]
+    assert X[6] == 1.0 and X[7] == -0.25 and X[9] == 0.25
+
+    # every path hits in the first row block, so the run stops early
+    first = {path: [(int(rng.integers(0, 64)), 0.5 * (-1) ** path)] for path in range(width)}
+    _, side, _ = _assert_matches_reference(
+        _Walk(), ConstantKernel(1.0), "conv_euler", 1.0,
+        chunks_of(_walk_noise(first, n_steps, width, rng)), width, (0.0, 1.0),
+    )
+    assert np.all(side != 0)
 
 
 def test_schemes_coincide_for_constant_kernels(cir_111, unit_kernel):
