@@ -39,6 +39,13 @@ def gl_integration_matrix(order: int):
     return legendre.legval(t, legendre.legint(gl_legendre_coefficients(order), lbnd=-1.0)).T
 
 
+@lru_cache(maxsize=None)
+def gl_partials(order: int):
+    """The integration matrix transposed and the Gauss weights as a last
+    column: f @ it gives partial integrals to each node, then the total."""
+    return np.column_stack([gl_integration_matrix(order).T, gl_rule(order)[1]])
+
+
 def outward_edges(anchor: float, target: float, n_panels: int):
     """Panel edges from anchor to target, widths shrinking geometrically
     toward target (where the integrand may be steep or singular-adjacent).

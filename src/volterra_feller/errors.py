@@ -6,11 +6,13 @@ callers can tell a violated mathematical precondition from a numerical
 routine that did not converge.
 
 Every count a caller passes goes through :func:`check_count`: an integer or
-integral float in range is used as an ``int``; anything else, inf and nan
-included, raises ``ValueError`` with a message starting with its name.
+integral float in range is used as an ``int``; anything else, inf, nan,
+strings, complex numbers and None included, raises ``ValueError`` with a
+message starting with its name.
 """
 
 import math
+import numbers
 
 
 class PreconditionError(ValueError):
@@ -30,9 +32,10 @@ class NumericError(RuntimeError):
 
 
 def check_count(name, value, low, high=math.inf):
-    """``value`` as an int, if it is integral and in [low, high]; else a
-    ``ValueError`` naming ``name``."""
-    if not (float(value).is_integer() and low <= value <= high):
+    """``value`` as an int, if it is a real number, integral and in
+    [low, high]; else a ``ValueError`` naming ``name``."""
+    real = isinstance(value, numbers.Real)
+    if not (real and float(value).is_integer() and low <= value <= high):
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value}")
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)

@@ -32,7 +32,10 @@ integral of the sweep (p, I, v and the series terms below) is then one
 log-space rule: the Gauss integration matrix S[j, k] = int_{-1}^{t_j} l_k
 (spectral integration), with the Gauss weights as a last column, applied
 to the integrand divided by its panel maximum, gives the partial integrals
-to the nodes and the panel total.
+to the nodes and the panel total.  Only an integral whose node values a
+later integrand reads forms them: each inner integral I_k and each series
+term before the last.  p, and v on a sweep that carries no later term,
+keep their panel totals alone.
 Panels that more halving would not resolve integrate the inner integrands
 on sub-panels graded from both ends instead.
 A leg reaching a singular point s (a finite endpoint or an interior zero
@@ -45,8 +48,10 @@ in log space, or ``NumericError``).
 Each built-in model family keeps its closed forms on its own class, and
 ``ScaleContext`` and ``feller.family_test`` use whichever a model has:
 
-* ``exponent(y, c, k0, ratio, shift)``: E(y), with ``ratio`` = K0'/K0 and
-  ``shift`` the beta-or-gamma value at each y;
+* ``exponent(y, c, k0, ratio, shift)``: E(y), elementwise in y, with
+  ``ratio`` = K0'/K0 and ``shift`` the beta-or-gamma value: an array of one
+  per y, or one number for all the nodes of a sweep's leg, which lies on
+  one side of c;
 * ``limit_rule(which, target, k0, ratio, shift)``: (kind, evidence) for the
   limit of v or |p| at one boundary under that side's shift;
 * ``interior_singularities()``: interior zeros of sigma, treated like
@@ -83,7 +88,8 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 from scipy.special import logsumexp
 
-from ._quad import gl_integration_matrix, gl_legendre_coefficients, gl_rule, outward_edges
+from ._quad import (gl_integration_matrix, gl_legendre_coefficients, gl_partials, gl_rule,
+                    outward_edges)
 from .errors import NumericError, PreconditionError, check_count
 
 __all__ = [
@@ -126,6 +132,19 @@ def _depths(s, leg, n_panels):
     # (1e-300 at s = 0), short of the float resolution of y - s
     d = leg * 0.5 ** np.arange(1, n_panels // 4 + 1)
     return d[d >= max(2.0**-36 * abs(s), 1e-300)]
+
+
+def _gauss_nodes(a, b):
+    # the Gauss nodes of panels a -> b, a row each
+    return a[:, None] + (0.5 * (b - a))[:, None] * (1.0 + gl_rule(_ORDER)[0])
+
+
+def _at_any(x, points):
+    # x == any of a few points, elementwise: cheaper than np.isin for so few
+    hit = np.zeros(x.shape, dtype=bool)
+    for s in points:
+        hit |= x == s
+    return hit
 
 
 def _exp(log_value):
@@ -541,11 +560,11 @@ class ScaleContext:
     def _closed_exponent(self):
         return getattr(self.model, "exponent", None) is not None
 
-    def _exponent_batch(self, pts):
-        # the model's closed form
+    def _exponent_batch(self, pts, shift):
+        # the model's closed form, under one shift or one per point
         y = np.asarray(pts, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            return self.model.exponent(y, self.c, self._k0, self._ratio, self._side_shift(y))
+            return self.model.exponent(y, self.c, self._k0, self._ratio, shift)
 
     def log_scale_derivative(self, x):
         """log p'_c(x); finite wherever x is interior."""
@@ -553,7 +572,7 @@ class ScaleContext:
         self._check_interior(arr)
         pts = np.atleast_1d(arr).ravel()
         if self._closed_exponent:
-            out = self._exponent_batch(pts)
+            out = self._exponent_batch(pts, self._side_shift(pts))
         else:
             # custom models read E off one outward sweep per side of c
             out = np.zeros_like(pts)
@@ -596,28 +615,29 @@ class ScaleContext:
         return np.unique(np.concatenate(parts))
 
     def _node_values(self, a, b, inner, ends=()):
-        # Gauss nodes of panels running from a (the end nearer c) to b, in
-        # that order, with E there and log sigma~^2 (inner sweeps only).
-        # Custom models give E relative to E(a), from the integration matrix
-        # applied to g = 2 b~_c / sigma~^2, plus the panel's total change of
-        # E.  On a panel ending at s in ends, g's pole h(s) / (y - s), h(s) read
-        # off the interpolant of h = g (y - s), integrates in closed form.
-        t, w = gl_rule(_ORDER)
-        half = 0.5 * (b - a)
-        y = a[:, None] + half[:, None] * (1.0 + t)
+        # Gauss nodes of panels of one leg running from a (the end nearer c)
+        # to b, with E there and log sigma~^2 (inner sweeps only): what the
+        # spread test and the integrals read.  A leg lies on one side of c,
+        # so closed forms take one shift.  Custom models give E relative to
+        # E(a), from the integration matrix applied to g = 2 b~_c / sigma~^2,
+        # plus the panel's total change of E.  On a panel ending at s in ends,
+        # g's pole h(s) / (y - s), h(s) read off the interpolant of
+        # h = g (y - s), integrates in closed form.
+        y = _gauss_nodes(a, b)
         log_sig = self._log_sigma_tilde_sq(y) if inner else None
         if self._closed_exponent:
-            return y, self._exponent_batch(y.ravel()).reshape(y.shape), log_sig, None
+            return y, self._exponent_batch(y, self._side_shift(b[-1])), log_sig, None
+        half = 0.5 * (b - a)
         g = 2.0 * self.b_tilde_shifted(y) / self.sigma_tilde_sq(y)
         e = -half[:, None] * (g @ gl_integration_matrix(_ORDER).T)
-        at_s = np.isin(b, ends)
+        at_s = _at_any(b, ends)
         if at_s.any():
             z = y[at_s] - b[at_s, None]
             h = g[at_s] * z
             h_s = (h @ gl_legendre_coefficients(_ORDER).sum(axis=0))[:, None]  # at t = 1
             rest = ((h - h_s) / z) @ gl_integration_matrix(_ORDER).T
             e[at_s] = -(h_s * np.log(z / (a - b)[at_s, None]) + half[at_s, None] * rest)
-        return y, e, log_sig, -half * (g @ w)
+        return y, e, log_sig, -half * (g @ gl_rule(_ORDER)[1])
 
     def _refine(self, a, b, inner, ends):
         # Halve panels until E (and, for inner sweeps, -E - log sigma~^2)
@@ -626,34 +646,47 @@ class ScaleContext:
         # base-grid doubling in _stabilized checks what the spread misses.
         # Flagged: panels touching a singular point in ends, never halved,
         # and panels the rounds could not bring under _NAT.  Resolved and
-        # flagged panels never change again: each round measures only the
-        # open ones, in outward order, and one sort and gather order the rest.
-        fallback = np.isin(a, ends) | np.isin(b, ends) if ends else np.zeros(len(a), dtype=bool)
-        vals, pair = self._node_values(a, b, inner, ends), np.arange(len(a))
+        # flagged panels never change again: each round forms node values
+        # only for the open ones, and one sort and gather put them all in
+        # outward order.  The node positions are formed afresh from the
+        # final panels, which costs less than gathering them.
+        fallback = _at_any(a, ends) | _at_any(b, ends)
+        vals, halves = self._node_values(a, b, inner, ends), False
         evals, done, start = [], [], 0
         for left in range(_MAX_BISECTIONS, -1, -1):
-            _, e, log_sig, _ = vals  # open panel i's node values: row pair[i]
-            # max and min of node-major copies: exact, 10-15x faster than by rows
-            rows = [e.T.copy()] + ([(-e - log_sig).T.copy()] if inner else [])
-            spread = np.max([f.max(axis=0) - f.min(axis=0) for f in rows], axis=0)[pair]
+            _, e, log_sig, _ = vals
+            # max - min of node-major copies: exact, 10-15x faster than by rows.
+            # Rounding is symmetric, so -E - log sigma~^2 is the exact negation
+            # of E + log sigma~^2 and has its spread
+            f = e.T.copy()
+            spread = f.max(axis=0) - f.min(axis=0)
+            if inner:
+                f += log_sig.T
+                spread = np.maximum(spread, f.max(axis=0) - f.min(axis=0))
             over = ~(spread <= _NAT) & ~fallback
             fallback |= over & ~(spread <= _NAT * 2.0**left)
             split = over & ~fallback
             evals.append(vals)
-            done.append((a[~split], b[~split], start + pair[~split], fallback[~split]))
+            keep = ~split
+            done.append((a[keep], b[keep], start + np.flatnonzero(keep), fallback[keep]))
             if not split.any():
                 break  # always by the last round, which flags what is left
-            start += len(pair)
-            mid = 0.5 * (a[split] + b[split])
-            a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-            # first halves then second ones, in one batch: a custom model's E
-            # change is a BLAS product that rounds a row by its place in it
-            vals, pair = self._node_values(a, b, inner), np.arange(len(a)).reshape(2, -1).T.ravel()
-            a, b, fallback = a[pair], b[pair], np.zeros(len(a), dtype=bool)
+            start += len(a)
+            if halves:  # a batch of halves, read in outward order
+                a, b, split = (v.reshape(2, -1).T for v in (a, b, split))
+            a, b = a[split], b[split]
+            mid = 0.5 * (a + b)
+            # first halves then second ones, in one batch, outward in each:
+            # a custom model's E change is a BLAS product that rounds a row
+            # by its place in it
+            a, b, halves = np.concatenate([a, mid]), np.concatenate([mid, b]), True
+            vals, fallback = self._node_values(a, b, inner), np.zeros(len(a), dtype=bool)
         a, b, at, fallback = (np.concatenate(part) for part in zip(*done))
         order = np.argsort(a if b[0] > a[0] else -a, kind="stable")
-        vals = tuple(None if v[0] is None else np.concatenate(v)[at[order]] for v in zip(*evals))
-        return a[order], b[order], vals, fallback[order]
+        a, b, at = a[order], b[order], at[order]
+        e, log_sig, de = (None if v[0] is None else np.concatenate(v)[at]
+                          for v in list(zip(*evals))[1:])
+        return a, b, (_gauss_nodes(a, b), e, log_sig, de), fallback[order]
 
     def _advance(self, a, b, state, inner, ends):
         # integrate panels a -> b (outward from c) on from state = (E, log p,
@@ -661,7 +694,8 @@ class ScaleContext:
         # panel ends, the _Sweep rows there (E only for custom models; p, or
         # else I_1, v = u_1 and log (u_1 + ... + u_n)) with the exponents fitted
         # to p's or u_n's integrand, and the state at the last end.  Every
-        # integral is one call of outward.
+        # integral is one call of outward; only the integrals whose node
+        # values the next integrand reads form them (each I_k, u_k for k < n).
         e0, p0, starts = state
         a, b, (y, e, log_sig, de), fallback = self._refine(a, b, inner, ends)
         log_half = np.log(np.abs(0.5 * (b - a)))
@@ -673,27 +707,32 @@ class ScaleContext:
             e = e + e_a[:, None]
         graded = fallback
         if ends:
-            at_a = np.isin(a, ends)
-            end = at_a | np.isin(b, ends)
+            at_a = _at_any(a, ends)
+            end = at_a | _at_any(b, ends)
             graded = fallback & ~end
             s = np.where(at_a, a, b)[end]
             # log distances from s of the nodes, of a and of b
             dist = (np.log(np.abs(y[end] - s[:, None])), np.log(np.abs(a[end] - s)),
                     np.log(np.abs(b[end] - s)))
-        partials = np.column_stack([gl_integration_matrix(_ORDER).T, gl_rule(_ORDER)[1]])
+        partials = gl_partials(_ORDER)
 
-        def outward(first, log_f, inner_weight=None):
-            # log F at the panel ends and at the nodes, for F the integral of
+        def outward(first, log_f, inner_weight=None, at_nodes=True):
+            # log F at the panel ends and, if at_nodes, at the nodes (else
+            # None: no later integrand reads them), for F the integral of
             # exp(log_f) on from exp(first) at a[0].  The integration matrix,
             # with the Gauss weights as a last column for the panel total,
-            # acts on f over its panel maximum, so nothing leaves log space.
-            # Next to c, the series' u_k ~ (y - c)^2k outgrows the 12-node
-            # interpolant once 2k > 11; node partials are clamped at 0 and
-            # carry a share of order (panel / |x - c|)^2k of u_k(x).  An
-            # inner integral, log_f = inner_weight - E - log sigma~^2, takes
-            # the graded rule on graded panels.  Fitted exponents: nan off ends.
+            # acts on f over its panel maximum, so nothing leaves log space;
+            # the product keeps its shape whatever is read, as BLAS rounds a
+            # row by its place in the call.  Next to c, the series' u_k ~
+            # (y - c)^2k outgrows the 12-node interpolant once 2k > 11; node
+            # partials are clamped at 0 and carry a share of order
+            # (panel / |x - c|)^2k of u_k(x).  An inner integral, log_f =
+            # inner_weight - E - log sigma~^2, takes the graded rule on graded
+            # panels.  Fitted exponents: nan off ends.
             top = log_f.T.copy().max(axis=0)  # node-major, as in _refine
             g = np.exp(log_f - top[:, None]) @ partials
+            if not at_nodes:
+                g = g[:, -1:]  # the panel totals alone
             log_g = (top + log_half)[:, None] + np.log(np.maximum(g, 0.0))
             if inner_weight is not None and graded.any():
                 log_g[graded] = self._log_inner_intervals(
@@ -701,8 +740,11 @@ class ScaleContext:
                 )
             fit = nan.copy()
             if ends:
-                log_g[end], fit[end] = _power_law_integrals(log_f[end], *dist)
+                law, fit[end] = _power_law_integrals(log_f[end], *dist)
+                log_g[end] = law if at_nodes else law[:, -1:]
             f_b = np.logaddexp.accumulate(np.concatenate([[first], log_g[:, -1]]))
+            if not at_nodes:
+                return f_b[1:], None, fit
             # log(F(a) + partial) at the nodes, written out: np.logaddexp
             # takes twice as long
             f_a, part = f_b[:-1, None], log_g[:, :-1]
@@ -711,14 +753,14 @@ class ScaleContext:
             return f_b[1:], np.where(top > -np.inf, nodes, top), fit
 
         if not inner:
-            p_b, _, fit = outward(p0, e)
+            p_b, _, fit = outward(p0, e, at_nodes=False)
             return b, (e_b, nan, p_b, nan, nan, fit), (e_b[-1], p_b[-1], starts)
         # u_k = 2 int p' I_k and I_k = int u_(k-1) / (p' sigma~^2), u_0 = 1
         log_u = np.zeros_like(e)
         inners, terms = [], []
-        for ik0, uk0 in starts.T:
+        for k, (ik0, uk0) in enumerate(starts.T, 1):
             ik_b, log_i, _ = outward(ik0, log_u - e - log_sig, log_u)
-            uk_b, log_u, fit = outward(uk0, _LOG2 + e + log_i)
+            uk_b, log_u, fit = outward(uk0, _LOG2 + e + log_i, at_nodes=k < len(starts.T))
             inners.append(ik_b)
             terms.append(uk_b)
         last = np.array([[f[-1] for f in inners], [f[-1] for f in terms]])
@@ -752,9 +794,12 @@ class ScaleContext:
             d = _depths(s, hi - lo, n_panels)
             parts.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
         edges = np.unique(np.concatenate(parts))
-        if far < self.c:
+        at = np.searchsorted(edges, uniq)  # every x is an edge
+        # outward: +1 on a leg right of c, -1 on one left of it
+        sign = 1.0 if far > self.c else -1.0
+        if sign < 0.0:
             uniq, inv, edges = uniq[::-1], len(uniq) - 1 - inv, edges[::-1]
-        at = np.flatnonzero(np.isin(edges, uniq))
+            at = len(edges) - 1 - at[::-1]
         out = np.full((6, len(uniq)), np.nan)
         row = _Sweep._fields.index(field)
         state = (0.0, -np.inf, np.full((2, n_terms), -np.inf))
@@ -767,11 +812,12 @@ class ScaleContext:
                 b, cols, state = self._advance(
                     edges[start:end], edges[start + 1:end + 1], state, field != "log_p", ends
                 )
-            hit = np.isin(b, uniq[done:upto])
+            # the rows at the chunk's points, among panel ends rising outward
+            hit = np.searchsorted(sign * b, sign * uniq[done:upto])
             out[:, done:upto] = [col[hit] for col in cols]
             done, start, chunk = upto, end, 2 * chunk
         if self._closed_exponent:
-            out[0] = self._exponent_batch(uniq)
+            out[0] = self._exponent_batch(uniq, self._side_shift(far))
         return _Sweep(*out[:5, inv]), out[5, inv]
 
     def _sigma_inv_sq_fit(self, s):
@@ -851,7 +897,7 @@ class ScaleContext:
                     settled |= np.minimum(now, before) > _LOG_HUGE
                     delta = np.abs(now - before)
                     ok = settled | (delta <= tol)
-                misfit = np.isnan(now) & np.isnan(before) & np.isin(xs[:m], self.model.interval)
+                misfit = np.isnan(now) & np.isnan(before) & _at_any(xs[:m], self.model.interval)
                 if (ok | misfit).all():
                     effort = {"base_panels": n_panels, "doubling_rounds": rounds}
                     if misfit.any():  # one endpoint at most: the leg's far end

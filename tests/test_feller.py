@@ -202,6 +202,39 @@ def test_sufficient_inconclusive_when_volatility_dominates(unit_kernel):
     assert out.verdict == Verdict.INCONCLUSIVE
 
 
+# float.hex of staged v values under K = e^-t, each v(x_n) with shift -x_n:
+# the right side of a CIR model whose left limit diverges (x_n = c + 2^n),
+# and the left side of one whose left limit is finite, after the limit's
+# swept value (x_n = c 2^-n)
+_STAGED_BITS = {
+    "right": (
+        "0x1.2c428484c7eedp+1 0x1.bd066c6cea1b4p+2 0x1.933b998221e00p+5 0x1.0a5b558f9ce8bp+12 "
+        "0x1.9195a20ff573fp+25 0x1.5d630ae91a70dp+53 0x1.835b7f5239947p+109 "
+        "0x1.56645b33bfaf5p+222"
+    ),
+    "left": (
+        "0x1.dea19c67fd97bp+0 0x1.e45e903b391e7p-3 0x1.1887e7e420e91p-1 0x1.9d4abf1312525p-1 "
+        "0x1.04ce5d05f2bb6p+0 0x1.313e45a58023cp+0 0x1.55a837a4728cbp+0 0x1.7344c11caa8d4p+0 "
+        "0x1.8b16eb876fb0cp+0"
+    ),
+}
+
+
+def test_staged_sufficient_evidence_is_pinned_to_the_bit(sloped_kernel):
+    def bits(values):
+        return " ".join(float(v).hex() for v in values)
+
+    out = sufficient_test(ScaleContext(CIRModel(1.0, 0.9, 1.0, 0.82), sloped_kernel))
+    assert out.evidence[0][1:] == (1.8, 1.0) and len(out.evidence) == 9
+    assert bits(val for _, val, _ in out.evidence[1:]) == _STAGED_BITS["right"]
+    ctx = ScaleContext(CIRModel(1.0, 0.3, 1.0, 1.0), sloped_kernel)
+    limit = ctx.with_shifts(0.0, 0.0).boundary_limit("left")
+    assert (limit.kind, limit.method) == ("finite", "closed")
+    left = sufficient_test(ctx).evidence[:9]
+    assert left[0][1:] == (0.6, 1.0) and left[-1][0].startswith("v at stage point 0.00390625")
+    assert bits([limit.value, *(val for _, val, _ in left[1:])]) == _STAGED_BITS["left"]
+
+
 def test_bounded_interval_equivalence(unit_kernel):
     # low volatility: no exit at all; high volatility: exits both sides
     good = ScaleContext(JacobiModel(0.0, 1.0, 4.0, 0.5, 1.0, 0.5), unit_kernel)
@@ -440,16 +473,19 @@ _INTEGER_PARAMETERS = {
     "n_stages": lambda n: sufficient_test(_CIR_CTX, n_stages=n),
     "steps": lambda n: _CIR_CTX.boundary_limit("left", method="sample", steps=n),
     "n_terms": lambda n: _CIR_CTX.u_series(1.5, n_terms=n),
-    # offset so that 4.0 is a valid panel cap
-    "max_panels": lambda n: ScaleContext(_CIR_CTX.model, _CIR_CTX.kernel, max_panels=60 + n),
+    # floats offset so that 4.0 is a valid panel cap; other values as they are
+    "max_panels": lambda n: ScaleContext(_CIR_CTX.model, _CIR_CTX.kernel,
+                                         max_panels=60 + n if isinstance(n, float) else n),
 }
 
 
 @pytest.mark.parametrize("name", list(_INTEGER_PARAMETERS))
-@pytest.mark.parametrize("bad", [math.inf, math.nan, 4.5])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 4.5, None, "3", [2], 1 + 0j])
 def test_integer_parameters_reject_nonintegral_values(name, bad):
     # inf overflowed int() and nan or 4.5 slipped through to a TypeError or
-    # a truncation; an integral float stays accepted
+    # a truncation; None, lists and complex numbers raised TypeError, and
+    # strings float's own ValueError or a TypeError from the range test.
+    # An integral float stays accepted
     with pytest.raises(ValueError, match=f"^{name} must"):
         _INTEGER_PARAMETERS[name](bad)
     _INTEGER_PARAMETERS[name](4.0)

@@ -249,7 +249,8 @@ def _pinned_legs():
 
 # float.hex of the _Sweep rows (e, log_i, log_p, log_v, log_u, each at the
 # leg's points) of the 64-panel sweep and of _stabilized's converged sweep,
-# keyed (leg, field, base panels); log_u carries 3 series terms
+# keyed (leg, field, base panels); log_u carries 3 series terms, log_v one
+# (so v's last integral is the series' only one)
 _SWEEP_BITS = {
     ("cir_to_0", "log_p", 64): (
         "-0x1.95885804e8838p+0 inf nan nan -0x1.679fad78d6950p+0 -0x1.23b0fb65f40a9p+0 nan nan "
@@ -337,19 +338,183 @@ _SWEEP_BITS = {
         "0x1.5d60d1f1d626dp+17 nan nan 0x1.5ac01c9f019ccp-3 0x1.021d7f4be178dp-2 "
         "0x1.510e691a902fep-1 0x1.999ecf19433edp-1"
     ),
+    ("cir_to_0", "log_v", 64): (
+        "-0x1.95885804e8838p+0 inf 0x1.46696d9c86a16p-1 0x1.c7ab52ad11926p+1 nan nan "
+        "-0x1.9e635cca1ec21p+0 0x1.4062b7df72588p-1 -0x1.9e635cca1ec21p+0 "
+        "0x1.4062b7df72588p-1"
+    ),
+    ("cir_to_0", "log_v", 256): (
+        "-0x1.95885804e8838p+0 inf 0x1.46696d9c86a14p-1 0x1.c7ab52ad13f70p+1 nan nan "
+        "-0x1.9e635cca1ec22p+0 0x1.4062b646d9426p-1 -0x1.9e635cca1ec22p+0 "
+        "0x1.4062b646d9426p-1"
+    ),
+    ("jacobi_to_0", "log_v", 64): (
+        "-0x1.82ad28d199a76p-1 inf 0x1.1c820db758d25p-2 0x1.70e2cbfb25fd4p+1 nan nan "
+        "-0x1.04bb76d010f8fp+1 0x1.94b4adf6434bep-3 -0x1.04bb76d010f8fp+1 "
+        "0x1.94b4adf6434bep-3"
+    ),
+    ("jacobi_to_0", "log_v", 256): (
+        "-0x1.82ad28d199a76p-1 inf 0x1.1c820db758d24p-2 0x1.70e2cbfa7e93ep+1 nan nan "
+        "-0x1.04bb76d010f8fp+1 0x1.94b4aeb118120p-3 -0x1.04bb76d010f8fp+1 "
+        "0x1.94b4aeb118120p-3"
+    ),
+    ("power_across_0", "log_v", 64): (
+        "0x1.170a3d70a3d71p+0 0x1.0000000000000p+1 0x1.250163afe24cep-2 0x1.c55c1650a642dp-2 "
+        "nan nan 0x1.59cbb3fd3f0a9p+0 0x1.4a1d6a51a2a90p+1 0x1.59cbb3fd3f0a9p+0 "
+        "0x1.4a1d6a51a2a90p+1"
+    ),
+    ("power_across_0", "log_v", 128): (
+        "0x1.170a3d70a3d71p+0 0x1.0000000000000p+1 0x1.250163afe24cbp-2 0x1.c55c1650a642bp-2 "
+        "nan nan 0x1.59cbb3fd5a5e1p+0 0x1.4a1d6a51a6a96p+1 0x1.59cbb3fd5a5e1p+0 "
+        "0x1.4a1d6a51a6a96p+1"
+    ),
+    ("custom_cir", "log_v", 64): (
+        "0x1.c5f116da23c26p-3 0x1.9e6ea564180cdp+0 -0x1.7e2e658ef9292p-1 "
+        "-0x1.0f91b3a01aa02p-6 nan nan -0x1.9ae06d3857396p+0 0x1.f1fac8b37aadfp-2 "
+        "-0x1.9ae06d3857396p+0 0x1.f1fac8b37aadfp-2"
+    ),
+    ("custom_cir", "log_v", 128): (
+        "0x1.c5f116da23c27p-3 0x1.9e6ea564180cep+0 -0x1.7e2e658ef9294p-1 "
+        "-0x1.0f91b3a01aa07p-6 nan nan -0x1.9ae06d3857397p+0 0x1.f1fac8b37aadbp-2 "
+        "-0x1.9ae06d3857397p+0 0x1.f1fac8b37aadbp-2"
+    ),
+    ("power_graded", "log_v", 64): (
+        "-0x1.9955555555556p+8 -0x1.5d65555555555p+17 0x1.945c978d3e07ap+8 "
+        "0x1.5d60d1f1d626dp+17 nan nan 0x1.5ac01c9f019d1p-3 0x1.021d7f4be177ep-2 "
+        "0x1.5ac01c9f019d1p-3 0x1.021d7f4be177ep-2"
+    ),
+    ("power_graded", "log_v", 128): (
+        "-0x1.9955555555556p+8 -0x1.5d65555555555p+17 0x1.945c978d3e07ap+8 "
+        "0x1.5d60d1f1d626dp+17 nan nan 0x1.5ac01c9f019ccp-3 0x1.021d7f4be178dp-2 "
+        "0x1.5ac01c9f019ccp-3 0x1.021d7f4be178dp-2"
+    ),
 }
+
+# float.hex of the fitted-exponent column _sweep returns with those rows:
+# the power law fitted on an end panel at a requested point, nan elsewhere
+_FIT_BITS = {
+    ("cir_to_0", "log_p", 64): "nan -0x1.33332e4eeb912p-1",
+    ("cir_to_0", "log_p", 128): "nan -0x1.33333331702e8p-1",
+    ("cir_to_0", "log_v", 64): "nan -0x1.33395ac3eda6ap-1",
+    ("cir_to_0", "log_v", 256): "nan -0x1.3333333336ad6p-1",
+    ("cir_to_0", "log_u", 64): "nan -0x1.3347b5fca35b1p-1",
+    ("cir_to_0", "log_u", 256): "nan -0x1.333333333e7e3p-1",
+    ("jacobi_to_0", "log_p", 64): "nan -0x1.33332fe5e93f9p-2",
+    ("jacobi_to_0", "log_p", 128): "nan -0x1.3333333202ca2p-2",
+    ("jacobi_to_0", "log_v", 64): "nan -0x1.3526a9fd2fefap-2",
+    ("jacobi_to_0", "log_v", 256): "nan -0x1.33334a0473de6p-2",
+    ("jacobi_to_0", "log_u", 64): "nan -0x1.3728c7a538515p-2",
+    ("jacobi_to_0", "log_u", 256): "nan -0x1.3333612bb899ap-2",
+    ("power_across_0", "log_p", 64): "nan nan",
+    ("power_across_0", "log_p", 128): "nan nan",
+    ("power_across_0", "log_v", 64): "nan nan",
+    ("power_across_0", "log_v", 128): "nan nan",
+    ("power_across_0", "log_u", 64): "nan nan",
+    ("power_across_0", "log_u", 128): "nan nan",
+    ("custom_cir", "log_p", 64): "nan nan",
+    ("custom_cir", "log_p", 128): "nan nan",
+    ("custom_cir", "log_v", 64): "nan nan",
+    ("custom_cir", "log_v", 128): "nan nan",
+    ("custom_cir", "log_u", 64): "nan nan",
+    ("custom_cir", "log_u", 128): "nan nan",
+    ("power_graded", "log_p", 64): "nan nan",
+    ("power_graded", "log_p", 128): "nan nan",
+    ("power_graded", "log_v", 64): "nan nan",
+    ("power_graded", "log_v", 128): "nan nan",
+    ("power_graded", "log_u", 64): "nan nan",
+    ("power_graded", "log_u", 128): "nan nan",
+}
+
+
+def _hex(values):
+    return " ".join(float(v).hex() for v in np.ravel(values))
 
 
 @pytest.mark.parametrize("leg", list(_pinned_legs()))
 def test_sweep_rows_are_pinned_to_the_bit(leg):
     ctx, xs = _pinned_legs()[leg]
-    for field in ("log_p", "log_u"):
+    for field in ("log_p", "log_v", "log_u"):
         n_terms = 3 if field == "log_u" else 1
         sweep, effort = ctx._stabilized(xs, field, n_terms=n_terms)
-        for n, got in ((64, ctx._sweep(xs, 64, field, n_terms=n_terms)[0]),
-                       (effort["base_panels"], sweep)):
-            bits = " ".join(float(v).hex() for v in np.ravel(got))
-            assert bits == _SWEEP_BITS[leg, field, n], (field, n)
+        converged = effort["base_panels"]
+        for n in (64, converged):
+            got, fit = ctx._sweep(xs, n, field, n_terms=n_terms)
+            assert _hex(got) == _SWEEP_BITS[leg, field, n], (field, n)
+            assert _hex(fit) == _FIT_BITS[leg, field, n], (field, n)
+        assert _hex(sweep) == _SWEEP_BITS[leg, field, converged], field
+
+
+# float.hex of the _Sweep rows and fitted exponents of a sampled limit's
+# sweeps on the CIR leg of cir_to_0 (K = e^-t): 12 approach points toward
+# each side (the left with one repeated), run outward in chunks of 1, 2, 4,
+# ... requested points until log v reaches stop; later points read nan
+_SAMPLED_BITS = {
+    ("left", 64): (
+        "-0x1.95885804e8838p+0 -0x1.15885804e8838p+1 -0x1.204c84075cc54p+1 "
+        "-0x1.204c84075cc54p+1 -0x1.0b10b009d1070p+1 -0x1.cba9b8188a91ap+0 "
+        "-0x1.7132101d73152p+0 -0x1.0eba68225b98ap+0 -0x1.5085804e88384p-1 "
+        "-0x1.fe58c16164fe0p-3 0x1.4d647e7756e60p-3 0x1.27486f9404b28p-1 0x1.fbb7bf8a33ab8p-1 "
+        "0x1.46696d9c86a17p-1 0x1.e8dc3cdf67f63p+0 0x1.4ad10ba330adcp+1 0x1.4ad10ba330adcp+1 "
+        "0x1.7bad92ae70265p+1 0x1.98600d348f76cp+1 0x1.a9bc2c7cc80b3p+1 0x1.b47c5dbf32315p+1 "
+        "nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan "
+        "-0x1.9e635cca1ec1fp+0 -0x1.820d9aae3a402p-1 -0x1.47f2f44ac1b01p-2 "
+        "-0x1.47f2f44ac1b01p-2 -0x1.97beb41b5acdap-5 0x1.121da706bcc24p-3 "
+        "0x1.0deee3c93f452p-2 0x1.6ddcdcf268cfap-2 nan nan nan nan nan -0x1.9e635cca1ec1fp+0 "
+        "-0x1.820d9aae3a402p-1 -0x1.47f2f44ac1b01p-2 -0x1.47f2f44ac1b01p-2 "
+        "-0x1.97beb41b5acdap-5 0x1.121da706bcc24p-3 0x1.0deee3c93f452p-2 0x1.6ddcdcf268cfap-2 "
+        "nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan"
+    ),
+    ("left", 128): (
+        "-0x1.95885804e8838p+0 -0x1.15885804e8838p+1 -0x1.204c84075cc54p+1 "
+        "-0x1.204c84075cc54p+1 -0x1.0b10b009d1070p+1 -0x1.cba9b8188a91ap+0 "
+        "-0x1.7132101d73152p+0 -0x1.0eba68225b98ap+0 -0x1.5085804e88384p-1 "
+        "-0x1.fe58c16164fe0p-3 0x1.4d647e7756e60p-3 0x1.27486f9404b28p-1 0x1.fbb7bf8a33ab8p-1 "
+        "0x1.46696d9c86a15p-1 0x1.e8dc3cdf67f62p+0 0x1.4ad10ba330adcp+1 0x1.4ad10ba330adcp+1 "
+        "0x1.7bad92ae70264p+1 0x1.98600d348f76bp+1 0x1.a9bc2c7cc80b3p+1 0x1.b47c5dbf32315p+1 "
+        "nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan "
+        "-0x1.9e635cca1ec23p+0 -0x1.820d9aae3a406p-1 -0x1.47f2f44ac1b03p-2 "
+        "-0x1.47f2f44ac1b03p-2 -0x1.97beb41b5acf8p-5 0x1.121da706bcc1cp-3 "
+        "0x1.0deee3c93f44ep-2 0x1.6ddcdcf268cf7p-2 nan nan nan nan nan -0x1.9e635cca1ec23p+0 "
+        "-0x1.820d9aae3a406p-1 -0x1.47f2f44ac1b03p-2 -0x1.47f2f44ac1b03p-2 "
+        "-0x1.97beb41b5acf8p-5 0x1.121da706bcc1cp-3 0x1.0deee3c93f44ep-2 0x1.6ddcdcf268cf7p-2 "
+        "nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan"
+    ),
+    ("right", 64): (
+        "0x1.d5d033a660c58p+2 0x1.e1194a7016236p+3 0x1.eae819d33062cp+4 0x1.f2668c2536805p+5 "
+        "0x1.f79bbee9bfe22p+6 0x1.fafda0d3b9f39p+7 0x1.fd1588668b249p+8 0x1.fe55d4b993b53p+9 "
+        "0x1.ff105f97a30bcp+10 0x1.ff7ae5a1d2d5ep+11 0x1.ffb6cc89635e4p+12 "
+        "0x1.ffd812d43770bp+13 -0x1.77761cfe02ed7p+0 -0x1.77673a70c2644p+0 "
+        "-0x1.77673962d61b5p+0 nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan "
+        "nan nan nan nan nan nan 0x1.4f09a08faad0cp+2 0x1.9d066334882fap+3 "
+        "0x1.c8a1722b7c9e3p+4 nan nan nan nan nan nan nan nan nan 0x1.4f09a08faad0cp+2 "
+        "0x1.9d066334882fap+3 0x1.c8a1722b7c9e3p+4 nan nan nan nan nan nan nan nan nan nan "
+        "nan nan nan nan nan nan nan nan nan nan nan"
+    ),
+    ("right", 128): (
+        "0x1.d5d033a660c58p+2 0x1.e1194a7016236p+3 0x1.eae819d33062cp+4 0x1.f2668c2536805p+5 "
+        "0x1.f79bbee9bfe22p+6 0x1.fafda0d3b9f39p+7 0x1.fd1588668b249p+8 0x1.fe55d4b993b53p+9 "
+        "0x1.ff105f97a30bcp+10 0x1.ff7ae5a1d2d5ep+11 0x1.ffb6cc89635e4p+12 "
+        "0x1.ffd812d43770bp+13 -0x1.77761cfe02edbp+0 -0x1.77673a70c2648p+0 "
+        "-0x1.77673962d61b7p+0 nan nan nan nan nan nan nan nan nan nan nan nan nan nan nan "
+        "nan nan nan nan nan nan 0x1.4f09a08faad0cp+2 0x1.9d066334882f9p+3 "
+        "0x1.c8a1722b7c9e2p+4 nan nan nan nan nan nan nan nan nan 0x1.4f09a08faad0cp+2 "
+        "0x1.9d066334882f9p+3 0x1.c8a1722b7c9e2p+4 nan nan nan nan nan nan nan nan nan nan "
+        "nan nan nan nan nan nan nan nan nan nan nan"
+    ),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_sampled_sweep_rows_are_pinned_to_the_bit(side):
+    ctx = _pinned_legs()["cir_to_0"][0]
+    xs = ctx._approach(side, 12, "steps")
+    xs, stop = (xs[:3] + xs[2:], 0.0) if side == "left" else (xs, math.log(1e12))
+    sweep, effort = ctx._stabilized(xs, "log_v", stop=stop)
+    converged = effort["base_panels"]
+    for n in (64, converged):
+        got, fit = ctx._sweep(xs, n, "log_v", stop)
+        assert _hex([*got, fit]) == _SAMPLED_BITS[side, n], n
+    assert _hex(sweep) == _hex(got)
 
 
 @st.composite
@@ -408,6 +573,28 @@ def test_refine_tiles_the_leg_and_resolves_every_open_panel(case):
     assert np.all(spread[~flagged] <= _NAT)
     touches = np.isin(a, ends) | np.isin(b, ends)
     assert np.all(touches[flagged] | ~(spread[flagged] <= _NAT))
+
+
+def test_refine_effort_on_a_large_leg_is_pinned(monkeypatch, sloped_kernel):
+    # the last stage of a staged sufficient test: x = c + 256 under shift -x.
+    # Halving rounds measure only the panels still open; measuring every
+    # panel of every round would pass many times as many to _node_values
+    model = CIRModel(1.0, 0.9, 1.0, 0.82)
+    x = model.x0 + 256.0
+    ctx = ScaleContext(model, sloped_kernel, beta=-x, gamma=-x)
+    measured, node_values = [], ScaleContext._node_values
+
+    def counted(self, a, *rest):
+        measured.append(len(a))
+        return node_values(self, a, *rest)
+
+    monkeypatch.setattr(ScaleContext, "_node_values", counted)
+    for n_panels, want in ((64, (93, 6391, 3242)), (128, (189, 6447, 3318))):
+        measured.clear()
+        edges = ctx._edges(ctx.c, x, n_panels)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = ctx._refine(edges[:-1], edges[1:], True, ())[0]
+        assert (len(edges) - 1, sum(measured), len(a)) == want
 
 
 # ----------------------------------------------------------------- u-series
