@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
-from scipy.special import gamma
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from .errors import NumericError, check_count
 from .kernels import SumOfExponentialsKernel, TruncatedFractionalKernel
@@ -171,8 +171,9 @@ def _gauss_rule(mus, lo, hi):
     """q-point Gauss rule from the moments mu_0..mu_2q of a weight on [lo, hi].
 
     Classical Hankel route: Cholesky of the moment matrix gives the three-term
-    recurrence, whose Jacobi matrix is symmetrized and diagonalized.  Nodes are
-    the eigenvalues, masses mu_0 times the squared first eigenvector entries.
+    recurrence, whose symmetric tridiagonal Jacobi matrix is diagonalized by
+    the implicit QL method (Golub-Welsch).  Nodes are the eigenvalues, masses
+    mu_0 times the squared first eigenvector entries, the only ones formed.
     """
     q = (len(mus) - 1) // 2
     H = mp.matrix(q + 1, q + 1)
@@ -195,16 +196,13 @@ def _gauss_rule(mus, lo, hi):
         a.append(L[j + 1, j] / L[j, j] - prev)
         if j > 0:
             b.append(L[j, j] / L[j - 1, j - 1])
-    J = mp.matrix(q, q)
-    for j in range(q):
-        J[j, j] = a[j]
-    for j in range(q - 1):
-        J[j, j + 1] = b[j]
-        J[j + 1, j] = b[j]
-    eigvals, eigvecs = mp.eigsy(J)
-    nodes = [float(eigvals[i]) for i in range(q)]
-    masses = [float(mus[0] * eigvecs[0, i] ** 2) for i in range(q)]
-    return nodes, masses
+    # tridiag_eigen overwrites a with the eigenvalues, in ascending order,
+    # and first with the first row of the eigenvector matrix; it takes the
+    # off-diagonal padded by one scratch entry
+    first = mp.matrix(1, q)
+    first[0, 0] = 1
+    tridiag_eigen(mp, a, b + [mp.mpf(0)], first)
+    return [float(x) for x in a], [float(mus[0] * first[0, i] ** 2) for i in range(q)]
 
 
 def gaussian_quadrature_kernel(scheme):
@@ -267,6 +265,8 @@ def _error_rows(kernel, alpha, t_grid):
         raise ValueError("t_grid must be nonempty")
     if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
         raise ValueError("lags must be finite and strictly positive")
+    from scipy.special import gamma  # imported on use: scipy.special takes 0.25 s to load
+
     galpha = gamma(alpha)
     rows = []
     for ti in t:

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gamma, gammainc
 
 __all__ = [
     "ConstantKernel",
@@ -173,6 +172,8 @@ class TruncatedFractionalKernel:
         # overflows while K'(0) is finite.  K and K' move from their t = 0
         # values by a relative amount below T t, so at_zero is exact to
         # rounding for T t < 1e-16, where x^power alone may overflow.
+        from scipy.special import gamma, gammainc  # imported on use: it takes 0.25 s to load
+
         x = self.T * arr
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = factor * self.T**-power * (x**power * gammainc(-power, x))
@@ -187,6 +188,8 @@ class TruncatedFractionalKernel:
         return _at_lags(t, lambda arr: self._closed_form(arr, a - 2.0, -(1.0 - a), kp0))
 
     def k0_kprime0(self):
+        from scipy.special import gamma
+
         a, T = self.alpha, self.T
         k0 = T ** (1.0 - a) / (gamma(a) * gamma(2.0 - a))
         kp0 = -(T ** (2.0 - a)) / ((2.0 - a) * gamma(a) * gamma(1.0 - a))

@@ -43,7 +43,9 @@ of sigma) halves its way toward s, and the panel touching s integrates a
 power law C |y - s|^beta fitted to each log integrand at its nodes.  The
 base grid, and with it the depth toward s, is doubled from 64 panels until
 the requested quantity agrees between rounds at every point (``quad_tol``
-in log space, or ``NumericError``).
+in log space, or ``NumericError``).  No value settles before the second
+round, so the first two (64 and 128 base panels) share one refinement pass;
+each then integrates on its own, exactly as it would alone.
 
 Each built-in model family keeps its closed forms on its own class, and
 ``ScaleContext`` and ``feller.family_test`` use whichever a model has:
@@ -86,7 +88,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import legval
-from scipy.special import logsumexp
 
 from ._quad import (gl_integration_matrix, gl_legendre_coefficients, gl_partials, gl_rule,
                     outward_edges)
@@ -145,6 +146,33 @@ def _at_any(x, points):
     for s in points:
         hit |= x == s
     return hit
+
+
+def _by_segment(x, m, seg):
+    # x @ m with the rows of each segment (seg: one id per row, in runs;
+    # None: one segment) in a BLAS call of their own, since BLAS rounds a row
+    # by its place in the call
+    if seg is None:
+        return x @ m
+    cuts = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
+    return np.concatenate([x[i:j] @ m for i, j in zip(cuts, cuts[1:])])
+
+
+def _scatter(at, values):
+    # the array with values placed at positions at
+    out = np.empty_like(values)
+    out[at] = values
+    return out
+
+
+def _place(rank, parts):
+    # the rows of parts, one after another, each moved to its place in rank
+    out = np.empty((len(rank),) + parts[0].shape[1:])
+    start = 0
+    for part in parts:
+        out[rank[start:start + len(part)]] = part
+        start += len(part)
+    return out
 
 
 def _exp(log_value):
@@ -578,7 +606,7 @@ class ScaleContext:
             out = np.zeros_like(pts)
             for side in (pts > self.c, pts < self.c):
                 if side.any():
-                    out[side] = self._sweep(pts[side], 64, "log_p")[0].e
+                    out[side] = self._sweep(pts[side], (64,), "log_p")[0].e[0]
         if np.isscalar(x) or arr.ndim == 0:
             return float(out[0])
         return out.reshape(arr.shape)
@@ -614,32 +642,44 @@ class ScaleContext:
             parts.append(-np.geomspace(-hi, -lo, half))
         return np.unique(np.concatenate(parts))
 
-    def _node_values(self, a, b, inner, ends=()):
-        # Gauss nodes of panels of one leg running from a (the end nearer c)
-        # to b, with E there and log sigma~^2 (inner sweeps only): what the
-        # spread test and the integrals read.  A leg lies on one side of c,
-        # so closed forms take one shift.  Custom models give E relative to
+    def _node_values(self, a, b, inner, ends=(), seg=None, pairs=False):
+        # (None, E, log sigma~^2, change of E) at the Gauss nodes of panels of
+        # one leg running from a (the end nearer c) to b: what the spread
+        # test and the integrals read, log sigma~^2 for inner sweeps only.
+        # The nodes themselves are not kept: only end and graded panels read
+        # them, and _advance forms those.  A leg lies on one side of c, so
+        # closed forms take one shift.  Custom models give E relative to
         # E(a), from the integration matrix applied to g = 2 b~_c / sigma~^2,
-        # plus the panel's total change of E.  On a panel ending at s in ends,
-        # g's pole h(s) / (y - s), h(s) read off the interpolant of
-        # h = g (y - s), integrates in closed form.
+        # plus the panel's total change of E, by BLAS products on one
+        # segment's rows at a time (seg as for _refine).  With pairs, the
+        # panels are the two halves of panels, in pairs, and a segment's
+        # products take its first halves, then its second halves.  On a
+        # panel ending at s in ends, g's pole h(s) / (y - s), h(s) read off
+        # the interpolant of h = g (y - s), integrates in closed form.
+        if self._closed_exponent:
+            y = _gauss_nodes(a, b)
+            log_sig = self._log_sigma_tilde_sq(y) if inner else None
+            return None, self._exponent_batch(y, self._side_shift(b[-1])), log_sig, None
+        if pairs:
+            lay = np.lexsort((np.arange(len(a)) % 2, seg))
+            vals = self._node_values(a[lay], b[lay], inner, ends, seg[lay])
+            return tuple(None if v is None else _scatter(lay, v) for v in vals)
         y = _gauss_nodes(a, b)
         log_sig = self._log_sigma_tilde_sq(y) if inner else None
-        if self._closed_exponent:
-            return y, self._exponent_batch(y, self._side_shift(b[-1])), log_sig, None
         half = 0.5 * (b - a)
         g = 2.0 * self.b_tilde_shifted(y) / self.sigma_tilde_sq(y)
-        e = -half[:, None] * (g @ gl_integration_matrix(_ORDER).T)
+        e = -half[:, None] * _by_segment(g, gl_integration_matrix(_ORDER).T, seg)
         at_s = _at_any(b, ends)
         if at_s.any():
+            seg_s = None if seg is None else seg[at_s]
             z = y[at_s] - b[at_s, None]
             h = g[at_s] * z
-            h_s = (h @ gl_legendre_coefficients(_ORDER).sum(axis=0))[:, None]  # at t = 1
-            rest = ((h - h_s) / z) @ gl_integration_matrix(_ORDER).T
+            h_s = _by_segment(h, gl_legendre_coefficients(_ORDER).sum(axis=0), seg_s)[:, None]
+            rest = _by_segment((h - h_s) / z, gl_integration_matrix(_ORDER).T, seg_s)
             e[at_s] = -(h_s * np.log(z / (a - b)[at_s, None]) + half[at_s, None] * rest)
-        return y, e, log_sig, -half * (g @ gl_rule(_ORDER)[1])
+        return None, e, log_sig, -half * _by_segment(g, gl_rule(_ORDER)[1], seg)
 
-    def _refine(self, a, b, inner, ends):
+    def _refine(self, a, b, inner, ends, seg=None):
         # Halve panels until E (and, for inner sweeps, -E - log sigma~^2)
         # moves at most _NAT across the nodes; the 12-node interpolant of an
         # exponential that moves one nat is good to about 1e-14, and the
@@ -647,14 +687,19 @@ class ScaleContext:
         # Flagged: panels touching a singular point in ends, never halved,
         # and panels the rounds could not bring under _NAT.  Resolved and
         # flagged panels never change again: each round forms node values
-        # only for the open ones, and one sort and gather put them all in
-        # outward order.  The node positions are formed afresh from the
-        # final panels, which costs less than gathering them.
+        # only for the open ones and keeps the rows of those it is done
+        # with; one sort puts all panels in outward order, and each round's
+        # rows go straight to their place in it.
+        # A batch may hold several segments of one leg, each tiling the same
+        # range on a grid of its own: seg gives each panel's segment, in runs
+        # of rising ids (None: one segment).  The panels come back segment by
+        # segment, each segment's exactly as if refined alone.
+        seg = np.zeros(len(a), dtype=np.intp) if seg is None else seg
         fallback = _at_any(a, ends) | _at_any(b, ends)
-        vals, halves = self._node_values(a, b, inner, ends), False
-        evals, done, start = [], [], 0
+        vals = self._node_values(a, b, inner, ends, seg)
+        done = [[] for _ in range(7)]  # rows kept by each round: seg, a, b, flags, node values
         for left in range(_MAX_BISECTIONS, -1, -1):
-            _, e, log_sig, _ = vals
+            _, e, log_sig, de = vals
             # max - min of node-major copies: exact, 10-15x faster than by rows.
             # Rounding is symmetric, so -E - log sigma~^2 is the exact negation
             # of E + log sigma~^2 and has its spread
@@ -663,41 +708,45 @@ class ScaleContext:
             if inner:
                 f += log_sig.T
                 spread = np.maximum(spread, f.max(axis=0) - f.min(axis=0))
-            over = ~(spread <= _NAT) & ~fallback
-            fallback |= over & ~(spread <= _NAT * 2.0**left)
-            split = over & ~fallback
-            evals.append(vals)
+            # flag what the rounds left could not bring under _NAT; halve the
+            # rest of what is over it
+            fallback |= ~(spread <= _NAT * 2.0**left)
+            split = ~(fallback | (spread <= _NAT))
             keep = ~split
-            done.append((a[keep], b[keep], start + np.flatnonzero(keep), fallback[keep]))
+            for rows, v in zip(done, (seg, a, b, fallback, e, log_sig, de)):
+                rows.append(None if v is None else v[keep])
             if not split.any():
                 break  # always by the last round, which flags what is left
-            start += len(a)
-            if halves:  # a batch of halves, read in outward order
-                a, b, split = (v.reshape(2, -1).T for v in (a, b, split))
-            a, b = a[split], b[split]
+            vals = e = log_sig = de = f = None  # this round's rows go before the next's come
+            a, b, seg = a[split], b[split], seg[split]
             mid = 0.5 * (a + b)
-            # first halves then second ones, in one batch, outward in each:
-            # a custom model's E change is a BLAS product that rounds a row
-            # by its place in it
-            a, b, halves = np.concatenate([a, mid]), np.concatenate([mid, b]), True
-            vals, fallback = self._node_values(a, b, inner), np.zeros(len(a), dtype=bool)
-        a, b, at, fallback = (np.concatenate(part) for part in zip(*done))
-        order = np.argsort(a if b[0] > a[0] else -a, kind="stable")
-        a, b, at = a[order], b[order], at[order]
-        e, log_sig, de = (None if v[0] is None else np.concatenate(v)[at]
-                          for v in list(zip(*evals))[1:])
-        return a, b, (_gauss_nodes(a, b), e, log_sig, de), fallback[order]
+            # each split panel's first half, then its second, outward
+            a, b, seg = np.repeat(a, 2), np.repeat(b, 2), np.repeat(seg, 2)
+            a[1::2] = b[0::2] = mid
+            fallback = np.zeros(len(a), dtype=bool)
+            vals = self._node_values(a, b, inner, (), seg, True)
+        seg, a, b, fallback = map(np.concatenate, done[:4])
+        order = np.lexsort((a if b[0] > a[0] else -a, seg))
+        a, b = a[order], b[order]
+        vals = [None]  # node positions, as from _node_values
+        # every round's node values go straight to their place in that order
+        rank = _scatter(order, np.arange(len(order)))
+        for rows in done[4:]:
+            vals.append(None if rows[0] is None else _place(rank, rows))
+            rows.clear()
+        return a, b, tuple(vals), fallback[order]
 
-    def _advance(self, a, b, state, inner, ends):
-        # integrate panels a -> b (outward from c) on from state = (E, log p,
-        # logs of (I_k, u_k) for k = 1 .. n) at a[0]; returns the refined
-        # panel ends, the _Sweep rows there (E only for custom models; p, or
-        # else I_1, v = u_1 and log (u_1 + ... + u_n)) with the exponents fitted
-        # to p's or u_n's integrand, and the state at the last end.  Every
-        # integral is one call of outward; only the integrals whose node
-        # values the next integrand reads form them (each I_k, u_k for k < n).
+    def _advance(self, a, b, vals, fallback, state, inner, ends):
+        # integrate refined panels a -> b (outward from c), with their node
+        # values and flags from _refine, on from state = (E, log p, logs of
+        # (I_k, u_k) for k = 1 .. n) at a[0]; returns the panel ends, the
+        # _Sweep rows there (E only for custom models; p, or else I_1, v =
+        # u_1 and log (u_1 + ... + u_n)) with the exponents fitted to p's or
+        # u_n's integrand, and the state at the last end.  Every integral is
+        # one call of outward; only the integrals whose node values the next
+        # integrand reads form them (each I_k, u_k for k < n).
         e0, p0, starts = state
-        a, b, (y, e, log_sig, de), fallback = self._refine(a, b, inner, ends)
+        _, e, log_sig, de = vals
         log_half = np.log(np.abs(0.5 * (b - a)))
         nan = np.full(len(b), np.nan)
         e_a = e_b = nan
@@ -712,7 +761,8 @@ class ScaleContext:
             graded = fallback & ~end
             s = np.where(at_a, a, b)[end]
             # log distances from s of the nodes, of a and of b
-            dist = (np.log(np.abs(y[end] - s[:, None])), np.log(np.abs(a[end] - s)),
+            dist = (np.log(np.abs(_gauss_nodes(a[end], b[end]) - s[:, None])),
+                    np.log(np.abs(a[end] - s)),
                     np.log(np.abs(b[end] - s)))
         partials = gl_partials(_ORDER)
 
@@ -729,14 +779,18 @@ class ScaleContext:
             # (panel / |x - c|)^2k of u_k(x).  An inner integral, log_f =
             # inner_weight - E - log sigma~^2, takes the graded rule on graded
             # panels.  Fitted exponents: nan off ends.
+            # Steps run in place where a temporary would be a fresh rows x
+            # nodes array.
             top = log_f.T.copy().max(axis=0)  # node-major, as in _refine
-            g = np.exp(log_f - top[:, None]) @ partials
+            g = log_f - top[:, None]
+            g = np.exp(g, out=g) @ partials
             if not at_nodes:
                 g = g[:, -1:]  # the panel totals alone
-            log_g = (top + log_half)[:, None] + np.log(np.maximum(g, 0.0))
+            log_g = np.log(np.maximum(g, 0.0, out=g), out=g)
+            log_g += (top + log_half)[:, None]
             if inner_weight is not None and graded.any():
                 log_g[graded] = self._log_inner_intervals(
-                    a[graded], b[graded], y[graded], e_a[graded], inner_weight[graded]
+                    a[graded], b[graded], e_a[graded], inner_weight[graded]
                 )
             fit = nan.copy()
             if ends:
@@ -749,8 +803,12 @@ class ScaleContext:
             # takes twice as long
             f_a, part = f_b[:-1, None], log_g[:, :-1]
             top = np.maximum(f_a, part)
-            nodes = top + np.log1p(np.exp(-np.abs(f_a - part)))
-            return f_b[1:], np.where(top > -np.inf, nodes, top), fit
+            nodes = f_a - part  # contiguous, unlike part
+            for step in (np.abs, np.negative, np.exp, np.log1p):
+                step(nodes, out=nodes)
+            nodes += top
+            np.copyto(nodes, top, where=~(top > -np.inf))
+            return f_b[1:], nodes, fit
 
         if not inner:
             p_b, _, fit = outward(p0, e, at_nodes=False)
@@ -759,27 +817,38 @@ class ScaleContext:
         log_u = np.zeros_like(e)
         inners, terms = [], []
         for k, (ik0, uk0) in enumerate(starts.T, 1):
-            ik_b, log_i, _ = outward(ik0, log_u - e - log_sig, log_u)
-            uk_b, log_u, fit = outward(uk0, _LOG2 + e + log_i, at_nodes=k < len(starts.T))
+            log_f = log_u - e
+            log_f -= log_sig
+            ik_b, log_i, _ = outward(ik0, log_f, log_u)
+            # the outer integrand takes the inner one's rows, and I_k's node
+            # values and u_(k-1) go before the outer integral forms its own
+            log_f = np.add(_LOG2, e, out=log_f)
+            log_f += log_i
+            log_i = log_u = None
+            uk_b, log_u, fit = outward(uk0, log_f, at_nodes=k < len(starts.T))
             inners.append(ik_b)
             terms.append(uk_b)
         last = np.array([[f[-1] for f in inners], [f[-1] for f in terms]])
         log_u = np.logaddexp.reduce(terms, axis=0)
         return b, (e_b, inners[0], nan, terms[0], log_u, fit), (e_b[-1], nan, last)
 
-    def _sweep(self, xs, n_panels, field="log_v", stop=math.inf, n_terms=1):
-        """(E, log I, log p, log v, log u) at xs by one cumulative pass from c,
-        with u the first n_terms terms of the series after its 1, and the
-        exponents fitted to p's integrand (log_p) or u_n's at singular xs.  A
-        sweep for ``field`` log_p carries E and p only; any other all but p.
+    def _sweep(self, xs, counts, field="log_v", stop=math.inf, n_terms=1):
+        """(E, log I, log p, log v, log u) at xs by one cumulative pass from c
+        on the grid of each base-panel count in ``counts``, with u the first
+        n_terms terms of the series after its 1, and the exponents fitted to
+        p's integrand (log_p) or u_n's at singular xs; row i of every field
+        and of the exponents is the pass of counts[i].  A sweep for ``field``
+        log_p carries E and p only; any other all but p.
 
-        xs lie on one side of c.  The grid is ``_edges`` from c to the
+        xs lie on one side of c.  A count's grid is ``_edges`` from c to the
         farthest x with every x as an edge, plus, for each singular point s
         on the leg [lo, hi], s itself and s -+ (hi - lo) 2^-k for k = 1 ..
-        n_panels / 4 down to 2^-36 |s| (1e-300 at s = 0), short of the float
-        resolution of y - s.  The pass runs outward in chunks of 1, 2, 4, ...
-        requested points and ends after the chunk in which ``field`` first
-        reaches ``stop``; points beyond read nan.
+        count / 4 down to 2^-36 |s| (1e-300 at s = 0), short of the float
+        resolution of y - s.  Each pass runs outward in chunks of 1, 2, 4,
+        ... requested points and ends after the chunk in which ``field``
+        first reaches ``stop``; points beyond read nan.  The passes still
+        running refine each chunk in one batch (``_refine``), then integrate
+        it one by one (``_advance``), each exactly as it would alone.
         """
         xs = np.asarray(xs, dtype=float)
         uniq, inv = np.unique(xs, return_inverse=True)
@@ -789,36 +858,50 @@ class ScaleContext:
         # one, the integrands keep a power law that no halving resolves
         ends = tuple(s for s in (*self.model.interval, *self._interior_singularities())
                      if lo <= s <= hi)
-        parts = [self._edges(lo, hi, n_panels), uniq]
-        for s in ends:
-            d = _depths(s, hi - lo, n_panels)
-            parts.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
-        edges = np.unique(np.concatenate(parts))
-        at = np.searchsorted(edges, uniq)  # every x is an edge
         # outward: +1 on a leg right of c, -1 on one left of it
         sign = 1.0 if far > self.c else -1.0
+        grids = []  # (edges, index of each x among them), outward
+        for n_panels in counts:
+            parts = [self._edges(lo, hi, n_panels), uniq]
+            for s in ends:
+                d = _depths(s, hi - lo, n_panels)
+                parts.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
+            edges = np.unique(np.concatenate(parts))
+            at = np.searchsorted(edges, uniq)  # every x is an edge
+            grids.append((edges, at) if sign > 0.0 else (edges[::-1], len(edges) - 1 - at[::-1]))
         if sign < 0.0:
-            uniq, inv, edges = uniq[::-1], len(uniq) - 1 - inv, edges[::-1]
-            at = len(edges) - 1 - at[::-1]
-        out = np.full((6, len(uniq)), np.nan)
+            uniq, inv = uniq[::-1], len(uniq) - 1 - inv
+        out = np.full((6, len(counts), len(uniq)), np.nan)
         row = _Sweep._fields.index(field)
-        state = (0.0, -np.inf, np.full((2, n_terms), -np.inf))
-        done, start, chunk = 0, 0, 1
-        while done < len(uniq) and not np.any(out[row, :done] >= stop):
+        states = [(0.0, -np.inf, np.full((2, n_terms), -np.inf))] * len(counts)
+        start = [0] * len(counts)  # each pass's first edge of the next chunk
+        live, done, chunk, inner = list(range(len(counts))), 0, 1, field != "log_p"
+        while done < len(uniq) and live:
             upto = min(done + chunk, len(uniq))
-            end = at[upto - 1]
+            last = [grids[i][1][upto - 1] for i in live]
+            a = np.concatenate([grids[i][0][start[i]:k] for i, k in zip(live, last)])
+            b = np.concatenate([grids[i][0][start[i] + 1:k + 1] for i, k in zip(live, last)])
+            seg = np.repeat(live, [k - start[i] for i, k in zip(live, last)])
             # nan (a misfit end panel) and log 0 are values; _stabilized judges them
             with np.errstate(invalid="ignore", divide="ignore"):
-                b, cols, state = self._advance(
-                    edges[start:end], edges[start + 1:end + 1], state, field != "log_p", ends
-                )
-            # the rows at the chunk's points, among panel ends rising outward
-            hit = np.searchsorted(sign * b, sign * uniq[done:upto])
-            out[:, done:upto] = [col[hit] for col in cols]
-            done, start, chunk = upto, end, 2 * chunk
+                a, b, vals, fallback = self._refine(a, b, inner, ends, seg)
+                # each pass's panels tile the chunk, so the next pass's begin
+                # at the first panel that does not start where the last ended
+                cuts = [0, *(np.flatnonzero(b[:-1] != a[1:]) + 1).tolist(), len(a)]
+                for i, j, k in zip(live, cuts, cuts[1:]):
+                    b_i, cols, states[i] = self._advance(
+                        a[j:k], b[j:k], [None if v is None else v[j:k] for v in vals],
+                        fallback[j:k], states[i], inner, ends)
+                    # the rows at the chunk's points, among panel ends rising outward
+                    hit = np.searchsorted(sign * b_i, sign * uniq[done:upto])
+                    out[:, i, done:upto] = [col[hit] for col in cols]
+            for i, k in zip(live, last):
+                start[i] = k
+            done, chunk = upto, 2 * chunk
+            live = [i for i in live if not np.any(out[row, i, :done] >= stop)]
         if self._closed_exponent:
             out[0] = self._exponent_batch(uniq, self._side_shift(far))
-        return _Sweep(*out[:5, inv]), out[5, inv]
+        return _Sweep(*out[:5, :, inv]), out[5][:, inv]
 
     def _sigma_inv_sq_fit(self, s):
         # (beta, bound) at a finite endpoint s, from the model alone: beta of
@@ -836,17 +919,20 @@ class ScaleContext:
             beta = _power_law_integrals(-self._log_sigma_tilde_sq(y), x, x[:, 0], x[:, -1])[1]
         return float(beta[1]), -1.0 + max(2.0 * abs(float(beta[1] - beta[0])), _FIT_TOL)
 
-    def _log_inner_intervals(self, a, b, y, e_a, log_w):
-        # logs of int_a^x w / (p' sigma~^2) for x each Gauss node y of the
+    def _log_inner_intervals(self, a, b, e_a, log_w):
+        # logs of int_a^x w / (p' sigma~^2) for x each Gauss node of the
         # panels a -> b and b itself, with log w given at the nodes (read
-        # between them from its Legendre series) and E(a) = e_a (read for
-        # custom models only).  The integrand can vary by thousands of nats
-        # across one panel, concentrating in an endpoint layer of width
-        # 1/|E'|; sub-edges are graded geometrically from both ends of each
-        # interval starting at that resolvable scale, so the 12 Gauss nodes of
-        # a sub-panel, read through _node_values, see a few nats at most.
+        # between them from its Legendre series, unless w = 1) and E(a) =
+        # e_a (read for custom models only).  The integrand can vary by
+        # thousands of nats across one panel, concentrating in an endpoint
+        # layer of width 1/|E'|; sub-edges are graded geometrically from both
+        # ends of each interval starting at that resolvable scale, so the 12
+        # Gauss nodes of a sub-panel, read through _node_values, see a few
+        # nats at most.
+        from scipy.special import logsumexp  # imported on use: it takes 0.25 s to load
+
         lo = np.repeat(a[:, None], _ORDER + 1, axis=1)
-        hi = np.column_stack([y, b])
+        hi = np.column_stack([_gauss_nodes(a, b), b])
         span = hi - lo
         pair = np.stack([lo, hi])
         g = np.max(np.abs(2.0 * self.b_tilde_shifted(pair) / self.sigma_tilde_sq(pair)), axis=0)
@@ -857,17 +943,21 @@ class ScaleContext:
         rel_edges = np.concatenate([ladder, 1.0 - ladder[..., ::-1]], axis=-1)
         sub_lo = lo[..., None] + span[..., None] * rel_edges[..., :-1]
         sub_hi = lo[..., None] + span[..., None] * rel_edges[..., 1:]
-        z, e, log_sig, de = self._node_values(sub_lo.ravel(), sub_hi.ravel(), True)
+        _, e, log_sig, de = self._node_values(sub_lo.ravel(), sub_hi.ravel(), True)
         shape = sub_lo.shape + (_ORDER,)
-        z, e, log_sig = z.reshape(shape), e.reshape(shape), log_sig.reshape(shape)
+        e, log_sig = e.reshape(shape), log_sig.reshape(shape)
         if de is not None:
             # E at each sub-panel start: E(a) plus the changes before it
             de = de.reshape(sub_lo.shape)
             e = e + (e_a[:, None, None] + np.cumsum(de, axis=-1) - de)[..., None]
-        # panel coordinate t in [-1, 1] of each sub-panel node
-        t = 2.0 * (z - a[:, None, None, None]) / (b - a)[:, None, None, None] - 1.0
-        coef = (log_w @ gl_legendre_coefficients(_ORDER).T).T[..., None, None, None]
-        log_h = legval(t, coef, tensor=False) - e - log_sig
+        if log_w.any():  # a later series term's weight; v's is w = 1
+            # panel coordinate t in [-1, 1] of each sub-panel node
+            z = _gauss_nodes(sub_lo.ravel(), sub_hi.ravel()).reshape(shape)
+            t = 2.0 * (z - a[:, None, None, None]) / (b - a)[:, None, None, None] - 1.0
+            coef = (log_w @ gl_legendre_coefficients(_ORDER).T).T[..., None, None, None]
+            log_h = legval(t, coef, tensor=False) - e - log_sig
+        else:
+            log_h = -e - log_sig
         log_half = np.log(np.abs(0.5 * (sub_hi - sub_lo)))[..., None]
         return logsumexp(log_h + np.log(gl_rule(_ORDER)[1]) + log_half, axis=(-2, -1))
 
@@ -885,29 +975,34 @@ class ScaleContext:
         tol = max(self.quad_tol, 1e-12)
         prev, first_open, n_panels, rounds = None, 0, 64, 0
         while n_panels <= self.max_panels:
-            sweep, fit = self._sweep(xs, n_panels, field, stop, n_terms)
-            rounds += 1
-            cur = getattr(sweep, field)
-            if prev is not None:
-                reached = np.flatnonzero(cur >= stop)
-                m = reached[0] + 1 if reached.size else len(xs)
-                now, before = cur[:m], prev[:m]
-                with np.errstate(invalid="ignore"):
-                    settled = (now == -math.inf) & (before == -math.inf)
-                    settled |= np.minimum(now, before) > _LOG_HUGE
-                    delta = np.abs(now - before)
-                    ok = settled | (delta <= tol)
-                misfit = np.isnan(now) & np.isnan(before) & _at_any(xs[:m], self.model.interval)
-                if (ok | misfit).all():
-                    effort = {"base_panels": n_panels, "doubling_rounds": rounds}
-                    if misfit.any():  # one endpoint at most: the leg's far end
-                        effort["fitted_exponent"] = float(fit[misfit][0])
-                        effort["fitted_exponent_change"] = float((fit - prev_fit)[misfit][0])
-                    else:
-                        effort["last_max_delta"] = float(np.max(delta[~settled], initial=0.0))
-                    return sweep, effort
-                first_open = int(np.argmin(ok))
-            prev, prev_fit = cur, fit
+            # no call settles before its second round: the first two share a pass
+            first = rounds == 0 and 2 * n_panels <= self.max_panels
+            counts = (n_panels, 2 * n_panels) if first else (n_panels,)
+            sweeps, fits = self._sweep(xs, counts, field, stop, n_terms)
+            for sweep, fit, n_panels in zip(zip(*sweeps), fits, counts):
+                sweep = _Sweep(*sweep)
+                rounds += 1
+                cur = getattr(sweep, field)
+                if prev is not None:
+                    reached = np.flatnonzero(cur >= stop)
+                    m = reached[0] + 1 if reached.size else len(xs)
+                    now, before = cur[:m], prev[:m]
+                    with np.errstate(invalid="ignore"):
+                        settled = (now == -math.inf) & (before == -math.inf)
+                        settled |= np.minimum(now, before) > _LOG_HUGE
+                        delta = np.abs(now - before)
+                        ok = settled | (delta <= tol)
+                    misfit = np.isnan(now) & np.isnan(before) & _at_any(xs[:m], self.model.interval)
+                    if (ok | misfit).all():
+                        effort = {"base_panels": n_panels, "doubling_rounds": rounds}
+                        if misfit.any():  # one endpoint at most: the leg's far end
+                            effort["fitted_exponent"] = float(fit[misfit][0])
+                            effort["fitted_exponent_change"] = float((fit - prev_fit)[misfit][0])
+                        else:
+                            effort["last_max_delta"] = float(np.max(delta[~settled], initial=0.0))
+                        return sweep, effort
+                    first_open = int(np.argmin(ok))
+                prev, prev_fit = cur, fit
             n_panels *= 2
         raise NumericError(
             f"{_QUANTITY[field]} quadrature did not stabilize",
@@ -974,12 +1069,13 @@ class ScaleContext:
         All sample points are read off one outward sweep from c, which
         stops after the first point whose value reaches DIVERGENCE_CAP; the
         base grid is doubled until every point up to that one agrees
-        between rounds.  So does a sweep to a finite endpoint: a value that
-        agrees is finite; nan in two rounds is divergent if the end panel's
-        ``fitted_exponent`` beta, its value one round before and beta plus
-        twice its ``fitted_exponent_change`` all sit below -1 - 1e-9, else
-        inconclusive.  A finite closed limit there takes that sweep's value
-        and effort keys (None if not finite).
+        between rounds, and a limit whose points never do is inconclusive
+        with ``NumericError``'s details.  So does a sweep to a finite
+        endpoint: a value that agrees is finite; nan in two rounds is
+        divergent if the end panel's ``fitted_exponent`` beta, its value one
+        round before and beta plus twice its ``fitted_exponent_change`` all
+        sit below -1 - 1e-9, else inconclusive.  A finite closed limit there
+        takes that sweep's value and effort keys (None if not finite).
         """
         _require(which in ("left", "right"), f"which must be 'left' or 'right', got {which!r}")
         _require(target in ("v", "p"), f"target must be 'v' or 'p', got {target!r}")
@@ -1040,7 +1136,10 @@ class ScaleContext:
         log_cap = math.log(DIVERGENCE_CAP)
         points = self._approach(which, steps, "steps")
         field = "log_v" if target == "v" else "log_p"
-        sweep, effort = self._stabilized(points, field, stop=log_cap)
+        try:
+            sweep, effort = self._stabilized(points, field, stop=log_cap)
+        except NumericError as exc:
+            return LimitResult("inconclusive", None, "sample", exc.details)
         log_vals = []
         for k, lv in enumerate(getattr(sweep, field).tolist()):
             log_vals.append(lv)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -459,3 +461,15 @@ def test_output_goldens(tmp_path, capsys, case, argv, cfg, fmt):
     out = capsys.readouterr()
     text = f"exit {rc}\n--- stdout\n{out.out}--- stderr\n{out.err}"
     assert text == (GOLDEN / f"cli_{case}.txt").read_text()
+
+
+def test_importing_the_library_and_cli_leaves_scipy_special_unloaded():
+    # scipy.special takes about a quarter second to import; the functions
+    # that use it import it themselves
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, volterra_feller, volterra_feller.cli; "
+            "print('scipy.special' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

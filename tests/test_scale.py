@@ -14,6 +14,7 @@ from volterra_feller import (
     PowerModel,
     ScaleContext,
     SumOfExponentialsKernel,
+    necessary_test,
 )
 from volterra_feller._quad import outward_edges
 from volterra_feller.scale import _NAT
@@ -438,7 +439,7 @@ def test_sweep_rows_are_pinned_to_the_bit(leg):
         sweep, effort = ctx._stabilized(xs, field, n_terms=n_terms)
         converged = effort["base_panels"]
         for n in (64, converged):
-            got, fit = ctx._sweep(xs, n, field, n_terms=n_terms)
+            got, fit = ctx._sweep(xs, (n,), field, n_terms=n_terms)
             assert _hex(got) == _SWEEP_BITS[leg, field, n], (field, n)
             assert _hex(fit) == _FIT_BITS[leg, field, n], (field, n)
         assert _hex(sweep) == _SWEEP_BITS[leg, field, converged], field
@@ -512,7 +513,7 @@ def test_sampled_sweep_rows_are_pinned_to_the_bit(side):
     sweep, effort = ctx._stabilized(xs, "log_v", stop=stop)
     converged = effort["base_panels"]
     for n in (64, converged):
-        got, fit = ctx._sweep(xs, n, "log_v", stop)
+        got, fit = ctx._sweep(xs, (n,), "log_v", stop)
         assert _hex([*got, fit]) == _SAMPLED_BITS[side, n], n
     assert _hex(sweep) == _hex(got)
 
@@ -573,6 +574,55 @@ def test_refine_tiles_the_leg_and_resolves_every_open_panel(case):
     assert np.all(spread[~flagged] <= _NAT)
     touches = np.isin(a, ends) | np.isin(b, ends)
     assert np.all(touches[flagged] | ~(spread[flagged] <= _NAT))
+
+
+@st.composite
+def _batched_cases(draw, kind):
+    # (context, points, field, stop, series terms) for one leg of a drawn
+    # model of a kind, kernel and shifts, on the points' side of c
+    pos = st.floats(0.2, 3.0)
+    kernel = draw(st.sampled_from([ConstantKernel(1.0), SumOfExponentialsKernel([1.0], [1.0])]))
+    if kind == "cir":
+        model = CIRModel(draw(pos), draw(st.floats(0.05, 3.0)), draw(pos), 1.0)
+    elif kind == "jacobi":
+        model = JacobiModel(0.0, 1.0, draw(pos), draw(st.floats(0.1, 0.9)), draw(pos), 0.5)
+    elif kind == "power":
+        model = PowerModel(draw(st.floats(1.1, 2.5)), draw(st.floats(0.0, 0.9)), draw(pos), 1.0)
+    else:
+        kappa, theta, sigma = draw(pos), draw(pos), draw(pos)
+        model = CustomModel(lambda x: kappa * (theta - x), lambda x: sigma * np.sqrt(x),
+                            (0.0, math.inf), 1.0)
+    shift = st.floats(-2.0, 2.0)
+    ctx = ScaleContext(model, kernel, beta=draw(shift), gamma=draw(shift))
+    c, boundary = ctx.c, draw(st.sampled_from(model.interval))
+    if math.isfinite(boundary):
+        fracs = st.just(0.0) | st.floats(1e-6, 0.9)
+        xs = [boundary + (c - boundary) * f for f in draw(st.lists(fracs, min_size=1, max_size=4))]
+    else:
+        powers = st.lists(st.floats(-2.0, 8.0), min_size=1, max_size=4)
+        xs = [c + math.copysign(2.0**k, boundary) for k in draw(powers)]
+    field, n_terms = draw(st.sampled_from(["log_p", "log_v", "log_u"])), draw(st.integers(1, 3))
+    # no stop, any stop, or a value the 64-panel pass reaches exactly, which
+    # the 128-panel pass may miss and run on past
+    row = getattr(ctx._sweep(xs, (64,), field, n_terms=n_terms)[0], field)[0]
+    stop = draw(st.sampled_from([math.inf, *(float(v) for v in row if math.isfinite(v))])
+                | st.floats(-1.0, 3.0))
+    return ctx, xs, field, stop, n_terms
+
+
+@pytest.mark.parametrize("kind", ["cir", "jacobi", "power", "custom"])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_first_two_rounds_in_one_pass_match_each_round_alone(kind, data):
+    # _stabilized sweeps 64 and 128 base panels in one pass; every row and
+    # fitted exponent must be the one the round gives alone, to the bit
+    ctx, xs, field, stop, n_terms = data.draw(_batched_cases(kind))
+    both = ctx._sweep(xs, (64, 128), field, stop, n_terms)
+    for i, n in enumerate((64, 128)):
+        alone = ctx._sweep(xs, (n,), field, stop, n_terms)
+        for got, want in zip(both, alone):
+            got, want = np.asarray(got)[..., i, :], np.asarray(want)[..., 0, :]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, field)
 
 
 def test_refine_effort_on_a_large_leg_is_pinned(monkeypatch, sloped_kernel):
@@ -992,6 +1042,47 @@ def test_sampled_limit_on_custom_model():
     assert res.kind == "finite"
     with pytest.raises(PreconditionError):
         ctx.boundary_limit("right", method="closed")
+
+
+def test_sampled_limit_that_does_not_stabilize_is_inconclusive(unit_kernel):
+    # a custom clone of PowerModel(1.5, 0.5, 1, 1) declares no zero of sigma
+    # at 0, so its sweeps toward -inf never agree at x = -1 up to 4096 base
+    # panels: the limit is inconclusive with NumericError's details, as a
+    # swept limit is, and the necessary test reports it instead of raising
+    pm = PowerModel(1.5, 0.5, 1.0, 1.0)
+    ctx = ScaleContext(CustomModel(pm.drift, pm.diffusion, pm.interval, 1.0), unit_kernel)
+    for target in ("v", "p"):
+        lim = ctx.boundary_limit("left", target)
+        assert (lim.kind, lim.value, lim.method) == ("inconclusive", None, "sample")
+        assert (lim.evidence["x"], lim.evidence["max_panels"]) == (-1.0, 4096)
+    label, value, _ = necessary_test(ctx).evidence[0]
+    assert label.startswith("v(left+)") and math.isnan(value)
+
+
+def test_graded_inner_integral_with_unit_weight_is_pinned(unit_kernel):
+    # drift 1/x^2, sigma = 1 on (0, 1), c = 0.5: p' = e^(2/y - 4), so toward 0
+    # v's inner integrand spans thousands of nats per panel and v's sweep
+    # takes graded panels, under the weight u_0 = 1.  The end panel's fitted
+    # exponent reads their integrals; it is pinned to the bit
+    m = CustomModel(lambda x: 1.0 / x**2, np.ones_like, (0.0, 1.0), 0.5)
+    lim = ScaleContext(m, unit_kernel).boundary_limit("left", "v")
+    assert (lim.kind, lim.method) == ("divergent", "sweep")
+    ev = lim.evidence
+    assert (ev["base_panels"], ev["doubling_rounds"]) == (128, 2)
+    assert ev["fitted_exponent"].hex() == "-0x1.4fbfb944d295ap+38"
+    assert ev["fitted_exponent_change"].hex() == "-0x1.4f46ca6d825c6p+38"
+
+
+def test_custom_halving_rounds_are_pinned_to_the_bit(unit_kernel):
+    # a custom model's E changes are BLAS products, which round a row by its
+    # place in the call; halved panels enter them first halves, then second
+    # halves.  A sampled right limit of a CIR clone that halves, to the bit
+    m = CustomModel(lambda x: 0.5 - x, lambda x: 0.5 * np.sqrt(x), (0.0, math.inf), 1.3)
+    lim = ScaleContext(m, unit_kernel).boundary_limit("right")
+    assert (lim.kind, lim.evidence["base_panels"]) == ("divergent", 128)
+    assert _hex(lim.evidence["log_values"]) == (
+        "0x1.4cf46fc124182p+3 0x1.87038d32608b1p+4 0x1.b125615804117p+5"
+    )
 
 
 def test_outward_edges_start_exactly_at_the_anchor():
