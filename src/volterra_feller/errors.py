@@ -1,4 +1,4 @@
-"""Error types shared across the library, and its one check of counts.
+"""Error types shared across the library, and its checks of counts and reals.
 
 ``ValueError`` covers malformed inputs (bad parameters, out-of-domain
 arguments).  The two classes below separate the remaining failure modes so
@@ -8,7 +8,9 @@ routine that did not converge.
 Every count a caller passes goes through :func:`check_count`: an integer or
 integral float in range is used as an ``int``; anything else, inf, nan,
 strings, complex numbers and None included, raises ``ValueError`` with a
-message starting with its name.
+message starting with its name.  Every scalar real parameter goes through
+:func:`check_real` the same way: a finite real number inside the
+parameter's bounds is returned as it came, anything else raises.
 """
 
 import math
@@ -39,3 +41,16 @@ def check_count(name, value, low, high=math.inf):
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_real(name, value, gt=None, ge=None, lt=None, le=None):
+    """``value`` unchanged, if it is a finite real number with gt < value,
+    ge <= value, value < lt and value <= le for each bound given; else a
+    ``ValueError`` naming ``name``, the domain and the value."""
+    if (isinstance(value, numbers.Real) and -math.inf < value < math.inf
+            and (gt is None or value > gt) and (ge is None or value >= ge)
+            and (lt is None or value < lt) and (le is None or value <= le)):
+        return value
+    bounds = ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+    domain = "".join(f" and {sign} {bound}" for sign, bound in bounds if bound is not None)
+    raise ValueError(f"{name} must be finite{domain}, got {value!r}")

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NumericError, PreconditionError, check_count
+from .errors import NumericError, PreconditionError, check_count, check_real
 from .fracapprox import STAND_INS, stand_in_kernel, stand_in_scheme
 from .scale import DIVERGENCE_CAP, kernel_scalars
 
@@ -191,8 +191,7 @@ def necessary_test(ctx, eps_shift=None, hypotheses=None):
     model = ctx.model
     if eps_shift is None:
         eps_shift = 1e-6 * _interval_span(model)
-    if not (eps_shift > 0.0 and math.isfinite(eps_shift)):
-        raise ValueError(f"eps_shift must be positive and finite, got {eps_shift}")
+    check_real("eps_shift", eps_shift, gt=0.0)
     x0 = model.x0
     lims, evidence = _limit_pair(ctx, -(x0 + eps_shift), -(x0 - eps_shift), "v",
                                  ("v(left+) with shift -(x0+eps)",

@@ -31,7 +31,7 @@ import numpy as np
 from mpmath import mp
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from .errors import NumericError, check_count
+from .errors import NumericError, check_count, check_real
 from .kernels import SumOfExponentialsKernel, TruncatedFractionalKernel
 
 __all__ = [
@@ -60,10 +60,8 @@ class TruncationScheme:
     T: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError("truncation cap T must be positive and finite")
+        check_real("alpha", self.alpha, gt=0.0, lt=1.0)
+        check_real("T", self.T, gt=0.0)
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,7 @@ class QuadratureScheme:
     weight: str = "fractional"
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        check_real("alpha", self.alpha, gt=0.0, lt=1.0)
         pts = tuple(float(v) for v in np.atleast_1d(self.nodes))
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints (one interval)")
@@ -117,10 +114,8 @@ def geometric_nodes(n_intervals, ratio=6.4, xi1=1.0):
     rates (short-time behaviour of the kernel) are covered with few intervals.
     """
     n_intervals = check_count("n_intervals", n_intervals, 1)
-    if not (ratio > 1.0 and math.isfinite(ratio)):
-        raise ValueError("ratio must exceed 1")
-    if not (xi1 > 0.0 and math.isfinite(xi1)):
-        raise ValueError("xi1 must be positive and finite")
+    check_real("ratio", ratio, gt=1.0)
+    check_real("xi1", xi1, gt=0.0)
     pts = [0.0]
     for n in range(n_intervals):
         pts.append(xi1 * ratio ** n)

@@ -35,6 +35,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import check_real
+
 __all__ = [
     "ConstantKernel",
     "SumOfExponentialsKernel",
@@ -63,8 +65,7 @@ class ConstantKernel:
     level: float
 
     def __post_init__(self):
-        if not (self.level > 0.0 and math.isfinite(self.level)):
-            raise ValueError(f"level must be a positive finite real, got {self.level}")
+        check_real("level", self.level, gt=0.0)
 
     @property
     def completely_monotone(self) -> bool:
@@ -153,10 +154,8 @@ class TruncatedFractionalKernel:
     T: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"T must be a positive finite real, got {self.T}")
+        check_real("alpha", self.alpha, gt=0.0, lt=1.0)
+        check_real("T", self.T, gt=0.0)
         try:
             self.k0_kprime0()
         except OverflowError:
@@ -211,14 +210,10 @@ class UserKernel:
     def __init__(self, func, k0, kprime0, deriv=None, completely_monotone=False):
         if not callable(func):
             raise ValueError("func must be callable")
-        if not (k0 > 0.0 and math.isfinite(k0)):
-            raise ValueError(f"asserted K(0) must be positive finite, got {k0}")
-        if not math.isfinite(kprime0):
-            raise ValueError(f"asserted K'(0) must be finite, got {kprime0}")
         self._func = func
         self._deriv = deriv
-        self._k0 = float(k0)
-        self._kprime0 = float(kprime0)
+        self._k0 = float(check_real("k0", k0, gt=0.0))
+        self._kprime0 = float(check_real("kprime0", kprime0))
         self._cm = bool(completely_monotone)
 
     @property

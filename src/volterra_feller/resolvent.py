@@ -19,12 +19,11 @@ re-discretization of K * L; it decays at first order in dt.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, check_real
 
 __all__ = ["ResolventGrid", "HypothesisReport", "solve_resolvent", "check_hypotheses"]
 
@@ -38,7 +37,9 @@ class ResolventGrid:
     atom : point mass of L at zero, exactly 1 / K(0)
     times : grid points carrying the density samples
     density : rho(t_i)
-    kprime_conv_L : (K' * L)(t_i), left-rectangle discretization
+    kprime_conv_L : (K' * L)(t_i): the atom's K'(t_i) / K(0) plus the
+        convolution of K' with the density under the trapezoidal
+        re-discretization (the atom's term alone at t_0)
     kl_residual : max_i |(K * L)(t_i) - 1| under trapezoidal re-discretization
     """
 
@@ -108,10 +109,8 @@ def solve_resolvent(kernel, dt: float, horizon: float) -> ResolventGrid:
         |K(0)| or |K(dt)| too small to divide by, or the verification
         residual exceeding 10 * dt.
     """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_real("dt", dt, gt=0.0)
+    check_real("horizon", horizon, gt=0.0)
     n = int(round(horizon / dt))
     if n < 2:
         raise ValueError("horizon must cover at least two steps")
@@ -170,10 +169,7 @@ def check_hypotheses(grid: ResolventGrid, tol: float | None = None) -> Hypothesi
     tol defaults to 100 * dt, matching the first-order accuracy of the
     discretization.
     """
-    if tol is None:
-        tol = 100.0 * grid.dt
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = check_real("tol", 100.0 * grid.dt if tol is None else tol, gt=0.0)
     density_min = float(np.min(grid.density))
     kcl_max = float(np.max(grid.kprime_conv_L))
     increments = np.diff(grid.kprime_conv_L)

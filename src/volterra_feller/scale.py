@@ -83,6 +83,7 @@ and ``NumericError`` as v.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -91,7 +92,7 @@ from numpy.polynomial.legendre import legval
 
 from ._quad import (gl_integration_matrix, gl_legendre_coefficients, gl_partials, gl_rule,
                     outward_edges)
-from .errors import NumericError, PreconditionError, check_count
+from .errors import NumericError, PreconditionError, check_count, check_real
 
 __all__ = [
     "CIRModel",
@@ -189,9 +190,7 @@ def kernel_scalars(kernel):
     """(K(0), K'(0)) of a kernel after checking the standing sign conditions:
     K(0) finite and positive, K'(0) finite and nonpositive."""
     k0, kp0 = kernel.k0_kprime0()
-    _require(math.isfinite(k0) and k0 > 0.0, f"K(0) must be finite and positive, got {k0}")
-    _require(math.isfinite(kp0) and kp0 <= 0.0, f"K'(0) must be finite and nonpositive, got {kp0}")
-    return k0, kp0
+    return check_real("K(0)", k0, gt=0.0), check_real("K'(0)", kp0, le=0.0)
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,8 @@ class CIRModel:
     family = "cir"
 
     def __post_init__(self):
-        _require(self.kappa > 0.0, f"kappa must be positive, got {self.kappa}")
-        _require(self.theta > 0.0, f"theta must be positive, got {self.theta}")
-        _require(self.sigma > 0.0, f"sigma must be positive, got {self.sigma}")
-        _require(self.x0 > 0.0, f"x0 must lie inside (0, inf), got {self.x0}")
+        for name in ("kappa", "theta", "sigma", "x0"):
+            check_real(name, getattr(self, name), gt=0.0)
 
     @property
     def interval(self):
@@ -287,12 +284,12 @@ class JacobiModel:
     family = "jacobi"
 
     def __post_init__(self):
-        _require(math.isfinite(self.a) and math.isfinite(self.b), "a, b must be finite")
-        _require(self.a < self.b, f"need a < b, got a={self.a}, b={self.b}")
-        _require(self.kappa > 0.0, f"kappa must be positive, got {self.kappa}")
-        _require(self.a < self.theta < self.b, f"theta must lie in (a, b), got {self.theta}")
-        _require(self.sigma > 0.0, f"sigma must be positive, got {self.sigma}")
-        _require(self.a < self.x0 < self.b, f"x0 must lie in (a, b), got {self.x0}")
+        check_real("a", self.a)
+        check_real("b", self.b, gt=self.a)
+        for name in ("kappa", "sigma"):
+            check_real(name, getattr(self, name), gt=0.0)
+        for name in ("theta", "x0"):
+            check_real(name, getattr(self, name), gt=self.a, lt=self.b)
 
     @property
     def interval(self):
@@ -379,10 +376,10 @@ class PowerModel:
     family = "power"
 
     def __post_init__(self):
-        _require(self.alpha > 1.0, f"alpha must exceed 1, got {self.alpha}")
-        _require(0.0 <= self.delta < 1.0, f"delta must lie in [0, 1), got {self.delta}")
-        _require(self.sigma > 0.0, f"sigma must be positive, got {self.sigma}")
-        _require(math.isfinite(self.x0), f"x0 must be finite, got {self.x0}")
+        check_real("alpha", self.alpha, gt=1.0)
+        check_real("delta", self.delta, ge=0.0, lt=1.0)
+        check_real("sigma", self.sigma, gt=0.0)
+        check_real("x0", self.x0)
 
     @property
     def interval(self):
@@ -454,8 +451,9 @@ class CustomModel:
         _require(callable(self.drift_fn), "drift_fn must be callable")
         _require(callable(self.diffusion_fn), "diffusion_fn must be callable")
         l, r = self.interval_bounds
-        _require(l < r, f"interval must be nonempty, got ({l}, {r})")
-        _require(l < self.x0 < r, f"x0 must lie inside ({l}, {r}), got {self.x0}")
+        _require(isinstance(l, numbers.Real) and isinstance(r, numbers.Real) and l < r,
+                 f"interval must be two increasing reals, got ({l!r}, {r!r})")
+        check_real("x0", self.x0, gt=l, lt=r)
 
     @property
     def interval(self):
@@ -526,12 +524,11 @@ class ScaleContext:
 
     def __post_init__(self):
         l, r = self.model.interval
-        c = self.model.x0 if self.c is None else float(self.c)
-        _require(l < c < r, f"base point c={c} must lie strictly inside ({l}, {r})")
-        object.__setattr__(self, "c", c)
-        _require(math.isfinite(self.beta), f"beta must be finite, got {self.beta}")
-        _require(math.isfinite(self.gamma), f"gamma must be finite, got {self.gamma}")
-        _require(self.quad_tol > 0.0, f"quad_tol must be positive, got {self.quad_tol}")
+        c = check_real("c", self.model.x0 if self.c is None else self.c, gt=l, lt=r)
+        object.__setattr__(self, "c", c if self.c is None else float(c))
+        check_real("beta", self.beta)
+        check_real("gamma", self.gamma)
+        check_real("quad_tol", self.quad_tol, gt=0.0)
         object.__setattr__(self, "max_panels", check_count("max_panels", self.max_panels, 64))
         k0, kp0 = kernel_scalars(self.kernel)
         object.__setattr__(self, "_k0", float(k0))
@@ -631,9 +628,10 @@ class ScaleContext:
         # interior zeros of sigma a model declares; none for custom models
         return getattr(self.model, "interior_singularities", tuple)()
 
-    def _edges(self, lo, hi, n_panels):
+    def _edges(self, lo, hi, n_panels, extra=()):
+        # sorted distinct edges: the base grid of n_panels on [lo, hi], and extra's
         half = max(n_panels // 2, 8)
-        parts = [outward_edges(lo, hi, half), outward_edges(hi, lo, half)]
+        parts = [outward_edges(lo, hi, half), outward_edges(hi, lo, half), *extra]
         # integrands on wide single-sign intervals vary on a log scale, so
         # endpoint grading alone starves the interior; keep panels per decade
         if lo > 0.0 and hi >= 16.0 * lo:
@@ -862,11 +860,11 @@ class ScaleContext:
         sign = 1.0 if far > self.c else -1.0
         grids = []  # (edges, index of each x among them), outward
         for n_panels in counts:
-            parts = [self._edges(lo, hi, n_panels), uniq]
+            extra = [uniq]
             for s in ends:
                 d = _depths(s, hi - lo, n_panels)
-                parts.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
-            edges = np.unique(np.concatenate(parts))
+                extra.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
+            edges = self._edges(lo, hi, n_panels, extra)
             at = np.searchsorted(edges, uniq)  # every x is an edge
             grids.append((edges, at) if sign > 0.0 else (edges[::-1], len(edges) - 1 - at[::-1]))
         if sign < 0.0:
@@ -935,7 +933,10 @@ class ScaleContext:
         hi = np.column_stack([_gauss_nodes(a, b), b])
         span = hi - lo
         pair = np.stack([lo, hi])
-        g = np.max(np.abs(2.0 * self.b_tilde_shifted(pair) / self.sigma_tilde_sq(pair)), axis=0)
+        # sigma~^2 may be subnormal next to an endpoint: inf takes the finest grading
+        with np.errstate(over="ignore"):
+            g = 2.0 * self.b_tilde_shifted(pair) / self.sigma_tilde_sq(pair)
+        g = np.max(np.abs(g), axis=0)
         rel0 = np.clip(1.0 / (np.fmax(g, 1.0) * np.abs(span)), 1e-13, 0.5)
         n_dbl = int(min(45, max(4, math.ceil(-math.log2(float(np.min(rel0)))))))
         ladder = np.minimum(rel0[..., None] * 2.0 ** np.arange(n_dbl + 1), 0.5)

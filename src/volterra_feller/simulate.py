@@ -45,7 +45,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import PreconditionError, check_count
+from .errors import PreconditionError, check_count, check_real
 
 __all__ = [
     "SimConfig",
@@ -89,18 +89,15 @@ class SimConfig:
     blowup_cap: float = 1e6
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.dt <= self.horizon < math.inf):
-            raise ValueError(f"horizon must be finite and at least dt, got {self.horizon}")
+        check_real("dt", self.dt, gt=0.0)
+        check_real("horizon", self.horizon, ge=self.dt)
         object.__setattr__(self, "n_paths", check_count("n_paths", self.n_paths, 1))
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0, 2**64 - 1))
-        if self.hit_eps is not None and not self.hit_eps > 0.0:
-            raise ValueError(f"hit_eps must be positive, got {self.hit_eps}")
-        if not self.blowup_cap > 0.0:
-            raise ValueError(f"blowup_cap must be positive, got {self.blowup_cap}")
+        if self.hit_eps is not None:
+            check_real("hit_eps", self.hit_eps, gt=0.0)
+        check_real("blowup_cap", self.blowup_cap, gt=0.0)
 
     @property
     def n_steps(self):
@@ -359,10 +356,8 @@ def verdict_crosscheck(verdicts, report, leak_tol=0.02, floor_tol=0.05):
     Returns {"consistent": bool, "checks": [...]} with one entry per
     verdict.
     """
-    if not 0.0 <= leak_tol < 1.0:
-        raise ValueError(f"leak_tol must lie in [0, 1), got {leak_tol}")
-    if not 0.0 < floor_tol <= 1.0:
-        raise ValueError(f"floor_tol must lie in (0, 1], got {floor_tol}")
+    check_real("leak_tol", leak_tol, ge=0.0, lt=1.0)
+    check_real("floor_tol", floor_tol, gt=0.0, le=1.0)
     try:
         verdicts = list(verdicts)
     except TypeError:
@@ -411,6 +406,9 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
 
     Returns one row per dt: {"dt", "max_terminal_gap"}.
     """
+    check_real("horizon", horizon, gt=0.0)
+    n_paths = check_count("n_paths", n_paths, 1)
+    seed = check_count("seed", seed, 0, 2**64 - 1)
     dts = sorted(float(d) for d in np.atleast_1d(np.asarray(dts, dtype=float)))
     if not dts or dts[0] <= 0.0:
         raise ValueError("dts must be positive step sizes")

@@ -440,6 +440,8 @@ _GOLDEN_ERRORS = [
     ("bad_tuple", _golden_config("cir", "two_rate").replace("1.0, 2.0", "1.0, fast")),
     # appended lines land in [kernel], the last section
     ("unknown_key", _golden_config("cir", "truncfrac") + "cap = 2.0\n"),
+    # configparser reads inf as a float; it certified NoExitAS with gap inf
+    ("inf_kappa", _golden_config("cir", "constant").replace("kappa = 1.0", "kappa = inf")),
 ]
 _GOLDEN_CASES = (
     [(f"{name}_{fmt}", argv, cfg, fmt) for name, argv, cfg in _GOLDEN_RUNS

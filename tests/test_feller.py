@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from volterra_feller import (
     SimConfig,
     SumOfExponentialsKernel,
     TruncatedFractionalKernel,
+    TruncationScheme,
     UserKernel,
     Verdict,
     bounded_interval_test,
@@ -27,8 +30,11 @@ from volterra_feller import (
     check_hypotheses,
     sufficient_test,
     sup_inf_test,
+    verdict_crosscheck,
 )
 from volterra_feller.errors import PreconditionError
+from volterra_feller.scale import kernel_scalars
+from volterra_feller.simulate import scheme_discrepancy
 
 
 def _find(verdicts, theorem, boundary=None):
@@ -167,6 +173,42 @@ def test_necessary_matches_family_on_cir(sloped_kernel):
             assert nec.boundary == Boundary.LEFT
         else:
             assert nec.verdict == Verdict.NECESSARY_HOLDS
+
+
+def test_necessary_on_a_bounded_interval_matches_family(sloped_kernel):
+    # the default shift margin is 1e-6 of the interval's width, here 4
+    for x0 in [0.0, 1.0, 2.0]:
+        model = JacobiModel(-1.0, 3.0, 1.0, 1.0, 1.5, x0)
+        nec = necessary_test(ScaleContext(model, sloped_kernel))
+        assert nec.verdict == Verdict.EXITS_WITH_POSITIVE_PROB
+        both = nec.boundary == Boundary.BOTH
+        sides = {Boundary.LEFT, Boundary.RIGHT} if both else {nec.boundary}
+        fam = _find(family_test(model, sloped_kernel), "jacobi-necessary")
+        assert sides == {v.boundary for v in fam if v.verdict == Verdict.EXITS_WITH_POSITIVE_PROB}
+        assert nec.evidence[-1] == ("eps_shift", 1e-6 * 4.0, 0.0)
+
+
+def test_cir_threshold_without_kernel_slope_follows_the_sufficient_gap():
+    # with K'(0) = 0 exit does not depend on x0: the threshold is +inf when
+    # the sufficient gap is negative, -inf when it is not
+    assert CIRModel(1.0, 0.25, 1.0, 1.0).necessary_threshold(1.0, 0.0) == math.inf
+    assert CIRModel(1.0, 0.5, 1.0, 1.0).necessary_threshold(1.0, 0.0) == -math.inf
+    assert CIRModel(1.0, 1.0, 1.0, 1.0).necessary_threshold(1.0, 0.0) == -math.inf
+
+
+def test_unsettled_sweeps_to_a_finite_endpoint_leave_verdicts_inconclusive(sloped_kernel):
+    # 64 base panels allow one round, so no sweep of the custom clone settles:
+    # the swept limit is inconclusive with NumericError's details, and the
+    # staged sufficient test stops at its first stage instead of raising
+    jm = JacobiModel(0.0, 1.0, 1.0, 0.5, 1.0, 0.5)
+    clone = CustomModel(jm.drift, jm.diffusion, jm.interval, jm.x0)
+    ctx = ScaleContext(clone, sloped_kernel, max_panels=64)
+    lim = ctx.boundary_limit("right")
+    assert (lim.kind, lim.value, lim.method) == ("inconclusive", None, "sweep")
+    assert lim.evidence["max_panels"] == 64
+    out = sufficient_test(ctx)
+    assert out.verdict == Verdict.INCONCLUSIVE
+    assert not any(label.startswith("v at stage point") for label, _, _ in out.evidence)
 
 
 def test_verdict_survives_moving_the_base_point(sloped_kernel):
@@ -513,3 +555,156 @@ def test_approach_points_must_stay_floats_inside_the_interval(unit_kernel):
         sufficient_test(ctx, n_stages=60)
     with pytest.raises(ValueError, match="^n_stages must be at most 1023 toward the right"):
         sufficient_test(_CIR_CTX, n_stages=1100)
+
+
+class _Scalars:
+    # a kernel reporting the given K(0) and K'(0)
+    def __init__(self, k0, kp0):
+        self.scalars = (k0, kp0)
+
+    def k0_kprime0(self):
+        return self.scalars
+
+
+def _jacobi(**kw):
+    return JacobiModel(**{"a": 0.0, "b": 2.0, "kappa": 1.0, "theta": 1.0, "sigma": 1.0,
+                          "x0": 1.0, **kw})
+
+
+def _keeps_nothing(call):
+    # a site that keeps no copy of the value
+    def site(value):
+        call(value)
+
+    return site
+
+
+_GRID = solve_resolvent(ConstantKernel(1.0), 0.5, 2.0)
+_NO_HITS = SimpleNamespace(hit_fraction_left=0.0, hit_fraction_right=0.0, hit_fraction=0.0)
+
+# every scalar real parameter: site -> (name, call with the value, which
+# returns the value as the site kept it or None if it keeps none, a valid
+# value, a finite value outside the domain or None if there is none)
+_REAL_PARAMETERS = {
+    "CIRModel.kappa": ("kappa", lambda v: CIRModel(v, 1.0, 1.0, 1.0).kappa, 2, 0.0),
+    "CIRModel.theta": ("theta", lambda v: CIRModel(1.0, v, 1.0, 1.0).theta, 2, -1.0),
+    "CIRModel.sigma": ("sigma", lambda v: CIRModel(1.0, 1.0, v, 1.0).sigma, 2, 0.0),
+    "CIRModel.x0": ("x0", lambda v: CIRModel(1.0, 1.0, 1.0, v).x0, 2, 0.0),
+    "JacobiModel.a": ("a", lambda v: _jacobi(a=v).a, 0, None),
+    "JacobiModel.b": ("b", lambda v: _jacobi(b=v).b, 3, 0.0),
+    "JacobiModel.kappa": ("kappa", lambda v: _jacobi(kappa=v).kappa, 2, -1.0),
+    "JacobiModel.theta": ("theta", lambda v: _jacobi(theta=v).theta, 1, 2.0),
+    "JacobiModel.sigma": ("sigma", lambda v: _jacobi(sigma=v).sigma, 2, 0.0),
+    "JacobiModel.x0": ("x0", lambda v: _jacobi(x0=v).x0, 1, 0.0),
+    "PowerModel.alpha": ("alpha", lambda v: PowerModel(v, 0.5, 1.0, 1.0).alpha, 2, 1.0),
+    "PowerModel.delta": ("delta", lambda v: PowerModel(1.5, v, 1.0, 1.0).delta, 0, 1.0),
+    "PowerModel.sigma": ("sigma", lambda v: PowerModel(1.5, 0.5, v, 1.0).sigma, 2, 0.0),
+    "PowerModel.x0": ("x0", lambda v: PowerModel(1.5, 0.5, 1.0, v).x0, -1, None),
+    "CustomModel.x0": ("x0", lambda v: CustomModel(np.negative, np.ones_like, (0.0, math.inf),
+                                                   v).x0, 1, -1.0),
+    "ScaleContext.beta": ("beta", lambda v: _CIR_CTX.with_shifts(v, 0.0).beta, 1, None),
+    "ScaleContext.gamma": ("gamma", lambda v: _CIR_CTX.with_shifts(0.0, v).gamma, 1, None),
+    "ScaleContext.quad_tol": ("quad_tol", lambda v: ScaleContext(
+        _CIR_CTX.model, _CIR_CTX.kernel, quad_tol=v).quad_tol, 1, 0.0),
+    "ScaleContext.c": ("c", lambda v: _CIR_CTX.with_base(v).c, 0.5, 0.0),
+    "kernel_scalars.K(0)": ("K(0)", lambda v: kernel_scalars(_Scalars(v, -1.0))[0], 2, 0.0),
+    "kernel_scalars.K'(0)": ("K'(0)", lambda v: kernel_scalars(_Scalars(1.0, v))[1], 0, 0.5),
+    "ConstantKernel.level": ("level", lambda v: ConstantKernel(v).level, 2, 0.0),
+    "TruncatedFractionalKernel.alpha": (
+        "alpha", lambda v: TruncatedFractionalKernel(v, 4.0).alpha, 0.5, 1.0),
+    "TruncatedFractionalKernel.T": ("T", lambda v: TruncatedFractionalKernel(0.5, v).T, 4, 0.0),
+    "UserKernel.k0": ("k0", lambda v: UserKernel(np.exp, v, -1.0).k0_kprime0()[0], 2.0, 0.0),
+    "UserKernel.kprime0": (
+        "kprime0", lambda v: UserKernel(np.exp, 1.0, v).k0_kprime0()[1], -1.0, None),
+    "TruncationScheme.alpha": ("alpha", lambda v: TruncationScheme(v, 4.0).alpha, 0.5, 0.0),
+    "TruncationScheme.T": ("T", lambda v: TruncationScheme(0.5, v).T, 4, -1.0),
+    "QuadratureScheme.alpha": (
+        "alpha", lambda v: QuadratureScheme(v, (0.0, 1.0)).alpha, 0.5, 1.0),
+    "geometric_nodes.ratio": (
+        "ratio", _keeps_nothing(lambda v: geometric_nodes(2, ratio=v)), 2, 1.0),
+    "geometric_nodes.xi1": (
+        "xi1", _keeps_nothing(lambda v: geometric_nodes(2, xi1=v)), 2, 0.0),
+    "solve_resolvent.dt": (
+        "dt", lambda v: solve_resolvent(ConstantKernel(1.0), v, 2.0).dt, 1, 0.0),
+    "solve_resolvent.horizon": (
+        "horizon", lambda v: solve_resolvent(ConstantKernel(1.0), 0.5, v).horizon, 2, -1.0),
+    "check_hypotheses.tol": ("tol", lambda v: check_hypotheses(_GRID, tol=v).tol, 1, 0.0),
+    "SimConfig.dt": ("dt", lambda v: SimConfig(dt=v, horizon=2.0, n_paths=1).dt, 1, 0.0),
+    "SimConfig.horizon": (
+        "horizon", lambda v: SimConfig(dt=0.5, horizon=v, n_paths=1).horizon, 2, 0.25),
+    "SimConfig.hit_eps": (
+        "hit_eps", lambda v: SimConfig(dt=0.5, horizon=1.0, n_paths=1, hit_eps=v).hit_eps, 1,
+        0.0),
+    "SimConfig.blowup_cap": ("blowup_cap", lambda v: SimConfig(
+        dt=0.5, horizon=1.0, n_paths=1, blowup_cap=v).blowup_cap, 100, 0.0),
+    "verdict_crosscheck.leak_tol": ("leak_tol", _keeps_nothing(
+        lambda v: verdict_crosscheck([], _NO_HITS, leak_tol=v)), 0, 1.0),
+    "verdict_crosscheck.floor_tol": ("floor_tol", _keeps_nothing(
+        lambda v: verdict_crosscheck([], _NO_HITS, floor_tol=v)), 1, 0.0),
+    "necessary_test.eps_shift": (
+        "eps_shift", _keeps_nothing(lambda v: necessary_test(_CIR_CTX, eps_shift=v)), 1e-6, 0.0),
+    "scheme_discrepancy.horizon": ("horizon", _keeps_nothing(lambda v: scheme_discrepancy(
+        _CIR_CTX.model, ConstantKernel(1.0), [0.5], v, n_paths=1)), 1, -1.0),
+}
+# None is the default of these, not an invalid value
+_NONE_IS_DEFAULT = ("ScaleContext.c", "SimConfig.hit_eps", "check_hypotheses.tol",
+                    "necessary_test.eps_shift")
+_REAL_REJECTS = [
+    (site, bad) for site, (_, _, _, outside) in _REAL_PARAMETERS.items()
+    for bad in [math.inf, -math.inf, math.nan, None, "1", 1 + 0j, [1.0], outside]
+    if not (bad is None and (site in _NONE_IS_DEFAULT or bad is outside))
+]
+
+
+@pytest.mark.parametrize("site, bad", _REAL_REJECTS,
+                         ids=[f"{site}-{bad!r}" for site, bad in _REAL_REJECTS])
+def test_real_parameters_reject_nonfinite_nonreal_and_out_of_domain_values(site, bad):
+    # one rule for every real parameter: inf reached verdicts (a CIR kappa of
+    # inf certified NoExitAS), nan or strings slipped through some checks and
+    # raised TypeError at others
+    name = _REAL_PARAMETERS[site][0]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
+        _REAL_PARAMETERS[site][1](bad)
+
+
+@pytest.mark.parametrize("site", list(_REAL_PARAMETERS))
+def test_real_parameters_keep_valid_values_as_given(site):
+    # ints stay ints, so they reach evidence and echoes as they did
+    _, call, valid, _ = _REAL_PARAMETERS[site]
+    kept = call(valid)
+    assert kept is None or (kept == valid and type(kept) is type(valid))
+
+
+def test_inputs_that_used_to_reach_results_are_rejected():
+    with pytest.raises(ValueError, match="^kappa must be finite and > 0.0, got inf$"):
+        CIRModel(math.inf, 1.0, 1.0, 1.0)  # certified NoExitAS with gap inf
+    with pytest.raises(ValueError, match="^x0 must be finite"):
+        CIRModel(1.0, 1.0, 1.0, math.inf)  # accepted on (0, inf)
+    with pytest.raises(ValueError, match="^quad_tol must be finite"):
+        ScaleContext(_CIR_CTX.model, _CIR_CTX.kernel, quad_tol=math.inf)  # any rounds agreed
+    with pytest.raises(ValueError, match="^hit_eps must be finite"):
+        SimConfig(dt=0.01, horizon=1.0, n_paths=1, hit_eps=math.inf)  # every path hit at once
+    with pytest.raises(ValueError, match="^sigma must be finite and > 0.0, got '1'$"):
+        CIRModel(1.0, 1.0, "1", 1.0)  # a TypeError that named nothing
+    with pytest.raises(ValueError, match="^horizon must be finite"):
+        scheme_discrepancy(_CIR_CTX.model, ConstantKernel(1.0), [0.5], -1.0)  # returned a row
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        scheme_discrepancy(_CIR_CTX.model, ConstantKernel(1.0), [0.5], 1.0, seed=1.5)  # ran
+
+
+@pytest.mark.parametrize("bad", [math.inf, 4.5, None, "3", 1 + 0j])
+def test_scheme_discrepancy_counts_are_checked(bad):
+    run = lambda **kw: scheme_discrepancy(_CIR_CTX.model, ConstantKernel(1.0), [0.5], 1.0, **kw)
+    with pytest.raises(ValueError, match="^n_paths must"):
+        run(n_paths=bad)
+    with pytest.raises(ValueError, match="^seed must"):
+        run(seed=bad)
+    assert run(n_paths=2.0, seed=3.0) == run(n_paths=2, seed=3)
+
+
+def test_custom_interval_ends_must_be_ordered_reals():
+    # infinite ends are fine; nan or a non-real end is not
+    assert CustomModel(np.negative, np.ones_like, (-math.inf, math.inf), 0.0).x0 == 0.0
+    for ends in [(math.nan, 1.0), (0.0, "1"), (None, 1.0), (1.0, 0.0)]:
+        with pytest.raises(ValueError, match="^interval must"):
+            CustomModel(np.negative, np.ones_like, ends, 0.5)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,16 @@ def test_hypothesis_report_flags_negative_density():
     assert not report.density_nonnegative
     assert not report.passed
     assert report.density_min == pytest.approx(-4.0, abs=0.1)
+
+
+def test_infinite_or_nan_tol_is_rejected():
+    # tol = inf passed a forged density of -4
+    grid = solve_resolvent(SumOfExponentialsKernel([1.0], [1.0]), dt=1e-2, horizon=0.5)
+    bad = dataclasses.replace(grid, density=grid.density - 5.0)
+    assert not check_hypotheses(bad, tol=0.1).passed
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^tol must be finite"):
+            check_hypotheses(bad, tol=tol)
 
 
 def test_solver_input_validation():

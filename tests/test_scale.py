@@ -1059,6 +1059,23 @@ def test_sampled_limit_that_does_not_stabilize_is_inconclusive(unit_kernel):
     assert label.startswith("v(left+)") and math.isnan(value)
 
 
+def test_v_next_to_a_finite_endpoint_does_not_overflow():
+    # within about 1e-308 of 0, sigma~^2 is subnormal and the graded inner
+    # rule's drift scale 2 b~ / sigma~^2 overflowed with a RuntimeWarning
+    ctx = ScaleContext(JacobiModel(0, 1, 1, 0.5, 1, 0.5), ConstantKernel(1))
+    far = ctx.v(1e-300)
+    near = ctx.v(1.1125369292535e-311)
+    assert far == pytest.approx(689.389, abs=1e-3)
+    assert math.isfinite(near) and near > far
+
+
+def test_v_on_a_wide_negative_leg_matches_nested_quad():
+    # the leg [-1, -0.05] takes _edges' geometric panels on the negative side;
+    # the value is nested scipy quad's
+    ctx = ScaleContext(PowerModel(1.5, 0.0, 1.0, -0.05), ConstantKernel(1.0))
+    assert ctx.v(-1.0) == pytest.approx(1.19251346180281, rel=10 * ctx.quad_tol)
+
+
 def test_graded_inner_integral_with_unit_weight_is_pinned(unit_kernel):
     # drift 1/x^2, sigma = 1 on (0, 1), c = 0.5: p' = e^(2/y - 4), so toward 0
     # v's inner integrand spans thousands of nats per panel and v's sweep

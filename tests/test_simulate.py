@@ -47,6 +47,15 @@ def test_config_validation():
     assert SimConfig(dt=0.25, horizon=1.1, n_paths=3).n_steps == 4
 
 
+def test_explicit_hit_eps_sets_the_hit_band(cir_111, unit_kernel):
+    # the same paths, hit 0.5 from 0 instead of the default 1e-4
+    cfg = SimConfig(dt=0.01, horizon=0.5, n_paths=64, seed=1)
+    default = simulate(cir_111, unit_kernel, cfg)
+    wide = simulate(cir_111, unit_kernel, dataclasses.replace(cfg, hit_eps=0.5))
+    assert (default.hit_eps, wide.hit_eps) == (1e-4, 0.5)
+    assert wide.n_hit_left > default.n_hit_left
+
+
 def test_seeds_keep_their_own_streams_up_to_2_64(cir_111, unit_kernel):
     # Philox keys are built as uint64: a list [seed, i] would go through
     # float64 from 2^63 on and give neighbouring seeds one stream
