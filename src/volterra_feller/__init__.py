@@ -13,73 +13,16 @@ resolvent of the first kind used to validate the standing hypotheses
 front end (``cli``).
 """
 
-from .kernels import (
-    ConstantKernel,
-    SumOfExponentialsKernel,
-    TruncatedFractionalKernel,
-    UserKernel,
-    kernel_from_dict,
-    kernel_to_dict,
-)
-from .resolvent import ResolventGrid, HypothesisReport, solve_resolvent, check_hypotheses
-from .scale import CIRModel, JacobiModel, PowerModel, CustomModel, ScaleContext, LimitResult
-from .feller import (
-    Boundary,
-    Verdict,
-    BoundaryVerdict,
-    family_test,
-    necessary_test,
-    sufficient_test,
-    bounded_interval_test,
-    sup_inf_test,
-    fractional_condition_study,
-)
-from .fracapprox import (
-    TruncationScheme,
-    QuadratureScheme,
-    geometric_nodes,
-    truncation_kernel,
-    gaussian_quadrature_kernel,
-    approximation_error,
-)
-from .simulate import SimConfig, SimulationReport, simulate, verdict_crosscheck
+from . import kernels, resolvent, scale, feller, fracapprox
+from . import simulate as _simulate  # the package's ``simulate`` is the function
+from .kernels import *
+from .resolvent import *
+from .scale import *
+from .feller import *
+from .fracapprox import *
+from .simulate import *
 
-__all__ = [
-    "ConstantKernel",
-    "SumOfExponentialsKernel",
-    "TruncatedFractionalKernel",
-    "UserKernel",
-    "kernel_from_dict",
-    "kernel_to_dict",
-    "ResolventGrid",
-    "HypothesisReport",
-    "solve_resolvent",
-    "check_hypotheses",
-    "CIRModel",
-    "JacobiModel",
-    "PowerModel",
-    "CustomModel",
-    "ScaleContext",
-    "LimitResult",
-    "Boundary",
-    "Verdict",
-    "BoundaryVerdict",
-    "family_test",
-    "necessary_test",
-    "sufficient_test",
-    "bounded_interval_test",
-    "sup_inf_test",
-    "fractional_condition_study",
-    "TruncationScheme",
-    "QuadratureScheme",
-    "geometric_nodes",
-    "truncation_kernel",
-    "gaussian_quadrature_kernel",
-    "approximation_error",
-    "SimConfig",
-    "SimulationReport",
-    "simulate",
-    "verdict_crosscheck",
-]
+__all__ = [name for module in (kernels, resolvent, scale, feller, fracapprox, _simulate)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -44,7 +44,7 @@ from dataclasses import MISSING, asdict, fields, is_dataclass
 
 from . import feller
 from .errors import NumericError, PreconditionError
-from .fracapprox import STAND_INS, _error_rows, stand_in_kernel, stand_in_scheme
+from .fracapprox import STAND_INS, _error_rows, stand_in_scheme
 from .kernels import KERNEL_KINDS
 from .resolvent import check_hypotheses, solve_resolvent
 from .scale import CIRModel, JacobiModel, PowerModel, ScaleContext
@@ -397,7 +397,7 @@ def _cmd_approx(args):
                        "ratio": args.ratio, "xi1": args.xi1})
     scheme = stand_in_scheme(args.scheme, args.alpha, size,
                              q=args.q, ratio=args.ratio, xi1=args.xi1)
-    kernel = stand_in_kernel(scheme)
+    kernel = scheme.kernel()
     k0, kp0 = kernel.k0_kprime0()
     a_echo["k0"] = float(k0)
     a_echo["kprime0"] = float(kp0)

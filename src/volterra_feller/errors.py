@@ -10,7 +10,9 @@ integral float in range is used as an ``int``; anything else, inf, nan,
 strings, complex numbers and None included, raises ``ValueError`` with a
 message starting with its name.  Every scalar real parameter goes through
 :func:`check_real` the same way: a finite real number inside the
-parameter's bounds is returned as it came, anything else raises.
+parameter's bounds is returned as it came, anything else raises.  Every
+array of reals goes through :func:`check_reals`: each entry must be a finite
+real number, and the array comes back as a tuple of floats.
 """
 
 import math
@@ -54,3 +56,14 @@ def check_real(name, value, gt=None, ge=None, lt=None, le=None):
     bounds = ((">", gt), (">=", ge), ("<", lt), ("<=", le))
     domain = "".join(f" and {sign} {bound}" for sign, bound in bounds if bound is not None)
     raise ValueError(f"{name} must be finite{domain}, got {value!r}")
+
+
+def check_reals(name, values):
+    """``values`` as a tuple of floats, if each entry passes
+    :func:`check_real` (a lone number counts as one entry); else the
+    ``ValueError`` of the first bad entry, naming ``name``."""
+    try:
+        entries = tuple(values)
+    except TypeError:
+        entries = (values,)
+    return tuple(float(check_real(f"{name} entries", value)) for value in entries)

@@ -32,10 +32,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .errors import NumericError, PreconditionError, check_count, check_real
-from .fracapprox import STAND_INS, stand_in_kernel, stand_in_scheme
+from .errors import NumericError, PreconditionError, check_count, check_real, check_reals
+from .fracapprox import STAND_INS, stand_in_scheme
 from .scale import DIVERGENCE_CAP, kernel_scalars
 
 __all__ = [
@@ -406,17 +404,17 @@ def fractional_condition_study(model, alpha, sweep, scheme="truncation",
         raise PreconditionError("fractional_condition_study needs a square-root model")
     if scheme not in STAND_INS:
         raise ValueError(f"scheme must be one of {STAND_INS}, got {scheme!r}")
-    values = list(np.atleast_1d(np.asarray(sweep, dtype=float)))
+    values = check_reals("sweep", sweep)
     if not values:
         raise ValueError("sweep must be nonempty")
     regime = _study_regime(scheme, alpha)
     rows = []
     for value in values:
-        kernel = stand_in_kernel(stand_in_scheme(scheme, alpha, value, q=q, ratio=ratio, xi1=xi1))
+        kernel = stand_in_scheme(scheme, alpha, value, q=q, ratio=ratio, xi1=xi1).kernel()
         k0, kp0 = kernel.k0_kprime0()
         rows.append(
             {
-                "sweep": float(value),
+                "sweep": value,
                 "k0": float(k0),
                 "kprime0": float(kp0),
                 "necessary_threshold": float(model.necessary_threshold(k0, kp0)),

@@ -18,20 +18,20 @@ mu(dx) = x**(-alpha)/(Gamma(alpha)Gamma(1-alpha)) dx.
   fractional weight only on the first interval and uses the flat weight dx on
   the rest, which changes how K(0) and K'(0) scale with the ladder length.
 
+Each scheme builds its own stand-in with ``kernel()``.
+
 Gauss rules are built from power moments of the weight on each interval.  The
 moments have closed forms, but the Hankel reduction is ill conditioned in
 float64 well before q = 12, so the linear algebra runs in mpmath at 60 digits
 and only the final nodes and masses are rounded back to float.
 """
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from .errors import NumericError, check_count, check_real
+from .errors import NumericError, check_count, check_real, check_reals
 from .kernels import SumOfExponentialsKernel, TruncatedFractionalKernel
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "QuadratureScheme",
     "geometric_nodes",
     "stand_in_scheme",
-    "stand_in_kernel",
     "truncation_kernel",
     "gaussian_quadrature_kernel",
     "approximation_error",
@@ -62,6 +61,9 @@ class TruncationScheme:
     def __post_init__(self):
         check_real("alpha", self.alpha, gt=0.0, lt=1.0)
         check_real("T", self.T, gt=0.0)
+
+    def kernel(self):
+        return TruncatedFractionalKernel(self.alpha, self.T)
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,10 @@ class QuadratureScheme:
 
     def __post_init__(self):
         check_real("alpha", self.alpha, gt=0.0, lt=1.0)
-        pts = tuple(float(v) for v in np.atleast_1d(self.nodes))
+        pts = check_reals("nodes", self.nodes)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints (one interval)")
-        if pts[0] < 0.0 or not all(map(math.isfinite, pts)):
+        if pts[0] < 0.0:
             raise ValueError("breakpoints must be finite and nonnegative")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("breakpoints must be strictly increasing")
@@ -104,6 +106,9 @@ class QuadratureScheme:
     @property
     def n_intervals(self):
         return len(self.nodes) - 1
+
+    def kernel(self):
+        return gaussian_quadrature_kernel(self)
 
 
 def geometric_nodes(n_intervals, ratio=6.4, xi1=1.0):
@@ -137,11 +142,10 @@ def stand_in_scheme(name, alpha, size, q=1, ratio=6.4, xi1=1.0):
 def truncation_kernel(alpha, T=None):
     """Kernel for ``TruncationScheme(alpha, T)``; accepts the scheme itself too."""
     if isinstance(alpha, TruncationScheme):
-        scheme = alpha
-        return TruncatedFractionalKernel(scheme.alpha, scheme.T)
+        return alpha.kernel()
     if T is None:
         raise ValueError("T is required when alpha is given as a number")
-    return TruncatedFractionalKernel(float(alpha), float(T))
+    return TruncatedFractionalKernel(alpha, T)
 
 
 def _interval_moments(alpha, lo, hi, count, fractional):
@@ -234,15 +238,6 @@ def gaussian_quadrature_kernel(scheme):
     return SumOfExponentialsKernel(weights=tuple(all_weights), rates=tuple(all_rates))
 
 
-def stand_in_kernel(scheme):
-    """The kernel of a ``TruncationScheme`` or ``QuadratureScheme``."""
-    if isinstance(scheme, TruncationScheme):
-        return truncation_kernel(scheme)
-    if isinstance(scheme, QuadratureScheme):
-        return gaussian_quadrature_kernel(scheme)
-    raise TypeError("scheme must be a TruncationScheme or QuadratureScheme")
-
-
 def approximation_error(scheme, t_grid):
     """Pointwise comparison against t**(alpha-1)/Gamma(alpha) on a lag grid.
 
@@ -250,15 +245,17 @@ def approximation_error(scheme, t_grid):
     kernel, and absolute/relative errors.  Lags must be strictly positive; the
     fractional kernel has no value at 0.
     """
-    return _error_rows(stand_in_kernel(scheme), scheme.alpha, t_grid)
+    if not hasattr(scheme, "kernel"):
+        raise TypeError("scheme must be a TruncationScheme or QuadratureScheme")
+    return _error_rows(scheme.kernel(), scheme.alpha, t_grid)
 
 
 def _error_rows(kernel, alpha, t_grid):
     # approximation_error for a stand-in kernel already built
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t.size == 0:
+    t = check_reals("t_grid", t_grid)
+    if not t:
         raise ValueError("t_grid must be nonempty")
-    if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
+    if min(t) <= 0.0:
         raise ValueError("lags must be finite and strictly positive")
     from scipy.special import gamma  # imported on use: scipy.special takes 0.25 s to load
 
@@ -269,7 +266,7 @@ def _error_rows(kernel, alpha, t_grid):
         exact = ti ** (alpha - 1.0) / galpha
         err = approx - exact
         rows.append({
-            "t": float(ti),
+            "t": ti,
             "approx": float(approx),
             "exact": float(exact),
             "abs_error": float(abs(err)),

@@ -30,12 +30,11 @@ constant kernel, or None when the kernel has none.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import check_real
+from .errors import check_real, check_reals
 
 __all__ = [
     "ConstantKernel",
@@ -98,13 +97,13 @@ class SumOfExponentialsKernel:
     rates: tuple
 
     def __post_init__(self):
-        w = tuple(float(v) for v in np.atleast_1d(self.weights))
-        r = tuple(float(v) for v in np.atleast_1d(self.rates))
+        w = check_reals("weights", self.weights)
+        r = check_reals("rates", self.rates)
         if len(w) != len(r) or not w:
             raise ValueError("weights and rates must be equal-length, nonempty")
-        if any(not (v > 0.0 and math.isfinite(v)) for v in w):
+        if any(v <= 0.0 for v in w):
             raise ValueError("all weights must be positive finite reals")
-        if any(v < 0.0 or not math.isfinite(v) for v in r):
+        if any(v < 0.0 for v in r):
             raise ValueError("all rates must be nonnegative finite reals")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rates", r)

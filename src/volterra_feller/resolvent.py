@@ -10,7 +10,10 @@ and the function (K' * L) is what the boundary tests' standing hypotheses
 constrain: it must be nonpositive and nondecreasing.  This module discretizes
 the convolution identity with the atom handled exactly and the density part
 by the left-rectangle rule, solves the resulting lower-triangular Toeplitz
-system by forward substitution, and checks the hypotheses on the grid.
+system by one forward substitution for every kernel, and checks the
+hypotheses on the grid.  Kernels with a sum-of-exponentials form are
+completely monotone, so the hypotheses hold for them by construction and
+verdicts never need the check there; it serves the other kernels.
 
 The solve drives the left-rectangle discretization to machine accuracy, so
 the reported residual is measured with an independent (trapezoidal)
@@ -74,20 +77,6 @@ class HypothesisReport:
         )
 
 
-def _solve_density_sumexp(weights, rates, k_grid, atom, dt, n):
-    # O(n * n_exp): running one-step-decayed convolution state per exponential
-    w = np.asarray(weights)
-    r = np.asarray(rates)
-    decay = np.exp(-r * dt)
-    kd = float((w * decay).sum())  # K(dt)
-    state = np.zeros_like(w)
-    rho = np.empty(n)
-    for i in range(1, n + 1):
-        known = float((w * decay * state).sum())
-        rho[i - 1] = (1.0 - k_grid[i] * atom - known) / (dt * kd)
-        state = decay * (state + rho[i - 1] * dt)
-    return rho
-
 def _solve_density_generic(k_grid, atom, dt, n):
     # O(n^2) forward substitution on the lower-triangular Toeplitz system
     rho = np.empty(n)
@@ -125,11 +114,7 @@ def solve_resolvent(kernel, dt: float, horizon: float) -> ResolventGrid:
     if abs(k_grid[1]) * dt < 1e-300:
         raise NumericError("triangular solve ill-conditioned: K(dt) vanishes", k_dt=k_grid[1])
 
-    form = getattr(kernel, "exp_form", lambda: None)()
-    if form is not None:
-        rho = _solve_density_sumexp(*form, k_grid, atom, dt, n)
-    else:
-        rho = _solve_density_generic(k_grid, atom, dt, n)
+    rho = _solve_density_generic(k_grid, atom, dt, n)
 
     # both convolutions are re-discretized with the trapezoid rule, which the
     # solve itself does not use; otherwise residuals would only reflect the

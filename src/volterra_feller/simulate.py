@@ -45,7 +45,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import PreconditionError, check_count, check_real
+from .errors import PreconditionError, check_count, check_real, check_reals
 
 __all__ = [
     "SimConfig",
@@ -409,7 +409,7 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
     check_real("horizon", horizon, gt=0.0)
     n_paths = check_count("n_paths", n_paths, 1)
     seed = check_count("seed", seed, 0, 2**64 - 1)
-    dts = sorted(float(d) for d in np.atleast_1d(np.asarray(dts, dtype=float)))
+    dts = sorted(check_reals("dts", dts))
     if not dts or dts[0] <= 0.0:
         raise ValueError("dts must be positive step sizes")
     dt_fine = dts[0]

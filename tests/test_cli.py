@@ -132,6 +132,23 @@ def test_missing_config_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, cfg, message", [
+    ("test", CIR_FAMILY + "\n    [bogus]\n    x = 1\n", "unknown section [bogus] in "),
+    ("test", "[kernel]\nkind = constant\nlevel = 1.0\n", "config needs a [model] section"),
+    ("simulate", CIR_FAMILY, "config needs a [sim] section"),
+    ("scale", CIR_FAMILY.replace("name = family", "name = scale\n    x_grid ="),
+     "bad value for 'x_grid' in [test]: ''"),
+    ("test", CIR_FAMILY + "\n    [output]\n    format = xml\n",
+     "output format must be 'json' or 'csv', got 'xml'"),
+])
+def test_config_errors_are_one_line(tmp_path, capsys, command, cfg, message):
+    rc = main([command, "--config", _write_ini(tmp_path, cfg)])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (1, "")
+    assert out.err.startswith(f"error: {message}")
+    assert out.err.count("\n") == 1
+
+
 # ---------------------------------------------------------- library defaults
 
 _MINIMAL = """\
@@ -208,6 +225,15 @@ def test_output_path_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert out.out == ""
     doc = json.loads(target.read_text())
     assert doc["verdicts"]
+
+
+def test_out_flag_overrides_the_configured_path(tmp_path, capsys):
+    configured, flagged = tmp_path / "configured.json", tmp_path / "flagged.json"
+    cfg = CIR_FAMILY + f"\n    [output]\n    path = {configured}\n"
+    rc = main(["test", "--config", _write_ini(tmp_path, cfg), "--out", str(flagged)])
+    assert (rc, capsys.readouterr().out) == (0, "")
+    assert not configured.exists()
+    assert json.loads(flagged.read_text())["config"]["output"]["path"] == str(flagged)
 
 
 _ROUND_TRIP_MODELS = {

@@ -367,6 +367,31 @@ def test_sup_inf_needs_a_finite_boundary(sloped_kernel):
         sup_inf_test(ctx)
 
 
+def test_sup_inf_skips_the_infinite_side_when_kprime0_is_negative(sloped_kernel):
+    # only the left boundary 0 of CIR is tested: two limits under its shift
+    out = sup_inf_test(ScaleContext(CIRModel(1.0, 1.0, 1.0, 1.0), sloped_kernel))
+    assert [name for name, _, _ in out.evidence] == [
+        "|p|(left+) with shift 0 divergence exponent (divergent iff >= 1)",
+        "|p|(right-) with shift 0",
+    ]
+    assert out.verdict == Verdict.INCONCLUSIVE
+
+
+def test_staged_side_stops_after_two_infinite_stages(sloped_kernel):
+    # v overflows from the second stage on, so the march stops at the third
+    # of its eight stages
+    out = sufficient_test(ScaleContext(CIRModel(200.0, 2.0, 0.5, 1.0), sloped_kernel))
+    staged = [(name, value) for name, value, _ in out.evidence if name.startswith("v at stage")]
+    assert [name for name, _ in staged] == [
+        "v at stage point 3 with shift -3",
+        "v at stage point 5 with shift -5",
+        "v at stage point 9 with shift -9",
+    ]
+    assert math.isfinite(staged[0][1])
+    assert staged[1][1] == staged[2][1] == math.inf
+    assert out.verdict == Verdict.NO_EXIT_AS
+
+
 # ------------------------------------------------------- hypothesis gating
 
 
@@ -504,6 +529,15 @@ def test_study_requires_cir(unit_kernel):
         fractional_condition_study(
             JacobiModel(0.0, 1.0, 1.0, 0.5, 1.0, 0.5), 0.5, [1.0]
         )
+
+
+def test_study_rejects_an_unknown_scheme_and_an_empty_sweep(cir_111):
+    with pytest.raises(ValueError, match="^scheme must be one of"):
+        fractional_condition_study(cir_111, 0.4, [10.0], scheme="bogus")
+    with pytest.raises(ValueError, match="^sweep must be nonempty"):
+        fractional_condition_study(cir_111, 0.4, [])
+    with pytest.raises(ValueError, match="^sweep entries must be finite"):
+        fractional_condition_study(cir_111, 0.4, ["10"])
 
 
 _CIR_CTX = ScaleContext(CIRModel(1.0, 1.0, 1.0, 1.0), ConstantKernel(1.0))

@@ -35,6 +35,19 @@ def test_scheme_validation():
         QuadratureScheme(0.5, (0.5, 1.0), weight="geometric_bb2")
 
 
+@pytest.mark.parametrize("nodes", [("0", "1"), (0.0, math.inf), (0.0, math.nan), (0.0, None)])
+def test_breakpoints_must_be_finite_reals(nodes):
+    # numeric strings were converted: ("0", "1") gave nodes (0.0, 1.0)
+    with pytest.raises(ValueError, match="^nodes entries must be finite"):
+        QuadratureScheme(0.5, nodes)
+
+
+def test_schemes_build_their_own_kernels():
+    assert TruncationScheme(0.4, 25.0).kernel() == TruncatedFractionalKernel(0.4, 25.0)
+    sch = QuadratureScheme(0.5, geometric_nodes(2), q=2)
+    assert sch.kernel() == gaussian_quadrature_kernel(sch)
+
+
 def test_geometric_nodes_standard_ladder():
     assert geometric_nodes(4) == pytest.approx((0.0, 1.0, 6.4, 40.96, 262.144), rel=1e-14)
     assert geometric_nodes(2, ratio=10.0, xi1=0.5) == (0.0, 0.5, 5.0)
@@ -53,6 +66,13 @@ def test_truncation_kernel_overloads():
     assert direct.alpha == via_scheme.alpha and direct.T == via_scheme.T
     with pytest.raises(ValueError, match="T is required"):
         truncation_kernel(0.4)
+
+
+def test_truncation_kernel_passes_its_arguments_unconverted():
+    # float() turned numeric strings into a kernel the class itself rejects
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        truncation_kernel("0.4", "25")
+    assert type(truncation_kernel(0.4, 25).T) is int  # as TruncatedFractionalKernel keeps it
 
 
 def test_single_interval_single_node_closed_form():

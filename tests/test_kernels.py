@@ -180,3 +180,37 @@ def test_dict_round_trip_property(kernel):
 def test_dict_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         kernel_from_dict({"kind": "mystery"})
+
+
+def test_user_kernels_have_no_record():
+    kernel = UserKernel(lambda t: np.exp(-t), k0=1.0, kprime0=-1.0)
+    with pytest.raises(ValueError, match="^kernel of type UserKernel has no serialized form"):
+        kernel_to_dict(kernel)
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"level": 1.0}, "missing the 'kind' tag"),
+    ({"kind": "constant", "level": 1.0, "slope": 0.0}, r"unknown kernel field\(s\) \['slope'\]"),
+    ({"kind": "truncfrac", "alpha": 0.5}, r"missing kernel field\(s\) \['T'\]"),
+])
+def test_dict_rejects_malformed_records(record, message):
+    with pytest.raises(ValueError, match=message):
+        kernel_from_dict(record)
+
+
+@pytest.mark.parametrize("weights, rates, name", [
+    (["1"], ["0.5"], "weights"),  # numeric strings were converted
+    ([1.0], [math.nan], "rates"),
+    ([1.0, None], [1.0, 2.0], "weights"),
+    ([1 + 0j], [1.0], "weights"),
+    ([[1.0, 2.0]], [1.0], "weights"),
+])
+def test_sumexp_entries_must_be_finite_reals(weights, rates, name):
+    with pytest.raises(ValueError, match=f"^{name} entries must be finite"):
+        SumOfExponentialsKernel(weights, rates)
+
+
+def test_sumexp_takes_numpy_entries_as_floats():
+    kernel = SumOfExponentialsKernel(np.array([0.5, 0.5]), np.array([1, 2]))
+    assert kernel == SumOfExponentialsKernel((0.5, 0.5), (1.0, 2.0))
+    assert all(type(v) is float for v in kernel.weights + kernel.rates)

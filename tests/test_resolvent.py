@@ -39,25 +39,24 @@ def test_residual_contracts_when_dt_halves():
     assert fine.kl_residual <= 0.6 * coarse.kl_residual
 
 
-def test_sumexp_and_generic_solvers_agree():
-    # the sum-of-exponentials recursion against the generic triangular solve
-    kernel = SumOfExponentialsKernel([0.5, 0.5], [1.0, 3.0])
-    fast = solve_resolvent(kernel, dt=5e-3, horizon=1.0)
-
-    class Wrapped:
-        completely_monotone = True
-
-        def eval(self, t):
-            return kernel.eval(t)
-
-        def eval_deriv(self, t):
-            return kernel.eval_deriv(t)
-
-        def k0_kprime0(self):
-            return kernel.k0_kprime0()
-
-    slow = solve_resolvent(Wrapped(), dt=5e-3, horizon=1.0)
-    np.testing.assert_allclose(fast.density, slow.density, rtol=1e-9, atol=1e-12)
+def test_two_exponential_density_matches_exact_resolvent_at_first_order():
+    # K = w1 e^(-r1 t) + w2 e^(-r2 t) has 1/(s K^(s)) = K(0)^-1 + A/s + B/(s + lam),
+    # so rho(t) = A + B e^(-lam t) with m = w1 r2 + w2 r1 and lam = m / K(0)
+    w1, w2, r1, r2 = 0.5, 0.5, 1.0, 2.0
+    k0 = w1 + w2
+    m = w1 * r2 + w2 * r1
+    lam = m / k0
+    a = r1 * r2 / m
+    b = r1 + r2 - m / k0 - k0 * r1 * r2 / m
+    kernel = SumOfExponentialsKernel([w1, w2], [r1, r2])
+    errors = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        grid = solve_resolvent(kernel, dt=dt, horizon=1.0)
+        exact = a + b * np.exp(-lam * grid.times)
+        errors.append(float(np.max(np.abs(grid.density - exact))))
+        assert errors[-1] <= 1.05 * dt
+    assert errors[1] <= 0.505 * errors[0]
+    assert errors[2] <= 0.505 * errors[1]
 
 
 def test_truncfrac_hypotheses_pass():

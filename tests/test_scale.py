@@ -228,6 +228,13 @@ def test_v_prime_is_derivative_of_v(cir_ctx):
         assert cir_ctx.v_prime(x) == pytest.approx(fd, rel=1e-5)
 
 
+@pytest.mark.parametrize("read", ["scale", "v", "v_prime", "log_scale_derivative"])
+@pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+def test_values_need_a_point_strictly_inside(cir_ctx, read, x):
+    with pytest.raises(ValueError, match=r"^argument must lie strictly inside \(0\.0, inf\)"):
+        getattr(cir_ctx, read)(x)
+
+
 # ------------------------------------------------------------ sweep bits
 
 

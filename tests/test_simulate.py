@@ -26,6 +26,11 @@ from volterra_feller.errors import PreconditionError
 from volterra_feller.simulate import scheme_discrepancy
 
 
+def test_simulate_needs_a_sim_config(cir_111, unit_kernel):
+    with pytest.raises(TypeError, match="^config must be a SimConfig"):
+        simulate(cir_111, unit_kernel, {})
+
+
 def test_config_validation():
     ok = dict(dt=0.01, horizon=1.0, n_paths=10)
     with pytest.raises(ValueError, match="dt"):
@@ -615,3 +620,20 @@ def test_discrepancy_requires_nested_grids(cir_111, sloped_kernel):
         scheme_discrepancy(cir_111, sloped_kernel, [3e-3, 2e-3], 0.1, n_paths=2)
     with pytest.raises(ValueError, match="positive"):
         scheme_discrepancy(cir_111, sloped_kernel, [0.0], 0.1, n_paths=2)
+
+
+@pytest.mark.parametrize("dts", [
+    ["0.5"],  # ran
+    [0.5, math.inf],  # OverflowError from round(inf)
+    [0.5, math.nan],  # "cannot convert float NaN to integer"
+    [0.5, None],
+])
+def test_discrepancy_steps_must_be_finite_reals(cir_111, unit_kernel, dts):
+    with pytest.raises(ValueError, match="^dts entries must be finite"):
+        scheme_discrepancy(cir_111, unit_kernel, dts, 1.0, n_paths=2)
+
+
+def test_discrepancy_takes_numpy_steps(cir_111, unit_kernel):
+    rows = scheme_discrepancy(cir_111, unit_kernel, np.array([0.5, 0.25]), 1.0, n_paths=2)
+    assert [row["dt"] for row in rows] == [0.25, 0.5]
+    assert all(type(row["dt"]) is float for row in rows)
