@@ -34,7 +34,7 @@ from enum import Enum
 
 from .errors import NumericError, PreconditionError, check_count, check_real, check_reals
 from .fracapprox import STAND_INS, stand_in_scheme
-from .scale import DIVERGENCE_CAP, kernel_scalars
+from .scale import DIVERGENCE_CAP, _exp, kernel_scalars
 
 __all__ = [
     "Boundary",
@@ -205,19 +205,21 @@ def _staged_side(ctx, which, n_stages):
     Stage n sits at x_n (geometric approach for finite boundaries, c -+ 2^n
     for infinite ones) and uses the drift shift -x_n.  Sustained, unbounded
     growth of v across stages is the sufficient condition for no exit through
-    that boundary.
+    that boundary.  Every stage is a leg of one batch of sweeps, whose values
+    are read in stage order up to the first that did not stabilize or after
+    two infinite ones in a row; v is 0 at a stage point that rounds onto c.
     """
-    vals = []
-    evidence = []
-    inf_streak = 0
-    for x_n in ctx._approach(which, n_stages, "n_stages"):
-        shift = -x_n
-        try:
-            val = ctx.with_shifts(shift, shift).v(x_n)
-        except NumericError:
+    points = ctx._approach(which, n_stages, "n_stages")
+    legs = [(ctx.with_shifts(-x, -x), [x]) for x in points if x != ctx.c]
+    swept = iter(ctx._stabilized_legs(legs, "log_v"))
+    vals, evidence, inf_streak = [], [], 0
+    for x_n in points:
+        out = next(swept) if x_n != ctx.c else None
+        if isinstance(out, NumericError):
             break
+        val = 0.0 if out is None else _exp(float(out[0].log_v[0]))
         vals.append(val)
-        evidence.append((f"v at stage point {x_n:.6g} with shift {shift:.6g}", val,
+        evidence.append((f"v at stage point {x_n:.6g} with shift {-x_n:.6g}", val,
                          DIVERGENCE_CAP))
         inf_streak = inf_streak + 1 if math.isinf(val) else 0
         if inf_streak >= 2:

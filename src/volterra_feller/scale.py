@@ -43,9 +43,11 @@ of sigma) halves its way toward s, and the panel touching s integrates a
 power law C |y - s|^beta fitted to each log integrand at its nodes.  The
 base grid, and with it the depth toward s, is doubled from 64 panels until
 the requested quantity agrees between rounds at every point (``quad_tol``
-in log space, or ``NumericError``).  No value settles before the second
-round, so the first two (64 and 128 base panels) share one refinement pass;
-each then integrates on its own, exactly as it would alone.
+in log space, or ``NumericError``).  Legs under shifts of their own (the
+staged sufficient test's stages) double in one batch: a round's passes, of
+every leg still open, share one refinement pass, as do the first two
+rounds (64 and 128 base panels), since no value settles before the second;
+each pass then integrates on its own, exactly as it would alone.
 
 Each built-in model family keeps its closed forms on its own class, and
 ``ScaleContext`` and ``feller.family_test`` use whichever a model has:
@@ -592,9 +594,8 @@ class ScaleContext:
             return self.model.exponent(y, self.c, self._k0, self._ratio, shift)
 
     def log_scale_derivative(self, x):
-        """log p'_c(x); finite wherever x is interior."""
-        arr = np.asarray(x, dtype=float)
-        self._check_interior(arr)
+        """log p'_c(x), elementwise on an array of reals; finite wherever x is interior."""
+        arr = self._check_interior(x, arrays=True)
         pts = np.atleast_1d(arr).ravel()
         if self._closed_exponent:
             out = self._exponent_batch(pts, self._side_shift(pts))
@@ -616,11 +617,18 @@ class ScaleContext:
         with np.errstate(over="ignore"):
             return np.exp(out)
 
-    def _check_interior(self, arr):
-        l, r = self.model.interval
-        a = np.atleast_1d(arr)
-        if np.any(~np.isfinite(a)) or np.any(a <= l) or np.any(a >= r):
-            raise ValueError(f"argument must lie strictly inside ({l}, {r})")
+    def _check_interior(self, x, arrays=False):
+        # x as floats, if a real number (with arrays, or an array of reals;
+        # bools count) strictly inside the interval; else a ValueError
+        arr = np.asarray(x)
+        if arrays and (arr.ndim or isinstance(x, np.ndarray)):
+            _require(arr.dtype.kind in "biuf", f"x must hold real numbers, got dtype {arr.dtype}")
+        elif not isinstance(x, numbers.Real):
+            check_real("x", x)  # raises, naming x
+        arr, (l, r) = arr.astype(float), self.model.interval
+        _require(np.all(np.isfinite(arr) & (arr > l) & (arr < r)),
+                 f"argument must lie strictly inside ({l}, {r})")
+        return arr
 
     # -- the sweep -------------------------------------------------------------
 
@@ -640,32 +648,34 @@ class ScaleContext:
             parts.append(-np.geomspace(-hi, -lo, half))
         return np.unique(np.concatenate(parts))
 
-    def _node_values(self, a, b, inner, ends=(), seg=None, pairs=False):
-        # (None, E, log sigma~^2, change of E) at the Gauss nodes of panels of
-        # one leg running from a (the end nearer c) to b: what the spread
-        # test and the integrals read, log sigma~^2 for inner sweeps only.
-        # The nodes themselves are not kept: only end and graded panels read
-        # them, and _advance forms those.  A leg lies on one side of c, so
-        # closed forms take one shift.  Custom models give E relative to
-        # E(a), from the integration matrix applied to g = 2 b~_c / sigma~^2,
-        # plus the panel's total change of E, by BLAS products on one
-        # segment's rows at a time (seg as for _refine).  With pairs, the
-        # panels are the two halves of panels, in pairs, and a segment's
-        # products take its first halves, then its second halves.  On a
-        # panel ending at s in ends, g's pole h(s) / (y - s), h(s) read off
-        # the interpolant of h = g (y - s), integrates in closed form.
+    def _node_values(self, a, b, inner, ends=(), seg=None, pairs=False, shifts=None):
+        # (None, E, log sigma~^2, change of E) at the Gauss nodes of panels
+        # running from a (the end nearer c) to b on one side of c: what the
+        # spread test and the integrals read, log sigma~^2 for inner sweeps
+        # only.  _advance forms the nodes where it reads them.  A row's shift
+        # is its segment's (seg as for _refine, shifts their (beta, gamma);
+        # None: this context's) on its side of c.  Custom models give E
+        # relative to E(a), from the integration matrix applied to g = 2 b~_c
+        # / sigma~^2, plus the panel's total change of E, by BLAS products on
+        # one segment's rows at a time.  With pairs, the panels are the two
+        # halves of panels, in pairs, and a segment's products take its first
+        # halves, then its second halves.  On a panel ending at s in ends,
+        # g's pole h(s) / (y - s), h(s) read off the interpolant of
+        # h = g (y - s), integrates in closed form.
+        beta, gamma = (self.beta, self.gamma) if shifts is None else shifts[seg].T[..., None]
         if self._closed_exponent:
             y = _gauss_nodes(a, b)
             log_sig = self._log_sigma_tilde_sq(y) if inner else None
-            return None, self._exponent_batch(y, self._side_shift(b[-1])), log_sig, None
+            return None, self._exponent_batch(y, beta if b[-1] < self.c else gamma), log_sig, None
         if pairs:
             lay = np.lexsort((np.arange(len(a)) % 2, seg))
-            vals = self._node_values(a[lay], b[lay], inner, ends, seg[lay])
+            vals = self._node_values(a[lay], b[lay], inner, ends, seg[lay], False, shifts)
             return tuple(None if v is None else _scatter(lay, v) for v in vals)
         y = _gauss_nodes(a, b)
         log_sig = self._log_sigma_tilde_sq(y) if inner else None
         half = 0.5 * (b - a)
-        g = 2.0 * self.b_tilde_shifted(y) / self.sigma_tilde_sq(y)
+        g = self.b_tilde(y) + self._ratio * np.where(y < self.c, beta, gamma)
+        g = 2.0 * g / self.sigma_tilde_sq(y)
         e = -half[:, None] * _by_segment(g, gl_integration_matrix(_ORDER).T, seg)
         at_s = _at_any(b, ends)
         if at_s.any():
@@ -677,7 +687,7 @@ class ScaleContext:
             e[at_s] = -(h_s * np.log(z / (a - b)[at_s, None]) + half[at_s, None] * rest)
         return None, e, log_sig, -half * _by_segment(g, gl_rule(_ORDER)[1], seg)
 
-    def _refine(self, a, b, inner, ends, seg=None):
+    def _refine(self, a, b, inner, ends, seg=None, shifts=None):
         # Halve panels until E (and, for inner sweeps, -E - log sigma~^2)
         # moves at most _NAT across the nodes; the 12-node interpolant of an
         # exponential that moves one nat is good to about 1e-14, and the
@@ -688,13 +698,14 @@ class ScaleContext:
         # only for the open ones and keeps the rows of those it is done
         # with; one sort puts all panels in outward order, and each round's
         # rows go straight to their place in it.
-        # A batch may hold several segments of one leg, each tiling the same
-        # range on a grid of its own: seg gives each panel's segment, in runs
-        # of rising ids (None: one segment).  The panels come back segment by
-        # segment, each segment's exactly as if refined alone.
+        # A batch may hold several segments on one side of c, each tiling a
+        # range outward: seg gives each panel's segment, in runs of rising
+        # ids (None: one segment), and shifts each segment's (beta, gamma)
+        # (None: this context's).  The panels come back segment by segment,
+        # each segment's exactly as if refined alone.
         seg = np.zeros(len(a), dtype=np.intp) if seg is None else seg
         fallback = _at_any(a, ends) | _at_any(b, ends)
-        vals = self._node_values(a, b, inner, ends, seg)
+        vals = self._node_values(a, b, inner, ends, seg, False, shifts)
         done = [[] for _ in range(7)]  # rows kept by each round: seg, a, b, flags, node values
         for left in range(_MAX_BISECTIONS, -1, -1):
             _, e, log_sig, de = vals
@@ -722,17 +733,18 @@ class ScaleContext:
             a, b, seg = np.repeat(a, 2), np.repeat(b, 2), np.repeat(seg, 2)
             a[1::2] = b[0::2] = mid
             fallback = np.zeros(len(a), dtype=bool)
-            vals = self._node_values(a, b, inner, (), seg, True)
+            vals = self._node_values(a, b, inner, (), seg, True, shifts)
         seg, a, b, fallback = map(np.concatenate, done[:4])
+        del done[:4]  # each round's rows of those go before the node values are placed
         order = np.lexsort((a if b[0] > a[0] else -a, seg))
-        a, b = a[order], b[order]
+        a, b, fallback, seg = a[order], b[order], fallback[order], None
         vals = [None]  # node positions, as from _node_values
         # every round's node values go straight to their place in that order
         rank = _scatter(order, np.arange(len(order)))
-        for rows in done[4:]:
+        for rows in done:
             vals.append(None if rows[0] is None else _place(rank, rows))
             rows.clear()
-        return a, b, tuple(vals), fallback[order]
+        return a, b, tuple(vals), fallback
 
     def _advance(self, a, b, vals, fallback, state, inner, ends):
         # integrate refined panels a -> b (outward from c), with their node
@@ -831,75 +843,91 @@ class ScaleContext:
         return b, (e_b, inners[0], nan, terms[0], log_u, fit), (e_b[-1], nan, last)
 
     def _sweep(self, xs, counts, field="log_v", stop=math.inf, n_terms=1):
-        """(E, log I, log p, log v, log u) at xs by one cumulative pass from c
-        on the grid of each base-panel count in ``counts``, with u the first
-        n_terms terms of the series after its 1, and the exponents fitted to
-        p's integrand (log_p) or u_n's at singular xs; row i of every field
-        and of the exponents is the pass of counts[i].  A sweep for ``field``
-        log_p carries E and p only; any other all but p.
+        # _sweep_legs for the one leg xs under this context's shifts
+        return self._sweep_legs([(self, xs)], counts, field, stop, n_terms)[0]
 
-        xs lie on one side of c.  A count's grid is ``_edges`` from c to the
+    def _sweep_legs(self, legs, counts, field="log_v", stop=math.inf, n_terms=1):
+        """Per leg, (E, log I, log p, log v, log u) at its points by one
+        cumulative pass from c on the grid of each base-panel count in
+        ``counts``, with u the first n_terms terms of the series after its 1,
+        and the exponents fitted to p's integrand (log_p) or u_n's at singular
+        points; row i of every field and of the exponents is the pass of
+        counts[i].  A sweep for ``field`` log_p carries E and p only; any
+        other all but p.
+
+        A leg is a (context, points) pair: this context under the shifts the
+        leg runs under, and points all on one side of c, the same side for
+        every leg.  A count's grid for a leg is ``_edges`` from c to its
         farthest x with every x as an edge, plus, for each singular point s
         on the leg [lo, hi], s itself and s -+ (hi - lo) 2^-k for k = 1 ..
         count / 4 down to 2^-36 |s| (1e-300 at s = 0), short of the float
-        resolution of y - s.  Each pass runs outward in chunks of 1, 2, 4,
-        ... requested points and ends after the chunk in which ``field``
-        first reaches ``stop``; points beyond read nan.  The passes still
-        running refine each chunk in one batch (``_refine``), then integrate
-        it one by one (``_advance``), each exactly as it would alone.
+        resolution of y - s.  Each pass, one per leg and count, runs outward
+        in chunks of 1, 2, 4, ... of its leg's points and ends after the
+        chunk in which ``field`` first reaches ``stop``; points beyond read
+        nan.  The passes still running, of every leg, refine each chunk in
+        one batch (``_refine``, a segment each), then integrate it one by one
+        (``_advance``, on its leg's context), each exactly as it would alone.
         """
-        xs = np.asarray(xs, dtype=float)
-        uniq, inv = np.unique(xs, return_inverse=True)
-        far = xs[np.argmax(np.abs(xs - self.c))]
-        lo, hi = (self.c, far) if far > self.c else (far, self.c)
-        # finite endpoints and interior zeros of sigma on the leg: next to
-        # one, the integrands keep a power law that no halving resolves
-        ends = tuple(s for s in (*self.model.interval, *self._interior_singularities())
-                     if lo <= s <= hi)
-        # outward: +1 on a leg right of c, -1 on one left of it
-        sign = 1.0 if far > self.c else -1.0
-        grids = []  # (edges, index of each x among them), outward
-        for n_panels in counts:
-            extra = [uniq]
-            for s in ends:
-                d = _depths(s, hi - lo, n_panels)
-                extra.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
-            edges = self._edges(lo, hi, n_panels, extra)
-            at = np.searchsorted(edges, uniq)  # every x is an edge
-            grids.append((edges, at) if sign > 0.0 else (edges[::-1], len(edges) - 1 - at[::-1]))
-        if sign < 0.0:
-            uniq, inv = uniq[::-1], len(uniq) - 1 - inv
-        out = np.full((6, len(counts), len(uniq)), np.nan)
         row = _Sweep._fields.index(field)
-        states = [(0.0, -np.inf, np.full((2, n_terms), -np.inf))] * len(counts)
-        start = [0] * len(counts)  # each pass's first edge of the next chunk
-        live, done, chunk, inner = list(range(len(counts))), 0, 1, field != "log_p"
-        while done < len(uniq) and live:
-            upto = min(done + chunk, len(uniq))
-            last = [grids[i][1][upto - 1] for i in live]
-            a = np.concatenate([grids[i][0][start[i]:k] for i, k in zip(live, last)])
-            b = np.concatenate([grids[i][0][start[i] + 1:k + 1] for i, k in zip(live, last)])
-            seg = np.repeat(live, [k - start[i] for i, k in zip(live, last)])
+        singular = (*self.model.interval, *self._interior_singularities())
+        # per leg: context, far end, points outward, inverse, rows; per pass:
+        # context, singular points, edges outward, the points' places, rows
+        reads, passes = [], []
+        for ctx, xs in legs:
+            xs = np.asarray(xs, dtype=float)
+            uniq, inv = np.unique(xs, return_inverse=True)
+            far = xs[np.argmax(np.abs(xs - self.c))]
+            lo, hi = (self.c, far) if far > self.c else (far, self.c)
+            # finite endpoints and interior zeros of sigma on the leg: next to
+            # one, the integrands keep a power law that no halving resolves
+            ends = tuple(s for s in singular if lo <= s <= hi)
+            out = np.full((6, len(counts), len(uniq)), np.nan)
+            for i, n_panels in enumerate(counts):
+                extra = [uniq]
+                for s in ends:
+                    d = _depths(s, hi - lo, n_panels)
+                    extra.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
+                edges = self._edges(lo, hi, n_panels, extra)
+                at = np.searchsorted(edges, uniq)  # every x is an edge
+                if far < self.c:  # outward
+                    edges, at = edges[::-1], len(edges) - 1 - at[::-1]
+                passes.append((ctx, ends, edges, at, out[:, i]))
+            if far < self.c:
+                uniq, inv = uniq[::-1], len(uniq) - 1 - inv
+            reads.append((ctx, far, uniq, inv, out))
+        sign = 1.0 if far > self.c else -1.0
+        ends = tuple(set().union(*(p[1] for p in passes)))
+        shifts = (np.array([[p[0].beta, p[0].gamma] for p in passes], dtype=float)
+                  if any(ctx is not self for ctx, _ in legs) else None)  # None: this context's
+        states = [(0.0, -np.inf, np.full((2, n_terms), -np.inf))] * len(passes)
+        start = [0] * len(passes)  # each pass's first edge of the next chunk
+        live, done, chunk, inner = list(range(len(passes))), 0, 1, field != "log_p"
+        while live:
+            last = [passes[p][3][:done + chunk][-1] for p in live]  # the chunk's last edges
+            a = np.concatenate([passes[p][2][start[p]:k] for p, k in zip(live, last)])
+            b = np.concatenate([passes[p][2][start[p] + 1:k + 1] for p, k in zip(live, last)])
+            seg = np.repeat(live, [k - start[p] for p, k in zip(live, last)])
             # nan (a misfit end panel) and log 0 are values; _stabilized judges them
             with np.errstate(invalid="ignore", divide="ignore"):
-                a, b, vals, fallback = self._refine(a, b, inner, ends, seg)
-                # each pass's panels tile the chunk, so the next pass's begin
-                # at the first panel that does not start where the last ended
-                cuts = [0, *(np.flatnonzero(b[:-1] != a[1:]) + 1).tolist(), len(a)]
-                for i, j, k in zip(live, cuts, cuts[1:]):
-                    b_i, cols, states[i] = self._advance(
-                        a[j:k], b[j:k], [None if v is None else v[j:k] for v in vals],
-                        fallback[j:k], states[i], inner, ends)
+                a, b, vals, fallback = self._refine(a, b, inner, ends, seg, shifts)
+                j = 0
+                for p, k in zip(live, last):
+                    ctx, p_ends, edges, at, rows = passes[p]
+                    # a pass's panels end at the first panel end on its last edge
+                    j, i = j + 1 + int(np.argmax(b[j:] == edges[k])), j
+                    b_p, cols, states[p] = ctx._advance(
+                        a[i:j], b[i:j], [None if v is None else v[i:j] for v in vals],
+                        fallback[i:j], states[p], inner, p_ends)
                     # the rows at the chunk's points, among panel ends rising outward
-                    hit = np.searchsorted(sign * b_i, sign * uniq[done:upto])
-                    out[:, i, done:upto] = [col[hit] for col in cols]
-            for i, k in zip(live, last):
-                start[i] = k
-            done, chunk = upto, 2 * chunk
-            live = [i for i in live if not np.any(out[row, i, :done] >= stop)]
-        if self._closed_exponent:
-            out[0] = self._exponent_batch(uniq, self._side_shift(far))
-        return _Sweep(*out[:5, :, inv]), out[5][:, inv]
+                    hit = np.searchsorted(sign * b_p, sign * edges[at[done:done + chunk]])
+                    rows[:, done:done + chunk] = [col[hit] for col in cols]
+                    start[p] = k
+            done, chunk = done + chunk, 2 * chunk
+            live = [p for p in live
+                    if done < len(passes[p][3]) and not np.any(passes[p][4][row, :done] >= stop)]
+        for ctx, far, uniq, _, out in reads if self._closed_exponent else ():
+            out[0] = ctx._exponent_batch(uniq, ctx._side_shift(far))
+        return [(_Sweep(*out[:5, :, inv]), out[5][:, inv]) for *_, inv, out in reads]
 
     def _sigma_inv_sq_fit(self, s):
         # (beta, bound) at a finite endpoint s, from the model alone: beta of
@@ -963,62 +991,74 @@ class ScaleContext:
         return logsumexp(log_h + np.log(gl_rule(_ORDER)[1]) + log_half, axis=(-2, -1))
 
     def _stabilized(self, xs, field, stop=math.inf, n_terms=1):
-        """Sweep with 64, 128, ... base panels until ``field`` agrees between
-        consecutive rounds to max(quad_tol, 1e-12) at every x up to the first
-        at or above ``stop``; ``n_terms`` series terms ride along.
+        # _stabilized_legs for the one leg xs, raising its NumericError
+        (out,) = self._stabilized_legs([(self, xs)], field, stop, n_terms)
+        if isinstance(out, NumericError):
+            raise out
+        return out
 
-        Returns the last sweep and its effort: base panels at convergence,
-        the number of sweeps run and the largest |change| of ``field`` that
+    def _stabilized_legs(self, legs, field, stop=math.inf, n_terms=1):
+        """Sweep legs (as for ``_sweep_legs``) with 64, 128, ... base panels
+        until, leg by leg, ``field`` agrees between consecutive rounds to
+        max(quad_tol, 1e-12) at every point up to the first at or above
+        ``stop``; ``n_terms`` series terms ride along.  The open legs' passes
+        of a round run in one batch, and the first two rounds (64 and 128
+        base panels) in one, as no leg settles before its second.
+
+        Returns per leg its last sweep and effort (base panels at
+        convergence, sweeps run and the largest |change| of ``field`` that
         the tolerance rule judged; or, after nan in two rounds at an interval
-        endpoint, its end panel's ``fitted_exponent`` beta and its signed change.
+        endpoint, its end panel's ``fitted_exponent`` beta and its signed
+        change), or, still open after ``max_panels``, its ``NumericError``.
         """
-        xs = np.asarray(xs, dtype=float)
-        tol = max(self.quad_tol, 1e-12)
-        prev, first_open, n_panels, rounds = None, 0, 64, 0
-        while n_panels <= self.max_panels:
-            # no call settles before its second round: the first two share a pass
-            first = rounds == 0 and 2 * n_panels <= self.max_panels
+        tol, row = max(self.quad_tol, 1e-12), _Sweep._fields.index(field)
+        # per leg: its result once settled; its points and, of its last round,
+        # field's values, fitted exponents and which points agreed (none yet)
+        out = [None] * len(legs)
+        prev = [(np.asarray(xs, dtype=float), None, None, np.zeros(1, bool)) for _, xs in legs]
+        n_panels = 64
+        while n_panels <= self.max_panels and None in out:
+            first = n_panels == 64 and 128 <= self.max_panels
             counts = (n_panels, 2 * n_panels) if first else (n_panels,)
-            sweeps, fits = self._sweep(xs, counts, field, stop, n_terms)
-            for sweep, fit, n_panels in zip(zip(*sweeps), fits, counts):
-                sweep = _Sweep(*sweep)
-                rounds += 1
-                cur = getattr(sweep, field)
-                if prev is not None:
-                    reached = np.flatnonzero(cur >= stop)
-                    m = reached[0] + 1 if reached.size else len(xs)
-                    now, before = cur[:m], prev[:m]
-                    with np.errstate(invalid="ignore"):
-                        settled = (now == -math.inf) & (before == -math.inf)
-                        settled |= np.minimum(now, before) > _LOG_HUGE
-                        delta = np.abs(now - before)
-                        ok = settled | (delta <= tol)
-                    misfit = np.isnan(now) & np.isnan(before) & _at_any(xs[:m], self.model.interval)
-                    if (ok | misfit).all():
-                        effort = {"base_panels": n_panels, "doubling_rounds": rounds}
-                        if misfit.any():  # one endpoint at most: the leg's far end
-                            effort["fitted_exponent"] = float(fit[misfit][0])
-                            effort["fitted_exponent_change"] = float((fit - prev_fit)[misfit][0])
-                        else:
-                            effort["last_max_delta"] = float(np.max(delta[~settled], initial=0.0))
-                        return sweep, effort
-                    first_open = int(np.argmin(ok))
-                prev, prev_fit = cur, fit
-            n_panels *= 2
-        raise NumericError(
-            f"{_QUANTITY[field]} quadrature did not stabilize",
-            x=float(xs[first_open]),
-            last_log_value=float(prev[first_open]),
-            max_panels=self.max_panels,
-        )
+            open_legs = [i for i, o in enumerate(out) if o is None]
+            swept = self._sweep_legs([legs[i] for i in open_legs], counts, field, stop, n_terms)
+            for i, (rows, fits) in zip(open_legs, swept):
+                for sweep, fit, n in zip(zip(*rows), fits, counts):
+                    (xs, before, prev_fit, ok), cur = prev[i], sweep[row]
+                    if before is not None and out[i] is None:
+                        reached = np.flatnonzero(cur >= stop)
+                        m = reached[0] + 1 if reached.size else len(xs)
+                        now, before = cur[:m], before[:m]
+                        with np.errstate(invalid="ignore"):
+                            settled = (now == -math.inf) & (before == -math.inf)
+                            settled |= np.minimum(now, before) > _LOG_HUGE
+                            delta = np.abs(now - before)
+                            ok = settled | (delta <= tol)
+                        misfit = np.isnan(now) & np.isnan(before)
+                        misfit &= _at_any(xs[:m], self.model.interval)
+                        if (ok | misfit).all():
+                            # sweeps run: 64, 128, ..., n base panels
+                            ev = {"base_panels": n, "doubling_rounds": n.bit_length() - 6}
+                            if misfit.any():  # one endpoint at most: the leg's far end
+                                ev["fitted_exponent"] = float(fit[misfit][0])
+                                ev["fitted_exponent_change"] = float((fit - prev_fit)[misfit][0])
+                            else:
+                                ev["last_max_delta"] = float(np.max(delta[~settled], initial=0.0))
+                            out[i] = _Sweep(*sweep), ev
+                    prev[i] = xs, cur, fit, ok
+            n_panels = 2 * counts[-1]
+        return [o or NumericError(f"{_QUANTITY[field]} quadrature did not stabilize",
+                                  x=float(xs[np.argmin(ok)]),
+                                  last_log_value=float(before[np.argmin(ok)]),
+                                  max_panels=self.max_panels)
+                for o, (xs, before, _, ok) in zip(out, prev)]
 
     # -- public evaluations ----------------------------------------------------
 
     def _read(self, x, field, n_terms=1):
         # (_Sweep row as floats, sign of x - c) at an interior x by _stabilized
         # for field; at x = c or for an empty series: E = 0, other logs -inf, +1
-        x = float(x)
-        self._check_interior(np.asarray(x))
+        x = float(self._check_interior(x))
         if x == self.c or n_terms == 0:
             return _Sweep(0.0, -math.inf, -math.inf, -math.inf, -math.inf), 1.0
         sweep, _ = self._stabilized([x], field, n_terms=n_terms)

@@ -1,9 +1,12 @@
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from volterra_feller import (
     Boundary,
@@ -32,8 +35,9 @@ from volterra_feller import (
     sup_inf_test,
     verdict_crosscheck,
 )
-from volterra_feller.errors import PreconditionError
-from volterra_feller.scale import kernel_scalars
+from volterra_feller.errors import NumericError, PreconditionError
+from volterra_feller.feller import _staged_side
+from volterra_feller.scale import DIVERGENCE_CAP, kernel_scalars
 from volterra_feller.simulate import scheme_discrepancy
 
 
@@ -390,6 +394,116 @@ def test_staged_side_stops_after_two_infinite_stages(sloped_kernel):
     assert math.isfinite(staged[0][1])
     assert staged[1][1] == staged[2][1] == math.inf
     assert out.verdict == Verdict.NO_EXIT_AS
+
+
+def _staged_side_one_stage_at_a_time(ctx, which, n_stages):
+    # the oracle: each stage's v by a stabilized sweep of its own, in order,
+    # up to the first NumericError or after two infinite values in a row
+    vals = []
+    evidence = []
+    inf_streak = 0
+    for x_n in ctx._approach(which, n_stages, "n_stages"):
+        shift = -x_n
+        try:
+            val = ctx.with_shifts(shift, shift).v(x_n)
+        except NumericError:
+            break
+        vals.append(val)
+        evidence.append((f"v at stage point {x_n:.6g} with shift {shift:.6g}", val,
+                         DIVERGENCE_CAP))
+        inf_streak = inf_streak + 1 if math.isinf(val) else 0
+        if inf_streak >= 2:
+            break
+    if len(vals) < 2:
+        return False, evidence
+    grows = all(b >= a * (1.0 - 1e-9) for a, b in zip(vals, vals[1:]))
+    return grows and vals[-1] >= DIVERGENCE_CAP, evidence
+
+
+def _clone(model):
+    # the same coefficients as a CustomModel, with no closed forms
+    return CustomModel(model.drift, model.diffusion, model.interval, model.x0)
+
+
+@st.composite
+def _staged_cases(draw):
+    # (context, side, stages) for a drawn model of each family or its clone,
+    # K = 1 or e^-t, and a base-panel cap of 4096, 128 (a stage still open
+    # after the first shared pass fails) or 64 (every stage fails)
+    pos = st.floats(0.2, 3.0)
+    kind = draw(st.sampled_from(["cir", "jacobi", "power"]))
+    if kind == "cir":
+        model = CIRModel(draw(pos), draw(st.floats(0.05, 3.0)), draw(pos), draw(pos))
+    elif kind == "jacobi":
+        inside = st.floats(0.1, 0.9)
+        model = JacobiModel(0.0, 1.0, draw(pos), draw(inside), draw(pos), draw(inside))
+    else:
+        model = PowerModel(draw(st.floats(1.1, 2.5)), draw(st.floats(0.0, 0.9)), draw(pos),
+                           draw(st.floats(0.2, 2.0)))
+    model = _clone(model) if draw(st.booleans()) else model
+    kernel = draw(st.sampled_from([ConstantKernel(1.0), SumOfExponentialsKernel([1.0], [1.0])]))
+    ctx = ScaleContext(model, kernel, max_panels=draw(st.sampled_from([4096, 128, 64])))
+    return ctx, draw(st.sampled_from(["left", "right"])), draw(st.sampled_from([8, 5, 2]))
+
+
+def _hex_evidence(side):
+    ok, evidence = side
+    return ok, [(name, float(value).hex(), cap) for name, value, cap in evidence]
+
+
+@settings(max_examples=40)
+@given(case=_staged_cases())
+@example(case=(ScaleContext(CIRModel(200.0, 2.0, 0.5, 1.0), SumOfExponentialsKernel([1.0], [1.0])),
+               "right", 8))
+@example(case=(ScaleContext(CIRModel(1.0, 0.9, 1.0, 0.82), SumOfExponentialsKernel([1.0], [1.0]),
+                            max_panels=64), "right", 8))
+@example(case=(ScaleContext(PowerModel(2.0, 0.5, 1.0, 3.0), SumOfExponentialsKernel([1.0], [1.0]),
+                            max_panels=128), "left", 8))
+def test_staged_stages_in_one_batch_match_one_stage_at_a_time(case):
+    # every stage is a leg of one batch of sweeps; the evidence, read in stage
+    # order under the same stop rules, must be the oracle's to the bit.  The
+    # examples: v overflows from stage 2 (three stages read), every stage
+    # fails, and stage 2 of 8 fails while stages 3 and 4 settle (one read)
+    ctx, which, n_stages = case
+    assert (_hex_evidence(_staged_side(ctx, which, n_stages))
+            == _hex_evidence(_staged_side_one_stage_at_a_time(ctx, which, n_stages)))
+
+
+def test_staged_side_refines_all_stages_in_one_batch(monkeypatch, sloped_kernel):
+    # the eight one-point legs of a staged side settle in their first shared
+    # pass: one _refine call for all of them, where a sweep per stage made eight
+    ctx = ScaleContext(CIRModel(1.0, 0.9, 1.0, 0.82), sloped_kernel)
+    calls, refine = [], ScaleContext._refine
+
+    def counted(self, a, *rest):
+        calls.append(len(a))
+        return refine(self, a, *rest)
+
+    monkeypatch.setattr(ScaleContext, "_refine", counted)
+    ok, evidence = _staged_side(ctx, "right", 8)
+    assert ok and len(evidence) == 8 and len(calls) == 1
+
+
+def test_staged_side_memory_stays_near_one_stage(sloped_kernel):
+    # the batch holds every stage's node values at once; its peak stays
+    # within 1.5 times that of the last and largest stage swept alone (1.4
+    # when this was written)
+    ctx = ScaleContext(CIRModel(1.0, 0.9, 1.0, 0.82), sloped_kernel)
+    x = ctx.c + 256.0
+    last = ctx.with_shifts(-x, -x)
+
+    def peak(run):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: last._stabilized([x], "log_v"))
+    batch = peak(lambda: _staged_side(ctx, "right", 8))
+    assert batch <= 1.5 * one, (batch, one)
 
 
 # ------------------------------------------------------- hypothesis gating

@@ -235,6 +235,39 @@ def test_values_need_a_point_strictly_inside(cir_ctx, read, x):
         getattr(cir_ctx, read)(x)
 
 
+_SCALAR_READS = ["scale", "v", "v_prime", "u_series"]
+_ARRAY_READS = ["log_scale_derivative", "scale_derivative"]
+
+
+@pytest.mark.parametrize("read", _SCALAR_READS + _ARRAY_READS)
+@pytest.mark.parametrize("x", ["0.5", None, 0.5 + 0j], ids=["str", "None", "complex"])
+def test_a_point_must_be_a_real_number(cir_ctx, read, x):
+    # the one rule for reals: no conversion of strings, no TypeError
+    with pytest.raises(ValueError, match=r"^x must be finite, got "):
+        getattr(cir_ctx, read)(x)
+
+
+@pytest.mark.parametrize("read", _SCALAR_READS)
+def test_a_scalar_read_takes_no_list(cir_ctx, read):
+    with pytest.raises(ValueError, match=r"^x must be finite, got \[0\.5\]"):
+        getattr(cir_ctx, read)([0.5])
+
+
+@pytest.mark.parametrize("read", _ARRAY_READS)
+@pytest.mark.parametrize("x", [["0.5"], [None], np.array([0.5 + 0j])],
+                         ids=["str", "None", "complex"])
+def test_an_array_of_points_must_hold_reals(cir_ctx, read, x):
+    with pytest.raises(ValueError, match=r"^x must hold real numbers, got dtype"):
+        getattr(cir_ctx, read)(x)
+
+
+def test_bool_points_count_as_reals(cir_111, unit_kernel):
+    ctx = ScaleContext(cir_111, unit_kernel, c=0.5)
+    for read in _SCALAR_READS + _ARRAY_READS:
+        assert getattr(ctx, read)(True) == getattr(ctx, read)(1.0), read
+    assert ctx.log_scale_derivative(np.array([True])) == ctx.log_scale_derivative([1.0])
+
+
 # ------------------------------------------------------------ sweep bits
 
 
