@@ -574,9 +574,11 @@ class ScaleContext:
     def sigma_tilde_sq(self, x):
         return self.sigma_tilde(x) ** 2
 
-    def _log_sigma_tilde_sq(self, x):
+    def _log_sigma_tilde_sq(self, x, sigma=None):
+        # log sigma~^2 at x, from the model's sigma there when given
+        sigma = self.model.diffusion(x) if sigma is None else sigma
         with np.errstate(divide="ignore"):
-            return 2.0 * (math.log(self._k0) + np.log(self.model.diffusion(x)))
+            return 2.0 * (math.log(self._k0) + np.log(sigma))
 
     # -- exponent E(y) = log p'_c(y) -----------------------------------------
 
@@ -648,7 +650,7 @@ class ScaleContext:
             parts.append(-np.geomspace(-hi, -lo, half))
         return np.unique(np.concatenate(parts))
 
-    def _node_values(self, a, b, inner, ends=(), seg=None, pairs=False, shifts=None):
+    def _node_values(self, a, b, inner, ends=(), seg=None, shifts=None):
         # (None, E, log sigma~^2, change of E) at the Gauss nodes of panels
         # running from a (the end nearer c) to b on one side of c: what the
         # spread test and the integrals read, log sigma~^2 for inner sweeps
@@ -657,25 +659,19 @@ class ScaleContext:
         # None: this context's) on its side of c.  Custom models give E
         # relative to E(a), from the integration matrix applied to g = 2 b~_c
         # / sigma~^2, plus the panel's total change of E, by BLAS products on
-        # one segment's rows at a time.  With pairs, the panels are the two
-        # halves of panels, in pairs, and a segment's products take its first
-        # halves, then its second halves.  On a panel ending at s in ends,
-        # g's pole h(s) / (y - s), h(s) read off the interpolant of
-        # h = g (y - s), integrates in closed form.
+        # one segment's rows at a time, in the order given.  On a panel
+        # ending at s in ends, g's pole h(s) / (y - s), h(s) read off the
+        # interpolant of h = g (y - s), integrates in closed form.
         beta, gamma = (self.beta, self.gamma) if shifts is None else shifts[seg].T[..., None]
+        y = _gauss_nodes(a, b)
         if self._closed_exponent:
-            y = _gauss_nodes(a, b)
             log_sig = self._log_sigma_tilde_sq(y) if inner else None
             return None, self._exponent_batch(y, beta if b[-1] < self.c else gamma), log_sig, None
-        if pairs:
-            lay = np.lexsort((np.arange(len(a)) % 2, seg))
-            vals = self._node_values(a[lay], b[lay], inner, ends, seg[lay], False, shifts)
-            return tuple(None if v is None else _scatter(lay, v) for v in vals)
-        y = _gauss_nodes(a, b)
-        log_sig = self._log_sigma_tilde_sq(y) if inner else None
+        sigma = self.model.diffusion(y)  # once, for both sigma~^2 and its log
+        log_sig = self._log_sigma_tilde_sq(y, sigma) if inner else None
         half = 0.5 * (b - a)
         g = self.b_tilde(y) + self._ratio * np.where(y < self.c, beta, gamma)
-        g = 2.0 * g / self.sigma_tilde_sq(y)
+        g = 2.0 * g / (self._k0 * sigma) ** 2
         e = -half[:, None] * _by_segment(g, gl_integration_matrix(_ORDER).T, seg)
         at_s = _at_any(b, ends)
         if at_s.any():
@@ -702,10 +698,15 @@ class ScaleContext:
         # range outward: seg gives each panel's segment, in runs of rising
         # ids (None: one segment), and shifts each segment's (beta, gamma)
         # (None: this context's).  The panels come back segment by segment,
-        # each segment's exactly as if refined alone.
+        # each segment's exactly as if refined alone.  A custom model's rows
+        # enter _node_values' BLAS calls per segment, a round's first halves
+        # then its second halves, each in the outward order that outward
+        # keeps; closed node values are elementwise, and their halves stay
+        # interleaved, outward, which reads memory in order.
         seg = np.zeros(len(a), dtype=np.intp) if seg is None else seg
         fallback = _at_any(a, ends) | _at_any(b, ends)
-        vals = self._node_values(a, b, inner, ends, seg, False, shifts)
+        vals = self._node_values(a, b, inner, ends, seg, shifts)
+        outward = None if self._closed_exponent else np.arange(len(a))
         done = [[] for _ in range(7)]  # rows kept by each round: seg, a, b, flags, node values
         for left in range(_MAX_BISECTIONS, -1, -1):
             _, e, log_sig, de = vals
@@ -727,13 +728,17 @@ class ScaleContext:
             if not split.any():
                 break  # always by the last round, which flags what is left
             vals = e = log_sig = de = f = None  # this round's rows go before the next's come
-            a, b, seg = a[split], b[split], seg[split]
+            take = split if outward is None else outward[split[outward]]
+            a, b, seg = a[take], b[take], seg[take]
             mid = 0.5 * (a + b)
             # each split panel's first half, then its second, outward
             a, b, seg = np.repeat(a, 2), np.repeat(b, 2), np.repeat(seg, 2)
             a[1::2] = b[0::2] = mid
+            if outward is not None:  # per segment, first halves, then second halves
+                lay = np.argsort(2 * seg + np.arange(len(seg)) % 2, kind="stable")
+                a, b, seg, outward = a[lay], b[lay], seg[lay], _scatter(lay, np.arange(len(lay)))
             fallback = np.zeros(len(a), dtype=bool)
-            vals = self._node_values(a, b, inner, (), seg, True, shifts)
+            vals = self._node_values(a, b, inner, (), seg, shifts)
         seg, a, b, fallback = map(np.concatenate, done[:4])
         del done[:4]  # each round's rows of those go before the node values are placed
         order = np.lexsort((a if b[0] > a[0] else -a, seg))

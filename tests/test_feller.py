@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from volterra_feller import (
@@ -35,6 +35,7 @@ from volterra_feller import (
     sup_inf_test,
     verdict_crosscheck,
 )
+from volterra_feller import feller
 from volterra_feller.errors import NumericError, PreconditionError
 from volterra_feller.feller import _staged_side
 from volterra_feller.scale import DIVERGENCE_CAP, kernel_scalars
@@ -504,6 +505,128 @@ def test_staged_side_memory_stays_near_one_stage(sloped_kernel):
     one = peak(lambda: last._stabilized([x], "log_v"))
     batch = peak(lambda: _staged_side(ctx, "right", 8))
     assert batch <= 1.5 * one, (batch, one)
+
+
+# ------------------------------------------- classical truth at K'(0) = 0
+
+
+def _classical_case(family, k, nu, theta, s):
+    # a model at K = k whose classical exponent at its left end is nu (CIR:
+    # nu = 2 kappa theta / (k sigma^2)), under the time change (kappa,
+    # sigma) -> (s^2 kappa, s sigma), which moves no verdict; with, per
+    # side, whether the end is reached with positive probability
+    if family == "cir":
+        model = CIRModel(s**2, 0.5 * nu * k, s, 1.0)
+        return ScaleContext(model, ConstantKernel(k)), {"left": nu < 1.0, "right": False}
+    # Jacobi on (0, 1) with sigma = s: nu at 0, nu (1 - theta) / theta at 1
+    model = JacobiModel(0.0, 1.0, s**2 * nu * k / (2.0 * theta), theta, s, 0.5)
+    nu_right = nu * (1.0 - theta) / theta
+    return ScaleContext(model, ConstantKernel(k)), {"left": nu < 1.0, "right": nu_right < 1.0}
+
+
+def _off_threshold(nu, theta):
+    # both ends' exponents at least 1% away from 1
+    return all(abs(x - 1.0) >= 0.01 for x in (nu, nu * (1.0 - theta) / theta))
+
+
+def _sides(verdict):
+    return ("left", "right") if verdict.boundary == Boundary.BOTH else (verdict.boundary.lower(),)
+
+
+_CLASSICAL = dict(
+    family=st.sampled_from(["cir", "jacobi"]),
+    k=st.floats(0.5, 2.0),
+    nu=st.floats(0.2, 0.99) | st.floats(1.01, 3.0),
+    theta=st.floats(0.1, 0.9),
+    s=st.floats(-8.0, 8.0).map(lambda e: 10.0**e),
+)
+
+
+@settings(max_examples=30)
+@given(**_CLASSICAL)
+@example(family="cir", k=1.0, nu=0.526, theta=0.5, s=1.2e-8)
+@example(family="cir", k=1.0, nu=0.2, theta=0.5, s=1e-7)
+def test_sufficient_verdict_survives_a_time_change_at_a_constant_kernel(family, k, nu, theta, s):
+    # at K = k the equation is a classical diffusion, and (kappa, sigma) ->
+    # (s^2 kappa, s sigma) only changes its clock; v scales as 1/s^2, so
+    # stage values read against an absolute level moved the verdict
+    assume(family == "cir" or _off_threshold(nu, theta))
+    scaled, _ = _classical_case(family, k, nu, theta, s)
+    plain, _ = _classical_case(family, k, nu, theta, 1.0)
+    got, want = sufficient_test(scaled), sufficient_test(plain)
+    assert (got.boundary, got.verdict) == (want.boundary, want.verdict)
+
+
+@settings(max_examples=30)
+@given(**_CLASSICAL)
+@example(family="cir", k=1.0, nu=0.526, theta=0.5, s=1.2e-8)
+def test_no_strong_verdict_contradicts_the_classical_thresholds(family, k, nu, theta, s):
+    # Feller's test: an end is reached with positive probability iff its
+    # exponent is below 1; for CIR, 0 is not hit iff 2 kappa theta >= k sigma^2
+    assume(family == "cir" or _off_threshold(nu, theta))
+    ctx, hit = _classical_case(family, k, nu, theta, s)
+    for verdict in [sufficient_test(ctx), *family_test(ctx.model, ctx.kernel)]:
+        for side in _sides(verdict):
+            if verdict.verdict == Verdict.NO_EXIT_AS:
+                assert not hit[side], (side, verdict)
+            if verdict.verdict == Verdict.EXITS_WITH_POSITIVE_PROB:
+                assert hit[side], (side, verdict)
+
+
+def test_tiny_brownian_motion_on_an_interval_is_not_certified(unit_kernel):
+    # b = 0, sigma = 1e-7 on (0, 1) leaves the interval a.s.; v is finite,
+    # about 1e14, at both ends, which the staged test read as divergence
+    model = CustomModel(np.zeros_like, lambda x: np.full_like(x, 1e-7), (0.0, 1.0), 0.5)
+    out = sufficient_test(ScaleContext(model, unit_kernel))
+    assert (out.boundary, out.verdict) == (Boundary.BOTH, Verdict.INCONCLUSIVE)
+
+
+def test_slow_cir_is_certified_only_where_zero_is_not_hit(unit_kernel):
+    # the s = 1e-7 time change of CIRModel(1, 0.1, 1, 1): nu = 0.2, so 0 is hit
+    out = sufficient_test(ScaleContext(CIRModel(1e-14, 0.1, 1e-7, 1.0), unit_kernel))
+    assert (out.boundary, out.verdict) == (Boundary.RIGHT, Verdict.NO_EXIT_AS)
+    assert out.evidence[-1] == ("v(right)", math.inf, DIVERGENCE_CAP)
+
+
+def _count_stage_calls(monkeypatch):
+    # the sides _staged_side runs, and the legs of each _stabilized_legs call
+    staged, legs = [], []
+    run_staged, run_legs = feller._staged_side, ScaleContext._stabilized_legs
+
+    def counted_staged(ctx, which, n_stages):
+        staged.append(which)
+        return run_staged(ctx, which, n_stages)
+
+    def counted_legs(self, *args, **kwargs):
+        legs.append(len(args[0]))
+        return run_legs(self, *args, **kwargs)
+
+    monkeypatch.setattr(feller, "_staged_side", counted_staged)
+    monkeypatch.setattr(ScaleContext, "_stabilized_legs", counted_legs)
+    return staged, legs
+
+
+def test_constant_kernel_cir_reads_its_right_side_off_the_closed_rule(monkeypatch, unit_kernel):
+    # K'(0) = 0: every stage is v_c, so +inf is decided by v's limit there,
+    # with no sweep.  nu = 2 diverges at 0 by the closed rule too; nu = 0.5
+    # sweeps to 0 for the finite value, and still not to the right
+    staged, legs = _count_stage_calls(monkeypatch)
+    out = sufficient_test(ScaleContext(CIRModel(1.0, 1.0, 1.0, 1.0), unit_kernel))
+    assert (out.boundary, out.verdict) == (Boundary.BOTH, Verdict.NO_EXIT_AS)
+    assert (staged, legs) == ([], [])
+    out = sufficient_test(ScaleContext(CIRModel(1.0, 0.25, 1.0, 1.0), unit_kernel))
+    assert (out.boundary, out.verdict) == (Boundary.RIGHT, Verdict.NO_EXIT_AS)
+    assert staged == [] and legs == [1]  # the left limit's one swept leg
+
+
+def test_constant_kernel_custom_model_still_stages_toward_infinity(monkeypatch, unit_kernel):
+    # a custom model's rule at an infinite end is the sampled classifier, so
+    # its right side keeps the stages
+    model = CustomModel(lambda x: 1.0 - x, lambda x: np.sqrt(x), (0.0, math.inf), 1.0)
+    staged, _ = _count_stage_calls(monkeypatch)
+    out = sufficient_test(ScaleContext(model, unit_kernel))
+    assert staged == ["right"]
+    assert out.evidence[-1][0].startswith("v at stage point 257")
 
 
 # ------------------------------------------------------- hypothesis gating
