@@ -243,18 +243,19 @@ def _sufficient_side(ctx, which, n_stages):
         evidence.append(_limit_triple(label, lim))
         if lim.kind == "divergent":
             return True, evidence
-    # At K'(0) = 0 the shifts drop out, so every stage is v_c itself and the
-    # stages grow without bound iff v_c diverges at the boundary (Feller's
-    # test): the limit above at a finite end, the closed rule at an infinite
-    # one.  Custom models keep the stages toward an infinite end
-    if ctx.kprime0 != 0.0 or not (math.isfinite(boundary) or hasattr(ctx.model, "limit_rule")):
-        staged_ok, staged_ev = _staged_side(ctx, which, n_stages)
-        return staged_ok, evidence + staged_ev
-    ctx._approach(which, n_stages, "n_stages")  # n_stages is checked as the stages would
-    if math.isfinite(boundary):
-        return False, evidence
-    lim = ctx.boundary_limit(which, target="v")
-    return lim.kind == "divergent", [_limit_triple(f"v({which})", lim)]
+    if ctx.kprime0 == 0.0:
+        # the shifts drop out, so every stage is v_c itself and the stages
+        # grow without bound iff v_c diverges at the boundary (Feller's test)
+        ctx._approach(which, n_stages, "n_stages")  # n_stages is checked as the stages would
+        if math.isfinite(boundary):
+            return False, evidence  # the limit above was not divergent
+        if hasattr(ctx.model, "limit_rule"):
+            lim = ctx.boundary_limit(which, target="v", method="closed")
+            if lim.kind != "inconclusive":
+                return lim.kind == "divergent", [_limit_triple(f"v({which})", lim)]
+        # no closed rule decides this infinite end: run the stages
+    staged_ok, staged_ev = _staged_side(ctx, which, n_stages)
+    return staged_ok, evidence + staged_ev
 
 
 def sufficient_test(ctx, n_stages=8, hypotheses=None):
@@ -268,8 +269,9 @@ def sufficient_test(ctx, n_stages=8, hypotheses=None):
 
     At K'(0) = 0 the shifts drop out and every stage is the same v_c, so the
     condition is v's endpoint limit (Feller's test): the one-shot limit at a
-    finite end, and ``boundary_limit`` at an infinite end of a built-in
-    family.  Custom models still run the stages toward an infinite end.
+    finite end, and a closed ``limit_rule`` at an infinite end where one
+    decides it.  Other infinite ends (custom models, power drifts with
+    alpha <= 1 + delta) still run the stages.
     """
     n_stages = check_count("n_stages", n_stages, 2)
     left_ok, ev_left = _sufficient_side(ctx, "left", n_stages)

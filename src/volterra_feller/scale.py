@@ -574,9 +574,8 @@ class ScaleContext:
     def sigma_tilde_sq(self, x):
         return self.sigma_tilde(x) ** 2
 
-    def _log_sigma_tilde_sq(self, x, sigma=None):
-        # log sigma~^2 at x, from the model's sigma there when given
-        sigma = self.model.diffusion(x) if sigma is None else sigma
+    def _log_sigma_tilde_sq(self, sigma):
+        # log sigma~^2 from the model's sigma at the points
         with np.errstate(divide="ignore"):
             return 2.0 * (math.log(self._k0) + np.log(sigma))
 
@@ -665,10 +664,10 @@ class ScaleContext:
         beta, gamma = (self.beta, self.gamma) if shifts is None else shifts[seg].T[..., None]
         y = _gauss_nodes(a, b)
         if self._closed_exponent:
-            log_sig = self._log_sigma_tilde_sq(y) if inner else None
+            log_sig = self._log_sigma_tilde_sq(self.model.diffusion(y)) if inner else None
             return None, self._exponent_batch(y, beta if b[-1] < self.c else gamma), log_sig, None
         sigma = self.model.diffusion(y)  # once, for both sigma~^2 and its log
-        log_sig = self._log_sigma_tilde_sq(y, sigma) if inner else None
+        log_sig = self._log_sigma_tilde_sq(sigma) if inner else None
         half = 0.5 * (b - a)
         g = self.b_tilde(y) + self._ratio * np.where(y < self.c, beta, gamma)
         g = 2.0 * g / (self._k0 * sigma) ** 2
@@ -698,15 +697,14 @@ class ScaleContext:
         # range outward: seg gives each panel's segment, in runs of rising
         # ids (None: one segment), and shifts each segment's (beta, gamma)
         # (None: this context's).  The panels come back segment by segment,
-        # each segment's exactly as if refined alone.  A custom model's rows
-        # enter _node_values' BLAS calls per segment, a round's first halves
-        # then its second halves, each in the outward order that outward
-        # keeps; closed node values are elementwise, and their halves stay
-        # interleaved, outward, which reads memory in order.
+        # each segment's exactly as if refined alone.  A round's halves are
+        # laid out per segment, its first halves then its second halves, so
+        # a custom model's BLAS calls in _node_values take them in that
+        # order; outward keeps the rows' outward order for the next round.
         seg = np.zeros(len(a), dtype=np.intp) if seg is None else seg
         fallback = _at_any(a, ends) | _at_any(b, ends)
         vals = self._node_values(a, b, inner, ends, seg, shifts)
-        outward = None if self._closed_exponent else np.arange(len(a))
+        outward = np.arange(len(a))
         done = [[] for _ in range(7)]  # rows kept by each round: seg, a, b, flags, node values
         for left in range(_MAX_BISECTIONS, -1, -1):
             _, e, log_sig, de = vals
@@ -728,15 +726,14 @@ class ScaleContext:
             if not split.any():
                 break  # always by the last round, which flags what is left
             vals = e = log_sig = de = f = None  # this round's rows go before the next's come
-            take = split if outward is None else outward[split[outward]]
+            take = outward[split[outward]]
             a, b, seg = a[take], b[take], seg[take]
             mid = 0.5 * (a + b)
             # each split panel's first half, then its second, outward
             a, b, seg = np.repeat(a, 2), np.repeat(b, 2), np.repeat(seg, 2)
             a[1::2] = b[0::2] = mid
-            if outward is not None:  # per segment, first halves, then second halves
-                lay = np.argsort(2 * seg + np.arange(len(seg)) % 2, kind="stable")
-                a, b, seg, outward = a[lay], b[lay], seg[lay], _scatter(lay, np.arange(len(lay)))
+            lay = np.argsort(2 * seg + np.arange(len(seg)) % 2, kind="stable")
+            a, b, seg, outward = a[lay], b[lay], seg[lay], _scatter(lay, np.arange(len(lay)))
             fallback = np.zeros(len(a), dtype=bool)
             vals = self._node_values(a, b, inner, (), seg, shifts)
         seg, a, b, fallback = map(np.concatenate, done[:4])
@@ -946,8 +943,9 @@ class ScaleContext:
         d = (r - l) * 0.5 ** np.array([n // 2, n])
         y = s + np.copysign(d, self.c - s)[:, None] * 0.5 * (1.0 - gl_rule(_ORDER)[0])
         x = np.log(np.abs(y - s))
+        log_sig = self._log_sigma_tilde_sq(self.model.diffusion(y))
         with np.errstate(divide="ignore", invalid="ignore"):  # only beta is read
-            beta = _power_law_integrals(-self._log_sigma_tilde_sq(y), x, x[:, 0], x[:, -1])[1]
+            beta = _power_law_integrals(-log_sig, x, x[:, 0], x[:, -1])[1]
         return float(beta[1]), -1.0 + max(2.0 * abs(float(beta[1] - beta[0])), _FIT_TOL)
 
     def _log_inner_intervals(self, a, b, e_a, log_w):

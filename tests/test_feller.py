@@ -564,13 +564,29 @@ def test_no_strong_verdict_contradicts_the_classical_thresholds(family, k, nu, t
     # Feller's test: an end is reached with positive probability iff its
     # exponent is below 1; for CIR, 0 is not hit iff 2 kappa theta >= k sigma^2
     assume(family == "cir" or _off_threshold(nu, theta))
-    ctx, hit = _classical_case(family, k, nu, theta, s)
+    _assert_no_strong_verdict_against(*_classical_case(family, k, nu, theta, s))
+
+
+def _assert_no_strong_verdict_against(ctx, hit):
+    # hit: per side, whether the end is reached with positive probability
     for verdict in [sufficient_test(ctx), *family_test(ctx.model, ctx.kernel)]:
         for side in _sides(verdict):
             if verdict.verdict == Verdict.NO_EXIT_AS:
                 assert not hit[side], (side, verdict)
             if verdict.verdict == Verdict.EXITS_WITH_POSITIVE_PROB:
                 assert hit[side], (side, verdict)
+
+
+@settings(max_examples=30)
+@given(k=st.floats(0.5, 2.0), alpha=st.floats(1.01, 2.0), delta=st.floats(0.0, 0.95),
+       sigma=st.floats(-4.0, 4.0).map(lambda e: 10.0**e))
+@example(k=1.0, alpha=1.02, delta=0.5, sigma=1.0)
+def test_no_strong_verdict_contradicts_power_explosion(k, alpha, delta, sigma):
+    # b = |x|^alpha with alpha > 1: v' ~ 1 / (k y^alpha) at large y, so v is
+    # finite at +inf and +inf is reached, whatever delta; -inf never is.  At
+    # alpha <= 1 + delta no closed rule decides +inf, and the stages run
+    ctx = ScaleContext(PowerModel(alpha, delta, sigma, 1.0), ConstantKernel(k))
+    _assert_no_strong_verdict_against(ctx, {"left": False, "right": True})
 
 
 def test_tiny_brownian_motion_on_an_interval_is_not_certified(unit_kernel):
@@ -617,6 +633,15 @@ def test_constant_kernel_cir_reads_its_right_side_off_the_closed_rule(monkeypatc
     out = sufficient_test(ScaleContext(CIRModel(1.0, 0.25, 1.0, 1.0), unit_kernel))
     assert (out.boundary, out.verdict) == (Boundary.RIGHT, Verdict.NO_EXIT_AS)
     assert staged == [] and legs == [1]  # the left limit's one swept leg
+
+
+def test_constant_kernel_power_drift_without_a_closed_rule_still_stages(monkeypatch, unit_kernel):
+    # alpha <= 1 + delta: the closed rule is inconclusive at +inf, and the
+    # sampled classifier reads v's slow y^-1.02 tail as divergence there
+    staged, _ = _count_stage_calls(monkeypatch)
+    out = sufficient_test(ScaleContext(PowerModel(1.02, 0.5, 1.0, 1.0), unit_kernel))
+    assert (out.boundary, out.verdict) == (Boundary.LEFT, Verdict.NO_EXIT_AS)
+    assert staged == ["right"]
 
 
 def test_constant_kernel_custom_model_still_stages_toward_infinity(monkeypatch, unit_kernel):
