@@ -80,7 +80,8 @@ def _read_config(path):
         with open(path) as fh:
             cp.read_file(fh)
     except configparser.Error as exc:
-        raise CliError(f"cannot parse config {path}: {exc}")
+        # configparser spreads some messages over lines; errors are one line
+        raise CliError(f"cannot parse config {path}: {'; '.join(str(exc).splitlines())}")
     for section in cp.sections():
         if section not in _SECTIONS:
             raise CliError(f"unknown section [{section}] in {path}")

@@ -250,10 +250,9 @@ def _sufficient_side(ctx, which, n_stages):
         if math.isfinite(boundary):
             return False, evidence  # the limit above was not divergent
         if hasattr(ctx.model, "limit_rule"):
-            lim = ctx.boundary_limit(which, target="v", method="closed")
-            if lim.kind != "inconclusive":
-                return lim.kind == "divergent", [_limit_triple(f"v({which})", lim)]
-        # no closed rule decides this infinite end: run the stages
+            lim = ctx.boundary_limit(which, target="v")
+            return lim.kind == "divergent", [_limit_triple(f"v({which})", lim)]
+        # a custom model's infinite end has no endpoint rule yet: the stages run
     staged_ok, staged_ev = _staged_side(ctx, which, n_stages)
     return staged_ok, evidence + staged_ev
 
@@ -269,9 +268,8 @@ def sufficient_test(ctx, n_stages=8, hypotheses=None):
 
     At K'(0) = 0 the shifts drop out and every stage is the same v_c, so the
     condition is v's endpoint limit (Feller's test): the one-shot limit at a
-    finite end, and a closed ``limit_rule`` at an infinite end where one
-    decides it.  Other infinite ends (custom models, power drifts with
-    alpha <= 1 + delta) still run the stages.
+    finite end, and the model's closed ``limit_rule`` at an infinite one.
+    Only a custom model's infinite ends still run the stages.
     """
     n_stages = check_count("n_stages", n_stages, 2)
     left_ok, ev_left = _sufficient_side(ctx, "left", n_stages)

@@ -57,7 +57,8 @@ Each built-in model family keeps its closed forms on its own class, and
   per y, or one number for all the nodes of a sweep's leg, which lies on
   one side of c;
 * ``limit_rule(which, target, k0, ratio, shift)``: (kind, evidence) for the
-  limit of v or |p| at one boundary under that side's shift;
+  limit of v or |p| at one boundary under that side's shift, which it
+  decides: kind is 'finite' or 'divergent';
 * ``interior_singularities()``: interior zeros of sigma, treated like
   endpoints;
 * ``family_verdicts(k0, kp0, emit)``: the family's printed inequalities,
@@ -416,11 +417,8 @@ class PowerModel:
             return "divergent", {"reason": "p' grows superexponentially toward -inf"}
         if target == "p":
             return "finite", {"reason": "p' decays superexponentially toward +inf"}
-        if self.alpha > 1.0 + self.delta:
-            return "finite", {"rule": "alpha > 1 + delta", "alpha": self.alpha,
-                              "delta": self.delta}
-        return "inconclusive", {"rule": "alpha <= 1 + delta: no closed rule",
-                                "alpha": self.alpha, "delta": self.delta}
+        # p' decays superexponentially, so v' ~ 1 / b~_c ~ 1 / (K0 y^alpha)
+        return "finite", {"rule": "alpha > 1", "alpha": self.alpha, "delta": self.delta}
 
     def interior_singularities(self):
         # sigma vanishes at 0 when delta > 0
@@ -650,7 +648,7 @@ class ScaleContext:
         return np.unique(np.concatenate(parts))
 
     def _node_values(self, a, b, inner, ends=(), seg=None, shifts=None):
-        # (None, E, log sigma~^2, change of E) at the Gauss nodes of panels
+        # (E, log sigma~^2, change of E) at the Gauss nodes of panels
         # running from a (the end nearer c) to b on one side of c: what the
         # spread test and the integrals read, log sigma~^2 for inner sweeps
         # only.  _advance forms the nodes where it reads them.  A row's shift
@@ -665,7 +663,7 @@ class ScaleContext:
         y = _gauss_nodes(a, b)
         if self._closed_exponent:
             log_sig = self._log_sigma_tilde_sq(self.model.diffusion(y)) if inner else None
-            return None, self._exponent_batch(y, beta if b[-1] < self.c else gamma), log_sig, None
+            return self._exponent_batch(y, beta if b[-1] < self.c else gamma), log_sig, None
         sigma = self.model.diffusion(y)  # once, for both sigma~^2 and its log
         log_sig = self._log_sigma_tilde_sq(sigma) if inner else None
         half = 0.5 * (b - a)
@@ -680,7 +678,7 @@ class ScaleContext:
             h_s = _by_segment(h, gl_legendre_coefficients(_ORDER).sum(axis=0), seg_s)[:, None]
             rest = _by_segment((h - h_s) / z, gl_integration_matrix(_ORDER).T, seg_s)
             e[at_s] = -(h_s * np.log(z / (a - b)[at_s, None]) + half[at_s, None] * rest)
-        return None, e, log_sig, -half * _by_segment(g, gl_rule(_ORDER)[1], seg)
+        return e, log_sig, -half * _by_segment(g, gl_rule(_ORDER)[1], seg)
 
     def _refine(self, a, b, inner, ends, seg=None, shifts=None):
         # Halve panels until E (and, for inner sweeps, -E - log sigma~^2)
@@ -707,7 +705,7 @@ class ScaleContext:
         outward = np.arange(len(a))
         done = [[] for _ in range(7)]  # rows kept by each round: seg, a, b, flags, node values
         for left in range(_MAX_BISECTIONS, -1, -1):
-            _, e, log_sig, de = vals
+            e, log_sig, de = vals
             # max - min of node-major copies: exact, 10-15x faster than by rows.
             # Rounding is symmetric, so -E - log sigma~^2 is the exact negation
             # of E + log sigma~^2 and has its spread
@@ -740,9 +738,8 @@ class ScaleContext:
         del done[:4]  # each round's rows of those go before the node values are placed
         order = np.lexsort((a if b[0] > a[0] else -a, seg))
         a, b, fallback, seg = a[order], b[order], fallback[order], None
-        vals = [None]  # node positions, as from _node_values
         # every round's node values go straight to their place in that order
-        rank = _scatter(order, np.arange(len(order)))
+        rank, vals = _scatter(order, np.arange(len(order))), []
         for rows in done:
             vals.append(None if rows[0] is None else _place(rank, rows))
             rows.clear()
@@ -758,7 +755,7 @@ class ScaleContext:
         # one call of outward; only the integrals whose node values the next
         # integrand reads form them (each I_k, u_k for k < n).
         e0, p0, starts = state
-        _, e, log_sig, de = vals
+        e, log_sig, de = vals
         log_half = np.log(np.abs(0.5 * (b - a)))
         nan = np.full(len(b), np.nan)
         e_a = e_b = nan
@@ -975,7 +972,7 @@ class ScaleContext:
         rel_edges = np.concatenate([ladder, 1.0 - ladder[..., ::-1]], axis=-1)
         sub_lo = lo[..., None] + span[..., None] * rel_edges[..., :-1]
         sub_hi = lo[..., None] + span[..., None] * rel_edges[..., 1:]
-        _, e, log_sig, de = self._node_values(sub_lo.ravel(), sub_hi.ravel(), True)
+        e, log_sig, de = self._node_values(sub_lo.ravel(), sub_hi.ravel(), True)
         shape = sub_lo.shape + (_ORDER,)
         e, log_sig = e.reshape(shape), log_sig.reshape(shape)
         if de is not None:
@@ -1107,8 +1104,9 @@ class ScaleContext:
         (x_k = boundary +- |c - boundary| 2^-k for finite endpoints,
         x_k = c -+ 2^k for infinite ones, k = 1..steps; ValueError if one is
         not a float inside the interval) and classifies the increment tail;
-        'auto' prefers the closed form, else sweeps to a finite endpoint and
-        samples toward an infinite one.
+        'auto' uses the model's closed rule when it has one, and that rule
+        decides every built-in end; a custom model is swept to a finite
+        endpoint and sampled toward an infinite one.
 
         All sample points are read off one outward sweep from c, which
         stops after the first point whose value reaches DIVERGENCE_CAP; the
@@ -1136,8 +1134,7 @@ class ScaleContext:
             if kind == "finite" and math.isfinite(boundary):
                 swept = self._swept_limit(boundary, target)
                 ev = {**ev, **swept.evidence} if swept.kind == "finite" else ev
-            if method == "closed" or kind != "inconclusive":
-                return LimitResult(kind, swept and swept.value, "closed", ev)
+            return LimitResult(kind, swept and swept.value, "closed", ev)
         if method == "auto" and math.isfinite(boundary):
             return self._swept_limit(boundary, target)
         return self._sampled_limit(which, target, steps)

@@ -126,6 +126,14 @@ def test_seed_past_2_64_is_one_error_line(tmp_path, capsys):
     assert out.err.count("\n") == 1
 
 
+def test_usage_errors_exit_1_on_one_line(capsys):
+    # argparse exits 2 on its own; the parser raises a CLI error instead
+    rc = main(["test"])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (1, "")
+    assert out.err == "error: the following arguments are required: --config\n"
+
+
 def test_missing_config_file_exits_1(capsys):
     rc = main(["test", "--config", "/nonexistent/run.ini"])
     assert rc == 1
@@ -140,6 +148,9 @@ def test_missing_config_file_exits_1(capsys):
      "bad value for 'x_grid' in [test]: ''"),
     ("test", CIR_FAMILY + "\n    [output]\n    format = xml\n",
      "output format must be 'json' or 'csv', got 'xml'"),
+    ("test", "kappa = 1\n" + textwrap.dedent(CIR_FAMILY), "cannot parse config "),
+    ("resolvent", "[kernel]\nkind = constant\nlevel = 1.0\n",
+     "config needs a [sim] section with dt and horizon"),
 ])
 def test_config_errors_are_one_line(tmp_path, capsys, command, cfg, message):
     rc = main([command, "--config", _write_ini(tmp_path, cfg)])

@@ -567,14 +567,19 @@ def test_no_strong_verdict_contradicts_the_classical_thresholds(family, k, nu, t
     _assert_no_strong_verdict_against(*_classical_case(family, k, nu, theta, s))
 
 
-def _assert_no_strong_verdict_against(ctx, hit):
+def _contradictions(verdict, hit, sides=("left", "right")):
+    # the sides, of those in sides, where a strong exit verdict contradicts
     # hit: per side, whether the end is reached with positive probability
+    claims = {Verdict.NO_EXIT_AS: False, Verdict.EXITS_WITH_POSITIVE_PROB: True}
+    if verdict.verdict not in claims:
+        return []
+    return [side for side in _sides(verdict)
+            if side in sides and hit[side] != claims[verdict.verdict]]
+
+
+def _assert_no_strong_verdict_against(ctx, hit):
     for verdict in [sufficient_test(ctx), *family_test(ctx.model, ctx.kernel)]:
-        for side in _sides(verdict):
-            if verdict.verdict == Verdict.NO_EXIT_AS:
-                assert not hit[side], (side, verdict)
-            if verdict.verdict == Verdict.EXITS_WITH_POSITIVE_PROB:
-                assert hit[side], (side, verdict)
+        assert _contradictions(verdict, hit) == [], verdict
 
 
 @settings(max_examples=30)
@@ -583,10 +588,77 @@ def _assert_no_strong_verdict_against(ctx, hit):
 @example(k=1.0, alpha=1.02, delta=0.5, sigma=1.0)
 def test_no_strong_verdict_contradicts_power_explosion(k, alpha, delta, sigma):
     # b = |x|^alpha with alpha > 1: v' ~ 1 / (k y^alpha) at large y, so v is
-    # finite at +inf and +inf is reached, whatever delta; -inf never is.  At
-    # alpha <= 1 + delta no closed rule decides +inf, and the stages run
+    # finite at +inf and +inf is reached, whatever delta; -inf never is.  The
+    # necessary test reads the closed rule, so it finds that exit
     ctx = ScaleContext(PowerModel(alpha, delta, sigma, 1.0), ConstantKernel(k))
     _assert_no_strong_verdict_against(ctx, {"left": False, "right": True})
+    out = necessary_test(ctx)
+    assert (out.boundary, out.verdict) == (Boundary.RIGHT, Verdict.EXITS_WITH_POSITIVE_PROB)
+
+
+def test_power_explosion_under_a_steep_kernel_is_found_by_the_necessary_test():
+    # K = e^(-5t): v(+inf) is finite but about 2e32, past DIVERGENCE_CAP,
+    # which a sweep to x = 9 already reached (log v = 34.1); the closed rule
+    # reads no level
+    ctx = ScaleContext(PowerModel(1.5, 0.75, 1.0, 1.0), SumOfExponentialsKernel([1.0], [5.0]))
+    out = necessary_test(ctx)
+    assert (out.boundary, out.verdict) == (Boundary.RIGHT, Verdict.EXITS_WITH_POSITIVE_PROB)
+
+
+def _custom_oracle_case(a, b, q0, q1, s, k):
+    # a custom model on (0, inf) at K = k with log p' = -a log x + (a - b)
+    # log(1 + x): sigma = s x^q0 (1 + x)^(q1 - q0) and drift = k sigma^2 / 2
+    # (a / x - (a - b) / (1 + x)).  Feller's test gives, per side, whether
+    # the end is reached with positive probability (v finite there), and
+    # whether |p| is finite there
+    def sigma(x):
+        x = np.asarray(x, dtype=float)
+        return s * x**q0 * (1.0 + x) ** (q1 - q0)
+
+    def drift(x):
+        x = np.asarray(x, dtype=float)
+        return k * sigma(x) ** 2 / 2.0 * (a / x - (a - b) / (1.0 + x))
+
+    ctx = ScaleContext(CustomModel(drift, sigma, (0.0, math.inf), 1.0), ConstantKernel(k))
+    hit = {"left": a < 1.0 and q0 < 1.0, "right": b > 1.0 and q1 > 1.0}
+    p_finite = {"left": a < 1.0, "right": b > 1.0}
+    return ctx, hit, p_finite
+
+
+_MARGIN = st.floats(0.005, 0.5)
+_EXPONENT = st.builds(lambda m, up: 1.0 + m if up else 1.0 - m, _MARGIN, st.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_EXPONENT, b=_EXPONENT, q0=_EXPONENT, q1=_EXPONENT,
+       s=st.floats(-8.0, 8.0).map(lambda e: 10.0**e), k=st.floats(0.5, 2.0))
+def test_custom_oracle_no_strong_verdict_contradicts_fellers_test(a, b, q0, q1, s, k):
+    # log terms appear where a - 2 q0 or b - 2 q1 is -1
+    assume(abs(a - 2.0 * q0 + 1.0) >= 0.01 and abs(b - 2.0 * q1 + 1.0) >= 0.01)
+    ctx, hit, _ = _custom_oracle_case(a, b, q0, q1, s, k)
+    assert _contradictions(necessary_test(ctx), hit) == []
+    assert _contradictions(sufficient_test(ctx), hit, ("left",)) == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_custom_oracle_sup_bound_reads_a_slow_finite_p_tail():
+    # p' ~ y^-1.03 at +inf: p is finite at both ends, so the supremum is not
+    # a.s. bounded, but the sampled classifier reads |p| as divergent there
+    ctx, _, p_finite = _custom_oracle_case(0.6, 1.03, 0.9, 0.9, 1.0, 1.0)
+    assert p_finite == {"left": True, "right": True}
+    out = sup_inf_test(ctx)
+    assert out.verdict != Verdict.SUP_BOUNDED_AS
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("a, b, q0, q1, s, k", [(1.2, 1.05, 0.9, 1.2, 2e-8, 1.0),
+                                                (0.9, 1.1, 0.9, 1.2, 3e-8, 1.0)])
+def test_custom_oracle_stages_read_a_slow_finite_v_against_the_cap(a, b, q0, q1, s, k):
+    # v(inf) is finite, about 1 / s^2, so +inf is reached; the stages read
+    # it against DIVERGENCE_CAP and certify no exit there
+    ctx, hit, _ = _custom_oracle_case(a, b, q0, q1, s, k)
+    assert hit["right"]
+    assert _contradictions(sufficient_test(ctx), hit) == []
 
 
 def test_tiny_brownian_motion_on_an_interval_is_not_certified(unit_kernel):
@@ -635,13 +707,13 @@ def test_constant_kernel_cir_reads_its_right_side_off_the_closed_rule(monkeypatc
     assert staged == [] and legs == [1]  # the left limit's one swept leg
 
 
-def test_constant_kernel_power_drift_without_a_closed_rule_still_stages(monkeypatch, unit_kernel):
-    # alpha <= 1 + delta: the closed rule is inconclusive at +inf, and the
-    # sampled classifier reads v's slow y^-1.02 tail as divergence there
-    staged, _ = _count_stage_calls(monkeypatch)
+def test_constant_kernel_power_drift_reads_both_sides_off_the_closed_rule(monkeypatch, unit_kernel):
+    # alpha <= 1 + delta: the closed rule still decides +inf (finite), so no
+    # side stages, and the sampled classifier never reads v's slow y^-1.02 tail
+    staged, legs = _count_stage_calls(monkeypatch)
     out = sufficient_test(ScaleContext(PowerModel(1.02, 0.5, 1.0, 1.0), unit_kernel))
     assert (out.boundary, out.verdict) == (Boundary.LEFT, Verdict.NO_EXIT_AS)
-    assert staged == ["right"]
+    assert (staged, legs) == ([], [])
 
 
 def test_constant_kernel_custom_model_still_stages_toward_infinity(monkeypatch, unit_kernel):

@@ -12,6 +12,7 @@ from volterra_feller import (
     geometric_nodes,
     truncation_kernel,
 )
+from volterra_feller.errors import NumericError
 
 
 def test_scheme_validation():
@@ -125,6 +126,14 @@ def test_bb2_weight_builds_a_cm_kernel():
 def test_gaussian_quadrature_kernel_requires_scheme():
     with pytest.raises(TypeError):
         gaussian_quadrature_kernel(TruncationScheme(0.5, 10.0))
+
+
+def test_singular_moment_matrix_names_the_interval():
+    # q = 12 on an interval of width 1e-30: the moment matrix is singular at
+    # the reduction's working precision
+    with pytest.raises(NumericError, match="moment matrix is numerically singular") as exc:
+        gaussian_quadrature_kernel(QuadratureScheme(0.5, (0.0, 1e-30), q=12))
+    assert exc.value.details == {"interval": (0.0, 1e-30), "q": 12}
 
 
 # ------------------------------------------------------------- error report

@@ -126,6 +126,8 @@ def test_user_kernel_asserted_scalars_and_fd_derivative():
     assert k.eval_deriv(0.5) == pytest.approx(-2.0 * math.exp(-1.0), rel=1e-4)
     with pytest.raises(ValueError):
         UserKernel(lambda t: t, k0=-1.0, kprime0=0.0)
+    with pytest.raises(ValueError, match="func must be callable"):
+        UserKernel(3.0, k0=1.0, kprime0=0.0)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from volterra_feller import (
     ConstantKernel,
     SumOfExponentialsKernel,
     TruncatedFractionalKernel,
+    UserKernel,
     check_hypotheses,
     solve_resolvent,
 )
@@ -106,3 +107,17 @@ def test_solver_input_validation():
         solve_resolvent(kernel, dt=0.1, horizon=0.05)
     with pytest.raises(NumericError):
         solve_resolvent(ConstantKernel(1e-300), dt=0.1, horizon=1.0)
+
+
+def test_solver_numeric_errors_carry_their_diagnostics():
+    # K(0) asserted as 2 for e^(-t): K * L = 1 fails by far more than 10 dt
+    wrong_k0 = UserKernel(lambda t: np.exp(-t), k0=2.0, kprime0=-1.0)
+    with pytest.raises(NumericError, match="residual above tolerance") as exc:
+        solve_resolvent(wrong_k0, dt=0.01, horizon=1.0)
+    assert exc.value.details["target"] == pytest.approx(0.1)
+    assert exc.value.details["achieved"] == pytest.approx(0.2475, abs=1e-3)
+    # K vanishes after 0, so the triangular solve has nothing to divide by
+    spike = UserKernel(lambda t: np.where(np.asarray(t) > 0.0, 0.0, 1.0), k0=1.0, kprime0=0.0)
+    with pytest.raises(NumericError, match="K\\(dt\\) vanishes") as exc:
+        solve_resolvent(spike, dt=0.01, horizon=1.0)
+    assert exc.value.details["k_dt"] == 0.0

@@ -598,16 +598,16 @@ def test_refine_tiles_the_leg_and_resolves_every_open_panel(case):
         again = ctx._node_values(a, b, inner, ends)
     assert a[0] == edges[0] and b[-1] == edges[-1]
     assert np.array_equal(b[:-1], a[1:])
-    for got, want in zip(vals[:3], again[:3]):
+    for got, want in zip(vals[:2], again[:2]):
         assert (got is None) == (want is None)
         if got is not None:
             assert np.array_equal(got, want, equal_nan=True)
     # a custom model's change of E per panel is a BLAS matrix-vector
     # product, which rounds a row by its position in the call
-    assert (vals[3] is None) == (again[3] is None)
-    if vals[3] is not None:
-        assert np.allclose(vals[3], again[3], rtol=1e-13, atol=1e-13 * np.max(np.abs(again[3])))
-    _, e, log_sig, _ = vals
+    assert (vals[2] is None) == (again[2] is None)
+    if vals[2] is not None:
+        assert np.allclose(vals[2], again[2], rtol=1e-13, atol=1e-13 * np.max(np.abs(again[2])))
+    e, log_sig, _ = vals
     spread = np.ptp(e, axis=1)
     if inner:
         spread = np.maximum(spread, np.ptp(-e - log_sig, axis=1))
@@ -845,13 +845,79 @@ def test_power_right_limit_strict_rule(unit_kernel):
     grows = ScaleContext(PowerModel(2.0, 0.5, 1.0, 1.0), unit_kernel)
     res = grows.boundary_limit("right", target="v")
     assert res.kind == "finite"
-    assert res.evidence["rule"] == "alpha > 1 + delta"
-    # below the strict margin no closed rule decides
+    assert res.evidence["rule"] == "alpha > 1"
+    # v' ~ 1 / (K0 y^alpha) whatever delta, so alpha <= 1 + delta is finite too
     tame = ScaleContext(PowerModel(1.2, 0.5, 1.0, 1.0), unit_kernel)
-    assert tame.boundary_limit("right", target="v", method="closed").kind == "inconclusive"
+    assert tame.boundary_limit("right", target="v", method="closed").kind == "finite"
     assert ScaleContext(PowerModel(1.2, 0.5, 1.0, 1.0), unit_kernel).boundary_limit(
         "left", target="v"
     ).kind == "divergent"
+
+
+def test_power_right_limit_of_a_slow_v_tail_is_closed_and_finite(unit_kernel):
+    # v' ~ y^-1.02: the sampled classifier's increment ratio is 0.988, which
+    # it reads as divergence; the closed rule decides the end instead
+    ctx = ScaleContext(PowerModel(1.02, 0.5, 1.0, 1.0), unit_kernel)
+    res = ctx.boundary_limit("right", target="v")
+    assert (res.kind, res.method) == ("finite", "closed")
+    assert res.evidence == {"rule": "alpha > 1", "alpha": 1.02, "delta": 0.5}
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha=st.floats(1.01, 2.0), delta=st.floats(0.0, 0.95),
+       sigma=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+       kernel=st.just(ConstantKernel(1.0))
+       | st.builds(lambda w, r: SumOfExponentialsKernel([w], [r]),
+                   st.floats(0.5, 2.0), st.floats(0.0, 5.0)),
+       gamma=st.floats(-3.0, 1.0))
+def test_power_v_prime_tends_to_one_over_the_shifted_drift(alpha, delta, sigma, kernel, gamma):
+    # the premise of PowerModel's rule at +inf: p' decays superexponentially,
+    # so v'(y) b~_c(y) -> 1, and v' ~ 1 / (K0 y^alpha) is integrable for
+    # every alpha > 1.  Draws keep K0 y^alpha above the shift terms and the
+    # expansion's next term, b~' sigma~^2 / (2 b~^2), small at y = 2^12
+    x = 2.0**12
+    ctx = ScaleContext(PowerModel(alpha, delta, sigma, 1.0), kernel, gamma=gamma)
+    k0, ratio = ctx.k0, ctx.kprime0 / ctx.k0
+    assume(k0 * x ** (alpha - 1.0) >= 8.0 * abs(ratio) * (1.0 + abs(gamma) / x))
+    assume(k0 * alpha * sigma**2 * x ** (delta - alpha - 1.0) / 2.0 <= 2e-3)
+    assert ctx.v_prime(x) * float(ctx.b_tilde_shifted(x)) == pytest.approx(1.0, rel=1e-2)
+
+
+@given(alpha=st.floats(1.0, 10.0, exclude_min=True), delta=st.floats(0.0, 1.0, exclude_max=True),
+       which=st.sampled_from(["left", "right"]), target=st.sampled_from(["v", "p"]),
+       ratio=st.floats(-1e3, 1e3), shift=st.floats(-1e3, 1e3))
+def test_power_limit_rule_always_decides(alpha, delta, which, target, ratio, shift):
+    kind, _ = PowerModel(alpha, delta, 1.0, 0.0).limit_rule(which, target, 1.0, ratio, shift)
+    assert kind in ("finite", "divergent")
+
+
+def test_built_in_limits_never_sample_or_classify_a_sweep(monkeypatch, unit_kernel,
+                                                          sloped_kernel):
+    # 'auto' returns a built-in model's closed rule at every end; a finite
+    # closed limit at a finite end only takes its value from a sweep
+    sampled, swept = [], []
+    run_swept = ScaleContext._swept_limit
+
+    def counted_swept(self, boundary, target):
+        swept.append((self.model, boundary, target))
+        return run_swept(self, boundary, target)
+
+    monkeypatch.setattr(ScaleContext, "_sampled_limit", lambda *args: sampled.append(args))
+    monkeypatch.setattr(ScaleContext, "_swept_limit", counted_swept)
+    models = [CIRModel(1.0, 0.125, 1.0, 1.0), CIRModel(1.0, 1.0, 1.0, 1.0),
+              JacobiModel(0.0, 1.0, 1.0, 0.5, 1.0, 0.5), JacobiModel(0.0, 1.0, 0.2, 0.5, 1.0, 0.5),
+              PowerModel(1.02, 0.5, 1.0, 1.0), PowerModel(2.0, 0.0, 1.0, 0.5)]
+    want_swept = []
+    for model in models:
+        for kernel in (unit_kernel, sloped_kernel):
+            for which in ("left", "right"):
+                for target in ("v", "p"):
+                    res = ScaleContext(model, kernel).boundary_limit(which, target)
+                    assert res.kind in ("finite", "divergent") and res.method == "closed", res
+                    boundary = model.interval[0 if which == "left" else 1]
+                    if res.kind == "finite" and math.isfinite(boundary):
+                        want_swept.append((model, boundary, target))
+    assert sampled == [] and swept == want_swept and len(want_swept) > 0
 
 
 def test_power_right_limit_of_p_is_finite_closed_and_sampled(unit_kernel):
@@ -979,14 +1045,14 @@ def test_closed_finite_limit_reports_sweep_effort(unit_kernel):
 
 @pytest.mark.parametrize("custom", [False, True], ids=["closed", "custom"])
 def test_power_right_sampled_limit_is_pinned(custom, unit_kernel):
-    # alpha <= 1 + delta has no closed rule, so 'auto' samples; the values
-    # are those of the per-point quadrature the sweep replaced.  The
-    # CustomModel clone reaches graded panels with E from the sweep itself.
+    # the sampled classifier's points; the values are those of the
+    # per-point quadrature the sweep replaced.  The CustomModel clone
+    # reaches graded panels with E from the sweep itself.
     model = PowerModel(1.2, 0.5, 1.0, 1.0)
     if custom:
         model = CustomModel(lambda y: np.abs(y) ** 1.2, lambda y: np.abs(y) ** 0.25,
                             (-math.inf, math.inf), 1.0)
-    res = ScaleContext(model, unit_kernel).boundary_limit("right")
+    res = ScaleContext(model, unit_kernel).boundary_limit("right", method="sample")
     assert (res.kind, res.method) == ("inconclusive", "sample")
     want = [0.8137671314613877, 1.2333320537984547, 1.6459742516840865, 2.0342970721781293,
             2.3878195870129546, 2.703141384721984, 2.981163213544757, 3.2247855470039304,
@@ -1147,6 +1213,8 @@ def test_outward_edges_start_exactly_at_the_anchor():
     for anchor, target in [(0.3, 2.4), (0.8333333333333333, 4.833333333333333)]:
         for n in (32, 64, 2048):
             assert outward_edges(anchor, target, n)[0] == anchor
+    with pytest.raises(ValueError, match="anchor and target coincide"):
+        outward_edges(1.5, 1.5, 8)
 
 
 def test_custom_cir_clone_right_limit_at_every_base_point():
