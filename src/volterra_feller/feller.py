@@ -424,7 +424,7 @@ def fractional_condition_study(model, alpha, sweep, scheme="truncation",
     values = check_reals("sweep", sweep)
     if not values:
         raise ValueError("sweep must be nonempty")
-    regime = _study_regime(scheme, alpha)
+    regime = _study_regime(scheme, check_real("alpha", alpha, gt=0.0, lt=1.0))
     rows = []
     for value in values:
         kernel = stand_in_scheme(scheme, alpha, value, q=q, ratio=ratio, xi1=xi1).kernel()

@@ -140,8 +140,10 @@ def stand_in_scheme(name, alpha, size, q=1, ratio=6.4, xi1=1.0):
 
 
 def truncation_kernel(alpha, T=None):
-    """Kernel for ``TruncationScheme(alpha, T)``; accepts the scheme itself too."""
+    """Kernel for ``TruncationScheme(alpha, T)``, or for a scheme given alone."""
     if isinstance(alpha, TruncationScheme):
+        if T is not None:
+            raise ValueError("T must not be given with a TruncationScheme, which carries its own")
         return alpha.kernel()
     if T is None:
         raise ValueError("T is required when alpha is given as a number")

@@ -48,13 +48,14 @@ __all__ = [
 
 
 def _at_lags(t, values):
-    # values(arr) for the lags t as a float array, checked nonnegative; a
-    # float when t is a scalar or 0-d
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("kernel time argument must be nonnegative")
-    out = values(arr)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    # values(arr) for the lags t as a float array (a float if t is 0-d), if t
+    # is a number or array of integer or float dtype, bools not included, with
+    # finite nonnegative entries; else a ValueError naming t
+    arr = np.asarray(t)
+    if arr.dtype.kind not in "iuf" or not np.all((arr >= 0) & (arr < np.inf)):
+        raise ValueError(f"kernel lag t must be finite and nonnegative, got {t!r}")
+    out = values(np.asarray(arr, dtype=float))
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,7 @@ class SumOfExponentialsKernel:
         return _at_lags(t, lambda arr: -(np.exp(-np.multiply.outer(arr, r)) @ (w * r)))
 
     def k0_kprime0(self):
-        w = np.asarray(self.weights)
-        r = np.asarray(self.rates)
+        w, r = self.exp_form()
         return float(w.sum()), float(-(w * r).sum())
 
     def exp_form(self):

@@ -437,7 +437,9 @@ class CustomModel:
 
     ``drift_fn`` and ``diffusion_fn`` must accept numpy arrays.  Local
     integrability of 1/sigma~^2 and |b~|/sigma~^2 on the open interval is
-    the caller's assertion; the library does not verify it.
+    the caller's assertion; the library does not verify it, nor that sigma
+    has no zero inside: sweeps do not look for one, and a leg across it can
+    settle on a wrong value with a tight convergence report.
     """
 
     drift_fn: object
@@ -476,8 +478,8 @@ class LimitResult:
 
     kind : 'finite', 'divergent' or 'inconclusive'
     value : limit estimate for finite kinds when one is computable
-    method : 'closed' (exponent arithmetic), 'sweep' (a sweep run to a
-        finite endpoint) or 'sample' (geometric sampling)
+    method : 'closed' (a closed rule), 'sweep' (a sweep run to a finite
+        endpoint) or 'sample' (geometric sampling): a label, not an option
     evidence : exponents or the sampled sequence backing the call; sampled
         and swept limits, and closed ones valued at a finite endpoint, also
         carry the sweep's effort: ``base_panels``, ``doubling_rounds``
@@ -604,9 +606,7 @@ class ScaleContext:
             for side in (pts > self.c, pts < self.c):
                 if side.any():
                     out[side] = self._sweep(pts[side], (64,), "log_p")[0].e[0]
-        if np.isscalar(x) or arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def scale_derivative(self, x):
         """p'_c(x) = exp E(x); overflows to +inf rather than raising."""
@@ -1099,14 +1099,15 @@ class ScaleContext:
         """Classify the limit of v_c (target='v') or |p_c| (target='p') at a
         boundary as finite or divergent.
 
-        method 'closed' uses the per-family exponent signs, 'sample'
-        evaluates along a geometric sequence approaching the boundary
-        (x_k = boundary +- |c - boundary| 2^-k for finite endpoints,
-        x_k = c -+ 2^k for infinite ones, k = 1..steps; ValueError if one is
-        not a float inside the interval) and classifies the increment tail;
-        'auto' uses the model's closed rule when it has one, and that rule
-        decides every built-in end; a custom model is swept to a finite
-        endpoint and sampled toward an infinite one.
+        method 'auto' takes a built-in model's closed rule (exponent signs),
+        which decides every end, and sweeps a custom model to a finite
+        endpoint and samples it toward an infinite one.  method 'sample' is
+        the explicit cross-check for any model: it evaluates along a
+        geometric sequence approaching the boundary (x_k = boundary +-
+        |c - boundary| 2^-k for finite endpoints, x_k = c -+ 2^k for
+        infinite ones, k = 1..steps; ValueError if one is not a float inside
+        the interval) and classifies the increment tail.  The result's
+        ``method`` says which was used: 'closed', 'sweep' or 'sample'.
 
         All sample points are read off one outward sweep from c, which
         stops after the first point whose value reaches DIVERGENCE_CAP; the
@@ -1121,13 +1122,10 @@ class ScaleContext:
         """
         _require(which in ("left", "right"), f"which must be 'left' or 'right', got {which!r}")
         _require(target in ("v", "p"), f"target must be 'v' or 'p', got {target!r}")
-        _require(method in ("auto", "closed", "sample"), f"unknown method {method!r}")
+        _require(method in ("auto", "sample"), f"unknown method {method!r}")
         steps = check_count("steps", steps, 4)
-        has_rule = hasattr(self.model, "limit_rule")
-        if method == "closed" and not has_rule:
-            raise PreconditionError("no closed-form limit rule for custom models")
         boundary = self.model.interval[0 if which == "left" else 1]
-        if method != "sample" and has_rule:
+        if method == "auto" and hasattr(self.model, "limit_rule"):
             shift = self.beta if which == "left" else self.gamma
             kind, ev = self.model.limit_rule(which, target, self._k0, self._ratio, shift)
             swept = None

@@ -227,18 +227,28 @@ def test_06_limit_classifier_vs_closed_form(capsys):
         sigma = float(rng.uniform(0.4, 0.7))
         theta = e * sigma**2 / (2.0 * kappa)
         cases.append((e, ScaleContext(JacobiModel(0.0, 1.0, kappa, theta, sigma, 0.5), flat)))
-    matches = 0
+    matches = swept_matches = 0
     for e, ctx in cases:
-        closed = ctx.boundary_limit("left", target="v", method="closed")
+        closed = ctx.boundary_limit("left", target="v")
         sampled = ctx.boundary_limit("left", target="v", method="sample", steps=40)
+        # a custom clone has no closed rule, so auto sweeps it to its finite left end
+        m = ctx.model
+        clone = ScaleContext(CustomModel(m.drift, m.diffusion, m.interval, m.x0), ctx.kernel)
+        swept = clone.boundary_limit("left", target="v")
         want = "divergent" if e >= 1.0 else "finite"
-        if closed.kind != want:
-            failures.append(f"closed rule wrong at exponent {e:.3f}: {closed.kind}")
+        if (closed.kind, closed.method) != (want, "closed"):
+            failures.append(f"closed rule wrong at exponent {e:.3f}: "
+                            f"{closed.kind} ({closed.method})")
         if closed.kind == sampled.kind:
             matches += 1
         else:
             failures.append(f"mismatch at exponent {e:.3f}: {closed.kind} vs {sampled.kind}")
+        if (swept.kind, swept.method) == (closed.kind, "sweep"):
+            swept_matches += 1
+        else:
+            failures.append(f"sweep mismatch at exponent {e:.3f}: {closed.kind} vs {swept.kind}")
     _check(failures, matches == 20, f"{matches}/20 agreements")
+    _check(failures, swept_matches == 20, f"{swept_matches}/20 swept agreements")
     _finish(capsys, 6, t0, 120.0, failures)
 
 

@@ -512,3 +512,15 @@ def test_importing_the_library_and_cli_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("args, code, text", [(["--help"], 0, "usage:"),
+                                              (["test"], 1, "required: --config")])
+def test_module_entry_point_exits_with_main_code(args, code, text):
+    # python -m volterra_feller.cli runs main and exits with its return code
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-m", "volterra_feller.cli", *args], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == code, out.stderr
+    assert text in out.stdout + out.stderr

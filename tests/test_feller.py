@@ -874,6 +874,13 @@ def test_study_rejects_an_unknown_scheme_and_an_empty_sweep(cir_111):
         fractional_condition_study(cir_111, 0.4, ["10"])
 
 
+@pytest.mark.parametrize("alpha", ["0.3", None, 0.0, 1.0, math.nan])
+def test_study_checks_alpha_before_reading_the_regime(cir_111, alpha):
+    # '0.3' and None raised TypeError from the regime's comparison
+    with pytest.raises(ValueError, match="^alpha must be finite and > 0.0 and < 1.0"):
+        fractional_condition_study(cir_111, alpha, [10.0])
+
+
 _CIR_CTX = ScaleContext(CIRModel(1.0, 1.0, 1.0, 1.0), ConstantKernel(1.0))
 _INTEGER_PARAMETERS = {
     "n_paths": lambda n: SimConfig(dt=0.01, horizon=1.0, n_paths=n),

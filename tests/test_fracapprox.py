@@ -189,3 +189,9 @@ def test_error_rejects_bad_grids():
         approximation_error(sch, [])
     with pytest.raises(TypeError):
         approximation_error("truncation", [1.0])
+
+
+def test_truncation_kernel_takes_no_T_with_a_scheme():
+    # the scheme's own T = 25 used to win silently
+    with pytest.raises(ValueError, match="^T must not be given with a TruncationScheme"):
+        truncation_kernel(TruncationScheme(0.4, 25.0), T=99.0)

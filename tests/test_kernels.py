@@ -216,3 +216,30 @@ def test_sumexp_takes_numpy_entries_as_floats():
     kernel = SumOfExponentialsKernel(np.array([0.5, 0.5]), np.array([1, 2]))
     assert kernel == SumOfExponentialsKernel((0.5, 0.5), (1.0, 2.0))
     assert all(type(v) is float for v in kernel.weights + kernel.rates)
+
+
+_ALL_KERNELS = {
+    "constant": ConstantKernel(2.0),
+    "sumexp": SumOfExponentialsKernel([1.0], [0.0]),
+    "truncfrac": TruncatedFractionalKernel(0.4, 25.0),
+    "user": UserKernel(lambda t: np.exp(-t), 1.0, -1.0, lambda t: -np.exp(-t)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALL_KERNELS))
+@pytest.mark.parametrize("method", ["eval", "eval_deriv"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, None, "1", True, np.array([True]), 1 + 0j,
+                               [0.5, math.nan], -0.1], ids=repr)
+def test_kernel_lags_must_be_finite_nonnegative_reals(name, method, t):
+    # nan, None and '1' gave a constant kernel's level; '1' and True were lag 1
+    with pytest.raises(ValueError, match="^kernel lag t must be finite and nonnegative"):
+        getattr(_ALL_KERNELS[name], method)(t)
+
+
+@pytest.mark.parametrize("name", sorted(_ALL_KERNELS))
+def test_kernel_lags_of_any_real_type_agree(name):
+    kernel = _ALL_KERNELS[name]
+    floats = kernel.eval(np.array([0.0, 1.0, 2.0]))
+    assert type(kernel.eval(1)) is float and kernel.eval(1) == kernel.eval(1.0) == floats[1]
+    np.testing.assert_array_equal(kernel.eval([0, 1, 2]), floats)
+    assert kernel.eval(np.float64(2.0)) == floats[2]

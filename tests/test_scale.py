@@ -18,7 +18,7 @@ from volterra_feller import (
 )
 from volterra_feller._quad import outward_edges
 from volterra_feller.scale import _NAT
-from volterra_feller.errors import NumericError, PreconditionError
+from volterra_feller.errors import NumericError
 
 
 # ---------------------------------------------------------------- models
@@ -848,7 +848,7 @@ def test_power_right_limit_of_v_is_finite_for_every_alpha_above_one(unit_kernel)
     assert res.evidence["rule"] == "alpha > 1"
     # v' ~ 1 / (K0 y^alpha) whatever delta, so alpha <= 1 + delta is finite too
     tame = ScaleContext(PowerModel(1.2, 0.5, 1.0, 1.0), unit_kernel)
-    assert tame.boundary_limit("right", target="v", method="closed").kind == "finite"
+    assert tame.boundary_limit("right", target="v").kind == "finite"
     assert tame.boundary_limit("left", target="v").kind == "divergent"
     # v' ~ y^-1.02: the sampled classifier's increment ratio is 0.988, which
     # it reads as divergence; 'auto' takes the closed rule instead
@@ -934,8 +934,9 @@ def test_sampled_divergence_on_custom_model():
 def test_sampled_limit_agrees_with_closed_on_cir(unit_kernel):
     for theta in [0.125, 1.0]:
         ctx = ScaleContext(CIRModel(1.0, theta, 1.0, 1.0), unit_kernel)
-        closed = ctx.boundary_limit("left", method="closed")
+        closed = ctx.boundary_limit("left")
         sampled = ctx.boundary_limit("left", method="sample")
+        assert closed.method == "closed"
         assert sampled.kind == closed.kind
 
 
@@ -1133,7 +1134,7 @@ def test_sampled_limit_on_custom_model():
     ctx = ScaleContext(m, ConstantKernel(1.0))
     res = ctx.boundary_limit("right", method="sample")
     assert res.kind == "finite"
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError, match="unknown method 'closed'"):
         ctx.boundary_limit("right", method="closed")
 
 

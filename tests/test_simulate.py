@@ -18,6 +18,7 @@ from volterra_feller import (
     SimulationReport,
     SumOfExponentialsKernel,
     TruncatedFractionalKernel,
+    UserKernel,
     Verdict,
     simulate,
     verdict_crosscheck,
@@ -465,6 +466,22 @@ def test_general_kernel_falls_back_to_history_convolution(cir_111):
     fast = simulate(cir_111, SumOfExponentialsKernel([1.0], [1.0]), cfg)
     slow = simulate(cir_111, PlainExp(), cfg)
     assert fast.terminal_mean == pytest.approx(slow.terminal_mean, rel=1e-2)
+
+
+def test_user_kernel_history_path_matches_the_exact_recursion():
+    # a UserKernel has no exp_form, so conv_euler takes the history product;
+    # the same e^-t as a sum of exponentials steps by the exact recursion
+    model = CIRModel(1.0, 1.0, 0.5, 1.0)
+    user = UserKernel(lambda t: np.exp(-t), 1.0, -1.0, lambda t: -np.exp(-t))
+    assert user.exp_form() is None
+    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=600, seed=3)
+    slow = simulate(model, user, cfg)
+    fast = simulate(model, SumOfExponentialsKernel([1.0], [1.0]), cfg)
+    assert (slow.n_hit_left, slow.n_hit_right) == (fast.n_hit_left, fast.n_hit_right)
+    assert slow.terminal_mean == pytest.approx(fast.terminal_mean, rel=1e-12)
+    assert slow.terminal_var == pytest.approx(fast.terminal_var, rel=1e-12)
+    with pytest.raises(PreconditionError, match="markov_lift"):
+        simulate(model, user, dataclasses.replace(cfg, scheme="markov_lift"))
 
 
 def test_hits_freeze_paths_at_the_boundary():
