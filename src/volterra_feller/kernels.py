@@ -48,10 +48,15 @@ __all__ = [
 
 
 def _at_lags(t, values):
-    # values(arr) for the lags t as a float array (a float if t is 0-d), if t
-    # is a number or array of integer or float dtype, bools not included, with
-    # finite nonnegative entries; else a ValueError naming t
-    arr = np.asarray(t)
+    # values(arr) for the lags t as a float array (a float if t is 0-d), if t is
+    # a number or array of integer or float dtype or of Python ints, bools not
+    # included, with finite nonnegative entries; else a ValueError naming t
+    try:
+        arr = np.asarray(t)
+        if arr.dtype == object and all(type(v) is int for v in arr.flat):
+            arr = arr.astype(float)
+    except (ValueError, OverflowError):  # a ragged nesting, or an int past float
+        arr = np.asarray(None)  # object dtype, refused below
     if arr.dtype.kind not in "iuf" or not np.all((arr >= 0) & (arr < np.inf)):
         raise ValueError(f"kernel lag t must be finite and nonnegative, got {t!r}")
     out = values(np.asarray(arr, dtype=float))

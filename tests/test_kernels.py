@@ -243,3 +243,16 @@ def test_kernel_lags_of_any_real_type_agree(name):
     assert type(kernel.eval(1)) is float and kernel.eval(1) == kernel.eval(1.0) == floats[1]
     np.testing.assert_array_equal(kernel.eval([0, 1, 2]), floats)
     assert kernel.eval(np.float64(2.0)) == floats[2]
+
+
+@pytest.mark.parametrize("name", sorted(_ALL_KERNELS))
+@pytest.mark.parametrize("method", ["eval", "eval_deriv"])
+def test_kernel_lags_past_int64_and_ragged_lists(name, method):
+    # 2**70 was refused as not finite, and a ragged list got numpy's
+    # "inhomogeneous shape" error, which did not name t
+    lag = getattr(_ALL_KERNELS[name], method)
+    assert lag(2**70) == lag(float(2**70))
+    np.testing.assert_array_equal(lag([2**70, 1]), lag([float(2**70), 1.0]))
+    for t in ([0.5, [1, 2]], 10**400, [1, 10**400], [True, 2**70], [None, 2**70]):
+        with pytest.raises(ValueError, match="^kernel lag t must be finite and nonnegative"):
+            lag(t)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_feller import (
     ConstantKernel,
@@ -12,6 +14,7 @@ from volterra_feller import (
     check_hypotheses,
     solve_resolvent,
 )
+from volterra_feller import resolvent
 from volterra_feller.errors import NumericError
 
 
@@ -121,3 +124,90 @@ def test_solver_numeric_errors_carry_their_diagnostics():
     with pytest.raises(NumericError, match="K\\(dt\\) vanishes") as exc:
         solve_resolvent(spike, dt=0.01, horizon=1.0)
     assert exc.value.details["k_dt"] == 0.0
+
+
+def _forward_substitution(k_grid, atom, dt, n):
+    # the O(n^2) loop the FFT division replaced, kept as its oracle: one dot
+    # per grid step, in k_grid's dtype (long double for a long-double grid)
+    rho = np.empty(n, dtype=k_grid.dtype)
+    k_rev = k_grid[::-1]
+    for i in range(1, n + 1):
+        acc = np.dot(k_rev[-i - 1 : -2], rho[: i - 1]) if i > 1 else 0.0
+        rho[i - 1] = (1.0 - k_grid[i] * atom - acc * dt) / (dt * k_grid[1])
+    return rho
+
+
+def _sequential_solve(kernel, dt, n):
+    # density and K' * L as the loop and np.convolve gave them
+    times = dt * np.arange(n + 1)
+    atom = 1.0 / kernel.k0_kprime0()[0]
+    rho = _forward_substitution(kernel.eval(times), atom, dt, n)
+    kp = kernel.eval_deriv(times)
+    i = np.arange(1, n)
+    full = np.convolve(kp[:n], rho)[:n]
+    kcl = np.empty(n)
+    kcl[0] = kp[0] * atom
+    kcl[1:] = kp[i] * atom + dt * (full[i] - 0.5 * (kp[i] * rho[0] + kp[0] * rho[i]))
+    return rho, kcl
+
+
+def _normwise(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+_SIZES = st.one_of(
+    st.integers(2, 3000),
+    st.sampled_from([2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 1023, 1024, 1025, 2047, 2048, 2049]),
+)
+_TERMS = st.lists(st.tuples(st.floats(0.05, 5.0), st.floats(0.01, 20.0)), min_size=1, max_size=4)
+
+
+@settings(max_examples=60)
+@given(terms=_TERMS, n=_SIZES, dt=st.floats(1e-4, 1e-2))
+def test_fft_division_matches_forward_substitution(terms, n, dt):
+    weights, rates = zip(*terms)
+    kernel = SumOfExponentialsKernel(weights, rates)
+    grid = solve_resolvent(kernel, dt, n * dt)
+    rho, kcl = _sequential_solve(kernel, dt, n)
+    # both solves lose digits alike when the density sits far below the
+    # right-hand side's scale 1 / (dt K(0)): 2.2e-16 kappa is their floor
+    kappa = 1.0 / (dt * kernel.k0_kprime0()[0] * np.max(np.abs(rho)))
+    tol = max(1e-12, 10 * np.finfo(float).eps * kappa)
+    assert _normwise(grid.density, rho) <= tol
+    assert _normwise(grid.kprime_conv_L, kcl) <= tol
+    report = check_hypotheses(grid)
+    oracle = check_hypotheses(dataclasses.replace(grid, density=rho, kprime_conv_L=kcl))
+    for flag in ("density_nonnegative", "kprime_conv_nonpositive", "kprime_conv_nondecreasing"):
+        assert getattr(report, flag) == getattr(oracle, flag)
+
+
+@pytest.mark.parametrize("func, kprime0", [
+    (lambda t: np.exp(-t) * np.cos(t), -1.0),
+    (lambda t: np.exp(-t) * np.cos(5 * t), -1.0),
+    (lambda t: (1 - t) * np.exp(-t), -2.0),
+    (lambda t: (1 - 3 * t) * np.exp(-t), -4.0),
+], ids=["e^-t cos t", "e^-t cos 5t", "(1 - t) e^-t", "e^-t (1 - 3t)"])
+def test_fft_division_of_non_monotone_kernels_matches_long_double(func, kprime0):
+    # densities that oscillate, change sign or grow to 250; the last two
+    # kernels fail solve_resolvent's residual bound, so the density solve is
+    # called directly, on the same double grid as the long-double loop
+    dt, n = 1e-3, 2000
+    kernel = UserKernel(func, k0=1.0, kprime0=kprime0)
+    k_grid = kernel.eval(dt * np.arange(n + 1))
+    exact = _forward_substitution(k_grid.astype(np.longdouble), np.longdouble(1.0), np.longdouble(dt), n)
+    assert _normwise(resolvent._solve_density(k_grid, 1.0, dt, n), exact) <= 1e-12
+
+
+def test_solve_makes_logarithmically_many_fft_calls(monkeypatch):
+    # guards the O(n log n) cost without a wall-clock bound: a per-step loop
+    # of FFT products would make calls grow eight times from n = 1024 to 8192
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: calls.append(1) or rfft(*args, **kw))
+    kernel = SumOfExponentialsKernel([0.5, 0.5], [1.0, 2.0])
+    counts = []
+    for n in (1024, 8192):
+        calls.clear()
+        solve_resolvent(kernel, dt=1.0 / n, horizon=1.0)
+        counts.append(len(calls))
+    assert 0 < counts[1] <= 1.5 * counts[0]
