@@ -20,16 +20,18 @@ mu(dx) = x**(-alpha)/(Gamma(alpha)Gamma(1-alpha)) dx.
 
 Each scheme builds its own stand-in with ``kernel()``.
 
-Gauss rules are built from power moments of the weight on each interval.  The
-moments have closed forms, but the Hankel reduction is ill conditioned in
-float64 well before q = 12, so the linear algebra runs in mpmath at 60 digits
-and only the final nodes and masses are rounded back to float.
+Gauss rules are built per interval in float64 from the weight's Jacobi matrix by
+Golub-Welsch (Math. Comp. 23, 1969): in closed form for Gauss-Legendre (dx) and
+Gauss-Jacobi (x**(-alpha) on [0, hi]); on [lo, hi] with lo > 0 by a Stieltjes
+procedure on the weight discretised over geometric panels (Gautschi, Orthogonal
+Polynomials: Computation and Approximation, 2004, ch. 2), whose moments are
+checked against their closed forms first.
 """
 
+import math
 from dataclasses import dataclass
 
-from mpmath import mp
-from mpmath.matrices.eigen_symmetric import tridiag_eigen
+import numpy as np
 
 from .errors import NumericError, check_count, check_real, check_reals
 from .kernels import SumOfExponentialsKernel, TruncatedFractionalKernel
@@ -49,6 +51,9 @@ _WEIGHT_KINDS = ("fractional", "geometric_bb2")
 # stand-in names: truncation, or Gauss quadrature under one of the weights
 STAND_INS = ("truncation",) + _WEIGHT_KINDS
 _MAX_NODES_PER_INTERVAL = 12
+# x**(-alpha) on [lo, hi], lo > 0, in s = x/hi: 40 Legendre points on each
+# panel of ratio <= 8 down to s = 1e-300 (beyond it, the moment check decides)
+_PANEL_POINTS, _LOG_PANEL_RATIO, _LOG_S_FLOOR = 40, math.log(8.0), math.log(1e-300)
 
 
 @dataclass(frozen=True)
@@ -150,93 +155,90 @@ def truncation_kernel(alpha, T=None):
     return TruncatedFractionalKernel(alpha, T)
 
 
-def _interval_moments(alpha, lo, hi, count, fractional):
-    """Power moments int_lo^hi x**k w(x) dx for k = 0..count-1, as mpf."""
-    lo = mp.mpf(lo)
-    hi = mp.mpf(hi)
-    out = []
-    if fractional:
-        # w(x) = x**(-alpha) / (Gamma(alpha) Gamma(1-alpha)); the product of
-        # gammas is pi / sin(pi alpha).
-        norm = mp.sin(mp.pi * mp.mpf(alpha)) / mp.pi
-        for k in range(count):
-            p = k + 1 - mp.mpf(alpha)
-            out.append(norm * (hi ** p - lo ** p) / p)
-    else:
-        for k in range(count):
-            out.append((hi ** (k + 1) - lo ** (k + 1)) / (k + 1))
-    return out
+def _golub_welsch(diag, off, mu0):
+    # Gauss rule of a Jacobi matrix: its eigenvalues, mu0 * squared first eigenvector entries
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, mu0 * vecs[0] ** 2
 
 
-def _gauss_rule(mus, lo, hi):
-    """q-point Gauss rule from the moments mu_0..mu_2q of a weight on [lo, hi].
+def _jacobi_rule(n, b):
+    """n-point Gauss rule on [0, 1] for the weight u**b, b > -1 (shifted Jacobi (0, b))."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + b
+    diag = np.concatenate(([(1.0 + b) / (2.0 + b)], (1.0 + b * b / (s * (s + 2.0))) / 2.0))
+    # s*s - 1 as (s - 1)(s + 1), with s - 1 formed from b: it is 1 - alpha at k = 1
+    off = k * (k + b) / (s * np.sqrt((2.0 * k - 1.0 + b) * (s + 1.0)))
+    return _golub_welsch(diag, off, 1.0 / (1.0 + b))
 
-    Classical Hankel route: Cholesky of the moment matrix gives the three-term
-    recurrence, whose symmetric tridiagonal Jacobi matrix is diagonalized by
-    the implicit QL method (Golub-Welsch).  Nodes are the eigenvalues, masses
-    mu_0 times the squared first eigenvector entries, the only ones formed.
-    """
-    q = (len(mus) - 1) // 2
-    H = mp.matrix(q + 1, q + 1)
-    for i in range(q + 1):
-        for j in range(q + 1):
-            H[i, j] = mus[i + j]
-    try:
-        L = mp.cholesky(H)
-    except Exception as exc:
-        raise NumericError(
-            "moment matrix is numerically singular; reduce q or split the interval",
-            interval=(float(lo), float(hi)),
-            q=q,
-        ) from exc
-    # recurrence coefficients a_j (diagonal) and b_j (offdiagonal) from L
-    a = []
-    b = []
-    for j in range(q):
-        prev = L[j, j - 1] / L[j - 1, j - 1] if j > 0 else mp.mpf(0)
-        a.append(L[j + 1, j] / L[j, j] - prev)
-        if j > 0:
-            b.append(L[j, j] / L[j - 1, j - 1])
-    # tridiag_eigen overwrites a with the eigenvalues, in ascending order,
-    # and first with the first row of the eigenvector matrix; it takes the
-    # off-diagonal padded by one scratch entry
-    first = mp.matrix(1, q)
-    first[0, 0] = 1
-    tridiag_eigen(mp, a, b + [mp.mpf(0)], first)
-    return [float(x) for x in a], [float(mus[0] * first[0, i] ** 2) for i in range(q)]
+
+_PANEL_RULE = _jacobi_rule(_PANEL_POINTS, 0.0)  # shared between calls: never written to
+
+
+def _discretised_rule(alpha, lo, hi, q):
+    """q-point Gauss rule for s**(-alpha) ds on [lo/hi, 1], 0 < lo < hi: nodes in
+    u = (x - lo)/(hi - lo), masses in s = x/hi; NumericError if the discretised
+    weight misses its moments mu_0 .. mu_(2q-1) by more than 1e-12 relative."""
+    d = (hi - lo) / hi  # 1 - lo/hi without cancellation
+    log_rho = (math.log1p(-d) if d < 0.5 else math.log(lo / hi) if lo / hi > 1e-300
+               else math.log(lo) - math.log(hi))
+    rho, bottom = math.exp(log_rho), max(log_rho, _LOG_S_FLOOR)
+    edges = np.exp(np.linspace(bottom, 0.0, math.ceil(-bottom / _LOG_PANEL_RATIO) + 1))
+    edges = (edges - rho) / d  # in u, with exact outer ends: rounding there moves a narrow range
+    edges[0], edges[-1] = (edges[0] if bottom > log_rho else 0.0), 1.0
+    t, omega = _PANEL_RULE
+    u = (edges[:-1, None] + np.diff(edges)[:, None] * t).ravel()
+    s = rho + d * u
+    w = (np.diff(edges)[:, None] * omega).ravel() * s ** -alpha
+    p = np.arange(2 * q) + 1.0 - alpha
+    miss = np.abs(d * (s ** np.arange(2 * q)[:, None] @ w) * p / -np.expm1(p * log_rho) - 1.0)
+    if not np.all(miss <= 1e-12):
+        raise NumericError("discretised weight misses its closed-form moments",
+                           interval=(lo, hi), q=q, worst=float(np.max(miss)))
+    # Stieltjes as Lanczos on the vectors sqrt(w) p_k(u), by classical Gram-Schmidt run twice
+    basis, off = np.sqrt(w / w.sum())[None, :], []
+    for _ in range(q - 1):
+        z = u * basis[-1]
+        for _ in range(2):
+            z -= basis.T @ (basis @ z)
+        off.append(np.linalg.norm(z))
+        basis = np.vstack((basis, z / off[-1]))
+    nodes, masses = _golub_welsch(basis ** 2 @ u, off, w.sum())
+    return nodes, d * masses
 
 
 def gaussian_quadrature_kernel(scheme):
     """Sum-of-exponentials kernel carrying the per-interval Gauss rules.
 
-    Raises ``NumericError`` if any mass fails to be strictly positive or a
-    node escapes its interval, both of which signal a degenerate moment
-    problem rather than a representable kernel.
+    Raises ``NumericError`` if any mass is zero or subnormal, or a node escapes
+    its interval, both of which signal a rule that float64 does not represent.
     """
     if not isinstance(scheme, QuadratureScheme):
         raise TypeError("gaussian_quadrature_kernel expects a QuadratureScheme")
+    alpha, q = scheme.alpha, scheme.q
+    # w(x) = x**(-alpha) / (Gamma(alpha) Gamma(1-alpha)) = norm * x**(-alpha)
+    norm = math.sin(math.pi * alpha) / math.pi
     all_rates = []
     all_weights = []
-    with mp.workdps(60):
-        for n in range(scheme.n_intervals):
-            lo, hi = scheme.nodes[n], scheme.nodes[n + 1]
-            fractional = scheme.weight == "fractional" or n == 0
-            mus = _interval_moments(scheme.alpha, lo, hi, 2 * scheme.q + 1, fractional)
-            nodes, masses = _gauss_rule(mus, lo, hi)
-            slack = 1e-12 * (hi - lo)
-            for x, m in zip(nodes, masses):
-                if not m > 0.0:
-                    raise NumericError(
-                        "Gauss mass is not positive; reduce q",
-                        interval=(lo, hi), node=x, mass=m,
-                    )
-                if x < lo - slack or x > hi + slack:
-                    raise NumericError(
-                        "Gauss node escaped its interval; reduce q",
-                        interval=(lo, hi), node=x,
-                    )
-                all_rates.append(min(max(x, lo), hi))
-                all_weights.append(m)
+    for n in range(scheme.n_intervals):
+        lo, hi = scheme.nodes[n], scheme.nodes[n + 1]
+        flat = scheme.weight == "geometric_bb2" and n > 0
+        unit, masses = (_jacobi_rule(q, 0.0) if flat else _jacobi_rule(q, -alpha) if lo == 0.0
+                        else _discretised_rule(alpha, lo, hi, q))
+        masses = masses * ((hi - lo) if flat else norm * hi ** (1.0 - alpha))
+        slack = 1e-12 * (hi - lo)
+        for x, m in zip((lo + (hi - lo) * unit).tolist(), masses.tolist()):
+            if not m >= np.finfo(float).tiny:  # a subnormal mass has lost its digits
+                raise NumericError(
+                    "Gauss mass is not a positive normal float",
+                    interval=(lo, hi), node=x, mass=m,
+                )
+            if x < lo - slack or x > hi + slack:
+                raise NumericError(
+                    "Gauss node escaped its interval; reduce q",
+                    interval=(lo, hi), node=x,
+                )
+            all_rates.append(min(max(x, lo), hi))
+            all_weights.append(m)
     return SumOfExponentialsKernel(weights=tuple(all_weights), rates=tuple(all_rates))
 
 

@@ -309,7 +309,7 @@ def test_approx_truncation_scalars(capsys):
 
 
 def test_approx_builds_its_stand_in_once(monkeypatch, capsys):
-    # each Gauss stand-in is a 60-digit mpmath construction
+    # the stand-in is built once and shared by the K(0), K'(0) echo and the error rows
     calls = []
     build = fracapprox.gaussian_quadrature_kernel
 
@@ -502,16 +502,16 @@ def test_output_goldens(tmp_path, capsys, case, argv, cfg, fmt):
     assert text == (GOLDEN / f"cli_{case}.txt").read_text()
 
 
-def test_importing_the_library_and_cli_leaves_scipy_special_unloaded():
+def test_importing_the_library_and_cli_leaves_mpmath_and_scipy_special_unloaded():
     # scipy.special takes about a quarter second to import; the functions
-    # that use it import it themselves
+    # that use it import it themselves.  The library does not use mpmath
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys, volterra_feller, volterra_feller.cli; "
-            "print('scipy.special' in sys.modules)")
+            "print([m for m in ('mpmath', 'scipy.special') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("args, code, text", [(["--help"], 0, "usage:"),

@@ -1,7 +1,14 @@
+import json
 import math
+from decimal import Decimal, localcontext
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from volterra_feller import fracapprox
 from volterra_feller import (
     QuadratureScheme,
     SumOfExponentialsKernel,
@@ -128,12 +135,110 @@ def test_gaussian_quadrature_kernel_requires_scheme():
         gaussian_quadrature_kernel(TruncationScheme(0.5, 10.0))
 
 
-def test_singular_moment_matrix_names_the_interval():
-    # q = 12 on an interval of width 1e-30: the moment matrix is singular at
-    # the reduction's working precision
-    with pytest.raises(NumericError, match="moment matrix is numerically singular") as exc:
-        gaussian_quadrature_kernel(QuadratureScheme(0.5, (0.0, 1e-30), q=12))
-    assert exc.value.details == {"interval": (0.0, 1e-30), "q": 12}
+def _closed_moment(alpha, lo, hi, k, fractional):
+    # int_lo^hi (x/hi)**k w(x) dx in 50-digit decimal, w = x**(-alpha) sin(pi alpha)/pi or 1
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p = Decimal(k + 1) - (Decimal(alpha) if fractional else 0)
+        tail = (p * (Decimal(lo).ln() - Decimal(hi).ln())).exp() if lo > 0.0 else Decimal(0)
+        scale = (Decimal(hi) ** (1 - Decimal(alpha)) * Decimal(math.sin(math.pi * alpha) / math.pi)
+                 if fractional else Decimal(hi))
+        return float(scale * (1 - tail) / p)
+
+
+def _moment_misses(scheme):
+    # worst miss of each interval's rule on the moments j < 2q of its weight, relative
+    # to mu_j + j mu_(j-1) (hi - lo)/hi: moving the nodes by a fraction e of the
+    # interval's width moves mu_j by up to e times the second term
+    k, q = gaussian_quadrature_kernel(scheme), scheme.q
+    worst = 0.0
+    for n, (lo, hi) in enumerate(zip(scheme.nodes, scheme.nodes[1:])):
+        rates = np.array(k.rates[n * q:(n + 1) * q])
+        masses = np.array(k.weights[n * q:(n + 1) * q])
+        fractional = scheme.weight == "fractional" or n == 0
+        want = [_closed_moment(scheme.alpha, lo, hi, j, fractional) for j in range(2 * q)]
+        for j in range(2 * q):
+            scale = want[j] + (j * want[j - 1] * (hi - lo) / hi if j else 0.0)
+            worst = max(worst, abs(masses @ (rates / hi) ** j - want[j]) / scale)
+    return worst
+
+
+def test_tiny_first_interval_at_q12_builds_an_exact_rule():
+    # q = 12 on a width of 1e-30: the Gauss-Jacobi rule is exact at any scale
+    assert _moment_misses(QuadratureScheme(0.5, (0.0, 1e-30), q=12)) < 1e-13
+
+
+@pytest.mark.parametrize("alpha, nodes, q, weight", [
+    (0.6169114332191545, (1.0, 2.0, 2.0000078601633082), 12, "fractional"),
+    (0.5, (0.0, 1.0, 1.0 + 1e-13), 12, "fractional"),
+    (0.99999, (0.0, 1.0, 2.0), 2, "geometric_bb2"),
+    (0.999999, (0.0, 1.0, 1e8), 12, "fractional"),
+])
+def test_narrow_intervals_and_alpha_near_1_build_exact_rules(alpha, nodes, q, weight):
+    # a narrow interval's range and 1 - alpha must not be formed by cancellation
+    assert _moment_misses(QuadratureScheme(alpha, nodes, q=q, weight=weight)) < 1e-12
+
+
+def test_subnormal_interval_names_it_in_the_mass_error():
+    # a flat interval of width 5e-324: its masses round to 0
+    with pytest.raises(NumericError, match="Gauss mass is not a positive normal float") as exc:
+        gaussian_quadrature_kernel(
+            QuadratureScheme(0.5, (0.0, 5e-324, 1e-323), q=12, weight="geometric_bb2"))
+    assert exc.value.details["interval"] == (5e-324, 1e-323)
+
+
+def test_a_coarse_discretisation_raises_instead_of_returning_a_wrong_rule(monkeypatch):
+    # with 3 Legendre points a panel, the discrete measure misses the weight's moments
+    monkeypatch.setattr(fracapprox, "_PANEL_RULE", fracapprox._jacobi_rule(3, 0.0))
+    with pytest.raises(NumericError, match="misses its closed-form moments") as exc:
+        gaussian_quadrature_kernel(QuadratureScheme(0.9, (0.0, 1.0, 1e8), q=3))
+    assert exc.value.details["interval"] == (1.0, 1e8)
+
+
+@st.composite
+def _schemes(draw):
+    # interval ratios 1 + 10**e from 1 + 1e-6 to 1e300; the ladder starts at 0 or above it
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    weight = draw(st.sampled_from(["fractional", "geometric_bb2"]))
+    start = 0.0 if weight == "geometric_bb2" or draw(st.booleans()) else None
+    x = 10.0 ** draw(st.floats(-300.0, 300.0))
+    nodes = [x] if start is None else [start, x]
+    for _ in range(draw(st.integers(1, 2))):
+        x *= 1.0 + 10.0 ** draw(st.floats(-6.0, 300.0))
+        nodes.append(x)
+    nodes = [v for v in nodes if v < 1e305]  # a product may overflow
+    assume(len(nodes) > 1)
+    return QuadratureScheme(alpha, tuple(nodes), q=draw(st.integers(1, 12)), weight=weight)
+
+
+@settings(max_examples=150)
+@given(scheme=_schemes())
+@example(scheme=QuadratureScheme(0.9, (0.0, 1.0, 1e8), q=3))
+@example(scheme=QuadratureScheme(0.5, (1e-300, 1e300), q=12))
+def test_every_rule_integrates_its_weights_moments_or_raises(scheme):
+    # the examples: wide intervals, where one Legendre rule per interval misses the
+    # moments (by 0.29 at hi/lo = 1e8, alpha 0.9, q 3; by 0.5% in K(0) at 1e600)
+    try:
+        worst = _moment_misses(scheme)
+    except NumericError as exc:
+        assert "interval" in exc.details
+        return
+    assert worst < 1e-12
+
+
+_MPMATH_RULES = json.loads(
+    (Path(__file__).parent / "golden" / "gauss_rules_mpmath.json").read_text())["rules"]
+
+
+@pytest.mark.parametrize("case", _MPMATH_RULES,
+                         ids=[f"{c['weight']}-{c['alpha']}-{c['intervals']}x{c['q']}"
+                              for c in _MPMATH_RULES])
+def test_rules_match_the_60_digit_moment_matrix_rules(case):
+    scheme = QuadratureScheme(case["alpha"], geometric_nodes(case["intervals"]), q=case["q"],
+                              weight=case["weight"])
+    k = gaussian_quadrature_kernel(scheme)
+    assert list(k.rates) == pytest.approx(case["rates"], rel=1e-12, abs=0.0)
+    assert list(k.weights) == pytest.approx(case["weights"], rel=1e-12, abs=0.0)
 
 
 # ------------------------------------------------------------- error report
