@@ -35,7 +35,7 @@ from volterra_feller import (
     sup_inf_test,
     verdict_crosscheck,
 )
-from volterra_feller import feller
+from volterra_feller import feller, scale
 from volterra_feller.errors import NumericError, PreconditionError
 from volterra_feller.feller import _staged_side
 from volterra_feller.scale import DIVERGENCE_CAP, kernel_scalars
@@ -483,6 +483,39 @@ def test_staged_side_refines_all_stages_in_one_batch(monkeypatch, sloped_kernel)
     monkeypatch.setattr(ScaleContext, "_refine", counted)
     ok, evidence = _staged_side(ctx, "right", 8)
     assert ok and len(evidence) == 8 and len(calls) == 1
+
+
+def test_chunks_integrate_in_batches_of_passes(monkeypatch, sloped_kernel):
+    # guards the batching without a wall-clock bound: an interior u_series
+    # settles in its first round, whose 64- and 128-panel passes integrate in
+    # one _advance call, where a call per pass made two; the staged side's 16
+    # passes (8 stages, 2 rounds) take fewer calls than passes, and no batch
+    # of several passes is over the row cap
+    calls, advance = [], ScaleContext._advance
+
+    def counted(self, a, b, vals, fallback, cuts, *rest):
+        calls.append((len(cuts) - 1, len(a)))
+        return advance(self, a, b, vals, fallback, cuts, *rest)
+
+    monkeypatch.setattr(ScaleContext, "_advance", counted)
+    ctx = ScaleContext(CIRModel(1.0, 0.9, 1.0, 0.82), sloped_kernel)
+    ctx.u_series(1.3, 8)
+    assert [passes for passes, _ in calls] == [2]
+    calls.clear()
+    ok, evidence = _staged_side(ctx, "right", 8)
+    assert ok and len(evidence) == 8
+    assert sum(passes for passes, _ in calls) == 16 and len(calls) < 16
+    assert all(rows <= scale._BATCH_ROWS for passes, rows in calls if passes > 1)
+
+
+def test_staged_graded_passes_in_one_batch_match_one_stage_at_a_time(monkeypatch, sloped_kernel):
+    # each pass of a batch takes its graded panels under its own stage's
+    # shift and grading depth; the stages of this side have graded panels
+    # but more rows than the batch cap, which is lifted here to batch them
+    monkeypatch.setattr(scale, "_BATCH_ROWS", 10**9)
+    ctx = ScaleContext(PowerModel(2.0, 0.0, 1.0, 0.5), sloped_kernel)
+    assert (_hex_evidence(_staged_side(ctx, "right", 8))
+            == _hex_evidence(_staged_side_one_stage_at_a_time(ctx, "right", 8)))
 
 
 def test_staged_side_memory_stays_near_one_stage(sloped_kernel):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
@@ -272,26 +272,33 @@ def test_bool_points_count_as_reals(cir_111, unit_kernel):
 
 
 def _pinned_legs():
-    # one leg per kind of panel the sweep meets: end panels at a finite
-    # endpoint (CIR, Jacobi), an interior zero of sigma (power), E from the
-    # integration matrix (custom CIR clone) and graded panels the halving
-    # rounds flag (power, alpha = 2)
+    # (context, points, series terms) for one leg per kind of panel the
+    # sweep meets: end panels at a finite endpoint (CIR, Jacobi), an interior
+    # zero of sigma (power), E from the integration matrix (custom CIR clone)
+    # and graded panels the halving rounds flag (power, alpha = 2); and
+    # interior legs of CIR and Jacobi under both kernels with 8 terms, where
+    # the high terms' node partials are clamped at 0 next to c
     exp, one = SumOfExponentialsKernel([1.0], [1.0]), ConstantKernel(1.0)
     clone = CustomModel(lambda x: 1.0 - x, np.sqrt, (0.0, math.inf), 1.0)
+    cir, jacobi = CIRModel(1.2, 0.6, 0.85, 0.8), JacobiModel(0.0, 1.0, 1.5, 0.5, 0.55, 0.5)
     return {
-        "cir_to_0": (ScaleContext(CIRModel(1.0, 0.3, 1.0, 1.0), exp), [0.5, 0.0]),
+        "cir_to_0": (ScaleContext(CIRModel(1.0, 0.3, 1.0, 1.0), exp), [0.5, 0.0], 3),
         "jacobi_to_0": (ScaleContext(JacobiModel(0.0, 1.0, 0.5, 0.5, 1.0, 0.5), exp,
-                                     beta=0.1, gamma=-0.3), [0.3, 0.0]),
-        "power_across_0": (ScaleContext(PowerModel(1.5, 0.5, 1.0, 1.0), one), [-0.3, -1.0]),
-        "custom_cir": (ScaleContext(clone, one), [0.6, 0.2]),
-        "power_graded": (ScaleContext(PowerModel(2.0, 0.0, 1.0, 0.5), one), [8.5, 64.5]),
+                                     beta=0.1, gamma=-0.3), [0.3, 0.0], 3),
+        "power_across_0": (ScaleContext(PowerModel(1.5, 0.5, 1.0, 1.0), one), [-0.3, -1.0], 3),
+        "custom_cir": (ScaleContext(clone, one), [0.6, 0.2], 3),
+        "power_graded": (ScaleContext(PowerModel(2.0, 0.0, 1.0, 0.5), one), [8.5, 64.5], 3),
+        "cir_inside": (ScaleContext(cir, one), [0.68, 0.24], 8),
+        "cir_inside_sloped": (ScaleContext(cir, exp), [1.44, 2.0], 8),
+        "jacobi_inside": (ScaleContext(jacobi, one), [0.6, 0.9], 8),
+        "jacobi_inside_sloped": (ScaleContext(jacobi, exp), [0.4, 0.1], 8),
     }
 
 
 # float.hex of the _Sweep rows (e, log_i, log_p, log_v, log_u, each at the
 # leg's points) of the 64-panel sweep and of _stabilized's converged sweep,
-# keyed (leg, field, base panels); log_u carries 3 series terms, log_v one
-# (so v's last integral is the series' only one)
+# keyed (leg, field, base panels); log_u carries the leg's series terms,
+# log_v one (so v's last integral is the series' only one)
 _SWEEP_BITS = {
     ("cir_to_0", "log_p", 64): (
         "-0x1.95885804e8838p+0 inf nan nan -0x1.679fad78d6950p+0 -0x1.23b0fb65f40a9p+0 nan nan "
@@ -429,6 +436,118 @@ _SWEEP_BITS = {
         "0x1.5d60d1f1d626dp+17 nan nan 0x1.5ac01c9f019ccp-3 0x1.021d7f4be178dp-2 "
         "0x1.5ac01c9f019ccp-3 0x1.021d7f4be178dp-2"
     ),
+    ("cir_inside", "log_p", 64): (
+        "-0x1.31fb847cd8d58p-4 0x1.142d0618ed39ap-1 nan nan -0x1.14b4a81a02f0ap+1 "
+        "-0x1.10156802f9bf5p-1 nan nan nan nan"
+    ),
+    ("cir_inside", "log_p", 128): (
+        "-0x1.31fb847cd8d58p-4 0x1.142d0618ed39ap-1 nan nan -0x1.14b4a81a02f0ap+1 "
+        "-0x1.10156802f9bf7p-1 nan nan nan nan"
+    ),
+    ("cir_inside", "log_v", 64): (
+        "-0x1.31fb847cd8d58p-4 0x1.142d0618ed39ap-1 -0x1.72edd55e166a4p+0 0x1.c23c55bbcec09p-2 "
+        "nan nan -0x1.d5002274f0806p+1 -0x1.ec271d317a64ep-4 -0x1.d5002274f0806p+1 "
+        "-0x1.ec271d317a64ep-4"
+    ),
+    ("cir_inside", "log_v", 128): (
+        "-0x1.31fb847cd8d58p-4 0x1.142d0618ed39ap-1 -0x1.72edd55e166a4p+0 0x1.c23c55bbcec0ap-2 "
+        "nan nan -0x1.d5002274f0806p+1 -0x1.ec271d317a653p-4 -0x1.d5002274f0806p+1 "
+        "-0x1.ec271d317a653p-4"
+    ),
+    ("cir_inside", "log_u", 64): (
+        "-0x1.31fb847cd8d58p-4 0x1.142d0618ed39ap-1 -0x1.72edd55e166a4p+0 0x1.c23c55bbcec09p-2 "
+        "nan nan -0x1.d5002274f0806p+1 -0x1.ec271d317a64ep-4 -0x1.d46e69cabb89cp+1 "
+        "0x1.cb6e805d45f6cp-6"
+    ),
+    ("cir_inside", "log_u", 128): (
+        "-0x1.31fb847cd8d58p-4 0x1.142d0618ed39ap-1 -0x1.72edd55e166a4p+0 0x1.c23c55bbcec0ap-2 "
+        "nan nan -0x1.d5002274f0806p+1 -0x1.ec271d317a653p-4 -0x1.d46e69cabb89cp+1 "
+        "0x1.cb6e805d45fa0p-6"
+    ),
+    ("cir_inside_sloped", "log_p", 64): (
+        "0x1.5cefef81d61a0p+1 0x1.5ed478435d0f0p+2 nan nan 0x1.2938b1288688cp+0 "
+        "0x1.f013fbddda586p+1 nan nan nan nan"
+    ),
+    ("cir_inside_sloped", "log_p", 128): (
+        "0x1.5cefef81d61a0p+1 0x1.5ed478435d0f0p+2 nan nan 0x1.2938b1288688bp+0 "
+        "0x1.f013fbddda584p+1 nan nan nan nan"
+    ),
+    ("cir_inside_sloped", "log_v", 64): (
+        "0x1.5cefef81d61a0p+1 0x1.5ed478435d0f0p+2 -0x1.1b7cdd3aa6599p+0 -0x1.131c3d2e5b4c7p+0 "
+        "nan nan 0x1.41f33044a9504p-1 0x1.bd976f0bb6225p+1 0x1.41f33044a9504p-1 "
+        "0x1.bd976f0bb6225p+1"
+    ),
+    ("cir_inside_sloped", "log_v", 128): (
+        "0x1.5cefef81d61a0p+1 0x1.5ed478435d0f0p+2 -0x1.1b7cdd3aa6598p+0 -0x1.131c3d2e5b4c7p+0 "
+        "nan nan 0x1.41f33044a9502p-1 0x1.bd976f0bb6226p+1 0x1.41f33044a9502p-1 "
+        "0x1.bd976f0bb6226p+1"
+    ),
+    ("cir_inside_sloped", "log_u", 64): (
+        "0x1.5cefef81d61a0p+1 0x1.5ed478435d0f0p+2 -0x1.1b7cdd3aa6599p+0 -0x1.131c3d2e5b4c7p+0 "
+        "nan nan 0x1.41f33044a9504p-1 0x1.bd976f0bb6225p+1 0x1.72acf5f88356dp-1 "
+        "0x1.dddec4f6cc6dap+1"
+    ),
+    ("cir_inside_sloped", "log_u", 128): (
+        "0x1.5cefef81d61a0p+1 0x1.5ed478435d0f0p+2 -0x1.1b7cdd3aa6598p+0 -0x1.131c3d2e5b4c7p+0 "
+        "nan nan 0x1.41f33044a9502p-1 0x1.bd976f0bb6226p+1 0x1.72acf5f88356bp-1 "
+        "0x1.dddec4f6cc6dbp+1"
+    ),
+    ("jacobi_inside", "log_p", 64): (
+        "0x1.9e90025d6f271p-3 0x1.4439fcaa43f45p+2 nan nan -0x1.1dee0a3a8da43p+1 "
+        "0x1.a060a3c559358p+0 nan nan nan nan"
+    ),
+    ("jacobi_inside", "log_p", 128): (
+        "0x1.9e90025d6f271p-3 0x1.4439fcaa43f45p+2 nan nan -0x1.1dee0a3a8da43p+1 "
+        "0x1.a060a3c55935dp+0 nan nan nan nan"
+    ),
+    ("jacobi_inside", "log_v", 64): (
+        "0x1.9e90025d6f271p-3 0x1.4439fcaa43f45p+2 0x1.d1181ce62c6c5p-3 0x1.fb45faa0b21afp-1 "
+        "nan nan -0x1.f2adf326ceb64p+0 0x1.a28d966fa1861p+1 -0x1.f2adf326ceb64p+0 "
+        "0x1.a28d966fa1861p+1"
+    ),
+    ("jacobi_inside", "log_v", 128): (
+        "0x1.9e90025d6f271p-3 0x1.4439fcaa43f45p+2 0x1.d1181ce62c6c6p-3 0x1.fb45faa0b21aep-1 "
+        "nan nan -0x1.f2adf326ceb63p+0 0x1.a28d966fa1861p+1 -0x1.f2adf326ceb63p+0 "
+        "0x1.a28d966fa1861p+1"
+    ),
+    ("jacobi_inside", "log_u", 64): (
+        "0x1.9e90025d6f271p-3 0x1.4439fcaa43f45p+2 0x1.d1181ce62c6c5p-3 0x1.fb45faa0b21afp-1 "
+        "nan nan -0x1.f2adf326ceb64p+0 0x1.a28d966fa1861p+1 -0x1.ece7ea45b458dp+0 "
+        "0x1.e0d575e6efa27p+1"
+    ),
+    ("jacobi_inside", "log_u", 128): (
+        "0x1.9e90025d6f271p-3 0x1.4439fcaa43f45p+2 0x1.d1181ce62c6c6p-3 0x1.fb45faa0b21aep-1 "
+        "nan nan -0x1.f2adf326ceb63p+0 0x1.a28d966fa1861p+1 -0x1.ece7ea45b458cp+0 "
+        "0x1.e0d575e6efa27p+1"
+    ),
+    ("jacobi_inside_sloped", "log_p", 64): (
+        "-0x1.00c52d0ef0179p+0 0x1.2e0a6a344dff1p+0 nan nan -0x1.6831656fea8b1p+1 "
+        "-0x1.76b5c4509d6bdp+0 nan nan nan nan"
+    ),
+    ("jacobi_inside_sloped", "log_p", 128): (
+        "-0x1.00c52d0ef0179p+0 0x1.2e0a6a344dff1p+0 nan nan -0x1.6831656fea8afp+1 "
+        "-0x1.76b5c4509d6bbp+0 nan nan nan nan"
+    ),
+    ("jacobi_inside_sloped", "log_v", 64): (
+        "-0x1.00c52d0ef0179p+0 0x1.2e0a6a344dff1p+0 0x1.c85ad97bc94a7p-1 0x1.677c4fa3fa976p+1 "
+        "nan nan -0x1.2947e1d8fbff0p+1 0x1.859d87c38d20bp+0 -0x1.2947e1d8fbff0p+1 "
+        "0x1.859d87c38d20bp+0"
+    ),
+    ("jacobi_inside_sloped", "log_v", 128): (
+        "-0x1.00c52d0ef0179p+0 0x1.2e0a6a344dff1p+0 0x1.c85ad97bc94a9p-1 0x1.677c4fa3fa970p+1 "
+        "nan nan -0x1.2947e1d8fbfeep+1 0x1.859d87c38d20cp+0 -0x1.2947e1d8fbfeep+1 "
+        "0x1.859d87c38d20cp+0"
+    ),
+    ("jacobi_inside_sloped", "log_u", 64): (
+        "-0x1.00c52d0ef0179p+0 0x1.2e0a6a344dff1p+0 0x1.c85ad97bc94a7p-1 0x1.677c4fa3fa976p+1 "
+        "nan nan -0x1.2947e1d8fbff0p+1 0x1.859d87c38d20bp+0 -0x1.26a2455175860p+1 "
+        "0x1.f973be98d4a44p+0"
+    ),
+    ("jacobi_inside_sloped", "log_u", 128): (
+        "-0x1.00c52d0ef0179p+0 0x1.2e0a6a344dff1p+0 0x1.c85ad97bc94a9p-1 0x1.677c4fa3fa970p+1 "
+        "nan nan -0x1.2947e1d8fbfeep+1 0x1.859d87c38d20cp+0 -0x1.26a245517585ep+1 "
+        "0x1.f973be98d4a46p+0"
+    ),
 }
 
 # float.hex of the fitted-exponent column _sweep returns with those rows:
@@ -464,6 +583,30 @@ _FIT_BITS = {
     ("power_graded", "log_v", 128): "nan nan",
     ("power_graded", "log_u", 64): "nan nan",
     ("power_graded", "log_u", 128): "nan nan",
+    ("cir_inside", "log_p", 64): "nan nan",
+    ("cir_inside", "log_p", 128): "nan nan",
+    ("cir_inside", "log_v", 64): "nan nan",
+    ("cir_inside", "log_v", 128): "nan nan",
+    ("cir_inside", "log_u", 64): "nan nan",
+    ("cir_inside", "log_u", 128): "nan nan",
+    ("cir_inside_sloped", "log_p", 64): "nan nan",
+    ("cir_inside_sloped", "log_p", 128): "nan nan",
+    ("cir_inside_sloped", "log_v", 64): "nan nan",
+    ("cir_inside_sloped", "log_v", 128): "nan nan",
+    ("cir_inside_sloped", "log_u", 64): "nan nan",
+    ("cir_inside_sloped", "log_u", 128): "nan nan",
+    ("jacobi_inside", "log_p", 64): "nan nan",
+    ("jacobi_inside", "log_p", 128): "nan nan",
+    ("jacobi_inside", "log_v", 64): "nan nan",
+    ("jacobi_inside", "log_v", 128): "nan nan",
+    ("jacobi_inside", "log_u", 64): "nan nan",
+    ("jacobi_inside", "log_u", 128): "nan nan",
+    ("jacobi_inside_sloped", "log_p", 64): "nan nan",
+    ("jacobi_inside_sloped", "log_p", 128): "nan nan",
+    ("jacobi_inside_sloped", "log_v", 64): "nan nan",
+    ("jacobi_inside_sloped", "log_v", 128): "nan nan",
+    ("jacobi_inside_sloped", "log_u", 64): "nan nan",
+    ("jacobi_inside_sloped", "log_u", 128): "nan nan",
 }
 
 
@@ -473,9 +616,9 @@ def _hex(values):
 
 @pytest.mark.parametrize("leg", list(_pinned_legs()))
 def test_sweep_rows_are_pinned_to_the_bit(leg):
-    ctx, xs = _pinned_legs()[leg]
+    ctx, xs, series_terms = _pinned_legs()[leg]
     for field in ("log_p", "log_v", "log_u"):
-        n_terms = 3 if field == "log_u" else 1
+        n_terms = series_terms if field == "log_u" else 1
         sweep, effort = ctx._stabilized(xs, field, n_terms=n_terms)
         converged = effort["base_panels"]
         for n in (64, converged):
@@ -617,11 +760,12 @@ def test_refine_tiles_the_leg_and_resolves_every_open_panel(case):
 
 
 @st.composite
-def _batched_cases(draw, kind):
+def _batched_cases(draw):
     # (context, points, field, stop, series terms) for one leg of a drawn
-    # model of a kind, kernel and shifts, on the points' side of c
+    # model, kernel and shifts, on the points' side of c
     pos = st.floats(0.2, 3.0)
     kernel = draw(st.sampled_from([ConstantKernel(1.0), SumOfExponentialsKernel([1.0], [1.0])]))
+    kind = draw(st.sampled_from(["cir", "jacobi", "power", "custom"]))
     if kind == "cir":
         model = CIRModel(draw(pos), draw(st.floats(0.05, 3.0)), draw(pos), 1.0)
     elif kind == "jacobi":
@@ -650,13 +794,19 @@ def _batched_cases(draw, kind):
     return ctx, xs, field, stop, n_terms
 
 
-@pytest.mark.parametrize("kind", ["cir", "jacobi", "power", "custom"])
-@settings(max_examples=15)
-@given(data=st.data())
-def test_first_two_rounds_in_one_pass_match_each_round_alone(kind, data):
-    # _stabilized sweeps 64 and 128 base panels in one pass; every row and
-    # fitted exponent must be the one the round gives alone, to the bit
-    ctx, xs, field, stop, n_terms = data.draw(_batched_cases(kind))
+@settings(max_examples=60)
+@given(case=_batched_cases())
+@example(case=(ScaleContext(CIRModel(1.0, 0.5, 1.0, 1.0), ConstantKernel(1.0)),
+               [2.0, 2.0 + 1e-9], "log_u", math.inf, 3))
+@example(case=(*_pinned_legs()["power_graded"][:2], "log_u", math.inf, 3))
+@example(case=(*_pinned_legs()["cir_to_0"][:2], "log_v", math.inf, 1))
+def test_first_two_rounds_in_one_pass_match_each_round_alone(case):
+    # _stabilized sweeps 64 and 128 base panels in one pass, and the passes
+    # of a chunk integrate in batches; every row and fitted exponent must be
+    # the one the round gives alone, to the bit.  The examples: a chunk of
+    # one panel per pass (a one-row BLAS product rounds apart), a leg with
+    # graded panels, and an end panel at a singular point
+    ctx, xs, field, stop, n_terms = case
     both = ctx._sweep(xs, (64, 128), field, stop, n_terms)
     for i, n in enumerate((64, 128)):
         alone = ctx._sweep(xs, (n,), field, stop, n_terms)
