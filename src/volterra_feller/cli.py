@@ -19,6 +19,7 @@ from the library: [model] from the model class's fields, [kernel] from
 the kernel class's fields (lower-cased, so T is given as t), [sim] from
 SimConfig's fields (and verdict_crosscheck's keyword parameters), [test]
 from ScaleContext's fields and the named test's keyword parameters.
+``resolvent`` reads only dt and horizon from [sim].
 
 Every run echoes its fully resolved configuration: JSON output carries it
 under the "config" key, CSV output as leading '# ' comment lines in INI
@@ -367,6 +368,7 @@ def _cmd_resolvent(args):
     horizon = _take(sec, "sim", "horizon", float)
     for f in fields(SimConfig):
         sec.pop(f.name, None)
+    _take_params(sec, "sim", verdict_crosscheck)  # crosscheck's tolerances, unread here
     _no_leftovers(sec, "sim")
     tsec = dict(cfg.get("test") or {})
     kw = _take_params(tsec, "test", check_hypotheses)

@@ -210,7 +210,7 @@ def _staged_side(ctx, which, n_stages):
     two infinite ones in a row; v is 0 at a stage point that rounds onto c.
     """
     points = ctx._approach(which, n_stages, "n_stages")
-    legs = [(ctx.with_shifts(-x, -x), [x]) for x in points if x != ctx.c]
+    legs = [(-x, [x]) for x in points if x != ctx.c]
     swept = iter(ctx._stabilized_legs(legs, "log_v"))
     vals, evidence, inf_streak = [], [], 0
     for x_n in points:

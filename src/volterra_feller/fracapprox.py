@@ -50,7 +50,6 @@ __all__ = [
 _WEIGHT_KINDS = ("fractional", "geometric_bb2")
 # stand-in names: truncation, or Gauss quadrature under one of the weights
 STAND_INS = ("truncation",) + _WEIGHT_KINDS
-_MAX_NODES_PER_INTERVAL = 12
 # x**(-alpha) on [lo, hi], lo > 0, in s = x/hi: 40 Legendre points on each
 # panel of ratio <= 8 down to s = 1e-300 (beyond it, the moment check decides)
 _PANEL_POINTS, _LOG_PANEL_RATIO, _LOG_S_FLOOR = 40, math.log(8.0), math.log(1e-300)
@@ -80,7 +79,7 @@ class QuadratureScheme:
     alpha : fractional index in (0, 1).
     nodes : increasing breakpoints xi_0 <= xi_1 <= ... of the rate axis,
         xi_0 >= 0.  Use :func:`geometric_nodes` for the standard ladder.
-    q : Gauss nodes per interval, 1 <= q <= 12.
+    q : Gauss nodes per interval, q >= 1.
     weight : "fractional" applies the measure x**(-alpha) dx / (Gamma(alpha)
         Gamma(1-alpha)) on every interval; "geometric_bb2" applies it on the
         first interval only and the flat measure dx on the others, and
@@ -101,7 +100,7 @@ class QuadratureScheme:
             raise ValueError("breakpoints must be finite and nonnegative")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "q", check_count("q", self.q, 1, _MAX_NODES_PER_INTERVAL))
+        object.__setattr__(self, "q", check_count("q", self.q, 1))
         if self.weight not in _WEIGHT_KINDS:
             raise ValueError("weight must be one of %s" % (_WEIGHT_KINDS,))
         if self.weight == "geometric_bb2" and pts[0] != 0.0:

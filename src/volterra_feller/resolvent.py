@@ -106,7 +106,7 @@ def solve_resolvent(kernel, dt: float, horizon: float) -> ResolventGrid:
     Raises
     ------
     ValueError
-        dt or horizon nonpositive, or horizon < 2 dt.
+        dt or horizon nonpositive, or fewer than two steps: round(horizon / dt) < 2.
     NumericError
         |K(0)| or |K(dt)| too small to divide by, or the verification
         residual exceeding 10 * dt.

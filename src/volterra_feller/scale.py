@@ -43,21 +43,23 @@ of sigma) halves its way toward s, and the panel touching s integrates a
 power law C |y - s|^beta fitted to each log integrand at its nodes.  The
 base grid, and with it the depth toward s, is doubled from 64 panels until
 the requested quantity agrees between rounds at every point (``quad_tol``
-in log space, or ``NumericError``).  Legs under shifts of their own (the
-staged sufficient test's stages) double in one batch: a round's passes, of
-every leg still open, share one refinement pass, as do the first two
-rounds (64 and 128 base panels), since no value settles before the second;
-the passes then integrate in batches, each integral one log-space rule over
-a batch's rows, with the BLAS products and running sums kept per pass, so
-each pass gives the bits it gives alone.
+in log space, or ``NumericError``).  A pass is (shift, points, base
+panels): the drift shift it runs under, its points on one side of c, and
+the base grid's panel count.  Legs under shifts of their own (the staged
+sufficient test's stages) double in one batch: a round's passes, of every
+leg still open, share one refinement pass, as do the first two rounds (64
+and 128 base panels), since no value settles before the second; the passes
+then integrate in batches, each integral one log-space rule over a batch's
+rows, with the BLAS products and running sums kept per pass, so each pass
+gives the bits it gives alone.
 
 Each built-in model family keeps its closed forms on its own class, and
 ``ScaleContext`` and ``feller.family_test`` use whichever a model has:
 
 * ``exponent(y, c, k0, ratio, shift)``: E(y), elementwise in y, with
-  ``ratio`` = K0'/K0 and ``shift`` the beta-or-gamma value: an array of one
-  per y, or one number for all the nodes of a sweep's leg, which lies on
-  one side of c;
+  ``ratio`` = K0'/K0 and ``shift`` the beta-or-gamma value: one number, or
+  an array broadcasting against y (one per point, or one per panel of a
+  sweep, which lies on one side of c);
 * ``limit_rule(which, target, k0, ratio, shift)``: (kind, evidence) for the
   limit of v or |p| at one boundary under that side's shift, which it
   decides: kind is 'finite' or 'divergent';
@@ -162,21 +164,17 @@ def _at_any(x, points):
 
 
 def _runs(seg):
-    # the row cuts of seg's runs of equal ids, for _by_segment (None: None)
-    if seg is None:
-        return None
+    # the row cuts of seg's runs of equal ids, for _by_segment
     return [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
 
 
 def _by_segment(x, m, cuts):
-    # x @ m with rows cuts[i]:cuts[i + 1] in a BLAS call each (None: one
-    # call).  A row's bits depend on the rows of its call, though not on
-    # where they sit in memory: in a matrix-vector product on its place among
-    # them, and in a matrix product on whether the call has one row (numpy
-    # then calls gemv) or more (checked with OpenBLAS 0.3.31 for (n, 12) @
-    # (12, 12), (12, 13) and (12,), n = 1 .. 399, at row offsets 0 .. 9)
-    if cuts is None:
-        return x @ m
+    # x @ m with rows cuts[i]:cuts[i + 1] in a BLAS call each.  A row's bits
+    # depend on the rows of its call, though not on where they sit in
+    # memory: in a matrix-vector product on its place among them, and in a
+    # matrix product on whether the call has one row (numpy then calls gemv)
+    # or more (checked with OpenBLAS 0.3.31 for (n, 12) @ (12, 12), (12, 13)
+    # and (12,), n = 1 .. 399, at row offsets 0 .. 9)
     out = np.empty(x.shape[:1] + m.shape[1:])
     for i, j in zip(cuts, cuts[1:]):
         np.matmul(x[i:j], m, out=out[i:j])
@@ -585,9 +583,7 @@ class ScaleContext:
         return self._k0 * self.model.drift(x) + self._ratio * x
 
     def b_tilde_shifted(self, x):
-        x = np.asarray(x, dtype=float)
-        shift = np.where(x < self.c, self.beta, self.gamma)
-        return self.b_tilde(x) + self._ratio * shift
+        return self.b_tilde(x) + self._ratio * self._side_shift(x)
 
     def sigma_tilde(self, x):
         return self._k0 * self.model.diffusion(x)
@@ -600,9 +596,14 @@ class ScaleContext:
         with np.errstate(divide="ignore"):
             return 2.0 * (math.log(self._k0) + np.log(sigma))
 
+    def _drift_over_var(self, y, sigma, shift):
+        # 2 b~_c / sigma~^2 at y, from the model's sigma there, under shift
+        return 2.0 * (self.b_tilde(y) + self._ratio * shift) / (self._k0 * sigma) ** 2
+
     # -- exponent E(y) = log p'_c(y) -----------------------------------------
 
     def _side_shift(self, y):
+        # beta left of c, gamma from c on, elementwise
         return np.where(np.asarray(y, dtype=float) < self.c, self.beta, self.gamma)
 
     @property
@@ -673,28 +674,28 @@ class ScaleContext:
         # running from a (the end nearer c) to b on one side of c: what the
         # spread test and the integrals read, log sigma~^2 for inner sweeps
         # only.  _advance forms the nodes where it reads them.  A row's shift
-        # is its segment's (seg as for _refine, shifts their (beta, gamma);
-        # None: this context's) on its side of c.  Custom models give E
-        # relative to E(a), from the integration matrix applied to g = 2 b~_c
-        # / sigma~^2, plus the panel's total change of E, by BLAS products on
-        # one segment's rows at a time, in the order given.  On a panel
-        # ending at s in ends, g's pole h(s) / (y - s), h(s) read off the
-        # interpolant of h = g (y - s), integrates in closed form.
-        beta, gamma = (self.beta, self.gamma) if shifts is None else shifts[seg].T[..., None]
+        # is its segment's: seg as for _refine, shifts one per segment (by
+        # default one segment, under the shift on b's side of c).  Custom
+        # models give E relative to E(a), from the integration matrix applied
+        # to g = 2 b~_c / sigma~^2, plus the panel's total change of E, by
+        # BLAS products on one segment's rows at a time, in the order given.
+        # On a panel ending at s in ends, g's pole h(s) / (y - s), h(s) read
+        # off the interpolant of h = g (y - s), integrates in closed form.
+        seg = np.zeros(len(a), dtype=np.intp) if seg is None else seg
+        shift = (self._side_shift(b[-1:]) if shifts is None else shifts)[seg][:, None]
         y = _gauss_nodes(a, b)
         if self._closed_exponent:
             log_sig = self._log_sigma_tilde_sq(self.model.diffusion(y)) if inner else None
-            return self._exponent_batch(y, beta if b[-1] < self.c else gamma), log_sig, None
+            return self._exponent_batch(y, shift), log_sig, None
         sigma = self.model.diffusion(y)  # once, for both sigma~^2 and its log
         log_sig = self._log_sigma_tilde_sq(sigma) if inner else None
         half = 0.5 * (b - a)
-        g = self.b_tilde(y) + self._ratio * np.where(y < self.c, beta, gamma)
-        g = 2.0 * g / (self._k0 * sigma) ** 2
+        g = self._drift_over_var(y, sigma, shift)
         cuts = _runs(seg)
         e = -half[:, None] * _by_segment(g, gl_integration_matrix(_ORDER).T, cuts)
         at_s = _at_any(b, ends)
         if at_s.any():
-            cuts_s = _runs(None if seg is None else seg[at_s])
+            cuts_s = _runs(seg[at_s])
             z = y[at_s] - b[at_s, None]
             h = g[at_s] * z
             h_s = _by_segment(h, gl_legendre_coefficients(_ORDER).sum(axis=0), cuts_s)[:, None]
@@ -715,12 +716,12 @@ class ScaleContext:
         # rows go straight to their place in it.
         # A batch may hold several segments on one side of c, each tiling a
         # range outward: seg gives each panel's segment, in runs of rising
-        # ids (None: one segment), and shifts each segment's (beta, gamma)
-        # (None: this context's).  The panels come back segment by segment,
-        # each segment's exactly as if refined alone.  A round's halves are
-        # laid out per segment, its first halves then its second halves, so
-        # a custom model's BLAS calls in _node_values take them in that
-        # order; outward keeps the rows' outward order for the next round.
+        # ids, and shifts each segment's shift (both by default as for
+        # _node_values).  The panels come back segment by segment, each
+        # segment's exactly as if refined alone.  A round's halves are laid
+        # out per segment, its first halves then its second halves, so a
+        # custom model's BLAS calls in _node_values take them in that order;
+        # outward keeps the rows' outward order for the next round.
         seg = np.zeros(len(a), dtype=np.intp) if seg is None else seg
         fallback = _at_any(a, ends) | _at_any(b, ends)
         vals = self._node_values(a, b, inner, ends, seg, shifts)
@@ -767,10 +768,10 @@ class ScaleContext:
             rows.clear()
         return a, b, tuple(vals), fallback
 
-    def _advance(self, a, b, vals, fallback, cuts, states, ctxs, inner, ends):
+    def _advance(self, a, b, vals, fallback, cuts, states, shifts, inner, ends):
         # integrate the refined panels a -> b (outward from c) of a batch of
         # passes, with their node values and flags from _refine: pass i has
-        # rows cuts[i]:cuts[i + 1] and runs under ctxs[i] on from states[i] =
+        # rows cuts[i]:cuts[i + 1] and runs under shifts[i] on from states[i] =
         # (E, log p, logs of (I_k, u_k) for k = 1 .. n) at its first a.
         # Returns the _Sweep rows at the panel ends (E only for custom
         # models; p, or else I_1, v = u_1 and log (u_1 + ... + u_n)) with the
@@ -803,9 +804,9 @@ class ScaleContext:
             dist = (np.log(np.abs(_gauss_nodes(a[end], b[end]) - s[:, None])),
                     np.log(np.abs(a[end] - s)),
                     np.log(np.abs(b[end] - s)))
-        # each pass's graded panels, by row, under its own context
-        graded = [(ctx, i + np.flatnonzero(graded[i:j]))
-                  for ctx, (i, j) in zip(ctxs, spans) if graded[i:j].any()] if graded.any() else []
+        # each pass's graded panels, by row, under its own shift
+        graded = [(shift, i + np.flatnonzero(graded[i:j])) for shift, (i, j) in zip(shifts, spans)
+                  if graded[i:j].any()] if graded.any() else []
         partials = gl_partials(_ORDER)
 
         def outward(first, log_f, inner_weight=None, at_nodes=True):
@@ -824,14 +825,14 @@ class ScaleContext:
             # rows x nodes array.
             top = log_f.T.copy().max(axis=0)  # node-major, as in _refine
             g = log_f - top[:, None]
-            g = _by_segment(np.exp(g, out=g), partials, cuts if len(heads) > 1 else None)
+            g = _by_segment(np.exp(g, out=g), partials, cuts)
             if not at_nodes:
                 g = g[:, -1:]  # the panel totals alone
             log_g = np.log(np.maximum(g, 0.0, out=g), out=g)
             log_g += (top + log_half)[:, None]
-            for ctx, rows in graded if inner_weight is not None else ():
-                log_g[rows] = ctx._log_inner_intervals(a[rows], b[rows], e_a[rows],
-                                                       inner_weight[rows])
+            for shift, rows in graded if inner_weight is not None else ():
+                log_g[rows] = self._log_inner_intervals(a[rows], b[rows], e_a[rows],
+                                                        inner_weight[rows], shift)
             fit = nan.copy()
             if ends:
                 law, fit[end] = _power_law_integrals(log_f[end], *dist)
@@ -883,72 +884,68 @@ class ScaleContext:
         return (e_b, inners[0], nan, terms[0], log_u, fit), new
 
     def _sweep(self, xs, counts, field="log_v", stop=math.inf, n_terms=1):
-        # _sweep_legs for the one leg xs under this context's shifts
-        return self._sweep_legs([(self, xs)], counts, field, stop, n_terms)[0]
+        # _sweep_passes for the one leg xs under the shift on its side of c, a
+        # pass per count: each field and the fitted exponents, a row per count
+        passes = [(self._side_shift(min(xs)), xs, n) for n in counts]
+        swept = self._sweep_passes(passes, field, stop, n_terms)
+        return _Sweep(*np.stack([s for s, _ in swept], axis=1)), np.array([f for _, f in swept])
 
-    def _sweep_legs(self, legs, counts, field="log_v", stop=math.inf, n_terms=1):
-        """Per leg, (E, log I, log p, log v, log u) at its points by one
-        cumulative pass from c on the grid of each base-panel count in
-        ``counts``, with u the first n_terms terms of the series after its 1,
-        and the exponents fitted to p's integrand (log_p) or u_n's at singular
-        points; row i of every field and of the exponents is the pass of
-        counts[i].  A sweep for ``field`` log_p carries E and p only; any
-        other all but p.
+    def _sweep_passes(self, passes, field="log_v", stop=math.inf, n_terms=1):
+        """Per pass, (E, log I, log p, log v, log u) at its points by one
+        cumulative pass from c, with u the first n_terms terms of the series
+        after its 1, and the exponents fitted to p's integrand (log_p) or
+        u_n's at singular points.  A sweep for ``field`` log_p carries E and
+        p only; any other all but p.
 
-        A leg is a (context, points) pair: this context under the shifts the
-        leg runs under, and points all on one side of c, the same side for
-        every leg.  A count's grid for a leg is ``_edges`` from c to its
-        farthest x with every x as an edge, plus, for each singular point s
-        on the leg [lo, hi], s itself and s -+ (hi - lo) 2^-k for k = 1 ..
-        count / 4 down to 2^-36 |s| (1e-300 at s = 0), short of the float
-        resolution of y - s.  Each pass, one per leg and count, runs outward
-        in chunks of 1, 2, 4, ... of its leg's points and ends after the
+        A pass is (shift, points, base panels): the drift shift it runs
+        under, its points, all on one side of c (the same side for every
+        pass), and its base grid's panel count n.  Its grid is ``_edges``
+        with n panels from c to its farthest x with every x as an edge,
+        plus, for each singular point s on the leg [lo, hi], s itself and s
+        -+ (hi - lo) 2^-k for k = 1 .. n / 4 down to 2^-36 |s| (1e-300 at s
+        = 0), short of the float resolution of y - s.  Each pass runs
+        outward in chunks of 1, 2, 4, ... of its points and ends after the
         chunk in which ``field`` first reaches ``stop``; points beyond read
-        nan.  The passes still running, of every leg, refine each chunk in
-        one batch (``_refine``, a segment each), then integrate it in
-        batches of consecutive passes within ``_BATCH_ROWS`` panels, or of
-        one larger pass (``_advance``, each pass on its leg's context), with
-        products and running sums kept per pass: each pass gives exactly
-        the rows it gives alone.
+        nan.  The passes still running refine each chunk in one batch
+        (``_refine``, a segment each), then integrate it in batches of
+        consecutive passes within ``_BATCH_ROWS`` panels, or of one larger
+        pass (``_advance``), with products and running sums kept per pass:
+        each pass gives exactly the rows it gives alone.
         """
         row = _Sweep._fields.index(field)
         singular = (*self.model.interval, *self._interior_singularities())
-        # per leg: context, far end, points outward, inverse, rows; per pass:
-        # context, singular points, edges outward, the points' places, rows
-        reads, passes = [], []
-        for ctx, xs in legs:
-            xs = np.asarray(xs, dtype=float)
-            uniq, inv = np.unique(xs, return_inverse=True)
-            far = xs[np.argmax(np.abs(xs - self.c))]
-            lo, hi = (self.c, far) if far > self.c else (far, self.c)
-            # finite endpoints and interior zeros of sigma on the leg: next to
-            # one, the integrands keep a power law that no halving resolves
-            ends = tuple(s for s in singular if lo <= s <= hi)
-            out = np.full((6, len(counts), len(uniq)), np.nan)
-            for i, n_panels in enumerate(counts):
-                extra = [uniq]
-                for s in ends:
-                    d = _depths(s, hi - lo, n_panels)
-                    extra.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
-                edges = self._edges(lo, hi, n_panels, extra)
-                at = np.searchsorted(edges, uniq)  # every x is an edge
-                if far < self.c:  # outward
-                    edges, at = edges[::-1], len(edges) - 1 - at[::-1]
-                passes.append((ctx, ends, edges, at, out[:, i]))
-            if far < self.c:
-                uniq, inv = uniq[::-1], len(uniq) - 1 - inv
-            reads.append((ctx, far, uniq, inv, out))
+        # per pass: singular points, edges outward, the points' places among
+        # them, rows, the points outward and their inverse
+        runs, leg = [], None
+        for _, pts, n_panels in passes:
+            if pts is not leg:  # the passes of one leg follow each other
+                leg, xs = pts, np.asarray(pts, dtype=float)
+                uniq, inv = np.unique(xs, return_inverse=True)
+                far = xs[np.argmax(np.abs(xs - self.c))]
+                lo, hi = (self.c, far) if far > self.c else (far, self.c)
+                # finite endpoints and interior zeros of sigma on the leg: next
+                # to one, the integrands keep a power law that no halving resolves
+                ends = tuple(s for s in singular if lo <= s <= hi)
+                outward = (uniq[::-1], len(uniq) - 1 - inv) if far < self.c else (uniq, inv)
+            extra = [uniq]
+            for s in ends:
+                d = _depths(s, hi - lo, n_panels)
+                extra.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
+            edges = self._edges(lo, hi, n_panels, extra)
+            at = np.searchsorted(edges, uniq)  # every x is an edge
+            if far < self.c:  # outward
+                edges, at = edges[::-1], len(edges) - 1 - at[::-1]
+            runs.append((ends, edges, at, np.full((6, len(uniq)), np.nan), *outward))
         sign = 1.0 if far > self.c else -1.0
-        ends = tuple(set().union(*(p[1] for p in passes)))
-        shifts = (np.array([[p[0].beta, p[0].gamma] for p in passes], dtype=float)
-                  if any(ctx is not self for ctx, _ in legs) else None)  # None: this context's
+        ends = tuple(set().union(*(r[0] for r in runs)))
+        shifts = np.array([shift for shift, *_ in passes], dtype=float)
         states = [(0.0, -np.inf, np.full((2, n_terms), -np.inf))] * len(passes)
         start = [0] * len(passes)  # each pass's first edge of the next chunk
         live, done, chunk, inner = list(range(len(passes))), 0, 1, field != "log_p"
         while live:
-            last = [passes[p][3][:done + chunk][-1] for p in live]  # the chunk's last edges
-            a = np.concatenate([passes[p][2][start[p]:k] for p, k in zip(live, last)])
-            b = np.concatenate([passes[p][2][start[p] + 1:k + 1] for p, k in zip(live, last)])
+            last = [runs[p][2][:done + chunk][-1] for p in live]  # the chunk's last edges
+            a = np.concatenate([runs[p][1][start[p]:k] for p, k in zip(live, last)])
+            b = np.concatenate([runs[p][1][start[p] + 1:k + 1] for p, k in zip(live, last)])
             seg = np.repeat(live, [k - start[p] for p, k in zip(live, last)])
             # nan (a misfit end panel) and log 0 are values; _stabilized judges them
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -956,7 +953,7 @@ class ScaleContext:
                 # a pass's panels end at the first panel end on its last edge
                 cuts = [0]
                 for p, k in zip(live, last):
-                    cuts.append(cuts[-1] + 1 + int(np.argmax(b[cuts[-1]:] == passes[p][2][k])))
+                    cuts.append(cuts[-1] + 1 + int(np.argmax(b[cuts[-1]:] == runs[p][1][k])))
                 # batches of consecutive passes within _BATCH_ROWS rows, or of
                 # one; opens: each batch's first pass
                 opens = [0]
@@ -968,10 +965,9 @@ class ScaleContext:
                     cols, new = self._advance(
                         a[i:j], b[i:j], [None if v is None else v[i:j] for v in vals],
                         fallback[i:j], [cut - i for cut in cuts[q0:q1 + 1]],
-                        [states[p] for p in live[q0:q1]],
-                        [passes[p][0] for p in live[q0:q1]], inner, ends)
+                        [states[p] for p in live[q0:q1]], shifts[live[q0:q1]], inner, ends)
                     for q, (p, k) in enumerate(zip(live[q0:q1], last[q0:q1]), q0):
-                        _, _, edges, at, rows = passes[p]
+                        _, edges, at, rows, _, _ = runs[p]
                         # the rows at the chunk's points, among panel ends rising outward
                         hit = cuts[q] - i + np.searchsorted(sign * b[cuts[q]:cuts[q + 1]],
                                                             sign * edges[at[done:done + chunk]])
@@ -979,10 +975,10 @@ class ScaleContext:
                         states[p], start[p] = new[q - q0], k
             done, chunk = done + chunk, 2 * chunk
             live = [p for p in live
-                    if done < len(passes[p][3]) and not np.any(passes[p][4][row, :done] >= stop)]
-        for ctx, far, uniq, _, out in reads if self._closed_exponent else ():
-            out[0] = ctx._exponent_batch(uniq, ctx._side_shift(far))
-        return [(_Sweep(*out[:5, :, inv]), out[5][:, inv]) for *_, inv, out in reads]
+                    if done < len(runs[p][2]) and not np.any(runs[p][3][row, :done] >= stop)]
+        for shift, (*_, rows, uniq, _) in zip(shifts, runs) if self._closed_exponent else ():
+            rows[0] = self._exponent_batch(uniq, shift)
+        return [(_Sweep(*rows[:5, inv]), rows[5, inv]) for *_, rows, _, inv in runs]
 
     def _sigma_inv_sq_fit(self, s):
         # (beta, bound) at a finite endpoint s, from the model alone: beta of
@@ -1001,16 +997,16 @@ class ScaleContext:
             beta = _power_law_integrals(-log_sig, x, x[:, 0], x[:, -1])[1]
         return float(beta[1]), -1.0 + max(2.0 * abs(float(beta[1] - beta[0])), _FIT_TOL)
 
-    def _log_inner_intervals(self, a, b, e_a, log_w):
+    def _log_inner_intervals(self, a, b, e_a, log_w, shift):
         # logs of int_a^x w / (p' sigma~^2) for x each Gauss node of the
-        # panels a -> b and b itself, with log w given at the nodes (read
-        # between them from its Legendre series, unless w = 1) and E(a) =
-        # e_a (read for custom models only).  The integrand can vary by
-        # thousands of nats across one panel, concentrating in an endpoint
-        # layer of width 1/|E'|; sub-edges are graded geometrically from both
-        # ends of each interval starting at that resolvable scale, so the 12
-        # Gauss nodes of a sub-panel, read through _node_values, see a few
-        # nats at most.
+        # panels a -> b and b itself, under shift, with log w given at the
+        # nodes (read between them from its Legendre series, unless w = 1)
+        # and E(a) = e_a (read for custom models only).  The integrand can
+        # vary by thousands of nats across one panel, concentrating in an
+        # endpoint layer of width 1/|E'|; sub-edges are graded geometrically
+        # from both ends of each interval starting at that resolvable scale,
+        # so the 12 Gauss nodes of a sub-panel, read through _node_values,
+        # see a few nats at most.
         from scipy.special import logsumexp  # imported on use: it takes 0.25 s to load
 
         lo = np.repeat(a[:, None], _ORDER + 1, axis=1)
@@ -1019,7 +1015,7 @@ class ScaleContext:
         pair = np.stack([lo, hi])
         # sigma~^2 may be subnormal next to an endpoint: inf takes the finest grading
         with np.errstate(over="ignore"):
-            g = 2.0 * self.b_tilde_shifted(pair) / self.sigma_tilde_sq(pair)
+            g = self._drift_over_var(pair, self.model.diffusion(pair), shift)
         g = np.max(np.abs(g), axis=0)
         rel0 = np.clip(1.0 / (np.fmax(g, 1.0) * np.abs(span)), 1e-13, 0.5)
         n_dbl = int(min(45, max(4, math.ceil(-math.log2(float(np.min(rel0)))))))
@@ -1028,7 +1024,8 @@ class ScaleContext:
         rel_edges = np.concatenate([ladder, 1.0 - ladder[..., ::-1]], axis=-1)
         sub_lo = lo[..., None] + span[..., None] * rel_edges[..., :-1]
         sub_hi = lo[..., None] + span[..., None] * rel_edges[..., 1:]
-        e, log_sig, de = self._node_values(sub_lo.ravel(), sub_hi.ravel(), True)
+        e, log_sig, de = self._node_values(sub_lo.ravel(), sub_hi.ravel(), True,
+                                           shifts=np.array([shift]))
         shape = sub_lo.shape + (_ORDER,)
         e, log_sig = e.reshape(shape), log_sig.reshape(shape)
         if de is not None:
@@ -1047,19 +1044,21 @@ class ScaleContext:
         return logsumexp(log_h + np.log(gl_rule(_ORDER)[1]) + log_half, axis=(-2, -1))
 
     def _stabilized(self, xs, field, stop=math.inf, n_terms=1):
-        # _stabilized_legs for the one leg xs, raising its NumericError
-        (out,) = self._stabilized_legs([(self, xs)], field, stop, n_terms)
+        # _stabilized_legs for the one leg xs under the shift on its side of
+        # c (beta if a point lies left of it), raising its NumericError
+        (out,) = self._stabilized_legs([(self._side_shift(min(xs)), xs)], field, stop, n_terms)
         if isinstance(out, NumericError):
             raise out
         return out
 
     def _stabilized_legs(self, legs, field, stop=math.inf, n_terms=1):
-        """Sweep legs (as for ``_sweep_legs``) with 64, 128, ... base panels
-        until, leg by leg, ``field`` agrees between consecutive rounds to
-        max(quad_tol, 1e-12) at every point up to the first at or above
-        ``stop``; ``n_terms`` series terms ride along.  The open legs' passes
-        of a round run in one batch, and the first two rounds (64 and 128
-        base panels) in one, as no leg settles before its second.
+        """Sweep legs with 64, 128, ... base panels until, leg by leg,
+        ``field`` agrees between consecutive rounds to max(quad_tol, 1e-12)
+        at every point up to the first at or above ``stop``; ``n_terms``
+        series terms ride along.  A leg is a pass less its base panels,
+        (shift, points); a round's passes, each open leg at each count, run
+        in one batch, and the first two rounds (64 and 128 base panels) in
+        one, as no leg settles before its second.
 
         Returns per leg its last sweep and effort (base panels at
         convergence, sweeps run and the largest |change| of ``field`` that
@@ -1076,32 +1075,31 @@ class ScaleContext:
         while n_panels <= self.max_panels and None in out:
             first = n_panels == 64 and 128 <= self.max_panels
             counts = (n_panels, 2 * n_panels) if first else (n_panels,)
-            open_legs = [i for i, o in enumerate(out) if o is None]
-            swept = self._sweep_legs([legs[i] for i in open_legs], counts, field, stop, n_terms)
-            for i, (rows, fits) in zip(open_legs, swept):
-                for sweep, fit, n in zip(zip(*rows), fits, counts):
-                    (xs, before, prev_fit, ok), cur = prev[i], sweep[row]
-                    if before is not None and out[i] is None:
-                        reached = np.flatnonzero(cur >= stop)
-                        m = reached[0] + 1 if reached.size else len(xs)
-                        now, before = cur[:m], before[:m]
-                        with np.errstate(invalid="ignore"):
-                            settled = (now == -math.inf) & (before == -math.inf)
-                            settled |= np.minimum(now, before) > _LOG_HUGE
-                            delta = np.abs(now - before)
-                            ok = settled | (delta <= tol)
-                        misfit = np.isnan(now) & np.isnan(before)
-                        misfit &= _at_any(xs[:m], self.model.interval)
-                        if (ok | misfit).all():
-                            # sweeps run: 64, 128, ..., n base panels
-                            ev = {"base_panels": n, "doubling_rounds": n.bit_length() - 6}
-                            if misfit.any():  # one endpoint at most: the leg's far end
-                                ev["fitted_exponent"] = float(fit[misfit][0])
-                                ev["fitted_exponent_change"] = float((fit - prev_fit)[misfit][0])
-                            else:
-                                ev["last_max_delta"] = float(np.max(delta[~settled], initial=0.0))
-                            out[i] = _Sweep(*sweep), ev
-                    prev[i] = xs, cur, fit, ok
+            keys = [(i, n) for i, o in enumerate(out) if o is None for n in counts]
+            swept = self._sweep_passes([(*legs[i], n) for i, n in keys], field, stop, n_terms)
+            for (i, n), (sweep, fit) in zip(keys, swept):
+                (xs, before, prev_fit, ok), cur = prev[i], sweep[row]
+                if before is not None and out[i] is None:
+                    reached = np.flatnonzero(cur >= stop)
+                    m = reached[0] + 1 if reached.size else len(xs)
+                    now, before = cur[:m], before[:m]
+                    with np.errstate(invalid="ignore"):
+                        settled = (now == -math.inf) & (before == -math.inf)
+                        settled |= np.minimum(now, before) > _LOG_HUGE
+                        delta = np.abs(now - before)
+                        ok = settled | (delta <= tol)
+                    misfit = np.isnan(now) & np.isnan(before)
+                    misfit &= _at_any(xs[:m], self.model.interval)
+                    if (ok | misfit).all():
+                        # sweeps run: 64, 128, ..., n base panels
+                        ev = {"base_panels": n, "doubling_rounds": n.bit_length() - 6}
+                        if misfit.any():  # one endpoint at most: the leg's far end
+                            ev["fitted_exponent"] = float(fit[misfit][0])
+                            ev["fitted_exponent_change"] = float((fit - prev_fit)[misfit][0])
+                        else:
+                            ev["last_max_delta"] = float(np.max(delta[~settled], initial=0.0))
+                        out[i] = sweep, ev
+                prev[i] = xs, cur, fit, ok
             n_panels = 2 * counts[-1]
         return [o or NumericError(f"{_QUANTITY[field]} quadrature did not stabilize",
                                   x=float(xs[np.argmin(ok)]),

@@ -224,6 +224,19 @@ def test_keys_outside_the_library_signatures_are_unknown(tmp_path, capsys, comma
     assert out.err == f"error: unknown key '{key}' in [{section}]\n"
 
 
+def test_resolvent_runs_on_a_crosscheck_config(tmp_path, capsys):
+    # one config drives crosscheck and resolvent: resolvent reads dt and
+    # horizon from [sim] and passes over crosscheck's tolerances, as it does
+    # SimConfig's other fields; it refused leak_tol as an unknown key
+    path = _write_ini(tmp_path, _MINIMAL + "    leak_tol = 0.1\n    floor_tol = 0.2\n")
+    assert main(["crosscheck", "--config", path]) in (0, 2)
+    capsys.readouterr()
+    assert main(["resolvent", "--config", path]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["config"]["sim"] == {"dt": 0.01, "horizon": 0.5}
+
+
 # --------------------------------------------------------------------- output
 
 

@@ -208,16 +208,19 @@ def _schemes(draw):
         nodes.append(x)
     nodes = [v for v in nodes if v < 1e305]  # a product may overflow
     assume(len(nodes) > 1)
-    return QuadratureScheme(alpha, tuple(nodes), q=draw(st.integers(1, 12)), weight=weight)
+    return QuadratureScheme(alpha, tuple(nodes), q=draw(st.integers(1, 32)), weight=weight)
 
 
 @settings(max_examples=150)
 @given(scheme=_schemes())
 @example(scheme=QuadratureScheme(0.9, (0.0, 1.0, 1e8), q=3))
 @example(scheme=QuadratureScheme(0.5, (1e-300, 1e300), q=12))
+@example(scheme=QuadratureScheme(0.3, geometric_nodes(4), q=32))
+@example(scheme=QuadratureScheme(0.3, geometric_nodes(4), q=32, weight="geometric_bb2"))
 def test_every_rule_integrates_its_weights_moments_or_raises(scheme):
     # the examples: wide intervals, where one Legendre rule per interval misses the
-    # moments (by 0.29 at hi/lo = 1e8, alpha 0.9, q 3; by 0.5% in K(0) at 1e600)
+    # moments (by 0.29 at hi/lo = 1e8, alpha 0.9, q 3; by 0.5% in K(0) at 1e600),
+    # and 32 nodes an interval on the standard ladder under each weight
     try:
         worst = _moment_misses(scheme)
     except NumericError as exc:

@@ -112,6 +112,15 @@ def test_solver_input_validation():
         solve_resolvent(ConstantKernel(1e-300), dt=0.1, horizon=1.0)
 
 
+def test_horizon_is_checked_in_steps_of_dt_rounded():
+    # round(horizon / dt) steps: 1.6 dt rounds up to two steps, 1.4 dt down to one
+    kernel = SumOfExponentialsKernel([1.0], [1.0])
+    grid = solve_resolvent(kernel, dt=0.01, horizon=0.016)
+    assert len(grid.times) == len(grid.density) == 2
+    with pytest.raises(ValueError, match="^horizon must cover at least two steps"):
+        solve_resolvent(kernel, dt=0.01, horizon=0.014)
+
+
 def test_solver_numeric_errors_carry_their_diagnostics():
     # K(0) asserted as 2 for e^(-t): K * L = 1 fails by far more than 10 dt
     wrong_k0 = UserKernel(lambda t: np.exp(-t), k0=2.0, kprime0=-1.0)

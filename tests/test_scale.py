@@ -815,6 +815,55 @@ def test_first_two_rounds_in_one_pass_match_each_round_alone(case):
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, field)
 
 
+@st.composite
+def _other_side_shift_cases(draw):
+    # (model, kernel, x, shift on x's side of c, two shifts for the other
+    # side) for a drawn built-in model or its custom clone, K = 1 or e^-t
+    pos = st.floats(0.2, 3.0)
+    kind = draw(st.sampled_from(["cir", "jacobi", "power"]))
+    if kind == "cir":
+        model = CIRModel(draw(pos), draw(st.floats(0.05, 3.0)), draw(pos), draw(pos))
+    elif kind == "jacobi":
+        inside = st.floats(0.1, 0.9)
+        model = JacobiModel(0.0, 1.0, draw(pos), draw(inside), draw(pos), draw(inside))
+    else:
+        model = PowerModel(draw(st.floats(1.1, 2.5)), draw(st.floats(0.0, 0.9)), draw(pos),
+                           draw(st.floats(0.2, 2.0)))
+    model = _clone(model) if draw(st.booleans()) else model
+    kernel = draw(st.sampled_from([ConstantKernel(1.0), SumOfExponentialsKernel([1.0], [1.0])]))
+    c, boundary = model.x0, draw(st.sampled_from(model.interval))
+    if math.isfinite(boundary):
+        x = boundary + (c - boundary) * draw(st.floats(0.05, 0.95))
+    else:
+        x = c + math.copysign(2.0 ** draw(st.floats(-2.0, 4.0)), boundary)
+    shift = st.floats(-2.0, 2.0)
+    others = draw(st.lists(shift, min_size=2, max_size=2, unique=True))
+    return model, kernel, x, draw(shift), others
+
+
+def _read_or_error(read, x):
+    # float.hex of read(x), or its NumericError's message
+    try:
+        return read(x).hex()
+    except NumericError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30)
+@given(case=_other_side_shift_cases())
+def test_a_leg_sees_only_the_shift_on_its_side_of_c(case):
+    # left of c only beta enters E, right of c only gamma: every value at x
+    # is the same to the bit whatever the other side's shift
+    model, kernel, x, own, others = case
+    reads = []
+    for other in others:
+        shifts = (own, other) if x < model.x0 else (other, own)
+        ctx = ScaleContext(model, kernel, beta=shifts[0], gamma=shifts[1])
+        reads.append([_read_or_error(read, x) for read in
+                      (ctx.v, ctx.scale, ctx.v_prime, lambda y: ctx.u_series(y, 3))])
+    assert reads[0] == reads[1]
+
+
 def test_refine_effort_on_a_large_leg_is_pinned(monkeypatch, sloped_kernel):
     # the last stage of a staged sufficient test: x = c + 256 under shift -x.
     # Halving rounds measure only the panels still open; measuring every
