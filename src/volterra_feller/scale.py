@@ -40,18 +40,19 @@ Panels that more halving would not resolve integrate the inner integrands
 on sub-panels graded from both ends instead.
 A leg reaching a singular point s (a finite endpoint or an interior zero
 of sigma) halves its way toward s, and the panel touching s integrates a
-power law C |y - s|^beta fitted to each log integrand at its nodes.  The
-base grid, and with it the depth toward s, is doubled from 64 panels until
-the requested quantity agrees between rounds at every point (``quad_tol``
-in log space, or ``NumericError``).  A pass is (shift, points, base
-panels): the drift shift it runs under, its points on one side of c, and
-the base grid's panel count.  Legs under shifts of their own (the staged
-sufficient test's stages) double in one batch: a round's passes, of every
-leg still open, share one refinement pass, as do the first two rounds (64
-and 128 base panels), since no value settles before the second; the passes
-then integrate in batches, each integral one log-space rule over a batch's
-rows, with the BLAS products and running sums kept per pass, so each pass
-gives the bits it gives alone.
+power law C |y - s|^beta fitted to each log integrand at its nodes.
+Two methods enter the sweep.  ``_sweep_passes`` runs one round of passes,
+a pass being (shift, points, base panels): the drift shift it runs under,
+its points on one side of c, and the base grid's panel count.
+``_stabilized_legs`` doubles the base grid of legs, (shift, points), and
+with it the depth toward s, from 64 panels until the requested quantity
+agrees between rounds at every point (``quad_tol`` in log space, or
+``NumericError``); every value, limit and staged-test stage reads it.  A
+round's passes, of every leg still open, share one refinement pass, as do
+the first two rounds (64 and 128 base panels), since no value settles
+before the second; the passes then integrate in batches, each integral
+one log-space rule over a batch's rows, with the BLAS products and running
+sums kept per pass, so each pass gives the bits it gives alone.
 
 Each built-in model family keeps its closed forms on its own class, and
 ``ScaleContext`` and ``feller.family_test`` use whichever a model has:
@@ -617,17 +618,17 @@ class ScaleContext:
             return self.model.exponent(y, self.c, self._k0, self._ratio, shift)
 
     def log_scale_derivative(self, x):
-        """log p'_c(x), elementwise on an array of reals; finite wherever x is interior."""
+        """log p'_c(x), elementwise on an array of reals; finite wherever x is
+        interior.  A ``CustomModel``'s is read off one 64-panel pass a side."""
         arr = self._check_interior(x, arrays=True)
         pts = np.atleast_1d(arr).ravel()
         if self._closed_exponent:
             out = self._exponent_batch(pts, self._side_shift(pts))
         else:
-            # custom models read E off one outward sweep per side of c
             out = np.zeros_like(pts)
-            for side in (pts > self.c, pts < self.c):
+            for side, shift in ((pts > self.c, self.gamma), (pts < self.c, self.beta)):
                 if side.any():
-                    out[side] = self._sweep(pts[side], (64,), "log_p")[0].e[0]
+                    out[side] = self._sweep_passes([(shift, pts[side], 64)], "log_p")[0][0].e
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def scale_derivative(self, x):
@@ -669,20 +670,18 @@ class ScaleContext:
             parts.append(-np.geomspace(-hi, -lo, half))
         return np.unique(np.concatenate(parts))
 
-    def _node_values(self, a, b, inner, ends=(), seg=None, shifts=None):
-        # (E, log sigma~^2, change of E) at the Gauss nodes of panels
-        # running from a (the end nearer c) to b on one side of c: what the
-        # spread test and the integrals read, log sigma~^2 for inner sweeps
-        # only.  _advance forms the nodes where it reads them.  A row's shift
-        # is its segment's: seg as for _refine, shifts one per segment (by
-        # default one segment, under the shift on b's side of c).  Custom
-        # models give E relative to E(a), from the integration matrix applied
-        # to g = 2 b~_c / sigma~^2, plus the panel's total change of E, by
-        # BLAS products on one segment's rows at a time, in the order given.
-        # On a panel ending at s in ends, g's pole h(s) / (y - s), h(s) read
-        # off the interpolant of h = g (y - s), integrates in closed form.
-        seg = np.zeros(len(a), dtype=np.intp) if seg is None else seg
-        shift = (self._side_shift(b[-1:]) if shifts is None else shifts)[seg][:, None]
+    def _node_values(self, a, b, inner, ends, seg, shifts):
+        # (E, log sigma~^2, change of E) at the Gauss nodes of panels running
+        # from a (the end nearer c) to b on one side of c: what the spread test
+        # and the integrals read, log sigma~^2 for inner sweeps only.  _advance
+        # forms the nodes where it reads them.  A row's shift is its segment's:
+        # seg as for _refine, shifts one per segment.  Custom models give E
+        # relative to E(a), from the integration matrix applied to
+        # g = 2 b~_c / sigma~^2, plus the panel's total change of E, by BLAS
+        # products on one segment's rows at a time, in the order given.  On a
+        # panel ending at s in ends, g's pole h(s) / (y - s), h(s) read off the
+        # interpolant of h = g (y - s), integrates in closed form.
+        shift = shifts[seg][:, None]
         y = _gauss_nodes(a, b)
         if self._closed_exponent:
             log_sig = self._log_sigma_tilde_sq(self.model.diffusion(y)) if inner else None
@@ -703,26 +702,25 @@ class ScaleContext:
             e[at_s] = -(h_s * np.log(z / (a - b)[at_s, None]) + half[at_s, None] * rest)
         return e, log_sig, -half * _by_segment(g, gl_rule(_ORDER)[1], cuts)
 
-    def _refine(self, a, b, inner, ends, seg=None, shifts=None):
+    def _refine(self, a, b, inner, ends, seg, shifts):
         # Halve panels until E (and, for inner sweeps, -E - log sigma~^2)
         # moves at most _NAT across the nodes; the 12-node interpolant of an
         # exponential that moves one nat is good to about 1e-14, and the
-        # base-grid doubling in _stabilized checks what the spread misses.
+        # base-grid doubling in _stabilized_legs checks what the spread misses.
         # Flagged: panels touching a singular point in ends, never halved,
         # and panels the rounds could not bring under _NAT.  Resolved and
         # flagged panels never change again: each round forms node values
         # only for the open ones and keeps the rows of those it is done
         # with; one sort puts all panels in outward order, and each round's
         # rows go straight to their place in it.
-        # A batch may hold several segments on one side of c, each tiling a
+        # A batch holds one or more segments on one side of c, each tiling a
         # range outward: seg gives each panel's segment, in runs of rising
-        # ids, and shifts each segment's shift (both by default as for
-        # _node_values).  The panels come back segment by segment, each
-        # segment's exactly as if refined alone.  A round's halves are laid
-        # out per segment, its first halves then its second halves, so a
-        # custom model's BLAS calls in _node_values take them in that order;
+        # ids, and shifts each segment's shift.  The panels come back segment
+        # by segment, each segment's exactly as if refined alone, with the
+        # row cuts between segments.  A round's halves are laid out per
+        # segment, its first halves then its second halves, so a custom
+        # model's BLAS calls in _node_values take them in that order;
         # outward keeps the rows' outward order for the next round.
-        seg = np.zeros(len(a), dtype=np.intp) if seg is None else seg
         fallback = _at_any(a, ends) | _at_any(b, ends)
         vals = self._node_values(a, b, inner, ends, seg, shifts)
         outward = np.arange(len(a))
@@ -760,13 +758,13 @@ class ScaleContext:
         seg, a, b, fallback = map(np.concatenate, done[:4])
         del done[:4]  # each round's rows of those go before the node values are placed
         order = np.lexsort((a if b[0] > a[0] else -a, seg))
-        a, b, fallback, seg = a[order], b[order], fallback[order], None
+        a, b, fallback, cuts = a[order], b[order], fallback[order], _runs(seg[order])
         # every round's node values go straight to their place in that order
         rank, vals = _scatter(order, np.arange(len(order))), []
         for rows in done:
             vals.append(None if rows[0] is None else _place(rank, rows))
             rows.clear()
-        return a, b, tuple(vals), fallback
+        return a, b, tuple(vals), fallback, cuts
 
     def _advance(self, a, b, vals, fallback, cuts, states, shifts, inner, ends):
         # integrate the refined panels a -> b (outward from c) of a batch of
@@ -883,19 +881,13 @@ class ScaleContext:
         log_u = np.logaddexp.reduce(terms, axis=0)
         return (e_b, inners[0], nan, terms[0], log_u, fit), new
 
-    def _sweep(self, xs, counts, field="log_v", stop=math.inf, n_terms=1):
-        # _sweep_passes for the one leg xs under the shift on its side of c, a
-        # pass per count: each field and the fitted exponents, a row per count
-        passes = [(self._side_shift(min(xs)), xs, n) for n in counts]
-        swept = self._sweep_passes(passes, field, stop, n_terms)
-        return _Sweep(*np.stack([s for s, _ in swept], axis=1)), np.array([f for _, f in swept])
-
     def _sweep_passes(self, passes, field="log_v", stop=math.inf, n_terms=1):
-        """Per pass, (E, log I, log p, log v, log u) at its points by one
-        cumulative pass from c, with u the first n_terms terms of the series
-        after its 1, and the exponents fitted to p's integrand (log_p) or
-        u_n's at singular points.  A sweep for ``field`` log_p carries E and
-        p only; any other all but p.
+        """One round of the sweep (``_stabilized_legs`` settles legs by
+        rounds): per pass, (E, log I, log p, log v, log u) at its points by
+        one cumulative pass from c, with u the first n_terms terms of the
+        series after its 1, and the exponents fitted to p's integrand (log_p)
+        or u_n's at singular points.  A sweep for ``field`` log_p carries E
+        and p only; any other all but p.
 
         A pass is (shift, points, base panels): the drift shift it runs
         under, its points, all on one side of c (the same side for every
@@ -907,10 +899,10 @@ class ScaleContext:
         outward in chunks of 1, 2, 4, ... of its points and ends after the
         chunk in which ``field`` first reaches ``stop``; points beyond read
         nan.  The passes still running refine each chunk in one batch
-        (``_refine``, a segment each), then integrate it in batches of
-        consecutive passes within ``_BATCH_ROWS`` panels, or of one larger
-        pass (``_advance``), with products and running sums kept per pass:
-        each pass gives exactly the rows it gives alone.
+        (``_refine``, a segment each, cut into passes), then integrate it in
+        batches of consecutive passes within ``_BATCH_ROWS`` panels, or of one
+        larger pass (``_advance``), with products and running sums kept per
+        pass: each pass gives exactly the rows it gives alone.
         """
         row = _Sweep._fields.index(field)
         singular = (*self.model.interval, *self._interior_singularities())
@@ -947,13 +939,9 @@ class ScaleContext:
             a = np.concatenate([runs[p][1][start[p]:k] for p, k in zip(live, last)])
             b = np.concatenate([runs[p][1][start[p] + 1:k + 1] for p, k in zip(live, last)])
             seg = np.repeat(live, [k - start[p] for p, k in zip(live, last)])
-            # nan (a misfit end panel) and log 0 are values; _stabilized judges them
+            # nan (a misfit end panel) and log 0 are values; _stabilized_legs judges them
             with np.errstate(invalid="ignore", divide="ignore"):
-                a, b, vals, fallback = self._refine(a, b, inner, ends, seg, shifts)
-                # a pass's panels end at the first panel end on its last edge
-                cuts = [0]
-                for p, k in zip(live, last):
-                    cuts.append(cuts[-1] + 1 + int(np.argmax(b[cuts[-1]:] == runs[p][1][k])))
+                a, b, vals, fallback, cuts = self._refine(a, b, inner, ends, seg, shifts)
                 # batches of consecutive passes within _BATCH_ROWS rows, or of
                 # one; opens: each batch's first pass
                 opens = [0]
@@ -1024,8 +1012,8 @@ class ScaleContext:
         rel_edges = np.concatenate([ladder, 1.0 - ladder[..., ::-1]], axis=-1)
         sub_lo = lo[..., None] + span[..., None] * rel_edges[..., :-1]
         sub_hi = lo[..., None] + span[..., None] * rel_edges[..., 1:]
-        e, log_sig, de = self._node_values(sub_lo.ravel(), sub_hi.ravel(), True,
-                                           shifts=np.array([shift]))
+        e, log_sig, de = self._node_values(sub_lo.ravel(), sub_hi.ravel(), True, (),
+                                           np.zeros(sub_lo.size, dtype=np.intp), np.array([shift]))
         shape = sub_lo.shape + (_ORDER,)
         e, log_sig = e.reshape(shape), log_sig.reshape(shape)
         if de is not None:
@@ -1043,18 +1031,11 @@ class ScaleContext:
         log_half = np.log(np.abs(0.5 * (sub_hi - sub_lo)))[..., None]
         return logsumexp(log_h + np.log(gl_rule(_ORDER)[1]) + log_half, axis=(-2, -1))
 
-    def _stabilized(self, xs, field, stop=math.inf, n_terms=1):
-        # _stabilized_legs for the one leg xs under the shift on its side of
-        # c (beta if a point lies left of it), raising its NumericError
-        (out,) = self._stabilized_legs([(self._side_shift(min(xs)), xs)], field, stop, n_terms)
-        if isinstance(out, NumericError):
-            raise out
-        return out
-
     def _stabilized_legs(self, legs, field, stop=math.inf, n_terms=1):
-        """Sweep legs with 64, 128, ... base panels until, leg by leg,
-        ``field`` agrees between consecutive rounds to max(quad_tol, 1e-12)
-        at every point up to the first at or above ``stop``; ``n_terms``
+        """The sweep's other entry point, which every value and limit reads:
+        rounds of ``_sweep_passes`` with 64, 128, ... base panels until, leg
+        by leg, ``field`` agrees between consecutive rounds to max(quad_tol,
+        1e-12) at every point up to the first at or above ``stop``; ``n_terms``
         series terms ride along.  A leg is a pass less its base panels,
         (shift, points); a round's passes, each open leg at each count, run
         in one batch, and the first two rounds (64 and 128 base panels) in
@@ -1110,13 +1091,15 @@ class ScaleContext:
     # -- public evaluations ----------------------------------------------------
 
     def _read(self, x, field, n_terms=1):
-        # (_Sweep row as floats, sign of x - c) at an interior x by _stabilized
-        # for field; at x = c or for an empty series: E = 0, other logs -inf, +1
+        # (_Sweep row as floats, sign of x - c) at an interior x for field, or
+        # its NumericError raised; at x = c or no terms: E = 0, other logs -inf, +1
         x = float(self._check_interior(x))
         if x == self.c or n_terms == 0:
             return _Sweep(0.0, -math.inf, -math.inf, -math.inf, -math.inf), 1.0
-        sweep, _ = self._stabilized([x], field, n_terms=n_terms)
-        return _Sweep(*(float(col[0]) for col in sweep)), (1.0 if x > self.c else -1.0)
+        (out,) = self._stabilized_legs([(self._side_shift(x), [x])], field, n_terms=n_terms)
+        if isinstance(out, NumericError):
+            raise out
+        return _Sweep(*(float(col[0]) for col in out[0])), (1.0 if x > self.c else -1.0)
 
     def scale(self, x) -> float:
         """p_c(x) = int_c^x p'.  Signed; zero at c; may overflow to +-inf."""
@@ -1194,10 +1177,10 @@ class ScaleContext:
     def _swept_limit(self, boundary, target):
         # the limit by sweeps run to a finite endpoint, as boundary_limit says
         field = "log_v" if target == "v" else "log_p"
-        try:
-            sweep, ev = self._stabilized([boundary], field)
-        except NumericError as exc:
-            return LimitResult("inconclusive", None, "sweep", exc.details)
+        (out,) = self._stabilized_legs([(self._side_shift(boundary), [boundary])], field)
+        if isinstance(out, NumericError):
+            return LimitResult("inconclusive", None, "sweep", out.details)
+        sweep, ev = out
         if "fitted_exponent" in ev:
             beta, change = ev["fitted_exponent"], ev["fitted_exponent_change"]
             # a power law clearly below -1, or a fit falling away from -1, as
@@ -1229,10 +1212,10 @@ class ScaleContext:
         log_cap = math.log(DIVERGENCE_CAP)
         points = self._approach(which, steps, "steps")
         field = "log_v" if target == "v" else "log_p"
-        try:
-            sweep, effort = self._stabilized(points, field, stop=log_cap)
-        except NumericError as exc:
-            return LimitResult("inconclusive", None, "sample", exc.details)
+        (out,) = self._stabilized_legs([(self._side_shift(points[0]), points)], field, log_cap)
+        if isinstance(out, NumericError):
+            return LimitResult("inconclusive", None, "sample", out.details)
+        sweep, effort = out
         log_vals = []
         for k, lv in enumerate(getattr(sweep, field).tolist()):
             log_vals.append(lv)

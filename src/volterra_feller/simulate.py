@@ -401,8 +401,8 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
     All step sizes consume the same underlying Brownian paths: increments
     are drawn once on the finest grid and block-summed up to each coarser
     dt, so the reported gaps isolate the scheme difference from Monte Carlo
-    noise.  Every dt must be an integer multiple of the finest one.  Hits
-    are not detected here; paths run to the horizon.
+    noise.  Every dt must be an integer multiple of the finest one that
+    tiles its grid.  Hits are not detected here; paths run to the horizon.
 
     Returns one row per dt: {"dt", "max_terminal_gap"}.
     """
@@ -420,12 +420,13 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
     dW_fine = np.ascontiguousarray(next(_noise(seed, 0, n_paths, n_fine, dt_fine, n_fine)).T)
     form = getattr(kernel, "exp_form", lambda: None)()
     for dt in dts:
-        factor = dt / dt_fine
-        if abs(factor - round(factor)) > 1e-9:
+        factor = int(round(dt / dt_fine))
+        if abs(dt / dt_fine - factor) > 1e-9:
             raise ValueError(f"dt {dt} is not an integer multiple of the finest dt {dt_fine}")
-        factor = int(round(factor))
+        if n_fine % factor:  # its paths would stop short of the horizon
+            raise ValueError(f"dt {dt} does not tile the finest grid's {n_fine} steps")
         n_coarse = n_fine // factor
-        dW = dW_fine[:, : n_coarse * factor].reshape(n_paths, n_coarse, factor).sum(axis=2)
+        dW = dW_fine.reshape(n_paths, n_coarse, factor).sum(axis=2)
         x_conv, x_lift = (
             # each scheme writes its X over its own copy of the noise
             _advance_block(model, _convolver(kernel, form, scheme, dt, n_coarse, n_paths),

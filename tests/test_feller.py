@@ -535,7 +535,7 @@ def test_staged_side_memory_stays_near_one_stage(sloped_kernel):
         finally:
             tracemalloc.stop()
 
-    one = peak(lambda: last._stabilized([x], "log_v"))
+    one = peak(lambda: last._stabilized_legs([(-x, [x])], "log_v"))
     batch = peak(lambda: _staged_side(ctx, "right", 8))
     assert batch <= 1.5 * one, (batch, one)
 

@@ -187,6 +187,21 @@ def test_subnormal_interval_names_it_in_the_mass_error():
     assert exc.value.details["interval"] == (5e-324, 1e-323)
 
 
+def test_a_node_outside_its_interval_is_named_in_the_error(monkeypatch):
+    # every rule's nodes moved past the right end of [0, 1]
+    golub_welsch = fracapprox._golub_welsch
+
+    def escaped(*args):
+        nodes, masses = golub_welsch(*args)
+        return nodes + 1.5, masses
+
+    monkeypatch.setattr(fracapprox, "_golub_welsch", escaped)
+    with pytest.raises(NumericError, match="Gauss node escaped its interval") as exc:
+        gaussian_quadrature_kernel(QuadratureScheme(0.5, (0.0, 2.0, 4.0), q=3))
+    assert exc.value.details["interval"] == (0.0, 2.0)
+    assert exc.value.details["node"] > 2.0
+
+
 def test_a_coarse_discretisation_raises_instead_of_returning_a_wrong_rule(monkeypatch):
     # with 3 Legendre points a panel, the discrete measure misses the weight's moments
     monkeypatch.setattr(fracapprox, "_PANEL_RULE", fracapprox._jacobi_rule(3, 0.0))

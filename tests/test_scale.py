@@ -17,8 +17,26 @@ from volterra_feller import (
     necessary_test,
 )
 from volterra_feller._quad import outward_edges
-from volterra_feller.scale import _NAT
+from volterra_feller.scale import _NAT, _Sweep
 from volterra_feller.errors import NumericError
+
+
+def _sweep(ctx, xs, counts, field="log_v", stop=math.inf, n_terms=1):
+    # one round of ctx._sweep_passes for the one leg xs under the shift on
+    # its side of c, a pass per count: each field and the fitted exponents, a
+    # row per count
+    passes = [(ctx._side_shift(min(xs)), xs, n) for n in counts]
+    swept = ctx._sweep_passes(passes, field, stop, n_terms)
+    return _Sweep(*np.stack([s for s, _ in swept], axis=1)), np.array([f for _, f in swept])
+
+
+def _stabilized(ctx, xs, field, stop=math.inf, n_terms=1):
+    # ctx._stabilized_legs for the one leg xs under the shift on its side of
+    # c, raising its NumericError
+    (out,) = ctx._stabilized_legs([(ctx._side_shift(min(xs)), xs)], field, stop, n_terms)
+    if isinstance(out, NumericError):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------- models
@@ -200,7 +218,7 @@ def test_multi_point_sweep_matches_nested_quad_oracle(case, cir_111, jacobi_unit
         clone = CustomModel(lambda x: 1.0 - x, np.sqrt, (0.0, math.inf), 1.0)
         sweep_ctx = ScaleContext(clone, unit_kernel)
     for xs in legs:
-        sweep, _ = sweep_ctx._stabilized(xs, "log_v")
+        sweep, _ = _stabilized(sweep_ctx, xs, "log_v")
         for x, log_v in zip(xs, sweep.log_v):
             assert math.exp(log_v) == pytest.approx(_v_oracle(ctx, x), rel=1e-6)
 
@@ -215,7 +233,7 @@ def test_multi_point_sweep_matches_nested_quad_oracle(case, cir_111, jacobi_unit
 def test_v_grows_away_from_c_along_one_sweep(kappa, theta, sigma, c):
     ctx = ScaleContext(CIRModel(kappa, theta, sigma, c), ConstantKernel(1.0))
     for xs in (c * np.array([0.9, 0.6, 0.3, 0.05]), c + np.array([0.1, 0.5, 1.5, 4.0])):
-        sweep, _ = ctx._stabilized(xs, "log_v")
+        sweep, _ = _stabilized(ctx, xs, "log_v")
         assert np.all(np.diff(sweep.log_v) > 0.0)
     for x in (0.5 * c, 2.0 * c):
         assert np.sign(ctx.scale(x)) == np.sign(x - c)
@@ -619,10 +637,10 @@ def test_sweep_rows_are_pinned_to_the_bit(leg):
     ctx, xs, series_terms = _pinned_legs()[leg]
     for field in ("log_p", "log_v", "log_u"):
         n_terms = series_terms if field == "log_u" else 1
-        sweep, effort = ctx._stabilized(xs, field, n_terms=n_terms)
+        sweep, effort = _stabilized(ctx, xs, field, n_terms=n_terms)
         converged = effort["base_panels"]
         for n in (64, converged):
-            got, fit = ctx._sweep(xs, (n,), field, n_terms=n_terms)
+            got, fit = _sweep(ctx, xs, (n,), field, n_terms=n_terms)
             assert _hex(got) == _SWEEP_BITS[leg, field, n], (field, n)
             assert _hex(fit) == _FIT_BITS[leg, field, n], (field, n)
         assert _hex(sweep) == _SWEEP_BITS[leg, field, converged], field
@@ -693,10 +711,10 @@ def test_sampled_sweep_rows_are_pinned_to_the_bit(side):
     ctx = _pinned_legs()["cir_to_0"][0]
     xs = ctx._approach(side, 12, "steps")
     xs, stop = (xs[:3] + xs[2:], 0.0) if side == "left" else (xs, math.log(1e12))
-    sweep, effort = ctx._stabilized(xs, "log_v", stop=stop)
+    sweep, effort = _stabilized(ctx, xs, "log_v", stop=stop)
     converged = effort["base_panels"]
     for n in (64, converged):
-        got, fit = ctx._sweep(xs, (n,), "log_v", stop)
+        got, fit = _sweep(ctx, xs, (n,), "log_v", stop)
         assert _hex([*got, fit]) == _SAMPLED_BITS[side, n], n
     assert _hex(sweep) == _hex(got)
 
@@ -737,8 +755,9 @@ def _refine_cases(draw):
 def test_refine_tiles_the_leg_and_resolves_every_open_panel(case):
     ctx, edges, inner, ends = case
     with np.errstate(invalid="ignore", divide="ignore"):
-        a, b, vals, flagged = ctx._refine(edges[:-1], edges[1:], inner, ends)
-        again = ctx._node_values(a, b, inner, ends)
+        seg, shifts = np.zeros(len(edges) - 1, dtype=np.intp), ctx._side_shift(edges[-1:])
+        a, b, vals, flagged, _ = ctx._refine(edges[:-1], edges[1:], inner, ends, seg, shifts)
+        again = ctx._node_values(a, b, inner, ends, np.zeros(len(a), dtype=np.intp), shifts)
     assert a[0] == edges[0] and b[-1] == edges[-1]
     assert np.array_equal(b[:-1], a[1:])
     for got, want in zip(vals[:2], again[:2]):
@@ -788,7 +807,7 @@ def _batched_cases(draw):
     field, n_terms = draw(st.sampled_from(["log_p", "log_v", "log_u"])), draw(st.integers(1, 3))
     # no stop, any stop, or a value the 64-panel pass reaches exactly, which
     # the 128-panel pass may miss and run on past
-    row = getattr(ctx._sweep(xs, (64,), field, n_terms=n_terms)[0], field)[0]
+    row = getattr(_sweep(ctx, xs, (64,), field, n_terms=n_terms)[0], field)[0]
     stop = draw(st.sampled_from([math.inf, *(float(v) for v in row if math.isfinite(v))])
                 | st.floats(-1.0, 3.0))
     return ctx, xs, field, stop, n_terms
@@ -807,9 +826,9 @@ def test_first_two_rounds_in_one_pass_match_each_round_alone(case):
     # one panel per pass (a one-row BLAS product rounds apart), a leg with
     # graded panels, and an end panel at a singular point
     ctx, xs, field, stop, n_terms = case
-    both = ctx._sweep(xs, (64, 128), field, stop, n_terms)
+    both = _sweep(ctx, xs, (64, 128), field, stop, n_terms)
     for i, n in enumerate((64, 128)):
-        alone = ctx._sweep(xs, (n,), field, stop, n_terms)
+        alone = _sweep(ctx, xs, (n,), field, stop, n_terms)
         for got, want in zip(both, alone):
             got, want = np.asarray(got)[..., i, :], np.asarray(want)[..., 0, :]
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, field)
@@ -882,7 +901,8 @@ def test_refine_effort_on_a_large_leg_is_pinned(monkeypatch, sloped_kernel):
         measured.clear()
         edges = ctx._edges(ctx.c, x, n_panels)
         with np.errstate(invalid="ignore", divide="ignore"):
-            a = ctx._refine(edges[:-1], edges[1:], True, ())[0]
+            seg = np.zeros(len(edges) - 1, dtype=np.intp)
+            a = ctx._refine(edges[:-1], edges[1:], True, (), seg, ctx._side_shift(edges[-1:]))[0]
         assert (len(edges) - 1, sum(measured), len(a)) == want
 
 

@@ -639,6 +639,12 @@ def test_discrepancy_requires_nested_grids(cir_111, sloped_kernel):
         scheme_discrepancy(cir_111, sloped_kernel, [0.0], 0.1, n_paths=2)
 
 
+def test_discrepancy_steps_must_tile_the_finest_grid(cir_111, unit_kernel):
+    # 10 steps of 0.1 to the horizon: three of 0.3 stop at t = 0.9
+    with pytest.raises(ValueError, match=r"^dt 0\.3 does not tile the finest grid's 10 steps"):
+        scheme_discrepancy(cir_111, unit_kernel, [0.1, 0.3], 1.0, n_paths=2)
+
+
 @pytest.mark.parametrize("dts", [
     ["0.5"],  # ran
     [0.5, math.inf],  # OverflowError from round(inf)
