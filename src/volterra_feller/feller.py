@@ -139,17 +139,20 @@ def _limit_triple(name, lim):
     if "exponent" in lim.evidence:
         return (name + " divergence exponent (divergent iff >= 1)",
                 float(lim.evidence["exponent"]), 1.0)
-    if lim.kind == "divergent":
-        return (name, math.inf, DIVERGENCE_CAP)
-    value = lim.value if lim.value is not None else math.nan
-    return (name, float(value), DIVERGENCE_CAP)
+    value = math.inf if lim.kind == "divergent" else lim.value
+    return (name, math.nan if value is None else float(value), DIVERGENCE_CAP)
+
+
+def _limit(ctx, which, target):
+    # boundary_limit, or a built-in model's closed rule with no value swept (no triple reads it)
+    return ctx._closed_limit(which, target) or ctx.boundary_limit(which, target)
 
 
 def _limit_pair(ctx, beta, gamma, target, names):
     """Both boundary limits of ``target`` ("v", or "p" for |p|) under the
     shifts (beta, gamma), and their evidence triples under ``names``."""
     shifted = ctx.with_shifts(beta, gamma)
-    lims = [shifted.boundary_limit(which, target=target) for which in ("left", "right")]
+    lims = [_limit(shifted, which, target) for which in ("left", "right")]
     return lims, [_limit_triple(name, lim) for name, lim in zip(names, lims)]
 
 
@@ -164,9 +167,7 @@ def _pair_verdict(lims, verdict, theorem, evidence, flags):
 
 def _interval_span(model):
     l, r = model.interval
-    if math.isfinite(l) and math.isfinite(r):
-        return r - l
-    return max(1.0, abs(model.x0))
+    return r - l if math.isfinite(l) and math.isfinite(r) else max(1.0, abs(model.x0))
 
 
 # -- generic tests -----------------------------------------------------------
@@ -205,19 +206,19 @@ def _staged_side(ctx, which, n_stages):
     Stage n sits at x_n (geometric approach for finite boundaries, c -+ 2^n
     for infinite ones) and uses the drift shift -x_n.  Sustained, unbounded
     growth of v across stages is the sufficient condition for no exit through
-    that boundary.  Every stage is a leg of one batch of sweeps, whose values
-    are read in stage order up to the first that did not stabilize or after
-    two infinite ones in a row; v is 0 at a stage point that rounds onto c.
+    that boundary.  ``sufficient_test`` runs it where no closed rule decides
+    (custom models, and the power family's ends at K'(0) < 0).  Every stage
+    is a leg of one batch of sweeps, whose values are read in stage order up
+    to the first that did not stabilize or after two infinite ones in a row;
+    v is 0 at a stage point that rounds onto c.
     """
     points = ctx._approach(which, n_stages, "n_stages")
-    legs = [(-x, [x]) for x in points if x != ctx.c]
-    swept = iter(ctx._stabilized_legs(legs, "log_v"))
+    swept = ctx._stabilized_legs([(-x, [x]) for x in points], "log_v")
     vals, evidence, inf_streak = [], [], 0
-    for x_n in points:
-        out = next(swept) if x_n != ctx.c else None
+    for x_n, out in zip(points, swept):
         if isinstance(out, NumericError):
             break
-        val = 0.0 if out is None else _exp(float(out[0].log_v[0]))
+        val = _exp(float(out[0].log_v[0]))
         vals.append(val)
         evidence.append((f"v at stage point {x_n:.6g} with shift {-x_n:.6g}", val,
                          DIVERGENCE_CAP))
@@ -231,28 +232,30 @@ def _staged_side(ctx, which, n_stages):
 
 
 def _sufficient_side(ctx, which, n_stages):
-    l, r = ctx.model.interval
-    boundary = l if which == "left" else r
-    evidence = []
+    boundary = ctx.model.interval[0 if which == "left" else 1]
+    evidence, ruled = [], None
     if math.isfinite(boundary):
         # shortcut: divergence of v with the boundary itself as shift already
         # implies the staged condition
-        shifted = ctx.with_shifts(-boundary, -boundary)
-        lim = shifted.boundary_limit(which, target="v")
+        lim = _limit(ctx.with_shifts(-boundary, -boundary), which, "v")
         label = f"v({which}) with boundary shift {-boundary + 0.0:.6g}"  # 0, not -0, at 0
         evidence.append(_limit_triple(label, lim))
         if lim.kind == "divergent":
             return True, evidence
-    if ctx.kprime0 == 0.0:
-        # the shifts drop out, so every stage is v_c itself and the stages
-        # grow without bound iff v_c diverges at the boundary (Feller's test)
+        # so the limit is finite, and so is the stages' limit when K'(0) = 0
+        # leaves every stage v_c itself, or a closed exponent is affine in the shift
+        if ctx.kprime0 == 0.0 or lim.method == "closed":
+            ruled = False, evidence
+    elif ctx.kprime0 == 0.0 and hasattr(ctx.model, "limit_rule"):
+        # every stage is v_c: the stages diverge iff v_c does (Feller's test)
+        lim = ctx._closed_limit(which, "v")
+        ruled = lim.kind == "divergent", [_limit_triple(f"v({which})", lim)]
+    elif ctx.kprime0 < 0.0 and hasattr(ctx.model, "stage_rule"):
+        kind, triples = ctx.model.stage_rule(which, ctx.k0, ctx._ratio)
+        ruled = kind == "divergent", triples
+    if ruled is not None:
         ctx._approach(which, n_stages, "n_stages")  # n_stages is checked as the stages would
-        if math.isfinite(boundary):
-            return False, evidence  # the limit above was not divergent
-        if hasattr(ctx.model, "limit_rule"):
-            lim = ctx.boundary_limit(which, target="v")
-            return lim.kind == "divergent", [_limit_triple(f"v({which})", lim)]
-        # a custom model's infinite end has no endpoint rule yet: the stages run
+        return ruled
     staged_ok, staged_ev = _staged_side(ctx, which, n_stages)
     return staged_ok, evidence + staged_ev
 
@@ -266,10 +269,10 @@ def sufficient_test(ctx, n_stages=8, hypotheses=None):
     divergence of v under the boundary shift.  Divergence on both sides rules
     out exit entirely.
 
-    At K'(0) = 0 the shifts drop out and every stage is the same v_c, so the
-    condition is v's endpoint limit (Feller's test): the one-shot limit at a
-    finite end, and the model's closed ``limit_rule`` at an infinite one.
-    Only a custom model's infinite ends still run the stages.
+    Built-in models are decided in closed form at every end except the power
+    family's infinite ones at K'(0) < 0: a finite end by the one-shot limit,
+    an infinite one by ``limit_rule`` (Feller's test) at K'(0) = 0 or by
+    ``stage_rule`` at K'(0) < 0.  Custom models stage wherever no limit decides.
     """
     n_stages = check_count("n_stages", n_stages, 2)
     left_ok, ev_left = _sufficient_side(ctx, "left", n_stages)
@@ -336,8 +339,7 @@ def sup_inf_test(ctx, hypotheses=None):
             "sup_inf_test needs a finite boundary on the tested side "
             "(or K'(0) = 0)"
         )
-    evidence = []
-    held = []
+    evidence, held = [], []
     for bound, kinds, conclusion in (
         (r, ("finite", "divergent"),
          (Boundary.RIGHT, Verdict.SUP_BOUNDED_AS, "scale-function-sup-bound")),

@@ -64,6 +64,8 @@ Each built-in model family keeps its closed forms on its own class, and
 * ``limit_rule(which, target, k0, ratio, shift)``: (kind, evidence) for the
   limit of v or |p| at one boundary under that side's shift, which it
   decides: kind is 'finite' or 'divergent';
+* ``stage_rule(which, k0, ratio)``: (kind, evidence triples) for the stages
+  of ``feller.sufficient_test`` toward an infinite end at K0' < 0 (CIR only);
 * ``interior_singularities()``: interior zeros of sigma, treated like
   endpoints;
 * ``family_verdicts(k0, kp0, emit)``: the family's printed inequalities,
@@ -118,12 +120,12 @@ _NAT = 1.0  # largest move of an integrand's log across a resolved panel's nodes
 _MAX_BISECTIONS = 8  # halving rounds before a panel falls back to graded quadrature
 DIVERGENCE_CAP = 1e12  # a sampled or staged value at or above this counts as divergent
 _FIT_TOL = 1e-9  # a fitted exponent this near -1 is undecided: fits round by 2e-11
-# most rows (panels) in one integration batch of several passes.  Batching
-# saves numpy's per-call overhead, which dominates only on small passes;
-# past about this size (a 96 KiB node array) a batch's rows x nodes
-# temporaries cost more than the calls saved: with no cap, a staged chunk's
-# passes (up to 13,000 rows) made sufficient_test on three CIR models at
-# K = e^-t 14% slower (67 against 58 ms, median of 7)
+# most rows (panels) in one integration batch of several passes: batching
+# saves numpy's per-call overhead, but past about this size (a 96 KiB node
+# array) a batch's rows x nodes temporaries cost more than the calls saved.
+# With no cap, sufficient_test at K = e^-t took 857 against 776 ms on three
+# power models and 86 against 75 ms on three CustomModel CIR clones (median
+# of 7, 2-core host), whose staged chunks reach 44,000 rows
 _BATCH_ROWS = 1024
 
 
@@ -257,6 +259,31 @@ class CIRModel:
         expo = 2.0 / (k0 * self.sigma) ** 2 * (k0 * self.kappa * self.theta + shift * ratio)
         ev = {"exponent": expo, "divergent_iff": "exponent >= 1"}
         return ("divergent" if expo >= 1.0 else "finite"), ev
+
+    def stage_rule(self, which, k0, ratio):
+        """('divergent', [evidence triple]): at ratio = K0'/K0 < 0 the stages
+        v_c(x_n; -x_n) grow without bound toward +inf (which = 'right'; the
+        boundary shift decides 0), for every parameter set.
+
+        With |r| = -ratio, cc = 2 / (K0 sigma)^2 and shift -x, E(y) = cc (|r|
+        + K0 kappa) (y - c) - cc (K0 kappa theta + x |r|) log(y / c) is least
+        at z* = (K0 kappa theta + x |r|) / (|r| + K0 kappa), below x once x >
+        theta.  Laplace's method (Olver, Asymptotics and Special Functions,
+        1974, ch. 3) on v_c(x) = 2 int_c^x int_c^y exp(E(y) - E(z)) /
+        sigma~(z)^2 dz dy takes its end peak at y = x (width O(1)) and its
+        interior one at z = z* (width O(sqrt x), sigma~^-2 = O(1 / x)), and
+        x / z* -> 1 + K0 kappa / |r|, so log v_n = E(x_n) - E(z*) + O(log x_n):
+
+            log v_n = cc x_n (K0 kappa - |r| log(1 + K0 kappa / |r|)) + O(log x_n),
+
+        whose slope, the evidence, is > 0 since log(1 + u) < u for u > 0.
+        """
+        u = k0 * self.kappa / -ratio
+        # u - log(1 + u), by its series where log1p would cancel
+        gap = u - math.log1p(u) if u > 1e-4 else u * u * (0.5 - u / 3.0 + u * u / 4.0)
+        slope = 2.0 / (k0 * self.sigma) ** 2 * -ratio * gap
+        return "divergent", [("Laplace slope of log v_n in x_n (stages diverge iff > 0)",
+                              slope, 0.0)]
 
     def sufficient_gap(self, k0):
         """2 kappa theta - K0 sigma^2; no exit through 0 when it is >= 0."""
@@ -722,6 +749,7 @@ class ScaleContext:
         # model's BLAS calls in _node_values take them in that order;
         # outward keeps the rows' outward order for the next round.
         fallback = _at_any(a, ends) | _at_any(b, ends)
+        tight = (a + (b - a) * 2.0**-11 == a).any()  # a panel within 2^10 ulps of its ends
         vals = self._node_values(a, b, inner, ends, seg, shifts)
         outward = np.arange(len(a))
         done = [[] for _ in range(7)]  # rows kept by each round: seg, a, b, flags, node values
@@ -735,14 +763,19 @@ class ScaleContext:
             if inner:
                 f += log_sig.T
                 spread = np.maximum(spread, f.max(axis=0) - f.min(axis=0))
-            # flag what the rounds left could not bring under _NAT; halve the
-            # rest of what is over it
-            fallback |= ~(spread <= _NAT * 2.0**left)
+            # flag what the rounds left (none where the midpoint rounds onto an
+            # end) could not bring under _NAT; halve the rest of what is over it
+            rounds = left
+            if tight:
+                mid = 0.5 * (a + b)
+                rounds = np.where((mid != a) & (mid != b), left, 0)
+            fallback |= ~(spread <= _NAT * 2.0**rounds)
             split = ~(fallback | (spread <= _NAT))
-            keep = ~split
+            more = split.any()
+            keep = ~split if more else slice(None)  # the last round keeps its rows uncopied
             for rows, v in zip(done, (seg, a, b, fallback, e, log_sig, de)):
                 rows.append(None if v is None else v[keep])
-            if not split.any():
+            if not more:
                 break  # always by the last round, which flags what is left
             vals = e = log_sig = de = f = None  # this round's rows go before the next's come
             take = outward[split[outward]]
@@ -906,34 +939,39 @@ class ScaleContext:
         """
         row = _Sweep._fields.index(field)
         singular = (*self.model.interval, *self._interior_singularities())
-        # per pass: singular points, edges outward, the points' places among
-        # them, rows, the points outward and their inverse
-        runs, leg = [], None
+        # per pass: singular points, edges outward, the places among them of the points off c,
+        # rows, those points outward and the inverse; a point on c reads at_c, as _read reads c
+        at_c = np.array([[0.0], [-np.inf], [-np.inf], [-np.inf], [-np.inf], [np.nan]])
+        runs, leg, sign = [], None, 1.0
         for _, pts, n_panels in passes:
             if pts is not leg:  # the passes of one leg follow each other
                 leg, xs = pts, np.asarray(pts, dtype=float)
-                uniq, inv = np.unique(xs, return_inverse=True)
+                uniq, inv = np.unique(np.where(xs == self.c, np.nan, xs), return_inverse=True)
+                uniq = uniq[:-1] if np.isnan(uniq[-1]) else uniq  # c's points index past it
                 far = xs[np.argmax(np.abs(xs - self.c))]
-                lo, hi = (self.c, far) if far > self.c else (far, self.c)
+                sign = sign if far == self.c else math.copysign(1.0, far - self.c)  # c's side
+                lo, hi = (self.c, far) if sign > 0.0 else (far, self.c)
                 # finite endpoints and interior zeros of sigma on the leg: next
                 # to one, the integrands keep a power law that no halving resolves
                 ends = tuple(s for s in singular if lo <= s <= hi)
-                outward = (uniq[::-1], len(uniq) - 1 - inv) if far < self.c else (uniq, inv)
-            extra = [uniq]
-            for s in ends:
-                d = _depths(s, hi - lo, n_panels)
-                extra.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
-            edges = self._edges(lo, hi, n_panels, extra)
-            at = np.searchsorted(edges, uniq)  # every x is an edge
-            if far < self.c:  # outward
-                edges, at = edges[::-1], len(edges) - 1 - at[::-1]
+                outward = (uniq[::-1], len(uniq) - 1 - inv) if sign < 0.0 else (uniq, inv)
+            edges = at = ()
+            if len(uniq):
+                extra = [uniq]
+                for s in ends:
+                    d = _depths(s, hi - lo, n_panels)
+                    extra.append(np.clip(np.concatenate([[s], s - d, s + d]), lo, hi))
+                edges = self._edges(lo, hi, n_panels, extra)
+                at = np.searchsorted(edges, uniq)  # every x is an edge
+                if sign < 0.0:  # outward
+                    edges, at = edges[::-1], len(edges) - 1 - at[::-1]
             runs.append((ends, edges, at, np.full((6, len(uniq)), np.nan), *outward))
-        sign = 1.0 if far > self.c else -1.0
         ends = tuple(set().union(*(r[0] for r in runs)))
         shifts = np.array([shift for shift, *_ in passes], dtype=float)
         states = [(0.0, -np.inf, np.full((2, n_terms), -np.inf))] * len(passes)
         start = [0] * len(passes)  # each pass's first edge of the next chunk
-        live, done, chunk, inner = list(range(len(passes))), 0, 1, field != "log_p"
+        live = [p for p, run in enumerate(runs) if len(run[2])]
+        done, chunk, inner = 0, 1, field != "log_p"
         while live:
             last = [runs[p][2][:done + chunk][-1] for p in live]  # the chunk's last edges
             a = np.concatenate([runs[p][1][start[p]:k] for p, k in zip(live, last)])
@@ -959,14 +997,15 @@ class ScaleContext:
                         # the rows at the chunk's points, among panel ends rising outward
                         hit = cuts[q] - i + np.searchsorted(sign * b[cuts[q]:cuts[q + 1]],
                                                             sign * edges[at[done:done + chunk]])
-                        rows[:, done:done + chunk] = [col[hit] for col in cols]
+                        rows[:, done:done + len(hit)] = [col[hit] for col in cols]
                         states[p], start[p] = new[q - q0], k
             done, chunk = done + chunk, 2 * chunk
             live = [p for p in live
                     if done < len(runs[p][2]) and not np.any(runs[p][3][row, :done] >= stop)]
         for shift, (*_, rows, uniq, _) in zip(shifts, runs) if self._closed_exponent else ():
             rows[0] = self._exponent_batch(uniq, shift)
-        return [(_Sweep(*rows[:5, inv]), rows[5, inv]) for *_, rows, _, inv in runs]
+        out = [np.concatenate([rows, at_c], axis=1)[:, inv] for *_, rows, _, inv in runs]
+        return [(_Sweep(*full[:5]), full[5]) for full in out]
 
     def _sigma_inv_sq_fit(self, s):
         # (beta, bound) at a finite endpoint s, from the model alone: beta of
@@ -1162,17 +1201,26 @@ class ScaleContext:
         _require(method in ("auto", "sample"), f"unknown method {method!r}")
         steps = check_count("steps", steps, 4)
         boundary = self.model.interval[0 if which == "left" else 1]
-        if method == "auto" and hasattr(self.model, "limit_rule"):
-            shift = self.beta if which == "left" else self.gamma
-            kind, ev = self.model.limit_rule(which, target, self._k0, self._ratio, shift)
-            swept = None
-            if kind == "finite" and math.isfinite(boundary):
+        closed = self._closed_limit(which, target) if method == "auto" else None
+        if closed is not None:
+            if closed.kind == "finite" and math.isfinite(boundary):
                 swept = self._swept_limit(boundary, target)
-                ev = {**ev, **swept.evidence} if swept.kind == "finite" else ev
-            return LimitResult(kind, swept and swept.value, "closed", ev)
+                if swept.kind == "finite":
+                    return replace(closed, value=swept.value,
+                                   evidence={**closed.evidence, **swept.evidence})
+            return closed
         if method == "auto" and math.isfinite(boundary):
             return self._swept_limit(boundary, target)
         return self._sampled_limit(which, target, steps)
+
+    def _closed_limit(self, which, target):
+        # a built-in model's closed rule for the limit at which under that side's
+        # shift, with no value (boundary_limit sweeps a finite end's); else None
+        if hasattr(self.model, "limit_rule"):
+            shift = self.beta if which == "left" else self.gamma
+            kind, ev = self.model.limit_rule(which, target, self._k0, self._ratio, shift)
+            return LimitResult(kind, None, "closed", ev)
+        return None
 
     def _swept_limit(self, boundary, target):
         # the limit by sweeps run to a finite endpoint, as boundary_limit says
@@ -1220,19 +1268,14 @@ class ScaleContext:
         for k, lv in enumerate(getattr(sweep, field).tolist()):
             log_vals.append(lv)
             if lv >= log_cap:
-                evidence = {"points": points[:k + 1], "log_values": log_vals,
-                            "cap": DIVERGENCE_CAP}
-                return LimitResult("divergent", None, "sample", {**evidence, **effort})
+                ev = {"points": points[:k + 1], "log_values": log_vals, "cap": DIVERGENCE_CAP}
+                return LimitResult("divergent", None, "sample", {**ev, **effort})
         vals = np.exp(np.array(log_vals))
         incs = np.maximum(np.diff(vals), 0.0)
         scale_ref = max(float(vals[-1]), 1e-300)
         evidence = {"points": points, "values": vals.tolist(), **effort}
         tail_incs = incs[-6:]
-        ratios = [
-            tail_incs[i + 1] / tail_incs[i]
-            for i in range(len(tail_incs) - 1)
-            if tail_incs[i] > 0.0
-        ]
+        ratios = [b / a for a, b in zip(tail_incs, tail_incs[1:]) if a > 0.0]
         if float(np.max(incs)) <= 1e-11 * scale_ref or not ratios:
             evidence["tail_relative"] = 0.0
             return LimitResult("finite", float(vals[-1]), "sample", evidence)

@@ -401,8 +401,8 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
     All step sizes consume the same underlying Brownian paths: increments
     are drawn once on the finest grid and block-summed up to each coarser
     dt, so the reported gaps isolate the scheme difference from Monte Carlo
-    noise.  Every dt must be an integer multiple of the finest one that
-    tiles its grid.  Hits are not detected here; paths run to the horizon.
+    noise.  The finest dt must tile the horizon and each dt the finest grid.
+    Hits are not detected here; paths run to the horizon.
 
     Returns one row per dt: {"dt", "max_terminal_gap"}.
     """
@@ -413,7 +413,9 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
     if not dts or dts[0] <= 0.0:
         raise ValueError("dts must be positive step sizes")
     dt_fine = dts[0]
-    n_fine = max(1, int(round(horizon / dt_fine)))
+    n_fine = round(horizon / dt_fine)
+    if abs(horizon / dt_fine - n_fine) > 1e-9:  # its paths would stop short of or pass the horizon
+        raise ValueError(f"the finest dt {dt_fine} does not tile the horizon {horizon}")
     rows = []
     # the whole fine grid as one chunk, back in path-major order: numpy sums
     # a contiguous axis pairwise, and that order fixes the rows' last bits

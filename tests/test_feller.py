@@ -271,15 +271,15 @@ def test_staged_sufficient_evidence_is_pinned_to_the_bit(sloped_kernel):
     def bits(values):
         return " ".join(float(v).hex() for v in values)
 
-    out = sufficient_test(ScaleContext(CIRModel(1.0, 0.9, 1.0, 0.82), sloped_kernel))
-    assert out.evidence[0][1:] == (1.8, 1.0) and len(out.evidence) == 9
-    assert bits(val for _, val, _ in out.evidence[1:]) == _STAGED_BITS["right"]
+    _, right = _staged_side(ScaleContext(CIRModel(1.0, 0.9, 1.0, 0.82), sloped_kernel), "right", 8)
+    assert len(right) == 8
+    assert bits(val for _, val, _ in right) == _STAGED_BITS["right"]
     ctx = ScaleContext(CIRModel(1.0, 0.3, 1.0, 1.0), sloped_kernel)
     limit = ctx.with_shifts(0.0, 0.0).boundary_limit("left")
     assert (limit.kind, limit.method) == ("finite", "closed")
-    left = sufficient_test(ctx).evidence[:9]
-    assert left[0][1:] == (0.6, 1.0) and left[-1][0].startswith("v at stage point 0.00390625")
-    assert bits([limit.value, *(val for _, val, _ in left[1:])]) == _STAGED_BITS["left"]
+    _, left = _staged_side(ctx, "left", 8)
+    assert len(left) == 8 and left[-1][0].startswith("v at stage point 0.00390625")
+    assert bits([limit.value, *(val for _, val, _ in left)]) == _STAGED_BITS["left"]
 
 
 def test_bounded_interval_equivalence(unit_kernel):
@@ -385,8 +385,9 @@ def test_sup_inf_skips_the_infinite_side_when_kprime0_is_negative(sloped_kernel)
 def test_staged_side_stops_after_two_infinite_stages(sloped_kernel):
     # v overflows from the second stage on, so the march stops at the third
     # of its eight stages
-    out = sufficient_test(ScaleContext(CIRModel(200.0, 2.0, 0.5, 1.0), sloped_kernel))
-    staged = [(name, value) for name, value, _ in out.evidence if name.startswith("v at stage")]
+    ok, evidence = _staged_side(ScaleContext(CIRModel(200.0, 2.0, 0.5, 1.0), sloped_kernel),
+                                "right", 8)
+    staged = [(name, value) for name, value, _ in evidence if name.startswith("v at stage")]
     assert [name for name, _ in staged] == [
         "v at stage point 3 with shift -3",
         "v at stage point 5 with shift -5",
@@ -394,7 +395,7 @@ def test_staged_side_stops_after_two_infinite_stages(sloped_kernel):
     ]
     assert math.isfinite(staged[0][1])
     assert staged[1][1] == staged[2][1] == math.inf
-    assert out.verdict == Verdict.NO_EXIT_AS
+    assert ok
 
 
 def _staged_side_one_stage_at_a_time(ctx, which, n_stages):
@@ -730,14 +731,14 @@ def _count_stage_calls(monkeypatch):
 def test_constant_kernel_cir_reads_its_right_side_off_the_closed_rule(monkeypatch, unit_kernel):
     # K'(0) = 0: every stage is v_c, so +inf is decided by v's limit there,
     # with no sweep.  nu = 2 diverges at 0 by the closed rule too; nu = 0.5
-    # sweeps to 0 for the finite value, and still not to the right
+    # is finite there by it, and no triple reports its value, so no side sweeps
     staged, legs = _count_stage_calls(monkeypatch)
     out = sufficient_test(ScaleContext(CIRModel(1.0, 1.0, 1.0, 1.0), unit_kernel))
     assert (out.boundary, out.verdict) == (Boundary.BOTH, Verdict.NO_EXIT_AS)
     assert (staged, legs) == ([], [])
     out = sufficient_test(ScaleContext(CIRModel(1.0, 0.25, 1.0, 1.0), unit_kernel))
     assert (out.boundary, out.verdict) == (Boundary.RIGHT, Verdict.NO_EXIT_AS)
-    assert staged == [] and legs == [1]  # the left limit's one swept leg
+    assert (staged, legs) == ([], [])
 
 
 def test_constant_kernel_power_drift_reads_both_sides_off_the_closed_rule(monkeypatch, unit_kernel):
@@ -757,6 +758,112 @@ def test_constant_kernel_custom_model_still_stages_toward_infinity(monkeypatch, 
     out = sufficient_test(ScaleContext(model, unit_kernel))
     assert staged == ["right"]
     assert out.evidence[-1][0].startswith("v at stage point 257")
+
+
+# ---------------------------------------------- closed stage rules, K'(0) < 0
+
+_LAPLACE = "Laplace slope of log v_n in x_n (stages diverge iff > 0)"
+_SHORTCUT = "v(left) with boundary shift 0 divergence exponent (divergent iff >= 1)"
+
+
+@pytest.mark.parametrize("model, boundary, exponent, slope", [
+    # cc (K0 kappa - |r| log(1 + K0 kappa / |r|)) at K = e^-t: 2 (1 - log 2)
+    # for kappa = sigma = 1, and 8 (200 - log 201) for kappa = 200, sigma = 0.5
+    (CIRModel(1.0, 0.9, 1.0, 0.82), Boundary.BOTH, 1.8, "0x1.3a37a020b8c22p-1"),
+    (CIRModel(1.0, 0.3, 1.0, 1.0), Boundary.RIGHT, 0.6, "0x1.3a37a020b8c22p-1"),
+    (CIRModel(200.0, 2.0, 0.5, 1.0), Boundary.BOTH, 3200.0, "0x1.8564b53816570p+10"),
+])
+def test_sufficient_evidence_on_the_staged_pin_models_is_closed_form(model, boundary, exponent,
+                                                                       slope, sloped_kernel):
+    # the models of the staged pins above: 0 by its exponent under the
+    # boundary shift, and +inf by CIRModel.stage_rule, with no stage
+    out = sufficient_test(ScaleContext(model, sloped_kernel))
+    assert (out.boundary, out.verdict) == (boundary, Verdict.NO_EXIT_AS)
+    assert out.evidence == ((_SHORTCUT, exponent, 1.0), (_LAPLACE, float.fromhex(slope), 0.0))
+
+
+_LOG_POS = st.floats(-1.5, 1.5).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _sloped_built_ins(draw):
+    # a CIR or Jacobi model under a one- or two-rate sum of exponentials (K'(0)
+    # < 0), with the sides its family's sufficient verdicts certify: CIR's 0
+    # iff 2 kappa theta - K0 sigma^2 >= 0 and +inf always, each Jacobi end iff
+    # its own gap is >= 0; gaps within 1e-9 of 0, relative, are redrawn
+    n = draw(st.sampled_from([1, 2]))
+    kernel = SumOfExponentialsKernel(draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n)),
+                                     draw(st.lists(_LOG_POS, min_size=n, max_size=n)))
+    k0 = kernel.k0_kprime0()[0]
+    if draw(st.booleans()):
+        model = CIRModel(draw(_LOG_POS), draw(_LOG_POS), draw(_LOG_POS), draw(_LOG_POS))
+        terms = [(2.0 * model.kappa * model.theta, k0 * model.sigma**2)]
+    else:
+        a, width = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 5.0))
+        inside = st.floats(0.02, 0.98).map(lambda f: a + width * f)
+        model = JacobiModel(a, a + width, draw(_LOG_POS), draw(inside), draw(_LOG_POS),
+                            draw(inside))
+        var = k0 * model.sigma**2 * width
+        terms = [(2.0 * model.kappa * (model.theta - a), var),
+                 (2.0 * model.kappa * (model.b - model.theta), var)]
+    assume(all(abs(u - w) >= 1e-9 * (u + w) for u, w in terms))
+    holds = {"right"} if isinstance(model, CIRModel) else set()
+    for verdict in family_test(model, kernel):
+        if verdict.theorem.endswith("-sufficient"):
+            holds.update(_sides(verdict))
+    return model, kernel, holds
+
+
+@settings(max_examples=60)
+@given(case=_sloped_built_ins())
+@example(case=(CIRModel(1e-6, 0.1, 1e-3, 1.0), SumOfExponentialsKernel([1.0], [1.0]), {"right"}))
+def test_sloped_built_in_sufficient_sides_are_the_family_verdicts(case):
+    # at K'(0) < 0 both families are decided in closed form.  The example
+    # read Both Inconclusive after 11 s of stages that grew from 8.0 to 9.6
+    # and stayed below DIVERGENCE_CAP
+    model, kernel, holds = case
+    out = sufficient_test(ScaleContext(model, kernel))
+    got = set(_sides(out)) if out.verdict == Verdict.NO_EXIT_AS else set()
+    assert got == holds, out
+    assert out.verdict == Verdict.NO_EXIT_AS or (out.boundary, holds) == (Boundary.BOTH, set())
+
+
+@settings(max_examples=30)
+@given(case=_sloped_built_ins())
+def test_sloped_built_ins_sweep_nothing_in_sufficient_test(case):
+    model, kernel, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        staged, legs = _count_stage_calls(mp)
+        sufficient_test(ScaleContext(model, kernel))
+    assert (staged, legs) == ([], [])
+
+
+def test_a_custom_clone_still_sweeps_its_stages(monkeypatch, sloped_kernel):
+    # no closed rule: the clone of the first staged pin model sweeps its
+    # left shortcut and then the eight stages toward +inf, and agrees
+    model = CIRModel(1.0, 0.9, 1.0, 0.82)
+    staged, legs = _count_stage_calls(monkeypatch)
+    out = sufficient_test(ScaleContext(_clone(model), sloped_kernel))
+    assert (staged, legs) == (["right"], [1, 8])
+    assert (out.boundary, out.verdict) == (Boundary.BOTH, Verdict.NO_EXIT_AS)
+
+
+@pytest.mark.parametrize("kappa, theta, sigma, rate", [(1.0, 0.5, 1.0, 1.0), (2.0, 0.3, 0.7, 0.5),
+                                                        (200.0, 2.0, 0.5, 1.0)])
+def test_swept_stage_slopes_approach_the_laplace_slope(kappa, theta, sigma, rate):
+    # log v_n at the stages x_n = c + 2^n, each under the shift -x_n, grows
+    # against x_n at CIRModel.stage_rule's slope up to O(log x_n / x_n): the
+    # last two stages with a finite log v (x = 129 and 257) are within 5%
+    model = CIRModel(kappa, theta, sigma, 1.0)
+    ctx = ScaleContext(model, SumOfExponentialsKernel([1.0], [rate]))
+    points = ctx._approach("right", 8, "n_stages")
+    swept = ctx._stabilized_legs([(-x, [x]) for x in points], "log_v")
+    logs = [(x, float(out[0].log_v[0])) for x, out in zip(points, swept)
+            if not isinstance(out, NumericError) and math.isfinite(out[0].log_v[0])]
+    (x1, log1), (x2, log2) = logs[-2:]
+    kind, [(name, slope, bound)] = model.stage_rule("right", ctx.k0, ctx._ratio)
+    assert (kind, name, bound) == ("divergent", _LAPLACE, 0.0) and slope > 0.0
+    assert (log2 - log1) / (x2 - x1) == pytest.approx(slope, rel=0.05)
 
 
 # ------------------------------------------------------- hypothesis gating

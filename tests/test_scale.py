@@ -1267,6 +1267,58 @@ def test_power_right_sampled_limit_is_pinned(custom, unit_kernel):
     assert res.evidence["values"] == pytest.approx(want, rel=1e-6)
 
 
+def test_a_pass_reads_a_point_on_c_as_x_equal_c(unit_kernel):
+    # as _read reads x = c: E = 0, the other logs -inf and no fit, whether
+    # the pass has other points or none; the others read as they do alone
+    ctx = ScaleContext(CIRModel(1.0, 1.0, 1.0, 1.0), unit_kernel)
+    (alone, fit), (mixed, mixed_fit), (empty, empty_fit) = ctx._sweep_passes(
+        [(0.0, [1.5], 64), (0.0, [1.0, 1.5, 1.0], 64), (0.0, [1.0], 64)])
+    for rows, fits, at_c in ((mixed, mixed_fit, [0, 2]), (empty, empty_fit, [0])):
+        assert [col[at_c].tolist() for col in rows] == [[0.0] * len(at_c)] + [
+            [-math.inf] * len(at_c)] * 4
+        assert np.isnan(fits[at_c]).all()
+    assert [float(col[1]).hex() for col in mixed] == [float(col[0]).hex() for col in alone]
+
+
+def test_sample_points_that_round_onto_c_read_as_c(unit_kernel):
+    # from c = 1e17, whose float spacing is 16, c -+ 2, 4 and 8 round onto c.
+    # They left a pass without panels in its first chunk, and _refine raised
+    # IndexError; they read as x = c, v and |p| 0.  The sampled v at +inf
+    # reads divergent where the closed rule says finite: its increments
+    # double, as v ~ 2 (x - c) there (ROADMAP item 3's classifier)
+    ctx = ScaleContext(PowerModel(1.5, 0.0, 1.0, 1e17), unit_kernel)
+    got = {(which, target): ctx.boundary_limit(which, target, method="sample")
+           for which in ("left", "right") for target in ("v", "p")}
+    assert {key: lim.kind for key, lim in got.items()} == {
+        ("left", "v"): "divergent", ("left", "p"): "divergent",
+        ("right", "v"): "divergent", ("right", "p"): "finite"}
+    for (which, target), lim in got.items():
+        assert lim.evidence["points"][:3] == [1e17] * 3
+        if which == "left":
+            assert lim.evidence["log_values"][:3] == [-math.inf] * 3
+        else:
+            assert lim.evidence["values"][:3] == [0.0] * 3
+    assert got["right", "v"].evidence["values"][3:5] == pytest.approx([8.0, 24.0], rel=1e-12)
+    assert got["right", "p"].value == pytest.approx(8.0, rel=1e-12)
+
+
+def test_custom_clone_based_at_1e17_reads_its_right_limit_divergent(unit_kernel):
+    # the CIR clone's first three sample points round onto c, and the
+    # panels between c and c + 64 are a float spacing or two wide, too
+    # narrow to halve (their midpoints round onto an end): each raised
+    # IndexError.  Those panels are flagged for graded quadrature, and the
+    # limit reads divergent, as the family's closed rule says
+    model = CIRModel(1.0, 1.0, 1.0, 1e17)
+    clone = CustomModel(model.drift, model.diffusion, model.interval, model.x0)
+    lim = ScaleContext(clone, unit_kernel).boundary_limit("right")
+    assert (lim.kind, lim.method) == ("divergent", "sample")
+    assert lim.evidence["log_values"][:3] == [-math.inf] * 3
+    assert lim.evidence["log_values"][3:] == pytest.approx([-7.837094714414051,
+                                                             24.162905347272286,
+                                                             88.1629053472723], rel=1e-9)
+    assert ScaleContext(model, unit_kernel).boundary_limit("right").kind == "divergent"
+
+
 def test_power_leg_across_interior_zero_is_pinned(unit_kernel):
     # sigma vanishes at 0; the panels touching it integrate fitted power
     # laws.  v is pinned to nested scipy quad values

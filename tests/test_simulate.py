@@ -645,6 +645,13 @@ def test_discrepancy_steps_must_tile_the_finest_grid(cir_111, unit_kernel):
         scheme_discrepancy(cir_111, unit_kernel, [0.1, 0.3], 1.0, n_paths=2)
 
 
+@pytest.mark.parametrize("dts", [(0.3,), (0.4, 0.8), (3.0,)])
+def test_discrepancy_finest_step_must_tile_the_horizon(cir_111, unit_kernel, dts):
+    # 0.3 ran 3 steps to t = 0.9, 0.4 two to 0.8, and 3.0 one step past 1.0
+    with pytest.raises(ValueError, match=rf"^the finest dt {dts[0]} does not tile the horizon 1\.0"):
+        scheme_discrepancy(cir_111, unit_kernel, list(dts), 1.0, n_paths=2)
+
+
 @pytest.mark.parametrize("dts", [
     ["0.5"],  # ran
     [0.5, math.inf],  # OverflowError from round(inf)
