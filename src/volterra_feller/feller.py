@@ -139,8 +139,10 @@ def _limit_triple(name, lim):
     if "exponent" in lim.evidence:
         return (name + " divergence exponent (divergent iff >= 1)",
                 float(lim.evidence["exponent"]), 1.0)
-    value = math.inf if lim.kind == "divergent" else lim.value
-    return (name, math.nan if value is None else float(value), DIVERGENCE_CAP)
+    if lim.kind == "divergent":
+        return (name, math.inf, DIVERGENCE_CAP)
+    value = lim.value if lim.value is not None else math.nan
+    return (name, float(value), DIVERGENCE_CAP)
 
 
 def _limit(ctx, which, target):
@@ -167,7 +169,9 @@ def _pair_verdict(lims, verdict, theorem, evidence, flags):
 
 def _interval_span(model):
     l, r = model.interval
-    return r - l if math.isfinite(l) and math.isfinite(r) else max(1.0, abs(model.x0))
+    if math.isfinite(l) and math.isfinite(r):
+        return r - l
+    return max(1.0, abs(model.x0))
 
 
 # -- generic tests -----------------------------------------------------------
@@ -206,11 +210,11 @@ def _staged_side(ctx, which, n_stages):
     Stage n sits at x_n (geometric approach for finite boundaries, c -+ 2^n
     for infinite ones) and uses the drift shift -x_n.  Sustained, unbounded
     growth of v across stages is the sufficient condition for no exit through
-    that boundary.  ``sufficient_test`` runs it where no closed rule decides
-    (custom models, and the power family's ends at K'(0) < 0).  Every stage
-    is a leg of one batch of sweeps, whose values are read in stage order up
-    to the first that did not stabilize or after two infinite ones in a row;
-    v is 0 at a stage point that rounds onto c.
+    that boundary.  ``sufficient_test`` runs it where no closed rule decides:
+    custom models, and the power family's infinite ends at K'(0) < 0.  Every
+    stage is a leg of one batch of sweeps, whose values are read in stage
+    order up to the first that did not stabilize or after two infinite ones
+    in a row; v is 0 at a stage point that rounds onto c.
     """
     points = ctx._approach(which, n_stages, "n_stages")
     swept = ctx._stabilized_legs([(-x, [x]) for x in points], "log_v")
@@ -248,7 +252,7 @@ def _sufficient_side(ctx, which, n_stages):
             ruled = False, evidence
     elif ctx.kprime0 == 0.0 and hasattr(ctx.model, "limit_rule"):
         # every stage is v_c: the stages diverge iff v_c does (Feller's test)
-        lim = ctx._closed_limit(which, "v")
+        lim = _limit(ctx, which, "v")
         ruled = lim.kind == "divergent", [_limit_triple(f"v({which})", lim)]
     elif ctx.kprime0 < 0.0 and hasattr(ctx.model, "stage_rule"):
         kind, triples = ctx.model.stage_rule(which, ctx.k0, ctx._ratio)
@@ -339,7 +343,8 @@ def sup_inf_test(ctx, hypotheses=None):
             "sup_inf_test needs a finite boundary on the tested side "
             "(or K'(0) = 0)"
         )
-    evidence, held = [], []
+    evidence = []
+    held = []
     for bound, kinds, conclusion in (
         (r, ("finite", "divergent"),
          (Boundary.RIGHT, Verdict.SUP_BOUNDED_AS, "scale-function-sup-bound")),

@@ -63,7 +63,9 @@ Each built-in model family keeps its closed forms on its own class, and
   sweep, which lies on one side of c);
 * ``limit_rule(which, target, k0, ratio, shift)``: (kind, evidence) for the
   limit of v or |p| at one boundary under that side's shift, which it
-  decides: kind is 'finite' or 'divergent';
+  decides: kind is 'finite' or 'divergent'.  At a finite end its exponent
+  must be affine in the shift: ``feller.sufficient_test`` reads a finite
+  limit under the boundary shift as the limit of its stages;
 * ``stage_rule(which, k0, ratio)``: (kind, evidence triples) for the stages
   of ``feller.sufficient_test`` toward an infinite end at K0' < 0 (CIR only);
 * ``interior_singularities()``: interior zeros of sigma, treated like
@@ -749,7 +751,6 @@ class ScaleContext:
         # model's BLAS calls in _node_values take them in that order;
         # outward keeps the rows' outward order for the next round.
         fallback = _at_any(a, ends) | _at_any(b, ends)
-        tight = (a + (b - a) * 2.0**-11 == a).any()  # a panel within 2^10 ulps of its ends
         vals = self._node_values(a, b, inner, ends, seg, shifts)
         outward = np.arange(len(a))
         done = [[] for _ in range(7)]  # rows kept by each round: seg, a, b, flags, node values
@@ -765,11 +766,8 @@ class ScaleContext:
                 spread = np.maximum(spread, f.max(axis=0) - f.min(axis=0))
             # flag what the rounds left (none where the midpoint rounds onto an
             # end) could not bring under _NAT; halve the rest of what is over it
-            rounds = left
-            if tight:
-                mid = 0.5 * (a + b)
-                rounds = np.where((mid != a) & (mid != b), left, 0)
-            fallback |= ~(spread <= _NAT * 2.0**rounds)
+            mid = 0.5 * (a + b)
+            fallback |= ~(spread <= np.where((mid != a) & (mid != b), _NAT * 2.0**left, _NAT))
             split = ~(fallback | (spread <= _NAT))
             more = split.any()
             keep = ~split if more else slice(None)  # the last round keeps its rows uncopied
@@ -779,8 +777,7 @@ class ScaleContext:
                 break  # always by the last round, which flags what is left
             vals = e = log_sig = de = f = None  # this round's rows go before the next's come
             take = outward[split[outward]]
-            a, b, seg = a[take], b[take], seg[take]
-            mid = 0.5 * (a + b)
+            a, b, seg, mid = a[take], b[take], seg[take], mid[take]
             # each split panel's first half, then its second, outward
             a, b, seg = np.repeat(a, 2), np.repeat(b, 2), np.repeat(seg, 2)
             a[1::2] = b[0::2] = mid
@@ -997,7 +994,7 @@ class ScaleContext:
                         # the rows at the chunk's points, among panel ends rising outward
                         hit = cuts[q] - i + np.searchsorted(sign * b[cuts[q]:cuts[q + 1]],
                                                             sign * edges[at[done:done + chunk]])
-                        rows[:, done:done + len(hit)] = [col[hit] for col in cols]
+                        rows[:, done:done + chunk] = [col[hit] for col in cols]
                         states[p], start[p] = new[q - q0], k
             done, chunk = done + chunk, 2 * chunk
             live = [p for p in live
@@ -1268,14 +1265,19 @@ class ScaleContext:
         for k, lv in enumerate(getattr(sweep, field).tolist()):
             log_vals.append(lv)
             if lv >= log_cap:
-                ev = {"points": points[:k + 1], "log_values": log_vals, "cap": DIVERGENCE_CAP}
-                return LimitResult("divergent", None, "sample", {**ev, **effort})
+                evidence = {"points": points[:k + 1], "log_values": log_vals,
+                            "cap": DIVERGENCE_CAP}
+                return LimitResult("divergent", None, "sample", {**evidence, **effort})
         vals = np.exp(np.array(log_vals))
         incs = np.maximum(np.diff(vals), 0.0)
         scale_ref = max(float(vals[-1]), 1e-300)
         evidence = {"points": points, "values": vals.tolist(), **effort}
         tail_incs = incs[-6:]
-        ratios = [b / a for a, b in zip(tail_incs, tail_incs[1:]) if a > 0.0]
+        ratios = [
+            tail_incs[i + 1] / tail_incs[i]
+            for i in range(len(tail_incs) - 1)
+            if tail_incs[i] > 0.0
+        ]
         if float(np.max(incs)) <= 1e-11 * scale_ref or not ratios:
             evidence["tail_relative"] = 0.0
             return LimitResult("finite", float(vals[-1]), "sample", evidence)
