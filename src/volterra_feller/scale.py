@@ -355,7 +355,7 @@ class JacobiModel:
         return self.sigma * np.sqrt((x - self.a) * (self.b - x))
 
     def truncate(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.a, self.b)
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), self.a), self.b)
 
     def _coef(self, end, k0, ratio, shift):
         # coefficient of log|y - end| in -E(y) / C, C = 2 (K0 sigma)^-2
@@ -518,7 +518,7 @@ class CustomModel:
 
     def truncate(self, x):
         l, r = self.interval
-        return np.clip(np.asarray(x, dtype=float), l, r)
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), l), r)
 
 
 @dataclass(frozen=True)

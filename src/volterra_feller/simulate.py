@@ -35,9 +35,11 @@ A path hits when its raw, pre-truncation state (the truncation would mask
 every crossing) reaches hit_eps of a finite boundary, or blowup_cap when the
 boundary is infinite; it reports its first grid hit time and state there.
 Step k writes X over its spent noise row, and every _ROWS steps those rows
-are read for first crossings, so no single step tests for hits.  Hit
-paths step on in their own columns: the elementwise forms touch only their
-own path, and BLAS rounds a column by its place, not by other columns' values.
+are read for first crossings, so no single step tests for hits.  The
+one-rate forms then drop hit paths from X, their state and the unread noise
+rows, and draw later chunks for the running paths only.  The BLAS forms step
+hit paths on in their own columns, drawing their noise: BLAS rounds a column
+by its place, not by other columns' values.
 """
 
 import math
@@ -151,28 +153,34 @@ def _noise(seed, start, stop, n_steps, dt, chunk):
     the keys are uint64, so every seed below 2^64 keeps its own stream.
     Each chunk is scaled by sqrt(dt) and laid out time-major, (steps, paths),
     so a step reads one contiguous row.  The consumer may overwrite the
-    chunk; the next one is drawn into the same buffer.
+    chunk; the next one is drawn into the same buffer.  It may also send
+    back the indices, within the block, of the paths still running; a list
+    shorter than the last narrows later chunks to those paths, in that order.
     """
     keys = np.empty((stop - start, 2), dtype=np.uint64)
     keys[:, 0] = seed
     keys[:, 1] = np.arange(start, stop)
-    rngs = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    rngs = running = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
     chunk = min(chunk, n_steps)
     drawn = np.empty((stop - start, chunk))
     out = np.empty((chunk, stop - start))
     scale = math.sqrt(dt)
     for k in range(0, n_steps, chunk):
-        n = min(chunk, n_steps - k)
-        for rng, row in zip(rngs, drawn[:, :n]):
+        n, m = min(chunk, n_steps - k), len(running)
+        for rng, row in zip(running, drawn[:, :n]):
             rng.standard_normal(n, out=row)
-        yield np.multiply(drawn[:, :n].T, scale, out=out[:n])
+        paths = yield np.multiply(drawn[:m, :n].T, scale, out=out[:n, :m])
+        if paths is not None and len(paths) < m:
+            running = [rngs[i] for i in paths]
 
 
 def _convolver(kernel, form, scheme, dt, n_steps, block):
     """Pick the block's kernel recursion once; form is kernel.exp_form().
 
     Returns conv(k, B), which takes step k's increments B_k and returns
-    (K * B)(t_{k+1}); each form keeps its own state.
+    (K * B)(t_{k+1}); each form keeps its own state.  The one-rate forms are
+    elementwise and also carry conv.narrow(cols), which keeps only the
+    state's columns cols, in that order.
     """
     if form is None:
         if scheme == "markov_lift":
@@ -189,61 +197,74 @@ def _convolver(kernel, form, scheme, dt, n_steps, block):
 
         return history
     weights, rates = form
-    if scheme == "conv_euler" and not np.any(rates):
+    summed = scheme == "conv_euler" and not np.any(rates)
+    state = np.zeros(block if summed else (len(rates), block))
+    if summed:
         # constant kernel: the per-rate recursion reduces to a running sum
         level = weights.sum()
-        S = np.zeros(block)
 
-        def running_sum(k, B):
-            nonlocal S
-            S += B
-            return level * S
+        def conv(k, B):
+            nonlocal state
+            state += B
+            # 1.0 * state is state bit for bit
+            return state if level == 1.0 else level * state
 
-        return running_sum
-    state = np.zeros((len(rates), block))
-    if scheme == "markov_lift":
+    elif scheme == "markov_lift":
         factors = (1.0 - rates * dt)[:, None]
 
-        def lift(k, B):
+        def conv(k, B):
             nonlocal state
             state *= factors
             state += B
             return weights @ state
 
-        return lift
-    decay = np.exp(-rates * dt)[:, None]
+    else:
+        decay = np.exp(-rates * dt)[:, None]
 
-    def exact_exp(k, B):
+        def conv(k, B):
+            nonlocal state
+            state += B
+            state *= decay
+            return weights @ state
+
+    def narrow(cols):
         nonlocal state
-        state += B
-        state *= decay
-        return weights @ state
+        state = state[..., cols]
 
-    return exact_exp
+    if len(rates) == 1:
+        conv.narrow = narrow
+    return conv
 
 
 def _advance_block(model, conv, noise, width, dt, levels):
     """Run one block of width paths; returns (X, hit side, hit time).
 
-    noise yields the block's increments dW in time order, one time-major
-    chunk (steps, width) at a time, and step k writes its X over the spent
-    row dW_k.  After every _ROWS steps those rows are read for the first row
-    where a path not yet hit lies at or beyond levels = (lo, hi).
+    noise is a generator of the block's increments dW in time order, one
+    time-major chunk (steps, columns) at a time, and step k writes its X over
+    the spent row dW_k.  After every _ROWS steps those rows are read for the
+    first row where a running path lies at or beyond levels = (lo, hi).
     hit side is -1 / 0 / +1 for left / none / right; X is a hit path's value
-    at its first crossing and a survivor's terminal value.  Once every path
-    has hit no further noise is drawn.
+    at its first crossing and a survivor's terminal value.  If conv has a
+    narrow method, a scan where a quarter of the columns have hit, or a
+    chunk's last scan where any has, drops them from X, conv's state and the
+    chunk's unread rows, and noise is sent the path in each column for its
+    later chunks; other forms step hit paths on.  Once every path has hit no
+    further noise is drawn.
     """
     lo, hi = levels
     x0 = float(model.x0)
+    narrow = getattr(conv, "narrow", None)
     X = np.full(width, x0)
-    active = np.ones(width, dtype=bool)
+    paths = np.arange(width)  # the path in each column
+    running = np.ones(width, dtype=bool)
     hit_side = np.zeros(width, dtype=np.int8)
     hit_time = np.full(width, np.nan)
     hit_x = np.empty(width)
     k = 0
-    # paths step on past a hit and may overflow to inf or nan there
+    dW = next(noise)
+    # paths may step on past a hit and overflow to inf or nan there
     with np.errstate(over="ignore", invalid="ignore"):
-        for dW in noise:
+        while True:
             for row in range(0, len(dW), _ROWS):
                 rows = dW[row : row + _ROWS]
                 for dW_k in rows:
@@ -254,19 +275,33 @@ def _advance_block(model, conv, noise, width, dt, levels):
                 # rows now hold X after steps k - len(rows) + 1 .. k
                 crossed = rows <= lo
                 crossed |= rows >= hi
-                crossed &= active
+                crossed &= running
                 cols = np.flatnonzero(crossed.any(axis=0))
                 if cols.size:
                     first = crossed[:, cols].argmax(axis=0)
-                    hit_x[cols] = rows[first, cols]
-                    hit_side[cols] = np.where(hit_x[cols] <= lo, -1, 1)
-                    hit_time[cols] = (k - len(rows) + 1 + first) * dt
-                    active[cols] = False
-                    if not active.any():
+                    at = paths[cols]
+                    hit_x[at] = rows[first, cols]
+                    hit_side[at] = np.where(hit_x[at] <= lo, -1, 1)
+                    hit_time[at] = (k - len(rows) + 1 + first) * dt
+                    running[cols] = False
+                    if not running.any():
                         return hit_x, hit_side, hit_time
+                n_hit = running.size - np.count_nonzero(running)
+                if narrow and n_hit and (4 * n_hit >= running.size or row + _ROWS >= len(dW)):
+                    keep = np.flatnonzero(running)
+                    X, paths, running = X[keep], paths[keep], running[keep]
+                    narrow(keep)
+                    for unread in dW[row + _ROWS :]:
+                        unread[: keep.size] = unread[keep]
+                    dW = dW[:, : keep.size]
             # the next chunk is drawn into dW
             X = X.copy()
-    return np.where(active, X, hit_x), hit_side, hit_time
+            try:
+                dW = noise.send(paths)
+            except StopIteration:
+                break
+    hit_x[paths[running]] = X[running]
+    return hit_x, hit_side, hit_time
 
 
 def simulate(model, kernel, config):
@@ -285,6 +320,10 @@ def simulate(model, kernel, config):
         l + hit_eps if math.isfinite(l) else -config.blowup_cap,
         r - hit_eps if math.isfinite(r) else config.blowup_cap,
     )
+    if not levels[0] < model.x0 < levels[1]:
+        raise ValueError(
+            f"hit_eps {hit_eps} leaves x0 {model.x0} on or outside the hit levels {levels}"
+        )
     form = getattr(kernel, "exp_form", lambda: None)()
     block = _WIDE if form is not None and len(form[1]) == 1 else _BLOCK
     X = np.empty(n_paths)
@@ -430,9 +469,10 @@ def scheme_discrepancy(model, kernel, dts, horizon, n_paths=50, seed=0):
         n_coarse = n_fine // factor
         dW = dW_fine.reshape(n_paths, n_coarse, factor).sum(axis=2)
         x_conv, x_lift = (
-            # each scheme writes its X over its own copy of the noise
+            # each scheme writes its X over its own copy of the noise, one chunk
             _advance_block(model, _convolver(kernel, form, scheme, dt, n_coarse, n_paths),
-                           [np.ascontiguousarray(dW.T)], n_paths, dt, (-math.inf, math.inf))[0]
+                           (chunk for chunk in [np.ascontiguousarray(dW.T)]), n_paths, dt,
+                           (-math.inf, math.inf))[0]
             for scheme in _SCHEMES
         )
         rows.append({"dt": dt, "max_terminal_gap": float(np.max(np.abs(x_conv - x_lift)))})

@@ -126,6 +126,16 @@ def test_seed_past_2_64_is_one_error_line(tmp_path, capsys):
     assert out.err.count("\n") == 1
 
 
+def test_hit_band_past_x0_is_one_error_line(tmp_path, capsys):
+    # x0 = 0.2 lies on the left hit level 0.2: every path hit at the first step
+    cfg = _golden_config("cir", "constant", sim=_GOLDEN_SIM + "hit_eps = 0.2\n")
+    rc = main(["simulate", "--config", _write_ini(tmp_path, cfg)])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (1, "")
+    assert out.err == ("error: hit_eps 0.2 leaves x0 0.2 on or outside the hit levels "
+                       "(0.2, 1000000.0)\n")
+
+
 def test_usage_errors_exit_1_on_one_line(capsys):
     # argparse exits 2 on its own; the parser raises a CLI error instead
     rc = main(["test"])

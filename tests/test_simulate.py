@@ -318,19 +318,34 @@ def _reference_advance_block(model, conv, noise, width, dt, levels):
     return X, hit_side, hit_time
 
 
+def _logged(conv, widths):
+    # conv that appends each step's number of columns to widths
+    def logged(k, B):
+        widths.append(B.size)
+        return conv(k, B)
+
+    if hasattr(conv, "narrow"):
+        logged.narrow = conv.narrow
+    return logged
+
+
 def _assert_matches_reference(model, kernel, scheme, dt, noise_chunks, width, levels):
-    # noise_chunks() gives a fresh noise iterable: _advance_block writes over it
+    # noise_chunks() gives a fresh noise generator: _advance_block writes over
+    # its chunks and sends it the running paths.  Returns the reference's
+    # (X, sides, times) and _advance_block's columns at each step
     module = importlib.import_module("volterra_feller.simulate")
     form = getattr(kernel, "exp_form", lambda: None)()
     n_steps = sum(len(chunk) for chunk in noise_chunks())
-    got, want = (
-        advance(model, module._convolver(kernel, form, scheme, dt, n_steps, width),
-                noise_chunks(), width, dt, levels)
-        for advance in (module._advance_block, _reference_advance_block)
+    widths = []
+    conv = module._convolver(kernel, form, scheme, dt, n_steps, width)
+    got = module._advance_block(model, _logged(conv, widths), noise_chunks(), width, dt, levels)
+    want = _reference_advance_block(
+        model, module._convolver(kernel, form, scheme, dt, n_steps, width), noise_chunks(),
+        width, dt, levels,
     )
     for name, a, b in zip(("X", "hit_side", "hit_time"), got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
-    return want
+    return want, widths
 
 
 # (model, kernel, scheme, dt, n_steps, width, hit levels)
@@ -345,22 +360,34 @@ _ORACLE_BLOCKS = {
                 2e-3, 550, 67, (1e-4, math.inf)),
     "blowup": (PowerModel(1.8, 0.15, 0.5, 1.0), ConstantKernel(1.0), "conv_euler",
                1e-3, 1500, 40, (-1e3, 1e3)),
+    "exact_exp_one_rate": (CIRModel(1.0, 0.3, 1.0, 0.2), SumOfExponentialsKernel([1.0], [1.0]),
+                           "conv_euler", 1e-3, 700, 67, (1e-4, math.inf)),
+    "lift_one_rate": (CIRModel(1.0, 0.3, 1.0, 0.2), SumOfExponentialsKernel([1.0], [1.0]),
+                      "markov_lift", 1e-3, 700, 67, (1e-4, math.inf)),
 }
+# the elementwise forms, whose blocks drop hit paths' columns
+_NARROWING = ("running_sum", "blowup", "exact_exp_one_rate", "lift_one_rate")
 
 
 @pytest.mark.parametrize("chunk", [1, 13, 512])
 @pytest.mark.parametrize("name", sorted(_ORACLE_BLOCKS))
 def test_hits_match_per_step_detection(monkeypatch, name, chunk):
     # each branch's block against the per-step hit test with frozen paths
-    # that the row-block scan replaced: same X, sides and times, bit for bit
+    # that the row-block scan replaced: same X, sides and times, bit for bit,
+    # whether the block drops hit paths' columns (the one-rate forms) or
+    # steps them on in place (the BLAS forms, which never narrow)
     module = importlib.import_module("volterra_feller.simulate")
     monkeypatch.setattr(module, "_CHUNK", chunk)
     model, kernel, scheme, dt, n_steps, width, levels = _ORACLE_BLOCKS[name]
-    _, side, _ = _assert_matches_reference(
+    (_, side, _), widths = _assert_matches_reference(
         model, kernel, scheme, dt,
         lambda: module._noise(5, 0, width, n_steps, dt, module._CHUNK), width, levels,
     )
     assert 0 < np.count_nonzero(side) < width
+    if name in _NARROWING:
+        assert widths[-1] < width
+    else:
+        assert set(widths) == {width}
 
 
 class _Walk:
@@ -376,6 +403,15 @@ class _Walk:
 
     def diffusion(self, x):
         return np.ones_like(x)
+
+
+def _chunks(dW, chunk):
+    """dW's time-major chunks as _noise yields them, copies narrowed to the
+    paths sent back (all paths when nothing is sent)."""
+    paths = None
+    for i in range(0, len(dW), chunk):
+        part = dW[i : i + chunk]
+        paths = yield (part if paths is None else part[:, paths]).copy()
 
 
 def _walk_noise(path_steps, n_steps, width, rng):
@@ -410,9 +446,9 @@ def test_hits_match_per_step_detection_at_edges(monkeypatch, chunk):
     n_steps, width = 530, 19
 
     def chunks_of(dW):
-        return lambda: [dW[i : i + chunk].copy() for i in range(0, n_steps, chunk)]
+        return lambda: _chunks(dW, chunk)
 
-    X, side, time = _assert_matches_reference(
+    (X, side, time), _ = _assert_matches_reference(
         _Walk(), ConstantKernel(1.0), "conv_euler", 1.0,
         chunks_of(_walk_noise(edges, n_steps, width, rng)), width, (0.0, 1.0),
     )
@@ -422,11 +458,67 @@ def test_hits_match_per_step_detection_at_edges(monkeypatch, chunk):
 
     # every path hits in the first row block, so the run stops early
     first = {path: [(int(rng.integers(0, 64)), 0.5 * (-1) ** path)] for path in range(width)}
-    _, side, _ = _assert_matches_reference(
+    (_, side, _), _ = _assert_matches_reference(
         _Walk(), ConstantKernel(1.0), "conv_euler", 1.0,
         chunks_of(_walk_noise(first, n_steps, width, rng)), width, (0.0, 1.0),
     )
     assert np.all(side != 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 13, 512])
+def test_narrowing_down_to_one_path_matches_per_step_detection(chunk):
+    # paths 0-6 hit one after another and path 7 runs to the end, so the
+    # block narrows, mid-chunk where a scan finds a quarter of its columns
+    # hit, and at each chunk's end where it finds any, down to one column
+    rng = np.random.default_rng(15)
+    hits = {0: [(10, 0.5)], 1: [(20, -0.5)], 2: [(100, 0.5)], 3: [(110, -0.5)],
+            4: [(200, 0.5)], 5: [(300, -0.5)], 6: [(400, 0.5)], 7: [(100, 0.25)]}
+    n_steps, width = 530, 8
+    dW = _walk_noise(hits, n_steps, width, rng)
+    (X, side, time), widths = _assert_matches_reference(
+        _Walk(), ConstantKernel(1.0), "conv_euler", 1.0, lambda: _chunks(dW, chunk), width,
+        (0.0, 1.0),
+    )
+    assert side.tolist() == [1, -1, 1, -1, 1, -1, 1, 0]
+    assert time[:7].tolist() == [11.0, 21.0, 101.0, 111.0, 201.0, 301.0, 401.0]
+    assert X[7] == 0.75 and len(widths) == n_steps and widths[-1] == 1
+    if chunk == 512:
+        # each scan at steps 64, 128, 256, 320 and 448 narrows, none at a chunk's end
+        runs = [(n, widths.count(n)) for n in sorted(set(widths), reverse=True)]
+        assert runs == [(8, 64), (6, 64), (4, 128), (3, 64), (2, 128), (1, 82)]
+
+
+@pytest.mark.parametrize("name", ["running_sum", "exact_exp_one_rate"])
+def test_hit_paths_draw_no_noise_after_their_chunk(monkeypatch, name):
+    # each path's standard_normal calls, by the path index in its Philox key:
+    # a hit path draws up to the chunk where its hit is found, and a survivor
+    # draws every chunk
+    module = importlib.import_module("volterra_feller.simulate")
+    monkeypatch.setattr(module, "_CHUNK", 13)
+    calls = {}
+    generator = np.random.Generator
+
+    class Counting:
+        def __init__(self, bit_generator):
+            self.path = int(bit_generator.state["state"]["key"][1])
+            self.rng = generator(bit_generator)
+
+        def standard_normal(self, *args, **kwargs):
+            calls[self.path] = calls.get(self.path, 0) + 1
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    model, kernel, scheme, dt, n_steps, width, levels = _ORACLE_BLOCKS[name]
+    form = kernel.exp_form()
+    _, side, time = module._advance_block(
+        model, module._convolver(kernel, form, scheme, dt, n_steps, width),
+        module._noise(5, 0, width, n_steps, dt, 13), width, dt, levels,
+    )
+    step = np.rint(time[side != 0] / dt).astype(int)  # 1-based, as the hit time counts
+    expected = np.full(width, -(-n_steps // 13))
+    expected[side != 0] = (step - 1) // 13 + 1
+    assert 0 < np.count_nonzero(side) < width
+    assert [calls[path] for path in range(width)] == expected.tolist()
 
 
 def test_schemes_coincide_for_constant_kernels(cir_111, unit_kernel):
@@ -525,6 +617,29 @@ def test_blowup_cap_must_clear_x0():
             ConstantKernel(1.0),
             SimConfig(dt=0.01, horizon=0.1, n_paths=2, blowup_cap=2.0),
         )
+
+
+@pytest.mark.parametrize(
+    "model, hit_eps",
+    # a Jacobi band of 0.5 reported 22 left and 28 right hits, all at t = dt;
+    # wider ones, whose levels cross, and the CIR band every path a left hit
+    [(JacobiModel(0.0, 1.0, 2.0, 0.5, 0.4, 0.5), eps) for eps in (0.5, 0.6, 0.9)]
+    + [(CIRModel(1.0, 1.0, 1.0, 0.5), eps) for eps in (0.5, 0.6)],
+)
+def test_hit_band_must_leave_x0_inside(model, hit_eps):
+    cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=50, hit_eps=hit_eps)
+    with pytest.raises(ValueError, match="^hit_eps .* leaves x0 0.5 on or outside the hit levels"):
+        simulate(model, ConstantKernel(1.0), cfg)
+
+
+@pytest.mark.parametrize(
+    "model", [JacobiModel(0.0, 1.0, 2.0, 0.5, 0.4, 0.5), CIRModel(1.0, 1.0, 1.0, 0.5)]
+)
+def test_hit_band_just_inside_x0_runs(model):
+    # levels 0.49 and (Jacobi) 0.51 leave x0 = 0.5 strictly between them
+    cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=50, hit_eps=0.49)
+    report = simulate(model, ConstantKernel(1.0), cfg)
+    assert report.hit_eps == 0.49
 
 
 # -------------------------------------------------------------- crosscheck
