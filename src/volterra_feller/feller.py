@@ -145,16 +145,19 @@ def _limit_triple(name, lim):
     return (name, float(value), DIVERGENCE_CAP)
 
 
-def _limit(ctx, which, target):
-    # boundary_limit, or a built-in model's closed rule with no value swept (no triple reads it)
-    return ctx._closed_limit(which, target) or ctx.boundary_limit(which, target)
+def _limit(ctx, which, target, shift):
+    # the limit at which under shift.  A built-in model's closed rule reads
+    # shift off ctx itself, with no context built and no value swept (no
+    # triple reads it); a custom model's boundary_limit runs on ctx shifted
+    return (ctx._closed_limit(which, target, shift)
+            or ctx.with_shifts(shift, shift).boundary_limit(which, target))
 
 
 def _limit_pair(ctx, beta, gamma, target, names):
     """Both boundary limits of ``target`` ("v", or "p" for |p|) under the
     shifts (beta, gamma), and their evidence triples under ``names``."""
-    shifted = ctx.with_shifts(beta, gamma)
-    lims = [_limit(shifted, which, target) for which in ("left", "right")]
+    lims = [_limit(ctx, which, target, shift) for which, shift in (("left", beta),
+                                                                    ("right", gamma))]
     return lims, [_limit_triple(name, lim) for name, lim in zip(names, lims)]
 
 
@@ -241,7 +244,7 @@ def _sufficient_side(ctx, which, n_stages):
     if math.isfinite(boundary):
         # shortcut: divergence of v with the boundary itself as shift already
         # implies the staged condition
-        lim = _limit(ctx.with_shifts(-boundary, -boundary), which, "v")
+        lim = _limit(ctx, which, "v", -boundary)
         label = f"v({which}) with boundary shift {-boundary + 0.0:.6g}"  # 0, not -0, at 0
         evidence.append(_limit_triple(label, lim))
         if lim.kind == "divergent":
@@ -252,13 +255,13 @@ def _sufficient_side(ctx, which, n_stages):
             ruled = False, evidence
     elif ctx.kprime0 == 0.0 and hasattr(ctx.model, "limit_rule"):
         # every stage is v_c: the stages diverge iff v_c does (Feller's test)
-        lim = _limit(ctx, which, "v")
+        lim = _limit(ctx, which, "v", ctx.beta if which == "left" else ctx.gamma)
         ruled = lim.kind == "divergent", [_limit_triple(f"v({which})", lim)]
     elif ctx.kprime0 < 0.0 and hasattr(ctx.model, "stage_rule"):
         kind, triples = ctx.model.stage_rule(which, ctx.k0, ctx._ratio)
         ruled = kind == "divergent", triples
     if ruled is not None:
-        ctx._approach(which, n_stages, "n_stages")  # n_stages is checked as the stages would
+        ctx._approach(which, n_stages, "n_stages", ladder=False)  # as the stages would check it
         return ruled
     staged_ok, staged_ev = _staged_side(ctx, which, n_stages)
     return staged_ok, evidence + staged_ev

@@ -562,7 +562,9 @@ class ScaleContext:
     """Model + kernel scalars + base point + shifts; owns all evaluations.
 
     Only K(0) and K'(0) enter; the kernel's full time profile does not.
-    Contexts are immutable: use :meth:`with_shifts` to reanchor beta/gamma.
+    Building a context checks the interval, c, the shifts, quad_tol and
+    max_panels, and reads K(0) and K'(0) off the kernel once.  Contexts are
+    immutable: use :meth:`with_shifts` to reanchor beta/gamma.
     """
 
     model: object
@@ -601,7 +603,14 @@ class ScaleContext:
         return self._kp0 / self._k0
 
     def with_shifts(self, beta: float, gamma: float) -> "ScaleContext":
-        return replace(self, beta=beta, gamma=gamma)
+        """This context under the shifts (beta, gamma), equal to
+        ``replace(self, beta=beta, gamma=gamma)``: only the two shifts are
+        checked; every other field, K(0) and K'(0) are copied as checked."""
+        check_real("beta", beta)
+        check_real("gamma", gamma)
+        shifted = object.__new__(type(self))
+        shifted.__dict__.update(self.__dict__, beta=beta, gamma=gamma)
+        return shifted
 
     def with_base(self, c: float) -> "ScaleContext":
         return replace(self, c=c)
@@ -1198,7 +1207,8 @@ class ScaleContext:
         _require(method in ("auto", "sample"), f"unknown method {method!r}")
         steps = check_count("steps", steps, 4)
         boundary = self.model.interval[0 if which == "left" else 1]
-        closed = self._closed_limit(which, target) if method == "auto" else None
+        shift = self.beta if which == "left" else self.gamma
+        closed = self._closed_limit(which, target, shift) if method == "auto" else None
         if closed is not None:
             if closed.kind == "finite" and math.isfinite(boundary):
                 swept = self._swept_limit(boundary, target)
@@ -1210,11 +1220,12 @@ class ScaleContext:
             return self._swept_limit(boundary, target)
         return self._sampled_limit(which, target, steps)
 
-    def _closed_limit(self, which, target):
-        # a built-in model's closed rule for the limit at which under that side's
-        # shift, with no value (boundary_limit sweeps a finite end's); else None
+    def _closed_limit(self, which, target, shift):
+        # a built-in model's closed rule for the limit at which under shift, with
+        # no value (boundary_limit sweeps a finite end's); else None.  It reads
+        # only K(0), K'(0) and the model, so feller's verdicts pass each side's
+        # shift here and build no shifted context; boundary_limit passes its own
         if hasattr(self.model, "limit_rule"):
-            shift = self.beta if which == "left" else self.gamma
             kind, ev = self.model.limit_rule(which, target, self._k0, self._ratio, shift)
             return LimitResult(kind, None, "closed", ev)
         return None
@@ -1234,24 +1245,27 @@ class ScaleContext:
             return LimitResult("divergent" if steep else "inconclusive", None, "sweep", ev)
         return LimitResult("finite", _exp(float(getattr(sweep, field)[0])), "sweep", ev)
 
-    def _approach(self, which, count, name):
+    def _approach(self, which, count, name, ladder=True):
         # x_1..x_count marching to a boundary: boundary +- |c - boundary| 2^-n
         # for a finite one, c -+ 2^n for an infinite one; a ValueError naming
-        # the count if some x_n overflows or rounds onto the boundary
+        # the count if some x_n overflows or rounds onto the boundary.  The
+        # ladder is monotone toward the boundary, so only x_count is checked,
+        # and the ladder walked only to word the error; ladder=False returns None
         l, r = self.model.interval
         boundary = l if which == "left" else r
         inward = 1.0 if which == "left" else -1.0
-        points = []
-        for n in range(1, count + 1):
+
+        def point(n):
             if math.isfinite(boundary):
-                x = boundary + inward * (abs(self.c - boundary) * 0.5**n)
-            else:  # 2.0**n raises OverflowError from n = 1024
-                x = self.c - inward * (2.0**n if n < 1024 else math.inf)
-            if not l < x < r:
-                raise ValueError(f"{name} must be at most {n - 1} toward the {which} boundary: "
-                                 f"approach point {n} is not a float inside ({l}, {r})")
-            points.append(x)
-        return points
+                return boundary + inward * (abs(self.c - boundary) * 0.5**n)
+            # 2.0**n raises OverflowError from n = 1024
+            return self.c - inward * (2.0**n if n < 1024 else math.inf)
+
+        if not l < point(count) < r:
+            n = next(n for n in range(1, count + 1) if not l < point(n) < r)
+            raise ValueError(f"{name} must be at most {n - 1} toward the {which} boundary: "
+                             f"approach point {n} is not a float inside ({l}, {r})")
+        return [point(n) for n in range(1, count + 1)] if ladder else None
 
     def _sampled_limit(self, which, target, steps):
         log_cap = math.log(DIVERGENCE_CAP)

@@ -38,8 +38,8 @@ Step k writes X over its spent noise row, and every _ROWS steps those rows
 are read for first crossings, so no single step tests for hits.  The
 one-rate forms then drop hit paths from X, their state and the unread noise
 rows, and draw later chunks for the running paths only.  The BLAS forms step
-hit paths on in their own columns, drawing their noise: BLAS rounds a column
-by its place, not by other columns' values.
+hit paths on in their own columns, since BLAS rounds a column by its place,
+not by other columns' values; those columns keep stale noise, not drawn again.
 """
 
 import math
@@ -154,24 +154,29 @@ def _noise(seed, start, stop, n_steps, dt, chunk):
     Each chunk is scaled by sqrt(dt) and laid out time-major, (steps, paths),
     so a step reads one contiguous row.  The consumer may overwrite the
     chunk; the next one is drawn into the same buffer.  It may also send
-    back the indices, within the block, of the paths still running; a list
-    shorter than the last narrows later chunks to those paths, in that order.
+    back, for each column of later chunks, the index within the block of the
+    path it carries (fewer columns narrow them), or -1 for a column that
+    needs no draws: that column keeps its last draws.
     """
     keys = np.empty((stop - start, 2), dtype=np.uint64)
     keys[:, 0] = seed
     keys[:, 1] = np.arange(start, stop)
-    rngs = running = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    rngs = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    # the path in each column, and the (row of drawn, generator) pairs drawn
+    cols = np.arange(stop - start)
+    running = list(enumerate(rngs))
     chunk = min(chunk, n_steps)
     drawn = np.empty((stop - start, chunk))
     out = np.empty((chunk, stop - start))
     scale = math.sqrt(dt)
     for k in range(0, n_steps, chunk):
-        n, m = min(chunk, n_steps - k), len(running)
-        for rng, row in zip(running, drawn[:, :n]):
-            rng.standard_normal(n, out=row)
+        n, m = min(chunk, n_steps - k), len(cols)
+        for row, rng in running:
+            rng.standard_normal(n, out=drawn[row, :n])
         paths = yield np.multiply(drawn[:m, :n].T, scale, out=out[:n, :m])
-        if paths is not None and len(paths) < m:
-            running = [rngs[i] for i in paths]
+        if paths is not None and not np.array_equal(paths, cols):
+            cols = np.array(paths)
+            running = [(row, rngs[i]) for row, i in enumerate(cols.tolist()) if i >= 0]
 
 
 def _convolver(kernel, form, scheme, dt, n_steps, block):
@@ -247,9 +252,9 @@ def _advance_block(model, conv, noise, width, dt, levels):
     at its first crossing and a survivor's terminal value.  If conv has a
     narrow method, a scan where a quarter of the columns have hit, or a
     chunk's last scan where any has, drops them from X, conv's state and the
-    chunk's unread rows, and noise is sent the path in each column for its
-    later chunks; other forms step hit paths on.  Once every path has hit no
-    further noise is drawn.
+    chunk's unread rows; other forms step hit paths on.  noise is sent the
+    path in each column for its later chunks, -1 for a hit one, so a hit path
+    draws nothing after the chunk where its hit is found.
     """
     lo, hi = levels
     x0 = float(model.x0)
@@ -294,10 +299,10 @@ def _advance_block(model, conv, noise, width, dt, levels):
                     for unread in dW[row + _ROWS :]:
                         unread[: keep.size] = unread[keep]
                     dW = dW[:, : keep.size]
-            # the next chunk is drawn into dW
+            # the next chunk is drawn into dW, with no draws for hit paths
             X = X.copy()
             try:
-                dW = noise.send(paths)
+                dW = noise.send(np.where(running, paths, -1))
             except StopIteration:
                 break
     hit_x[paths[running]] = X[running]

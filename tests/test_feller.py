@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -1223,3 +1224,202 @@ def test_custom_interval_ends_must_be_ordered_reals():
     for ends in [(math.nan, 1.0), (0.0, "1"), (None, 1.0), (1.0, 0.0)]:
         with pytest.raises(ValueError, match="^interval must"):
             CustomModel(np.negative, np.ones_like, ends, 0.5)
+
+
+# ------------------------------------------- closed limits under each shift
+
+
+def _parent_read(shifted, which, target):
+    # a limit as the verdicts read it off a shifted context: a built-in model's
+    # closed rule under the context's own side shift, else boundary_limit
+    if hasattr(shifted.model, "limit_rule"):
+        shift = shifted.beta if which == "left" else shifted.gamma
+        kind, ev = shifted.model.limit_rule(which, target, shifted.k0, shifted._ratio, shift)
+        return scale.LimitResult(kind, None, "closed", ev)
+    return shifted.boundary_limit(which, target)
+
+
+def _parent_limit(ctx, which, target, shift):
+    return _parent_read(dataclasses.replace(ctx, beta=shift, gamma=shift), which, target)
+
+
+def _parent_limit_pair(ctx, beta, gamma, target, names):
+    shifted = dataclasses.replace(ctx, beta=beta, gamma=gamma)
+    lims = [_parent_read(shifted, which, target) for which in ("left", "right")]
+    return lims, [feller._limit_triple(name, lim) for name, lim in zip(names, lims)]
+
+
+def _outcomes(ctx, n_stages):
+    # repr of each generic test's verdict, or its error's type and text
+    tests = [(necessary_test, {}), (sufficient_test, {"n_stages": n_stages}),
+             (sup_inf_test, {}), (bounded_interval_test, {})]
+    out = []
+    for test, kw in tests:
+        try:
+            out.append(repr(test(ctx, **kw)))
+        except ValueError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def _assert_matches_rebuilt_path(ctx, shift, n_stages):
+    # _limit and the four generic tests against the path that rebuilt every
+    # shifted context with dataclasses.replace and read the closed rule off it
+    for which in ("left", "right"):
+        for target in ("v", "p"):
+            got = feller._limit(ctx, which, target, shift)
+            assert repr(got) == repr(_parent_limit(ctx, which, target, shift)), (which, target)
+    now = _outcomes(ctx, n_stages)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feller, "_limit", _parent_limit)
+        mp.setattr(feller, "_limit_pair", _parent_limit_pair)
+        assert now == _outcomes(ctx, n_stages)
+
+
+_SHIFT = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _built_in_cases(draw):
+    # a CIR, Jacobi or power context under a constant, one-rate or two-rate
+    # kernel, with drawn shifts, a drawn shift for _limit and a stage count
+    # (2 or 3 where the power family stages, at K'(0) < 0)
+    n = draw(st.sampled_from([0, 1, 2]))
+    if n:
+        kernel = SumOfExponentialsKernel(
+            draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n)),
+            draw(st.lists(_LOG_POS, min_size=n, max_size=n)))
+    else:
+        kernel = ConstantKernel(draw(_LOG_POS))
+    family = draw(st.sampled_from(["cir", "jacobi", "power"]))
+    if family == "cir":
+        model = CIRModel(draw(_LOG_POS), draw(_LOG_POS), draw(_LOG_POS), draw(_LOG_POS))
+    elif family == "jacobi":
+        a, width = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 5.0))
+        inside = st.floats(0.02, 0.98).map(lambda f: a + width * f)
+        model = JacobiModel(a, a + width, draw(_LOG_POS), draw(inside), draw(_LOG_POS),
+                            draw(inside))
+    else:
+        model = PowerModel(draw(st.floats(1.05, 2.5)), draw(st.floats(0.0, 0.95)),
+                           draw(_LOG_POS), draw(st.sampled_from([-1.0, 1.0])) * draw(_LOG_POS))
+    ctx = ScaleContext(model, kernel, beta=draw(_SHIFT), gamma=draw(_SHIFT))
+    return ctx, draw(_SHIFT), draw(st.integers(2, 3 if family == "power" and n else 8))
+
+
+@settings(max_examples=40)
+@given(case=_built_in_cases())
+def test_closed_limits_under_a_shift_match_rebuilt_contexts(case):
+    # built-in verdicts read each side's closed rule under its shift off the
+    # unshifted context; limits, verdicts and evidence are the rebuilt path's
+    _assert_matches_rebuilt_path(*case)
+
+
+def test_a_custom_clone_reads_its_limits_as_rebuilt_contexts_did(sloped_kernel):
+    # no closed rule: a custom model's limits sweep a context shifted by the shift
+    model = _clone(JacobiModel(0.0, 1.0, 1.0, 0.4, 1.5, 0.6))
+    _assert_matches_rebuilt_path(ScaleContext(model, sloped_kernel, beta=0.3, gamma=-0.2),
+                                 -0.5, 3)
+
+
+@pytest.mark.parametrize("model, kernel", [
+    (CIRModel(1.0, 0.5, 1.0, 0.7), ConstantKernel(1.0)),
+    (CIRModel(2.0, 0.3, 0.7, 1.2), SumOfExponentialsKernel([1.0], [1.0])),
+    (JacobiModel(0.0, 1.0, 1.0, 0.4, 1.5, 0.6), ConstantKernel(2.0)),
+    (JacobiModel(-1.0, 2.0, 0.5, 0.2, 0.8, 0.1), SumOfExponentialsKernel([0.5, 1.0], [0.3, 3.0])),
+    (PowerModel(1.5, 0.5, 1.0, 1.0), ConstantKernel(1.0)),
+])
+def test_built_in_verdicts_rebuild_no_context(monkeypatch, model, kernel):
+    # no ScaleContext is built and K(0), K'(0) are not read again: closed
+    # limits take their shift, so no shifted context is made
+    ctx = ScaleContext(model, kernel)
+    counts = {"__post_init__": 0, "k0_kprime0": 0}
+    post_init, scalars = ScaleContext.__post_init__, type(kernel).k0_kprime0
+
+    def counting_post_init(self):
+        counts["__post_init__"] += 1
+        post_init(self)
+
+    def counting_scalars(self):
+        counts["k0_kprime0"] += 1
+        return scalars(self)
+
+    monkeypatch.setattr(ScaleContext, "__post_init__", counting_post_init)
+    monkeypatch.setattr(type(kernel), "k0_kprime0", counting_scalars)
+    outcomes = _outcomes(ctx, 8)
+    ctx.with_shifts(0.1, -0.2)  # nor does a shifted context, where one is made
+    assert counts == {"__post_init__": 0, "k0_kprime0": 0}
+    assert sum(out.startswith("BoundaryVerdict") for out in outcomes) >= 3
+    ScaleContext(model, kernel)  # the counters count
+    assert counts == {"__post_init__": 1, "k0_kprime0": 1}
+
+
+_RICH_CTX = ScaleContext(JacobiModel(-1.0, 2.0, 0.5, 0.2, 0.8, 0.1),
+                         SumOfExponentialsKernel([0.5, 1.0], [0.3, 3.0]), c=0.3, beta=1.0,
+                         gamma=-2.0, quad_tol=1e-8, max_panels=128.0)
+
+
+@pytest.mark.parametrize("ctx", [_CIR_CTX, _RICH_CTX], ids=["cir", "jacobi"])
+@pytest.mark.parametrize("beta, gamma", [(0.2, -0.1), (0, 3), (True, -0.0),
+                                         (np.float64(1.5), 2**60)])
+def test_with_shifts_equals_a_rebuilt_context(ctx, beta, gamma):
+    # field for field, types included, with the same hash and kernel scalars;
+    # the context shifted from keeps its own
+    before = dict(vars(ctx))
+    fast, rebuilt = ctx.with_shifts(beta, gamma), dataclasses.replace(ctx, beta=beta, gamma=gamma)
+    assert fast == rebuilt and hash(fast) == hash(rebuilt)
+    assert (fast.k0, fast.kprime0) == (rebuilt.k0, rebuilt.kprime0)
+    assert {k: (type(v), v) for k, v in vars(fast).items()} == {
+        k: (type(v), v) for k, v in vars(rebuilt).items()}
+    assert vars(ctx) == before
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", None])
+def test_with_shifts_rejects_a_bad_shift_as_a_rebuild_does(bad):
+    for kw in ({"beta": bad, "gamma": 0.0}, {"beta": 0.0, "gamma": bad},
+               {"beta": bad, "gamma": bad}):
+        with pytest.raises(ValueError) as fast:
+            _RICH_CTX.with_shifts(**kw)
+        with pytest.raises(ValueError) as rebuilt:
+            dataclasses.replace(_RICH_CTX, **kw)
+        assert str(fast.value) == str(rebuilt.value)
+        assert str(fast.value).startswith("beta must" if kw["beta"] is bad else "gamma must")
+
+
+def _walked_approach(ctx, which, count, name):
+    # the approach ladder built and checked point by point
+    l, r = ctx.model.interval
+    boundary = l if which == "left" else r
+    inward = 1.0 if which == "left" else -1.0
+    points = []
+    for n in range(1, count + 1):
+        if math.isfinite(boundary):
+            x = boundary + inward * (abs(ctx.c - boundary) * 0.5**n)
+        else:
+            x = ctx.c - inward * (2.0**n if n < 1024 else math.inf)
+        if not l < x < r:
+            raise ValueError(f"{name} must be at most {n - 1} toward the {which} boundary: "
+                             f"approach point {n} is not a float inside ({l}, {r})")
+        points.append(x)
+    return points
+
+
+@pytest.mark.parametrize("ctx", [_CIR_CTX, _RICH_CTX, ScaleContext(
+    PowerModel(1.5, 0.5, 1.0, -3.0), ConstantKernel(1.0))], ids=["cir", "jacobi", "power"])
+def test_stage_count_check_matches_the_walked_ladder(ctx):
+    # only the farthest point is checked, and the same counts pass or fail
+    # with the same text as when every point was
+    for which in ("left", "right"):
+        for count in [*range(1, 80), *range(1015, 1090), 5000]:
+            try:
+                want = _walked_approach(ctx, which, count, "n_stages")
+            except ValueError as exc:
+                want = str(exc)
+                with pytest.raises(ValueError) as got:
+                    ctx._approach(which, count, "n_stages", ladder=False)
+                assert str(got.value) == want
+            else:
+                assert ctx._approach(which, count, "n_stages", ladder=False) is None
+            try:
+                assert ctx._approach(which, count, "n_stages") == want
+            except ValueError as exc:
+                assert str(exc) == want

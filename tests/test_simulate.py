@@ -488,11 +488,12 @@ def test_narrowing_down_to_one_path_matches_per_step_detection(chunk):
         assert runs == [(8, 64), (6, 64), (4, 128), (3, 64), (2, 128), (1, 82)]
 
 
-@pytest.mark.parametrize("name", ["running_sum", "exact_exp_one_rate"])
+@pytest.mark.parametrize("name", ["running_sum", "exact_exp_one_rate", "exact_exp", "lift"])
 def test_hit_paths_draw_no_noise_after_their_chunk(monkeypatch, name):
     # each path's standard_normal calls, by the path index in its Philox key:
     # a hit path draws up to the chunk where its hit is found, and a survivor
-    # draws every chunk
+    # draws every chunk, whether the block drops hit columns or (the two-rate
+    # BLAS forms, which never narrow) steps them on with stale noise
     module = importlib.import_module("volterra_feller.simulate")
     monkeypatch.setattr(module, "_CHUNK", 13)
     calls = {}
@@ -510,10 +511,12 @@ def test_hit_paths_draw_no_noise_after_their_chunk(monkeypatch, name):
     monkeypatch.setattr(np.random, "Generator", Counting)
     model, kernel, scheme, dt, n_steps, width, levels = _ORACLE_BLOCKS[name]
     form = kernel.exp_form()
+    widths = []
     _, side, time = module._advance_block(
-        model, module._convolver(kernel, form, scheme, dt, n_steps, width),
+        model, _logged(module._convolver(kernel, form, scheme, dt, n_steps, width), widths),
         module._noise(5, 0, width, n_steps, dt, 13), width, dt, levels,
     )
+    assert (widths[-1] < width) == (name in _NARROWING)
     step = np.rint(time[side != 0] / dt).astype(int)  # 1-based, as the hit time counts
     expected = np.full(width, -(-n_steps // 13))
     expected[side != 0] = (step - 1) // 13 + 1
